@@ -1,7 +1,8 @@
 """Command-line front end: evaluation commands, named verification suites with
 pass/fail exit codes, and JSON/CSV output.
 
-Exit codes: 0 all requested checks pass, 1 verification failure, 2 usage error.
+Exit codes: 0 all requested checks pass, 1 verification failure or a numeric
+failure (reported as {"error": <type>, "message": <text>}), 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import mpmath
 from .elliptic import j_qexpansion
 from .fibrations import classify_fibers
 from .hilbert_theta import mueller_forms
-from .moduli import moduli_XYZ, newton_invert
+from .moduli import (JacobianSingular, NearZeroDenominator, NoConvergence, moduli_XYZ,
+                     newton_invert)
 from .numkernel import PRECISION_ENV_VAR, PrecisionPolicy, default_policy, working_precision
 from .periods import hypergeom_coefficients
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -221,6 +223,8 @@ def main(argv=None) -> int:
     }
     try:
         code, payload = handlers[args.command](args, policy)
+    except (NoConvergence, JacobianSingular, NearZeroDenominator) as exc:
+        code, payload = 1, {"error": type(exc).__name__, "message": str(exc)}
     except (ValueError, KeyError) as exc:
         ap.exit(2, f"error: {exc}\n")
         return 2  # unreachable; keeps type checkers happy

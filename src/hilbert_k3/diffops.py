@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import RationalFunction, SparsePoly, poly_lcm, squarefree_decomposition
+from .polynomials import (RationalFunction, SparsePoly, UniPoly, poly_lcm, series_inverse,
+                          series_mul, squarefree_decomposition)
 
 
 class IrregularSingular(Exception):
@@ -23,16 +24,6 @@ class NonRationalRoot(Exception):
 
 
 INFINITY = "infinity"
-
-
-def _dense(p: SparsePoly) -> list[Fraction]:
-    """Dense coefficient list of a univariate polynomial."""
-    if len(p.vars) != 1:
-        raise ValueError("dense form needs a univariate polynomial")
-    out = [Fraction(0)] * (p.total_degree() + 1)
-    for expo, coeff in p.terms.items():
-        out[expo[0]] = coeff
-    return out
 
 
 # --------------------------------------------------------------- formal series
@@ -56,9 +47,6 @@ class FormalSeries:
 
     def copy(self) -> "FormalSeries":
         return FormalSeries(self.var, self.expo, list(self.coeffs), self.prec)
-
-    def known_length(self) -> int:
-        return len(self.coeffs)
 
     def is_zero_to_precision(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -119,67 +107,33 @@ class FormalSeries:
         prec = min(self.prec + other.valuation(), other.prec + self.valuation())
         expo = self.expo + other.expo
         n = int(math.ceil(prec - expo))
-        if n <= 0:
-            return FormalSeries(self.var, expo, [], prec)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= n:
-                continue
-            top = min(len(other.coeffs), n - i)
-            for j in range(top):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return FormalSeries(self.var, expo, out, prec)
+        return FormalSeries(self.var, expo, series_mul(self.coeffs, other.coeffs, n), prec)
 
     def derivative(self) -> "FormalSeries":
         coeffs = [(self.expo + n) * c for n, c in enumerate(self.coeffs)]
         return FormalSeries(self.var, self.expo - 1, coeffs, self.prec - 1)
 
     def multiply_poly(self, p: SparsePoly) -> "FormalSeries":
-        dense = _dense(p)
+        dense = UniPoly.from_sparse(p, p.vars[0]).coefficients()
         if not dense:
             return FormalSeries(self.var, self.expo, [Fraction(0)] * len(self.coeffs),
                                 self.prec + 0)
         val = next(i for i, c in enumerate(dense) if c != 0)
         prec = self.prec + val
-        n = len(self.coeffs) + len(dense) - 1
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(dense):
-                if b:
-                    out[i + j] += a * b
         keep = int(prec - self.expo)
-        return FormalSeries(self.var, self.expo, out[:keep], prec)
+        return FormalSeries(self.var, self.expo, series_mul(self.coeffs, dense, keep), prec)
 
     def multiply_rational(self, f: RationalFunction) -> "FormalSeries":
         if f.is_zero():
             return FormalSeries(self.var, self.expo,
                                 [Fraction(0)] * len(self.coeffs), self.prec)
         num = self.multiply_poly(f.num)
-        dense = _dense(f.den)
+        dense = UniPoly.from_sparse(f.den, f.den.vars[0]).coefficients()
         v = next(i for i, c in enumerate(dense) if c != 0)
         unit = dense[v:]
         shifted = num.shift_exponent(-v)
-        # power-series inversion of the unit factor, to the known length
         n = len(shifted.coeffs)
-        inv = [Fraction(0)] * n
-        if n:
-            inv[0] = 1 / unit[0]
-            for k in range(1, n):
-                acc = Fraction(0)
-                for j in range(1, min(k, len(unit) - 1) + 1):
-                    acc += unit[j] * inv[k - j]
-                inv[k] = -acc / unit[0]
-        out = [Fraction(0)] * n
-        for i, a in enumerate(shifted.coeffs):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                if inv[j]:
-                    out[i + j] += a * inv[j]
+        out = series_mul(shifted.coeffs, series_inverse(unit, n), n)
         return FormalSeries(self.var, shifted.expo, out, shifted.prec)
 
     def __repr__(self) -> str:
@@ -195,7 +149,7 @@ class LogSeries:
 
     def __init__(self, var: str, parts: dict[int, FormalSeries]):
         self.var = var
-        self.parts = {l: s for l, s in parts.items() if s.coeffs or True}
+        self.parts = dict(parts)
 
     @classmethod
     def from_series(cls, s: FormalSeries) -> "LogSeries":
@@ -271,19 +225,6 @@ class DiffOperator:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @classmethod
-    def from_fractions(cls, var: str, entries: Sequence) -> "DiffOperator":
-        """Build from constants / SparsePoly / RationalFunction entries."""
-        out = []
-        for e in entries:
-            if isinstance(e, RationalFunction):
-                out.append(e)
-            elif isinstance(e, SparsePoly):
-                out.append(RationalFunction.from_poly(e))
-            else:
-                out.append(RationalFunction.from_const((var,), e))
-        return cls(var, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOperator):
@@ -473,7 +414,7 @@ def _rational_roots(p: SparsePoly) -> list[tuple[Fraction, int]]:
 
     out: list[tuple[Fraction, int]] = []
     for factor, mult in squarefree_decomposition(p, p.vars[0]):
-        dense = _dense(factor)
+        dense = UniPoly.from_sparse(factor, p.vars[0]).coefficients()
         deg = len(dense) - 1
         remaining = factor
         found = 0
@@ -518,87 +459,28 @@ def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
 
 
 # ------------------------------------------------------------- Frobenius jets
+# A jet is the list of Taylor coefficients in a formal epsilon, truncated at
+# its length; the recurrence below runs on jets in rho = root + n + epsilon.
 
 
-class _Jet:
-    """Truncated Taylor expansion in a formal epsilon, exact over Q."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        self.coeffs = [Fraction(c) for c in coeffs]
-
-    @classmethod
-    def const(cls, value, length: int) -> "_Jet":
-        return cls([Fraction(value)] + [Fraction(0)] * (length - 1))
-
-    @classmethod
-    def linear(cls, value, length: int) -> "_Jet":
-        # value + epsilon
-        out = [Fraction(value)] + [Fraction(0)] * (length - 1)
-        if length > 1:
-            out[1] = Fraction(1)
-        return cls(out)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def truncate(self, n: int) -> "_Jet":
-        return _Jet(self.coeffs[:n])
-
-    def __add__(self, other: "_Jet") -> "_Jet":
-        n = min(len(self), len(other))
-        return _Jet([a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])])
-
-    def __neg__(self) -> "_Jet":
-        return _Jet([-c for c in self.coeffs])
-
-    def __sub__(self, other: "_Jet") -> "_Jet":
-        return self + (-other)
-
-    def __mul__(self, other: "_Jet") -> "_Jet":
-        n = min(len(self), len(other))
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return _Jet(out)
-
-    def divide(self, other: "_Jet") -> "_Jet":
-        """Division allowing a common epsilon valuation in both jets."""
-        v = 0
-        while v < len(other) and other.coeffs[v] == 0:
-            v += 1
-        if v == len(other):
-            raise ZeroDivisionError("division by zero jet")
-        for i in range(min(v, len(self))):
-            if self.coeffs[i] != 0:
-                raise ValueError("jet division would produce a pole")
-        num = self.coeffs[v:]
-        den = other.coeffs[v:]
-        n = min(len(num), len(den))
-        out = [Fraction(0)] * n
-        for k in range(n):
-            acc = num[k]
-            for j in range(1, k + 1):
-                acc -= den[j] * out[k - j]
-            out[k] = acc / den[0]
-        return _Jet(out)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+def _taylor(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
+    """p(x + epsilon) to length n: the first n Taylor coefficients at x."""
+    out = []
+    for k in range(n):
+        out.append(p(x) / math.factorial(k))
+        p = p.derivative()
+    return out
 
 
-def _eval_poly_at_jet(p: SparsePoly, jet: _Jet) -> _Jet:
-    dense = _dense(p) if not p.is_zero() else [Fraction(0)]
-    result = _Jet.const(0, len(jet))
-    for c in reversed(dense):
-        result = result * jet + _Jet.const(c, len(jet))
-    return result
+def _jet_divide(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    """num / den, allowing a common epsilon valuation in both jets."""
+    v = next((i for i, c in enumerate(den) if c), None)
+    if v is None:
+        raise ZeroDivisionError("division by zero jet")
+    if any(num[:v]):
+        raise ValueError("jet division would produce a pole")
+    n = min(len(num), len(den)) - v
+    return series_mul(num[v:], series_inverse(den[v:], n), n)
 
 
 def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
@@ -614,6 +496,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     if q0.total_degree() < local.order:
         raise IrregularSingular(f"irregular singular point {point}")
     roots = _rational_roots(q0)
+    qu = [UniPoly.from_sparse(p, "rho") for p in q]
 
     # group roots into integer-difference classes
     classes: list[list[tuple[Fraction, int]]] = []
@@ -637,20 +520,15 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
             jet_len = 2 * above + mult + 4
             n_terms = order + int(max(r for r, _ in cls_sorted) - root) + 1
             # coefficient jets c_n(root + eps), with c_0 = eps^above
-            c0 = _Jet.const(1, jet_len)
-            eps = _Jet([Fraction(0), Fraction(1)] + [Fraction(0)] * (jet_len - 2))
-            for _ in range(above):
-                c0 = c0 * eps
-            coeffs_jets = [c0]
+            coeffs_jets = [[Fraction(int(k == above)) for k in range(jet_len)]]
             for n in range(1, n_terms):
-                s_jet = _Jet.linear(root + n, len(coeffs_jets[0]))
-                acc = _Jet.const(0, len(coeffs_jets[n - 1]))
+                acc = [Fraction(0)] * len(coeffs_jets[n - 1])
                 for j in range(1, min(n, len(q) - 1) + 1):
                     prev = coeffs_jets[n - j]
-                    qj = _eval_poly_at_jet(q[j], _Jet.linear(root + n - j, len(prev)))
-                    acc = acc + qj.truncate(len(prev)) * prev
-                q0_jet = _eval_poly_at_jet(q0, s_jet)
-                coeffs_jets.append((-acc).divide(q0_jet.truncate(len(acc))))
+                    qj = _taylor(qu[j], root + n - j, len(prev))
+                    acc = [x + y for x, y in zip(acc, series_mul(qj, prev, len(prev)))]
+                q0_jet = _taylor(qu[0], root + n, len(acc))
+                coeffs_jets.append(_jet_divide([-x for x in acc], q0_jet))
             usable = min(len(j) for j in coeffs_jets)
             for k in range(min(above + mult, usable)):
                 if len(collected) >= sum(m for _, m in cls_sorted):
@@ -659,7 +537,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
                 parts: dict[int, FormalSeries] = {}
                 for l in range(0, k + 1):
                     d = k - l
-                    series = [cj.coeffs[d] if d < len(cj) else Fraction(0)
+                    series = [cj[d] if d < len(cj) else Fraction(0)
                               for cj in coeffs_jets]
                     comp = FormalSeries(var, root, series).scale(Fraction(1, math.factorial(l)))
                     parts[l] = comp

@@ -14,6 +14,7 @@ from fractions import Fraction
 import mpmath
 
 from .numkernel import PrecisionPolicy, sum_series, to_mpc, working_precision
+from .polynomials import series_inverse, series_mul
 
 
 class NotInUpperHalfPlane(ValueError):
@@ -127,30 +128,6 @@ def eisenstein_qexp(weight: int, order: int) -> QExpansion:
     return QExpansion(0, tuple(coeffs))
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x == 0:
-            continue
-        for j in range(min(len(b), n - i)):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return out
-
-
-def _series_inv(a: list[Fraction], n: int) -> list[Fraction]:
-    if a[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    out = [Fraction(0)] * n
-    out[0] = 1 / a[0]
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = -acc / a[0]
-    return out
-
-
 def j_qexpansion(order: int) -> QExpansion:
     """1728*J as an exact q-series from E4^3 / ((E4^3 - E6^2)/1728).
 
@@ -161,13 +138,13 @@ def j_qexpansion(order: int) -> QExpansion:
     n = order + 2
     e4 = list(eisenstein_qexp(4, n).coeffs)
     e6 = list(eisenstein_qexp(6, n).coeffs)
-    e4_3 = _series_mul(_series_mul(e4, e4, n + 1), e4, n + 1)
-    e6_2 = _series_mul(e6, e6, n + 1)
+    e4_3 = series_mul(series_mul(e4, e4, n + 1), e4, n + 1)
+    e6_2 = series_mul(e6, e6, n + 1)
     delta = [(a - b) / 1728 for a, b in zip(e4_3, e6_2)]
     assert delta[0] == 0 and delta[1] == 1
     unit = delta[1:]  # Delta/q, a unit power series
-    inv = _series_inv(unit, n + 1)
-    out = _series_mul(e4_3, inv, n + 2)
+    inv = series_inverse(unit, n + 1)
+    out = series_mul(e4_3, inv, n + 2)
     return QExpansion(-1, tuple(out[: order + 2]))
 
 

@@ -9,6 +9,7 @@ non-certified.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,6 +138,7 @@ def _chart_at_infinity(c2: SparsePoly, c1: SparsePoly, c0: SparsePoly,
     return flip(c2, 1), flip(c1, 2), flip(c0, 3)
 
 
+@functools.cache
 def family_charts_symbolic() -> tuple[WeierstrassChart, WeierstrassChart]:
     """Both Weierstrass charts of z^2 = x^3 - 4y^2(4y-5)x^2 + 20X y^3 x + Y y^4
     with X, Y kept symbolic (variables 'X', 'Y', fiber coordinate 'y')."""
@@ -150,16 +152,6 @@ def family_charts_symbolic() -> tuple[WeierstrassChart, WeierstrassChart]:
     c2i, c1i, c0i = _chart_at_infinity(c2, c1, c0, "y")
     chart_inf = _depress(c2i, c1i, c0i, "y")
     return chart0, chart_inf
-
-
-_SYMBOLIC_CHARTS: tuple[WeierstrassChart, WeierstrassChart] | None = None
-
-
-def _symbolic_charts():
-    global _SYMBOLIC_CHARTS
-    if _SYMBOLIC_CHARTS is None:
-        _SYMBOLIC_CHARTS = family_charts_symbolic()
-    return _SYMBOLIC_CHARTS
 
 
 def displayed_discriminant_0() -> SparsePoly:
@@ -214,7 +206,7 @@ def weierstrass_data(X, Y) -> tuple[WeierstrassChart, WeierstrassChart]:
     """Both charts with rational (X, Y) substituted; univariate in y."""
     X, Y = Fraction(X), Fraction(Y)
     out = []
-    for chart in _symbolic_charts():
+    for chart in family_charts_symbolic():
         subs = {"X": X, "Y": Y}
         out.append(WeierstrassChart(
             var="y",
@@ -363,7 +355,7 @@ def classify_fibers_numeric(X, Y, policy: PrecisionPolicy | None = None,
     locations from numpy roots with multiplicity clustering."""
     import numpy as np
 
-    chart0_s, chart_inf_s = _symbolic_charts()
+    chart0_s, chart_inf_s = family_charts_symbolic()
     with working_precision(policy):
         Xc, Yc = complex(to_mpc(X)), complex(to_mpc(Y))
 

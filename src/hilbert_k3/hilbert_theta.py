@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import mpmath
 
+from .elliptic import NotInUpperHalfPlane
 from .numkernel import (PrecisionPolicy, quadratic_constants, to_mpc,
                         working_precision)
-
-
-class NotInUpperHalfPlane(ValueError):
-    pass
 
 
 class OddCharacteristic(ValueError):

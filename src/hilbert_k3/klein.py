@@ -3,6 +3,7 @@ relation, built exactly over Q and checked by full sparse expansion."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,18 +27,13 @@ class IcosahedralInvariants:
     D: SparsePoly  # coefficients in (1/12) Z
 
 
-_CACHE: IcosahedralInvariants | None = None
-
-
+@functools.cache
 def build_invariants() -> IcosahedralInvariants:
     """Exact transcription of the degree 2/6/10/15 invariants.
 
     The degree-15 polynomial is stated as 12*D; we divide by 12 once here so
     downstream formulas can use D itself.
     """
-    global _CACHE
-    if _CACHE is not None:
-        return _CACHE
     V = ZETA_VARS
     z0 = SparsePoly.variable(V, "z0")
     z1 = SparsePoly.variable(V, "z1")
@@ -69,8 +65,7 @@ def build_invariants() -> IcosahedralInvariants:
                 + (z1 ** 15 - z2 ** 15))
     D = twelve_D * Fraction(1, 12)
 
-    _CACHE = IcosahedralInvariants(A=A, B=B, C=C, D=D)
-    return _CACHE
+    return IcosahedralInvariants(A=A, B=B, C=C, D=D)
 
 
 def klein_relation_poly(A: SparsePoly, B: SparsePoly, C: SparsePoly,

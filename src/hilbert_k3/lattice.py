@@ -17,7 +17,7 @@ import mpmath
 from .hilbert_theta import as_pair
 from .moduli import apply_generator
 from .numkernel import PrecisionPolicy, quadratic_constants, working_precision
-from .polynomials import SparsePoly
+from .polynomials import SparsePoly, gauss_jordan
 
 # intersection form of the transcendental lattice: U + [[2, 1], [1, -2]]
 FORM_A = ((0, 1, 0, 0),
@@ -87,17 +87,11 @@ def mat_inverse_int(a):
     n = len(a)
     aug = [[Fraction(a[i][j]) for j in range(n)]
            + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
-    assert all(x.denominator == 1 for row in out for x in row)
+    if len(gauss_jordan(aug, n)) < n:
+        raise ValueError("singular matrix")
+    out = [row[n:] for row in aug]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ValueError("matrix is not unimodular: its inverse is not integral")
     return tuple(tuple(int(x) for x in row) for row in out)
 
 

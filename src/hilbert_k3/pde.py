@@ -6,6 +6,7 @@ the developing-map match against the theta-side inverse."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from .lattice import j_map
 from .moduli import K2_LOCUS, RankDeficient, continuation_invert, match_projective_maps, newton_invert
 from .numkernel import PrecisionPolicy, working_precision
 from .periods import restricted_ode_X
-from .polynomials import RationalFunction, SparsePoly
+from .polynomials import (RationalFunction, SparsePoly, UniPoly, gauss_jordan,
+                          series_inverse, series_mul)
 
 V = ("X", "Y")
 
@@ -48,15 +50,10 @@ class PDESystem:
     Q1: RationalFunction
 
 
-_PDE: PDESystem | None = None
-
-
+@functools.cache
 def build_pde() -> PDESystem:
     """Exact transcription of the eight coefficients; the common singular
     factor 36 X^2 - 32 X - Y sits in every denominator."""
-    global _PDE
-    if _PDE is not None:
-        return _PDE
     X = SparsePoly.variable(V, "X")
     Y = SparsePoly.variable(V, "Y")
     S = 36 * X ** 2 - 32 * X - Y
@@ -64,7 +61,7 @@ def build_pde() -> PDESystem:
     def rf(num, den):
         return RationalFunction(num, den)
 
-    _PDE = PDESystem(
+    return PDESystem(
         L1=rf(-20 * (4 * X ** 2 + 3 * X * Y - 4 * Y), S),
         M1=rf(-2 * (54 * X ** 3 - 50 * X ** 2 - 3 * X * Y + 2 * Y), 5 * Y * S),
         A1=rf(-2 * (20 * X ** 3 - 8 * X * Y + 9 * X ** 2 * Y + Y ** 2), X * Y * S),
@@ -74,77 +71,25 @@ def build_pde() -> PDESystem:
         P1=rf(-2 * (8 * X - Y), X ** 2 * S),
         Q1=rf(-2 * (9 * X - 10), 25 * X * Y * S),
     )
-    return _PDE
 
 
-# ------------------------------------------------------- relation manipulation
-
-Relation = dict[Jet, RationalFunction]
-
-
-def _base_relations() -> tuple[Relation, Relation]:
-    pde = build_pde()
-    one = RationalFunction.from_const(V, 1)
-    e1: Relation = {(2, 0): one, (1, 1): -pde.L1, (1, 0): -pde.A1,
-                    (0, 1): -pde.B1, (0, 0): -pde.P1}
-    e2: Relation = {(0, 2): one, (1, 1): -pde.M1, (1, 0): -pde.C1,
-                    (0, 1): -pde.D1, (0, 0): -pde.Q1}
-    return e1, e2
-
-
-def _derive_relation(rel: Relation, var: str) -> Relation:
-    step = (1, 0) if var == "X" else (0, 1)
-    out: Relation = {}
-
-    def add(jet: Jet, coeff: RationalFunction):
-        if jet in out:
-            out[jet] = out[jet] + coeff
-        else:
-            out[jet] = coeff
-
-    for jet, coeff in rel.items():
-        add(jet, coeff.derivative(var))
-        add((jet[0] + step[0], jet[1] + step[1]), coeff)
-    return {j: c for j, c in out.items() if not c.is_zero()}
-
-
-def jet_relations() -> list[Relation]:
-    """The system used for the elimination: the two equations, their X- and
-    Y-derivatives up to total order four, and both reductions of the mixed
-    fourth-order jet."""
-    e1, e2 = _base_relations()
-    r3 = _derive_relation(e1, "X")
-    r4 = _derive_relation(e1, "Y")
-    r5 = _derive_relation(r3, "X")
-    r6 = _derive_relation(r3, "Y")
-    r7 = _derive_relation(e2, "X")
-    r8 = _derive_relation(e2, "Y")
-    r9a = _derive_relation(r4, "Y")   # mixed fourth-order jet, first route
-    r9b = _derive_relation(r7, "X")   # and second route
-    return [e1, e2, r3, r4, r5, r6, r7, r8, r9a, r9b]
-
-
-KEPT: tuple[Jet, ...] = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
-ELIMINATED: tuple[Jet, ...] = ((1, 3), (2, 2), (3, 1), (0, 3), (1, 2),
-                               (2, 1), (0, 2), (1, 1), (0, 1))
+# ------------------------------------------------------------- elimination
 
 BASIS: tuple[Jet, ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-XONLY = ("X",)
-
 
 class _FactoredRF:
-    """Univariate rational function kept as numerator / product of factor
-    powers; avoids per-operation gcds, cancelling only by exact trial
-    division against the stored factors."""
+    """Rational function of X kept as numerator / product of factor powers;
+    avoids per-operation gcds, cancelling only by exact trial division
+    against the stored (primitive) factors."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: SparsePoly, den: dict[SparsePoly, int] | None = None,
+    def __init__(self, num: UniPoly, den: dict[UniPoly, int] | None = None,
                  cancel: bool = True):
         self.num = num
         self.den = {f: e for f, e in (den or {}).items() if e > 0}
-        if num.is_zero():
+        if not num:
             self.den = {}
         elif cancel and self.den:
             self._cancel()
@@ -153,10 +98,10 @@ class _FactoredRF:
         for f in list(self.den):
             e = self.den[f]
             while e > 0:
-                q, r = self.num.divmod_exact(f)
-                if not r.is_zero():
+                try:
+                    self.num = self.num.divide_exact(f)
+                except ValueError:
                     break
-                self.num = q
                 e -= 1
             if e:
                 self.den[f] = e
@@ -165,19 +110,23 @@ class _FactoredRF:
 
     @classmethod
     def const(cls, value) -> "_FactoredRF":
-        return cls(SparsePoly.const(XONLY, value), {}, cancel=False)
+        return cls(UniPoly([value]), {}, cancel=False)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
-    def _den_poly(self) -> SparsePoly:
-        out = SparsePoly.const(XONLY, 1)
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def _den_poly(self) -> UniPoly:
+        out = UniPoly([1])
         for f, e in self.den.items():
             out = out * f ** e
         return out
 
     def to_rational(self) -> RationalFunction:
-        return RationalFunction(self.num, self._den_poly())
+        return RationalFunction(self.num.to_sparse(("X",), "X"),
+                                self._den_poly().to_sparse(("X",), "X"))
 
     def __add__(self, other: "_FactoredRF") -> "_FactoredRF":
         if self.is_zero():
@@ -187,7 +136,7 @@ class _FactoredRF:
         union = dict(self.den)
         for f, e in other.den.items():
             union[f] = max(union.get(f, 0), e)
-        def lift(term: "_FactoredRF") -> SparsePoly:
+        def lift(term: "_FactoredRF") -> UniPoly:
             n = term.num
             for f, e in union.items():
                 missing = e - term.den.get(f, 0)
@@ -213,35 +162,30 @@ class _FactoredRF:
     def scale(self, c: Fraction) -> "_FactoredRF":
         return _FactoredRF(self.num * c, self.den, cancel=False)
 
-    def reciprocal(self) -> "_FactoredRF":
+    def __rtruediv__(self, c) -> "_FactoredRF":
+        """c / self for a rational constant c."""
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of zero")
-        num = self._den_poly()
-        content = self.num.content()
-        if self.num.leading()[1] < 0:
-            content = -content
-        atom = self.num * (1 / content)
-        den = {atom: 1} if atom.total_degree() > 0 else {}
-        if atom.total_degree() == 0:
-            content = content * atom.leading()[1]
-        return _FactoredRF(num * (1 / content), den)
+        atom = self.num.primitive()
+        den = {atom: 1} if atom.degree() > 0 else {}
+        return _FactoredRF(self._den_poly() * (Fraction(c) / self.num.scale), den)
 
-    def derivative(self, var: str = "X") -> "_FactoredRF":
-        dn = self.num.derivative(var)
+    def derivative(self) -> "_FactoredRF":
+        dn = self.num.derivative()
         if not self.den:
             return _FactoredRF(dn, {}, cancel=False)
         # (n / prod f^e)' = [n' prod f - n sum e_i f_i' prod_{j != i} f_j] / prod f^(e+1)
         factors = list(self.den.items())
-        prod_all = SparsePoly.const(XONLY, 1)
+        prod_all = UniPoly([1])
         for f, _ in factors:
             prod_all = prod_all * f
         total = dn * prod_all
         for i, (f, e) in enumerate(factors):
-            rest = SparsePoly.const(XONLY, 1)
+            rest = UniPoly([1])
             for j, (g, _) in enumerate(factors):
                 if j != i:
                     rest = rest * g
-            total = total - self.num * (e * f.derivative(var)) * rest
+            total = total - self.num * (e * f.derivative()) * rest
         den = {f: e + 1 for f, e in factors}
         return _FactoredRF(total, den)
 
@@ -273,20 +217,13 @@ class _YSeries:
 
     @staticmethod
     def _from_poly(p: SparsePoly, rel_prec: int) -> "_YSeries":
-        by_y: dict[int, dict] = {}
-        iy = p.vars.index("Y")
-        ix = p.vars.index("X")
-        for expo, coeff in p.terms.items():
-            by_y.setdefault(expo[iy], {})[(expo[ix],)] = coeff
-        if not by_y:
+        rows = p.coeff_list("Y")
+        if not rows:
             return _YSeries(0, [], rel_prec)
-        val = min(by_y)
-        top = max(by_y)
-        coeffs = []
-        for j in range(val, top + 1):
-            coeffs.append(_FactoredRF(SparsePoly(XONLY, by_y.get(j, {})),
-                                      {}, cancel=False))
-        return _YSeries(val, coeffs, val + max(rel_prec, top - val + 1))
+        val = next(j for j, c in enumerate(rows) if c)
+        coeffs = [_FactoredRF(UniPoly.from_sparse(c, "X"), {}, cancel=False)
+                  for c in rows[val:]]
+        return _YSeries(val, coeffs, val + max(rel_prec, len(rows) - val))
 
     def normalized(self) -> "_YSeries":
         c = list(self.coeffs)
@@ -307,7 +244,7 @@ class _YSeries:
         k = j - self.val
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k].to_rational()
-        return RationalFunction.from_const(XONLY, 0)
+        return RationalFunction.from_const(("X",), 0)
 
     def _padded(self, val: int, prec: int) -> list[_FactoredRF]:
         zero = _FactoredRF.const(0)
@@ -337,35 +274,17 @@ class _YSeries:
             return _YSeries(0, [], prec)
         val = a.val + b.val
         prec = min(a.prec + b.val, b.prec + a.val)
-        n = prec - val
-        out = [_FactoredRF.const(0)] * n
-        for i, x in enumerate(a.coeffs):
-            if x.is_zero() or i >= n:
-                continue
-            for j in range(min(len(b.coeffs), n - i)):
-                y = b.coeffs[j]
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return _YSeries(val, out, prec)
+        return _YSeries(val, series_mul(a.coeffs, b.coeffs, prec - val), prec)
 
     def inverse(self) -> "_YSeries":
         s = self.normalized()
         if not s.coeffs:
             raise ZeroDivisionError("inverting a series that vanishes to precision")
         n = s.prec - s.val
-        recip = s.coeffs[0].reciprocal()
-        inv = [_FactoredRF.const(0)] * n
-        inv[0] = recip
-        for k in range(1, n):
-            acc = _FactoredRF.const(0)
-            for j in range(1, min(k, len(s.coeffs) - 1) + 1):
-                if not s.coeffs[j].is_zero() and not inv[k - j].is_zero():
-                    acc = acc + s.coeffs[j] * inv[k - j]
-            inv[k] = -(acc * recip)
-        return _YSeries(-s.val, inv, -s.val + n)
+        return _YSeries(-s.val, series_inverse(s.coeffs, n), -s.val + n)
 
     def derivative_X(self) -> "_YSeries":
-        return _YSeries(self.val, [c.derivative("X") for c in self.coeffs], self.prec)
+        return _YSeries(self.val, [c.derivative() for c in self.coeffs], self.prec)
 
     def derivative_Y(self) -> "_YSeries":
         out = [c.scale(Fraction(self.val + k)) for k, c in enumerate(self.coeffs)]
@@ -644,35 +563,16 @@ def taylor_solution(base, jets, order: int,
             rows.append(row)
             rhs.append(t[(1, 1)])
 
-        # exact Gaussian elimination with consistency check
         m = [row + [b] for row, b in zip(rows, rhs)]
         n = d + 1
-        piv_col_of_row = []
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            piv_col_of_row.append(c)
-            r += 1
-        for i in range(r, len(m)):
-            if m[i][n] != 0:
-                raise InconsistentReduction(
-                    f"level {d} system inconsistent at base {base}")
-        if r < n:
+        pivots = gauss_jordan(m, n)
+        if any(row[n] != 0 for row in m[len(pivots):]):
+            raise InconsistentReduction(
+                f"level {d} system inconsistent at base {base}")
+        if len(pivots) < n:
             raise InconsistentReduction(f"level {d} system underdetermined")
-        solution = [Fraction(0)] * n
-        for row_i, c in enumerate(piv_col_of_row):
-            solution[c] = m[row_i][n]
-        for jet, k in index.items():
-            t[jet] = solution[k]
+        for row, c in zip(m, pivots):
+            t[unknowns[c]] = row[n]
     return t
 
 

@@ -6,6 +6,7 @@ identity X(z, z) * J(z) = 25/27."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -16,7 +17,7 @@ from .diffops import DiffOperator, FormalSeries, LogSeries, series_solve
 from .elliptic import eisenstein_and_J
 from .moduli import moduli_XYZ
 from .numkernel import NonConvergent, PrecisionPolicy, to_mpc, working_precision
-from .polynomials import RationalFunction, SparsePoly
+from .polynomials import RationalFunction, SparsePoly, series_mul
 
 T = ("t",)
 XV = ("X",)
@@ -126,6 +127,7 @@ class RestrictedODE:
     restdiff3: DiffOperator
 
 
+@functools.cache
 def build_restricted_operators() -> RestrictedODE:
     """W4, its factors W1 o W3, and the third-order equation satisfied by the
     derivatives of the periods; all in the rescaled coordinate t = 27 X / 25."""
@@ -165,14 +167,7 @@ def build_restricted_operators() -> RestrictedODE:
     return ode
 
 
-_RESTRICTED: RestrictedODE | None = None
-
-
-def restricted_operators() -> RestrictedODE:
-    global _RESTRICTED
-    if _RESTRICTED is None:
-        _RESTRICTED = build_restricted_operators()
-    return _RESTRICTED
+restricted_operators = build_restricted_operators
 
 
 # ------------------------------------------------------- series verifications
@@ -229,7 +224,7 @@ def verify_clausen_and_S(order: int) -> dict:
     f76 = Fraction(7, 6)
 
     c2f1 = hypergeom_coefficients([Fraction(1, 12), Fraction(5, 12)], [1], order)
-    sq = [sum(c2f1[i] * c2f1[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    sq = series_mul(c2f1, c2f1, order + 1)
     c3f2 = hypergeom_coefficients([f16, f12, f56], [1, 1], order)
     clausen_exact = sq == c3f2
 

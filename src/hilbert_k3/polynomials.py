@@ -1,16 +1,24 @@
-"""Exact sparse multivariate polynomial and rational-function arithmetic over Q.
+"""Exact polynomial arithmetic over Q and the exact primitives built on it.
 
-Coefficients are fractions.Fraction; exponent vectors are dense tuples keyed in
-a dict, canonically ordered by graded lex when an order is needed.  Degrees in
-this package stay small (<= 30 in <= 3 variables), so simplicity wins over
-asymptotically clever representations.
+* `SparsePoly` / `RationalFunction`: multivariate polynomials and rational
+  functions with Fraction coefficients; exponent vectors are dense tuples
+  keyed in a dict, canonically ordered by graded lex when an order is needed.
+  They carry the icosahedral invariants (degree 30 in 3 variables), the
+  Weierstrass charts and the two-variable PDE coefficients.
+* `UniPoly`: the dense univariate kernel, a primitive integer coefficient list
+  times a rational scale, with mul, divmod, gcd, content and derivative.  The
+  exact elimination runs on it with degrees up to about 72, and univariate
+  gcds of `SparsePoly` go through it.
+* `series_mul` / `series_inverse`: truncated power-series product and
+  inverse, over Fractions or any exact field elements.
+* `gauss_jordan`: exact Gauss-Jordan elimination over Q.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -420,56 +428,228 @@ class SparsePoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-# ---------------------------------------------------------------------- gcd
+# -------------------------------------------------- dense univariate kernel
 
 
-def _univariate_gcd(a: SparsePoly, b: SparsePoly, name: str) -> SparsePoly:
-    # primitive PRS over Z (monic Euclid over Q blows up coefficient sizes)
-    i = a.vars.index(name)
+class UniPoly:
+    """Dense univariate polynomial over Q, stored as scale * sum ints[k] x^k.
 
-    def dense(p: SparsePoly) -> list[Fraction]:
+    `ints` is primitive: coprime integers, constant term first, positive
+    leading entry, no trailing zeros.  The zero polynomial has ints == [] and
+    scale == 0.  A product of primitive polynomials is primitive (Gauss's
+    lemma), so multiplication is an integer convolution with no gcd, and exact
+    division runs in integers and stops at the first leading coefficient that
+    does not divide.
+    """
+
+    __slots__ = ("ints", "scale")
+
+    def __init__(self, coeffs: Sequence = ()):
+        """From dense rational coefficients, constant term first."""
+        coeffs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._normalize([c.numerator * (den // c.denominator) for c in coeffs],
+                        Fraction(1, den))
+
+    def _normalize(self, ints: list[int], scale: Fraction) -> None:
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints or not scale:
+            self.ints, self.scale = [], Fraction(0)
+            return
+        g = math.gcd(*ints)
+        if ints[-1] < 0:
+            g = -g
+        self.ints = [x // g for x in ints] if g != 1 else ints
+        self.scale = scale * g
+
+    @classmethod
+    def _from_ints(cls, ints: list[int], scale: Fraction) -> "UniPoly":
+        p = cls.__new__(cls)
+        p._normalize(ints, scale)
+        return p
+
+    @classmethod
+    def _raw(cls, ints: list[int], scale: Fraction) -> "UniPoly":
+        """Wrap ints that are already primitive (or empty, with scale 0)."""
+        p = cls.__new__(cls)
+        p.ints, p.scale = ints, scale
+        return p
+
+    @classmethod
+    def from_sparse(cls, p: SparsePoly, name: str) -> "UniPoly":
+        """p as a polynomial in `name`; p may involve no other variable."""
+        i = p.vars.index(name)
         out = [Fraction(0)] * (p.degree_in(name) + 1)
         for expo, coeff in p.terms.items():
+            if sum(expo) != expo[i]:
+                raise ValueError(f"{p!r} involves variables other than {name}")
             out[expo[i]] = coeff
-        return out
+        return cls(out)
 
-    def primitive(c: list[Fraction]) -> list[Fraction]:
-        g = Fraction(0)
-        for x in c:
-            g = _fraction_gcd(g, x)
-        if g == 0:
-            return c
-        if c[-1] < 0:
-            g = -g
-        return [x / g for x in c]
-
-    fa, fb = primitive(dense(a)), primitive(dense(b))
-    if len(fa) < len(fb):
-        fa, fb = fb, fa
-    while fb:
-        da, db = len(fa) - 1, len(fb) - 1
-        lead_b = fb[-1]
-        r = list(fa)
-        for _ in range(da - db + 1):
-            if len(r) - 1 < db:
-                break
-            lead_r = r[-1]
-            r = [c * lead_b for c in r]
-            shift = len(r) - 1 - db
-            for j, bc in enumerate(fb):
-                r[shift + j] -= lead_r * bc
-            while r and r[-1] == 0:
-                r.pop()
-            if not r:
-                break
-        fa, fb = fb, primitive(r)
-    result = SparsePoly.zero(a.vars)
-    for k, c in enumerate(fa):
-        if c:
-            expo = [0] * len(a.vars)
+    def to_sparse(self, variables: Sequence[str], name: str) -> SparsePoly:
+        variables = tuple(variables)
+        i = variables.index(name)
+        terms = {}
+        for k, c in enumerate(self.coefficients()):
+            expo = [0] * len(variables)
             expo[i] = k
-            result.terms[tuple(expo)] = c
-    return result.primitive()
+            terms[tuple(expo)] = c
+        return SparsePoly(variables, terms)
+
+    def coefficients(self) -> list[Fraction]:
+        """Dense rational coefficients, constant term first."""
+        return [self.scale * a for a in self.ints]
+
+    def degree(self) -> int:
+        return len(self.ints) - 1
+
+    def __bool__(self) -> bool:
+        return bool(self.ints)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.ints == other.ints and self.scale == other.scale
+
+    def __hash__(self):
+        return hash((tuple(self.ints), self.scale))
+
+    def __repr__(self) -> str:
+        return f"UniPoly({[str(c) for c in self.coefficients()]})"
+
+    def __call__(self, x):
+        acc = 0
+        for a in reversed(self.ints):
+            acc = acc * x + a
+        return self.scale * acc
+
+    # ------------------------------------------------------------ arithmetic
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        a, b = self.scale, other.scale
+        den = math.lcm(a.denominator, b.denominator)
+        ma = a.numerator * (den // a.denominator)
+        mb = b.numerator * (den // b.denominator)
+        g = math.gcd(ma, mb)
+        ma, mb = ma // g, mb // g
+        x, y = self.ints, other.ints
+        if len(x) < len(y):
+            x, y, ma, mb = y, x, mb, ma
+        out = [ma * c for c in x]
+        for k, c in enumerate(y):
+            out[k] += mb * c
+        return UniPoly._from_ints(out, Fraction(g, den))
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly._raw(self.ints, -self.scale)
+
+    def __sub__(self, other: "UniPoly") -> "UniPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            c = Fraction(other)
+            return UniPoly._raw(self.ints, self.scale * c) if c and self.ints else UniPoly()
+        if not self.ints or not other.ints:
+            return UniPoly()
+        out = [0] * (len(self.ints) + len(other.ints) - 1)
+        for i, a in enumerate(self.ints):
+            if a:
+                for j, b in enumerate(other.ints):
+                    out[i + j] += a * b
+        return UniPoly._raw(out, self.scale * other.scale)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "UniPoly":
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        result, base = UniPoly([1]), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def derivative(self) -> "UniPoly":
+        return UniPoly._from_ints([k * a for k, a in enumerate(self.ints)][1:], self.scale)
+
+    # -------------------------------------------------------------- division
+
+    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        """(q, r) with self = q * other + r and deg r < deg other."""
+        if not other.ints:
+            raise ZeroDivisionError("polynomial division by zero")
+        b = other.ints
+        db, lb = len(b) - 1, b[-1]
+        r = list(self.ints)
+        q = [0] * max(len(r) - db, 0)
+        m = 1  # integer long division of self.ints * m by other.ints
+        for k in reversed(range(len(q))):
+            top = r[k + db]
+            if not top:
+                continue
+            f = lb // math.gcd(top, lb)
+            if f != 1:
+                r = [f * x for x in r]
+                q = [f * x for x in q]
+                m *= f
+            t = r[k + db] // lb
+            q[k] = t
+            for j, c in enumerate(b):
+                r[k + j] -= t * c
+        return (UniPoly._from_ints(q, self.scale / (m * other.scale)),
+                UniPoly._from_ints(r[:db], self.scale / m))
+
+    def divide_exact(self, other: "UniPoly") -> "UniPoly":
+        """self / other; raises ValueError unless other divides self."""
+        if not other.ints:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self.ints:
+            return self
+        b = other.ints
+        db, lb = len(b) - 1, b[-1]
+        r = list(self.ints)
+        q = [0] * max(len(r) - db, 0)
+        for k in reversed(range(len(q))):
+            t, rem = divmod(r[k + db], lb)
+            if rem:
+                raise ValueError("division is not exact")
+            if t:
+                q[k] = t
+                for j, c in enumerate(b):
+                    r[k + j] -= t * c
+        if not q or any(r[:db]):
+            raise ValueError("division is not exact")
+        # both operands primitive, so the quotient is too (Gauss's lemma)
+        return UniPoly._raw(q, self.scale / other.scale)
+
+    # --------------------------------------------------------------- content
+
+    def content(self) -> Fraction:
+        """Positive c with self = +-c * (coprime integer polynomial)."""
+        return abs(self.scale) if self.ints else Fraction(1)
+
+    def primitive(self) -> "UniPoly":
+        """self / content with positive leading coefficient."""
+        return UniPoly._raw(self.ints, Fraction(1)) if self.ints else self
+
+    def gcd(self, other: "UniPoly") -> "UniPoly":
+        """Primitive gcd with positive leading coefficient (primitive PRS)."""
+        a, b = self.primitive(), other.primitive()
+        while b.ints:
+            a, b = b, a.divmod(b)[1].primitive()
+        return a
+
+
+# ---------------------------------------------------------------------- gcd
 
 
 def _pseudo_rem(a: list[SparsePoly], b: list[SparsePoly],
@@ -505,7 +685,9 @@ def poly_gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     if not active:
         return SparsePoly.const(a.vars, 1)
     if len(active) == 1:
-        return _univariate_gcd(a, b, active[0])
+        name = active[0]
+        g = UniPoly.from_sparse(a, name).gcd(UniPoly.from_sparse(b, name))
+        return g.to_sparse(a.vars, name)
 
     main = active[0]
     ca, pa = _content_in(a, main)
@@ -721,11 +903,63 @@ class RationalFunction:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-def poly_from_string_terms(variables: Sequence[str],
-                           entries: Iterable[tuple[Fraction | int, Exponent]]) -> SparsePoly:
-    """Build a polynomial from (coefficient, exponent-vector) pairs."""
-    terms: dict[Exponent, Fraction] = {}
-    for coeff, expo in entries:
-        expo = tuple(expo)
-        terms[expo] = terms.get(expo, Fraction(0)) + Fraction(coeff)
-    return SparsePoly(variables, terms)
+# ------------------------------------------------------ truncated power series
+
+
+def series_mul(a: Sequence, b: Sequence, n: int) -> list:
+    """Coefficients 0..n-1 of the product of the power series a and b.
+
+    Coefficients are Fractions or any exact field elements with +, -, * and
+    a falsy zero; an empty `a` is the zero series over Q.
+    """
+    if n <= 0:
+        return []
+    zero = a[0] - a[0] if a else Fraction(0)
+    out = [zero] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
+
+
+def series_inverse(a: Sequence, n: int) -> list:
+    """Coefficients 0..n-1 of 1 / a; a[0] must be nonzero."""
+    if not a or not a[0]:
+        raise ZeroDivisionError("power series with zero constant term has no inverse")
+    first = 1 / a[0]
+    zero = a[0] - a[0]
+    out = [first]
+    for k in range(1, n):
+        acc = zero
+        for j in range(1, min(k, len(a) - 1) + 1):
+            if a[j] and out[k - j]:
+                acc = acc + a[j] * out[k - j]
+        out.append(-(acc * first))
+    return out[:n]
+
+
+# ------------------------------------------------------------ linear algebra
+
+
+def gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Reduce `rows` in place to reduced row echelon form, pivoting on the
+    first `ncols` columns; later columns (right-hand sides, an identity block)
+    ride along.  Returns the pivot column of each leading row, so the rank is
+    the length of the result."""
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots

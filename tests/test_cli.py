@@ -112,3 +112,23 @@ def test_stable_output_deterministic(capsys):
     code2, out2 = run_cli(capsys, "--stable-output", "verify", "monodromy")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command, target, error", [
+    (("invert", "--X", "0", "--Y", "0", "--guess", "0.2+1.1i,-0.3+1.5i"),
+     "newton_invert", "NoConvergence"),
+    (("invert", "--X", "0.3", "--Y", "0.1", "--guess", "0.2+1.1i,-0.3+1.5i"),
+     "newton_invert", "JacobianSingular"),
+    (("forms", "eval", "--z1", "1.3i", "--z2", "1.3i"),
+     "moduli_XYZ", "NearZeroDenominator"),
+])
+def test_numeric_failure_exits_one_with_json(capsys, monkeypatch, command, target, error):
+    from hilbert_k3 import cli, moduli
+
+    def fail(*args, **kwargs):
+        raise getattr(moduli, error)("injected failure")
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out = run_cli(capsys, *command)
+    assert code == 1
+    assert json.loads(out) == {"error": error, "message": "injected failure"}

@@ -1,0 +1,137 @@
+"""Property tests for the exact primitives in `polynomials`: the dense
+univariate kernel against sympy, the truncated-series pair over Fractions and
+over rational functions of X, and Gauss-Jordan through both of its callers."""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hilbert_k3.lattice import mat_identity, mat_inverse_int, mat_mul
+from hilbert_k3.pde import InconsistentReduction, _BiSeries, _FactoredRF, taylor_solution
+from hilbert_k3.polynomials import UniPoly, series_inverse, series_mul
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+x = sympy.Symbol("x")
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=9)
+polys = st.lists(rationals, max_size=7).map(UniPoly)
+nonzero_polys = polys.filter(bool)
+units = st.lists(rationals, min_size=1, max_size=6).filter(lambda c: c[0] != 0)
+
+
+def oracle(p: UniPoly) -> sympy.Poly:
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients())]
+    return sympy.Poly(coeffs or [0], x, domain="QQ")
+
+
+@PROPERTY
+@given(polys, polys)
+def test_unipoly_ring_operations_match_sympy(a, b):
+    assert oracle(a * b) == oracle(a) * oracle(b)
+    assert oracle(a + b) == oracle(a) + oracle(b)
+    assert oracle(a - b) == oracle(a) - oracle(b)
+    assert not (a - a)
+
+
+@PROPERTY
+@given(polys, nonzero_polys)
+def test_unipoly_divmod_matches_sympy(a, b):
+    q, r = a.divmod(b)
+    sq, sr = sympy.div(oracle(a), oracle(b))
+    assert (oracle(q), oracle(r)) == (sq, sr)
+    assert (a * b).divide_exact(b) == a
+    if r:
+        with pytest.raises(ValueError):
+            a.divide_exact(b)
+
+
+@PROPERTY
+@given(nonzero_polys, polys, nonzero_polys)
+def test_unipoly_gcd_matches_sympy(a, b, c):
+    a, b = a * c, b * c
+    g = a.gcd(b)
+    expected = sympy.gcd(oracle(a), oracle(b))
+    assert oracle(g).monic() == expected
+    assert g.content() == 1 and g.coefficients()[-1] > 0
+
+
+@PROPERTY
+@given(polys)
+def test_unipoly_derivative_and_content(a):
+    assert oracle(a.derivative()) == oracle(a).diff(x)
+    if a:
+        ints = [c / a.content() for c in a.coefficients()]
+        assert all(v.denominator == 1 for v in ints)
+        assert sympy.gcd_list([int(v) for v in ints]) == 1
+        assert a.primitive() * (a.coefficients()[-1] / a.primitive().coefficients()[-1]) == a
+
+
+@PROPERTY
+@given(units, st.integers(min_value=0, max_value=9))
+def test_series_inverse_over_fractions(a, n):
+    assert series_mul(a, series_inverse(a, n), n) == [1, *[0] * n][:n]
+
+
+@PROPERTY
+@given(st.lists(polys, min_size=1, max_size=4), nonzero_polys,
+       st.integers(min_value=1, max_value=5))
+def test_series_inverse_over_rational_functions(nums, den, n):
+    if not nums[0]:
+        nums[0] = UniPoly([1])
+    den = den.primitive()
+    a = [_FactoredRF(num, {den: 1} if den.degree() > 0 else {}) for num in nums]
+    product = series_mul(a, series_inverse(a, n), n)
+    assert [c.to_rational() for c in product] == [1] + [0] * (n - 1)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of random elementary integer matrices (det +-1)."""
+    size = draw(st.integers(min_value=2, max_value=5))
+    m = [list(row) for row in mat_identity(size)]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if i == j:
+            m[i] = [-v for v in m[i]]
+        else:
+            k = draw(st.integers(-3, 3))
+            m[i] = [u + k * v for u, v in zip(m[i], m[j])]
+    return tuple(tuple(row) for row in m)
+
+
+@PROPERTY
+@given(unimodular_matrices())
+def test_gauss_jordan_inverts_unimodular_matrices(g):
+    inv = mat_inverse_int(g)
+    assert [list(row) for row in inv] == sympy.Matrix(g).inv().tolist()
+    assert mat_mul(g, inv) == mat_identity(len(g))
+
+
+def test_mat_inverse_int_rejects_singular_and_non_unimodular():
+    with pytest.raises(ValueError):
+        mat_inverse_int(((1, 2), (2, 4)))
+    with pytest.raises(ValueError):
+        mat_inverse_int(((2, 0), (0, 1)))
+
+
+def _series(**coeffs):
+    return {name: _BiSeries(coeffs.get(name, {}), 6)
+            for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1")}
+
+
+def test_level_system_underdetermined_raises():
+    # L1 M1 = 1 makes the third-order level system singular (its mixed
+    # 2x2 block has determinant 1 - L1 M1), with a consistent right side
+    cs = _series(L1={(0, 0): Fraction(1)}, M1={(0, 0): Fraction(1)})
+    with pytest.raises(InconsistentReduction, match="underdetermined"):
+        taylor_solution((0, 0), (1, 1, 1, 1), 6, cs)
+
+
+def test_level_system_inconsistent_raises():
+    # u_XX = Y u and u_YY = 0 give u_XXYY = 2 u_Y = 0 at fourth order
+    cs = _series(P1={(0, 1): Fraction(1)})
+    with pytest.raises(InconsistentReduction, match="inconsistent"):
+        taylor_solution((0, 0), (1, 1, 1, 1), 6, cs)

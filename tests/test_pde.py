@@ -5,11 +5,11 @@ import pytest
 
 from hilbert_k3.moduli import RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy
-from hilbert_k3.pde import (ELIMINATED, KEPT, InconsistentReduction,
-                            SingularBasePoint, _coefficient_series, build_pde,
+from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
+                            _coefficient_series, build_pde,
                             developing_map_match, eliminate_to_restricted_ode,
                             estimate_singular_distance, evaluate_grid,
-                            jet_relations, quadric_fit_from_vectors,
+                            quadric_fit_from_vectors,
                             quadric_image_test, sampling_offsets, taylor_basis,
                             taylor_solution, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
@@ -33,15 +33,6 @@ def test_coefficients_exact_transcription():
         den = getattr(pde, name).den
         _, rem = den.divmod_exact(S)
         assert rem.is_zero(), name
-
-
-def test_jet_relation_inventory():
-    rels = jet_relations()
-    assert len(rels) == 10
-    seen = set()
-    for r in rels:
-        seen |= set(r)
-    assert seen == set(KEPT) | set(ELIMINATED)
 
 
 def test_elimination_matches_restricted_equation():
