@@ -2,6 +2,14 @@
 space, the ten even characteristics used for Q(sqrt 5), and the modular forms
 g2, s5, s6, s10, s15 built from them.
 
+theta_batch is the one theta kernel.  It makes one lattice pass per shift a in
+{0,1}^2 and sorts the terms into four partial sums by the parity of g; each of
+the ten characteristics is a +-1 combination of its shift's four sums.  A pass
+covers an ellipse of the lattice whose dropped terms have the bound stated in
+LatticeRegion, and walks each row outward from its largest term in
+fixed-point integers (after Deconinck, Heil, Bobenko, van Hoeij and Schmies,
+"Computing Riemann theta functions", Math. Comp. 73 (2004)).
+
 The numerically risky object here is the 30-monomial weight-15 form; it is
 transcribed into a data table and pinned down by the transformation checks in
 verify_modularity / verify_mueller_relation rather than trusted blindly.
@@ -9,9 +17,11 @@ verify_modularity / verify_mueller_relation rather than trusted blindly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import mpmath
+from mpmath import mp
 
 from .elliptic import NotInUpperHalfPlane
 from .numkernel import (PrecisionPolicy, quadratic_constants, to_mpc,
@@ -53,10 +63,6 @@ class SiegelPoint:
         p, q, r = self.s1.imag, self.s2.imag, self.s3.imag
         if not (p > 0 and p * r - q * q > 0):
             raise ValueError("imaginary part is not positive definite")
-
-    def imag_min_eigenvalue(self) -> mpmath.mpf:
-        p, q, r = self.s1.imag, self.s2.imag, self.s3.imag
-        return ((p + r) - mpmath.sqrt((p - r) ** 2 + 4 * q * q)) / 2
 
 
 def psi(p, policy: PrecisionPolicy | None = None) -> SiegelPoint:
@@ -108,88 +114,180 @@ def check_characteristic(ch: Characteristic) -> None:
         raise OddCharacteristic(f"{ch} is odd")
 
 
-def truncation_radius(lam_min: mpmath.mpf, series_tol) -> int:
-    """Smallest integer R with exp(-pi lam_min (R-1)^2) < series_tol."""
-    R = 1
-    tol = mpmath.mpf(series_tol)
-    while mpmath.exp(-mpmath.pi * lam_min * (R - 1) ** 2) >= tol:
-        R += 1
-    return R
+SHIFTS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+@dataclass(frozen=True)
+class LatticeRegion:
+    """The lattice points that theta_batch sums for one shift a.
+
+    The terms are T(g) = exp(i pi Q(u, v)) with (u, v) = g + a/2 and
+    Q(u, v) = s1 u^2 + 2 s2 u v + s3 v^2.  Write Im Z = [[p, q], [q, r]],
+    delta = (p r - q^2) / r and v*(u) = -q u / r, so that
+    Im Q(u, v) = delta u^2 + r (v - v*(u))^2, and let m be the least Im Q on
+    the coset, so the largest term has modulus exp(-pi m).  The region is the
+    ellipse Im Q - m <= R^2: row u is kept when h_u = R^2 + m - delta u^2 >= 0,
+    and within it v runs over |v - v*(u)| <= sqrt(h_u / r).
+
+    Tail bound.  For c > 0 and d >= 0, sum_{j >= 0} exp(-pi c (d + j)^2) is at
+    most exp(-pi c d^2) (1 + 1/(2 sqrt c)).  Hence, relative to the largest
+    term, the part of a kept row beyond its two ends sums in modulus to at most
+    exp(-pi R^2) (2 + 1/sqrt r); a whole row to exp(-pi (delta u^2 - m))
+    (2 + 1/sqrt r); and the rows beyond the ellipse together to
+    exp(-pi R^2) (2 + 1/sqrt r) (2 + 1/sqrt delta).  Every term the pass drops
+    therefore sums in modulus to at most
+
+        tail = exp(-pi R^2) (2 + 1/sqrt r) (n_rows + 2 + 1/sqrt delta)
+
+    times the largest term, with n_rows the kept rows on both sides.  R^2 is
+    chosen so that tail <= 2^-(prec + 4), the rounding level of the working
+    precision.
+
+    ``rows`` lists (g1, g2_lo, g2_peak, g2_hi) for g1 >= 0, with g2_peak the
+    row's largest term; the term g stands also for its mirror -g - a, which has
+    the same value, except in the row g1 = 0 of a shift with a1 = 0, which is
+    its own mirror.  ``peak`` is the g of the largest term.
+    """
+
+    shift: tuple[int, int]
+    peak: tuple[int, int]
+    rows: tuple[tuple[int, int, int, int], ...]
+    log_tail: float     # natural log of the bound on the dropped terms
 
 
-def siegel_theta(Z: SiegelPoint, ch: Characteristic,
-                 policy: PrecisionPolicy | None = None,
-                 radius_multiplier: int = 1) -> mpmath.mpc:
-    """theta(Z; a, b) = sum over g in Z^2 of
-    exp(i pi (t(g + a/2) Z (g + a/2) + tg b)), Gaussian-truncated."""
-    check_characteristic(ch)
-    (a1, a2), (b1, b2) = ch
-    with working_precision(policy) as pol:
-        R = truncation_radius(Z.imag_min_eigenvalue(), pol.series_tol)
-        R = R * radius_multiplier + 1
-        ipi = mpmath.mpc(0, 1) * mpmath.pi
-        total = mpmath.mpc(0)
-        for g1 in range(-R, R + 1):
-            u = g1 + mpmath.mpf(a1) / 2
-            for g2 in range(-R, R + 1):
-                v = g2 + mpmath.mpf(a2) / 2
-                quad = Z.s1 * u * u + 2 * Z.s2 * u * v + Z.s3 * v * v
-                sign = -1 if (g1 * b1 + g2 * b2) % 2 else 1
-                total += sign * mpmath.exp(ipi * quad)
-        return total
+def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegion:
+    """The ellipse of terms one theta_batch pass keeps at ``prec`` bits."""
+    a1, a2 = a
+    p, q, r = Z.s1.imag, Z.s2.imag, Z.s3.imag
+    delta, q_r = float((p * r - q * q) / r), float(q / r)
+    r = float(r)
+
+    def row(g1: int) -> tuple[float, int, float]:
+        """v* of row g1, the g2 of its largest term and its least Im Q."""
+        u, vs = g1 + a1 / 2, -q_r * (g1 + a1 / 2)
+        g2 = round(vs - a2 / 2)
+        return vs, g2, delta * u * u + r * (g2 + a2 / 2 - vs) ** 2
+
+    m, peak, g1 = math.inf, (0, 0), 0
+    while delta * (g1 + a1 / 2) ** 2 < m:
+        _, g2, least = row(g1)
+        if least < m:
+            m, peak = least, (g1, g2)
+        g1 += 1
+
+    def last_row(R2: float) -> int:
+        return math.floor(math.sqrt((R2 + m) / delta) - a1 / 2)
+
+    def log_tail(R2: float) -> float:
+        n_rows = 2 * last_row(R2) + 1 + a1
+        return (-math.pi * R2 + math.log(2 + 1 / math.sqrt(r))
+                + math.log(n_rows + 2 + 1 / math.sqrt(delta)))
+
+    log_cut = -(prec + 4) * math.log(2)
+    R2 = 0.0
+    while log_tail(R2) > log_cut:
+        R2 += (log_tail(R2) - log_cut) / math.pi + 1e-9
+    # a relative margin keeps points on the boundary inside despite rounding
+    reach = (R2 + m) * (1 + 1e-12)
+    rows = []
+    for g1 in range(last_row(R2) + 1):
+        h = reach - delta * (g1 + a1 / 2) ** 2
+        vs, g2, _ = row(g1)
+        w = math.sqrt(max(h, 0.0) / r)
+        lo, hi = math.ceil(vs - w - a2 / 2), math.floor(vs + w - a2 / 2)
+        if lo <= g2 <= hi:
+            rows.append((g1, lo, g2, hi))
+    return LatticeRegion(shift=a, peak=peak, rows=tuple(rows), log_tail=log_tail(R2))
+
+
+def _walk(tr: int, ti: int, rr: int, ri: int, qr: int, qi: int, n: int,
+          wp: int) -> tuple[int, int, int, int]:
+    """n steps of T <- T r, r <- r q in wp-bit fixed point; returns the sums
+    of the terms at odd and at even steps, as (odd re, odd im, even re, even im)."""
+    sums = [0, 0, 0, 0]
+    k = 0
+    for _ in range(n):
+        tr, ti = (tr * rr - ti * ri) >> wp, (tr * ri + ti * rr) >> wp
+        rr, ri = (rr * qr - ri * qi) >> wp, (rr * qi + ri * qr) >> wp
+        sums[k] += tr
+        sums[k + 1] += ti
+        k ^= 2
+    return sums[0], sums[1], sums[2], sums[3]
+
+
+def _shift_pass(Z: SiegelPoint, region: LatticeRegion, step: mpmath.mpc,
+                wp: int) -> dict[tuple[int, int], mpmath.mpc]:
+    """The shift's four parity-class sums S[g mod 2], run at wp bits.
+
+    The mirror -g - a of a term has the same value and, for every even
+    characteristic, the same sign (-1)^(g.b), so each walked row that has a
+    mirror counts twice in its own class; the combinations theta_batch takes
+    are then exact, though a single S[c] is not the sum over its class.
+
+    Each row starts at its largest term and walks outward both ways with
+    T(v +- 1) = T(v) r, r <- r exp(2 pi i s3).  Terms are scaled by the shift's
+    largest term, so the fixed-point values T, r and exp(2 pi i s3) all have
+    modulus at most 1.
+    """
+    a1, a2 = region.shift
+    # with u2 = 2u, v2 = 2v: i pi Q = A u2^2 + B u2 v2 + C v2^2, and the
+    # first upward ratio of a row is exp(2 B u2 + 4 C (v2 + 1))
+    A, B, C = (mpmath.mpc(0, mpmath.pi) * s / 4 for s in (Z.s1, 2 * Z.s2, Z.s3))
+
+    def fixed(z: mpmath.mpc) -> tuple[int, int]:
+        return z.real.to_fixed(wp), z.imag.to_fixed(wp)
+
+    u2, v2 = 2 * region.peak[0] + a1, 2 * region.peak[1] + a2
+    pim = -(A * u2 * u2 + B * u2 * v2 + C * v2 * v2).real    # pi m
+    qr, qi = fixed(step)
+    acc = {(c1, c2): [0, 0] for c1 in (0, 1) for c2 in (0, 1)}
+    for g1, lo, g2, hi in region.rows:
+        u2, v2 = 2 * g1 + a1, 2 * g2 + a2
+        up = mpmath.exp(2 * B * u2 + 4 * C * (v2 + 1))
+        tr, ti = fixed(mpmath.exp(A * (u2 * u2) + B * (u2 * v2) + C * (v2 * v2) + pim))
+        ur, ui = fixed(up)
+        dr, di = fixed(step / up)
+        o1r, o1i, e1r, e1i = _walk(tr, ti, ur, ui, qr, qi, hi - g2, wp)
+        o2r, o2i, e2r, e2i = _walk(tr, ti, dr, di, qr, qi, g2 - lo, wp)
+        # terms an even number of steps from the peak share its g2 parity
+        row = {g2 & 1: (tr + e1r + e2r, ti + e1i + e2i),
+               (g2 + 1) & 1: (o1r + o2r, o1i + o2i)}
+        weight = 2 if a1 or g1 else 1
+        for c2, (sr, si) in row.items():
+            acc[g1 & 1, c2][0] += weight * sr
+            acc[g1 & 1, c2][1] += weight * si
+    scale = mpmath.exp(-pim) / 2 ** mpmath.mpf(wp)
+    return {c: mpmath.mpc(sr, si) * scale for c, (sr, si) in acc.items()}
 
 
 def theta_batch(p, policy: PrecisionPolicy | None = None) -> list[mpmath.mpc]:
-    """All ten theta_j(z1, z2) at once, sharing the exponential tables."""
+    """All ten theta_j(z1, z2), in the order of THETA_CHARACTERISTICS.
+
+    theta(Z; a, b) = sum over g in Z^2 of exp(i pi (t(g + a/2) Z (g + a/2)))
+    (-1)^(g.b).  The sign depends only on g mod 2, so one pass per shift a
+    collects the four parity-class sums S_a[g mod 2], and every
+    characteristic (a, b) is the +-1 combination sum_c (-1)^(c.b) S_a[c]:
+    four lattice passes serve all ten.  Each pass sums the ellipse of
+    lattice_region (the mirror g -> -g - a halves it) in fixed-point integers;
+    its dropped terms sum to at most 2^-(prec + 4) times its largest term, at
+    the working precision prec.
+    """
     pair = as_pair(p, policy)
-    with working_precision(policy) as pol:
+    with working_precision(policy):
         Z = psi(pair, policy)
-        R = truncation_radius(Z.imag_min_eigenvalue(), pol.series_tol) + 1
-        ipi = mpmath.mpc(0, 1) * mpmath.pi
-
-        gs = list(range(-R, R + 1))
-        # quadratic factors exp(i pi s (g + a/2)^2) for shift a in {0, 1}
-        e1 = {a: [mpmath.exp(ipi * Z.s1 * (g + mpmath.mpf(a) / 2) ** 2) for g in gs]
-              for a in (0, 1)}
-        e3 = {a: [mpmath.exp(ipi * Z.s3 * (g + mpmath.mpf(a) / 2) ** 2) for g in gs]
-              for a in (0, 1)}
-        # cross factor exp(2 i pi s2 u v) = w^((2g1+a1)(2g2+a2)) with w below
-        w = mpmath.exp(ipi * Z.s2 / 2)
-        kmax = (2 * R + 1) ** 2 + 1
-        wpow_pos = [mpmath.mpc(1)]
-        for _ in range(kmax):
-            wpow_pos.append(wpow_pos[-1] * w)
-        winv = 1 / w
-        wpow_neg = [mpmath.mpc(1)]
-        for _ in range(kmax):
-            wpow_neg.append(wpow_neg[-1] * winv)
-
-        def wpow(k: int) -> mpmath.mpc:
-            return wpow_pos[k] if k >= 0 else wpow_neg[-k]
-
+        regions = [lattice_region(Z, a, mp.prec) for a in SHIFTS]
+        # fixed-point rounding grows at most like (row length)^3 per row
+        longest = max(hi - lo + 1 for reg in regions for _, lo, _, hi in reg.rows)
+        rows = sum(len(reg.rows) for reg in regions)
+        wp = mp.prec + 8 + (rows * longest ** 3).bit_length()
+        with mpmath.workprec(wp):
+            step = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi) * Z.s3)
+            sums = {reg.shift: _shift_pass(Z, reg, step, wp) for reg in regions}
         out = []
         for j in range(10):
-            (a1, a2), (b1, b2) = THETA_CHARACTERISTICS[j]
-            total = mpmath.mpc(0)
-            for i1, g1 in enumerate(gs):
-                f1 = e1[a1][i1]
-                k1 = 2 * g1 + a1
-                sg1 = g1 * b1
-                row = mpmath.mpc(0)
-                for i2, g2 in enumerate(gs):
-                    k = k1 * (2 * g2 + a2)
-                    sign = -1 if (sg1 + g2 * b2) % 2 else 1
-                    row += sign * e3[a2][i2] * wpow(k)
-                total += f1 * row
-            out.append(total)
+            a, (b1, b2) = THETA_CHARACTERISTICS[j]
+            out.append(sum((-1) ** (c1 * b1 + c2 * b2) * s
+                           for (c1, c2), s in sums[a].items()))
         return out
-
-
-def theta_j(j: int, p, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
-    """theta_j(z1, z2) = theta(psi(z1, z2); a, b) with (a, b) from the table."""
-    if j not in THETA_CHARACTERISTICS:
-        raise ValueError("characteristic index must be 0..9")
-    return siegel_theta(psi(p, policy), THETA_CHARACTERISTICS[j], policy)
 
 
 # ------------------------------------------------------------- Mueller forms

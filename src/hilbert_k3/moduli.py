@@ -106,11 +106,12 @@ def apply_generator(p, name: str, policy: PrecisionPolicy | None = None) -> UHPP
     raise ValueError(f"unknown generator {name}")
 
 
-def modular_invariance(p, generator: str,
-                       policy: PrecisionPolicy | None = None) -> mpmath.mpf:
-    """|X(g p) - X(p)| + |Y(g p) - Y(p)|, relative to 1 + |X| + |Y|."""
+def modular_invariance(p, generator: str, policy: PrecisionPolicy | None = None,
+                       forms: MuellerForms | None = None) -> mpmath.mpf:
+    """|X(g p) - X(p)| + |Y(g p) - Y(p)|, relative to 1 + |X| + |Y|; ``forms``
+    are the forms at p, if already known."""
     with working_precision(policy):
-        x0, y0, _ = moduli_XYZ(p, policy)
+        x0, y0, _ = moduli_XYZ(p, policy, forms=forms)
         q = apply_generator(p, generator, policy)
         x1, y1, _ = moduli_XYZ(q, policy)
         return (abs(x1 - x0) + abs(y1 - y0)) / (1 + abs(x0) + abs(y0))

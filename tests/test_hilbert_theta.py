@@ -1,15 +1,76 @@
+import functools
+import math
 import random
 
 import mpmath
 import pytest
 
 from hilbert_k3.elliptic import jacobi_theta
-from hilbert_k3.hilbert_theta import (DIAGONAL_FACTORS, OddCharacteristic,
-                                      S15_TABLE, THETA_CHARACTERISTICS, UHPPair,
-                                      check_characteristic, mueller_forms, psi,
-                                      siegel_theta, theta_batch, theta_j,
+from hilbert_k3.hilbert_theta import (DIAGONAL_FACTORS, SHIFTS, OddCharacteristic,
+                                      S15_TABLE, THETA_CHARACTERISTICS, SiegelPoint,
+                                      UHPPair, check_characteristic, lattice_region,
+                                      mueller_forms, psi, theta_batch,
                                       verify_modularity, verify_mueller_relation)
-from hilbert_k3.numkernel import working_precision
+from hilbert_k3.numkernel import PrecisionPolicy, default_policy, working_precision
+
+# ------------------------------------------------------- brute-force oracle
+
+
+def imag_min_eigenvalue(Z: SiegelPoint) -> mpmath.mpf:
+    p, q, r = Z.s1.imag, Z.s2.imag, Z.s3.imag
+    return ((p + r) - mpmath.sqrt((p - r) ** 2 + 4 * q * q)) / 2
+
+
+def truncation_radius(lam_min: mpmath.mpf, series_tol) -> int:
+    """Smallest integer R with exp(-pi lam_min (R-1)^2) < series_tol."""
+    R = 1
+    tol = mpmath.mpf(series_tol)
+    while mpmath.exp(-mpmath.pi * lam_min * (R - 1) ** 2) >= tol:
+        R += 1
+    return R
+
+
+def oracle_box(Z: SiegelPoint, policy: PrecisionPolicy, radius_multiplier: int) -> int:
+    """Half-width of the oracle's square [-R, R]^2."""
+    return truncation_radius(imag_min_eigenvalue(Z), policy.series_tol) * radius_multiplier + 1
+
+
+@functools.cache
+def _shift_terms(Z: SiegelPoint, a: tuple[int, int], policy: PrecisionPolicy,
+                 radius_multiplier: int) -> tuple[tuple[int, int, mpmath.mpc], ...]:
+    """(g1, g2, exp(i pi Q(g + a/2))) over the square, each exponential taken on
+    its own.  Terms of modulus below series_tol 2^-40 are skipped; the box has
+    fewer than 2^20 points, so together they stay below series_tol 2^-20."""
+    with working_precision(policy) as pol:
+        R = oracle_box(Z, pol, radius_multiplier)
+        assert (2 * R + 1) ** 2 < 2 ** 20
+        ipi = mpmath.mpc(0, 1) * mpmath.pi
+        skip = -math.log(pol.series_tol) + 40 * math.log(2)
+        p, q, r = (float(x.imag) for x in (Z.s1, Z.s2, Z.s3))
+        out = []
+        for g1 in range(-R, R + 1):
+            u = g1 + mpmath.mpf(a[0]) / 2
+            for g2 in range(-R, R + 1):
+                v = g2 + mpmath.mpf(a[1]) / 2
+                if math.pi * (p * u * u + 2 * q * u * v + r * v * v) > skip:
+                    continue
+                quad = Z.s1 * u * u + 2 * Z.s2 * u * v + Z.s3 * v * v
+                out.append((g1, g2, mpmath.exp(ipi * quad)))
+        return tuple(out)
+
+
+def siegel_theta(Z: SiegelPoint, ch, policy: PrecisionPolicy | None = None,
+                 radius_multiplier: int = 1) -> mpmath.mpc:
+    """theta(Z; a, b) = sum over g in Z^2 of
+    exp(i pi (t(g + a/2) Z (g + a/2) + tg b)), summed over a square box."""
+    check_characteristic(ch)
+    a, (b1, b2) = ch
+    policy = policy or default_policy()
+    with working_precision(policy):
+        total = mpmath.mpc(0)
+        for g1, g2, term in _shift_terms(Z, a, policy, radius_multiplier):
+            total += -term if (g1 * b1 + g2 * b2) % 2 else term
+        return total
 
 
 def test_pair_validation():
@@ -97,12 +158,84 @@ def test_batch_matches_brute_force_triple_radius(policy):
 def test_theta_j_generic_fixtures_against_brute_force(policy):
     with working_precision(policy):
         p = (mpmath.mpc(0, "1.2"), mpmath.mpc("0.7", "1.4"))
+        th = theta_batch(p, policy)
         Z = psi(p, policy)
         for j in range(10):
-            direct = theta_j(j, p, policy)
             brute = siegel_theta(Z, THETA_CHARACTERISTICS[j], policy,
                                  radius_multiplier=3)
-            assert abs(direct - brute) < policy.series_tol * 4
+            assert abs(th[j] - brute) < policy.series_tol * 4
+
+
+# where the kernel is most at risk: an off-diagonal Im Z with Re != 0; the
+# diagonal (8i, 8i), whose a != 0 thetas are about 2e-3; a point near Im 50,
+# whose a != 0 thetas are below 1e-30 and keep their digits only through the
+# per-shift scaling; and Im near 0.1, which has many rows
+RISK_POINTS = {
+    "off_axis": (("0.3", "1.1"), ("-0.2", "0.9")),
+    "diagonal_8i": (("0", "8"), ("0", "8")),
+    "high": (("0.1", "45"), ("-0.2", "50")),
+    "low": (("0.05", "0.1"), ("-0.03", "0.12")),
+}
+
+
+def _risk_point(name):
+    (x1, y1), (x2, y2) = RISK_POINTS[name]
+    return (mpmath.mpc(x1, y1), mpmath.mpc(x2, y2))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(RISK_POINTS))
+def test_batch_matches_doubled_oracle_at_risk_points(name, bits):
+    pol = PrecisionPolicy(bits)
+    ref_pol = pol.doubled()
+    with working_precision(ref_pol):
+        p = _risk_point(name)
+        Z = psi(p, ref_pol)
+        ref = [siegel_theta(Z, THETA_CHARACTERISTICS[j], ref_pol, radius_multiplier=3)
+               for j in range(10)]
+    with working_precision(pol):
+        th = theta_batch(p, pol)
+    with working_precision(ref_pol):
+        for j in range(10):
+            # the kernel's error is relative to its shift's largest term
+            a = THETA_CHARACTERISTICS[j][0]
+            scale = max(abs(ref[k]) for k in range(10) if THETA_CHARACTERISTICS[k][0] == a)
+            assert abs(th[j] - ref[j]) < pol.series_tol * 4 * scale, j
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(RISK_POINTS))
+def test_tail_bound_covers_dropped_terms(name, bits):
+    pol = PrecisionPolicy(bits)
+    with working_precision(pol):
+        p = _risk_point(name)
+        Z = psi(p, pol)
+        prec = mpmath.mp.prec
+        R = oracle_box(Z, pol.doubled(), 3)
+    for a in SHIFTS:
+        region = lattice_region(Z, a, prec)
+        assert region.log_tail <= -(prec + 4) * math.log(2)
+        kept = set()
+        for g1, lo, _, hi in region.rows:
+            for g2 in range(lo, hi + 1):
+                kept.add((g1, g2))
+                if a[0] or g1:
+                    kept.add((-g1 - a[0], -g2 - a[1]))
+        # moduli of the terms relative to exp(-pi m), m the least Im Q on the
+        # coset; doubles resolve them far below the bound
+        p_, q_, r_ = (float(x.imag) for x in (Z.s1, Z.s2, Z.s3))
+        im_q = {}
+        for g1 in range(-R, R + 1):
+            u = g1 + a[0] / 2
+            for g2 in range(-R, R + 1):
+                v = g2 + a[1] / 2
+                im_q[g1, g2] = p_ * u * u + 2 * q_ * u * v + r_ * v * v
+        m = min(im_q.values())
+        # the kernel scales by the largest term, which sits at region.peak
+        assert im_q[region.peak] - m <= 1e-12 * (1 + m)
+        dropped = math.fsum(math.exp(-math.pi * (x - m))
+                            for g, x in im_q.items() if g not in kept)
+        assert dropped <= math.exp(region.log_tail), a
 
 
 def test_diagonal_factorization_all_characteristics(policy):
