@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import (RationalFunction, SparsePoly, UniPoly, poly_lcm, series_inverse,
-                          series_mul, squarefree_decomposition)
+from .polynomials import RationalFunction, UniPoly, gauss_jordan, series_inverse, series_mul
 
 
 class IrregularSingular(Exception):
@@ -113,24 +112,22 @@ class FormalSeries:
         coeffs = [(self.expo + n) * c for n, c in enumerate(self.coeffs)]
         return FormalSeries(self.var, self.expo - 1, coeffs, self.prec - 1)
 
-    def multiply_poly(self, p: SparsePoly) -> "FormalSeries":
-        dense = UniPoly.from_sparse(p, p.vars[0]).coefficients()
-        if not dense:
+    def multiply_poly(self, p: UniPoly) -> "FormalSeries":
+        if not p:
             return FormalSeries(self.var, self.expo, [Fraction(0)] * len(self.coeffs),
                                 self.prec + 0)
-        val = next(i for i, c in enumerate(dense) if c != 0)
-        prec = self.prec + val
+        prec = self.prec + p.valuation()
         keep = int(prec - self.expo)
-        return FormalSeries(self.var, self.expo, series_mul(self.coeffs, dense, keep), prec)
+        return FormalSeries(self.var, self.expo,
+                            series_mul(self.coeffs, p.coefficients(), keep), prec)
 
     def multiply_rational(self, f: RationalFunction) -> "FormalSeries":
         if f.is_zero():
             return FormalSeries(self.var, self.expo,
                                 [Fraction(0)] * len(self.coeffs), self.prec)
         num = self.multiply_poly(f.num)
-        dense = UniPoly.from_sparse(f.den, f.den.vars[0]).coefficients()
-        v = next(i for i, c in enumerate(dense) if c != 0)
-        unit = dense[v:]
+        v = f.den.valuation()
+        unit = f.den.coefficients()[v:]
         shifted = num.shift_exponent(-v)
         n = len(shifted.coeffs)
         out = series_mul(shifted.coeffs, series_inverse(unit, n), n)
@@ -239,19 +236,15 @@ class DiffOperator:
         lead = self.coeffs[-1]
         return DiffOperator(self.var, [c / lead for c in self.coeffs])
 
-    def cleared(self) -> list[SparsePoly]:
+    def cleared(self) -> list[UniPoly]:
         """Polynomial coefficients after multiplying by the denominator lcm,
-        normalised to primitive with positive leading coefficient."""
-        den = SparsePoly.const((self.var,), 1)
+        scaled so the leading one is primitive with positive leading
+        coefficient."""
+        den = UniPoly([1])
         for c in self.coeffs:
-            den = poly_lcm(den, c.den)
-        polys = []
-        for c in self.coeffs:
-            polys.append(c.num * den.divide_exact(c.den))
-        content = polys[-1].content()
-        if polys[-1].leading()[1] < 0:
-            content = -content
-        return [p * (1 / content) for p in polys]
+            den = (den * c.den).divide_exact(den.gcd(c.den))
+        polys = [c.num * den.divide_exact(c.den) for c in self.coeffs]
+        return [p * (1 / polys[-1].scale) for p in polys]
 
     # ---------------------------------------------------------- application
 
@@ -271,21 +264,11 @@ class DiffOperator:
         assert total is not None
         return total
 
-    def apply_rational(self, f: RationalFunction) -> RationalFunction:
-        """Apply to a rational function of t (for property tests)."""
-        total = RationalFunction.from_const((self.var,), 0)
-        d = f
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                d = d.derivative(self.var)
-            total = total + c * d
-        return total
-
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """(self o other) u = self(other(u)), by Leibniz expansion."""
         if self.var != other.var:
             raise ValueError("operators in different variables")
-        zero = RationalFunction.from_const((self.var,), 0)
+        zero = RationalFunction(0)
         result = [zero] * (self.order + other.order + 1)
         # D^k applied to other's coefficient row
         row = list(other.coeffs)
@@ -293,7 +276,7 @@ class DiffOperator:
             if k > 0:
                 new_row = [zero] * (len(row) + 1)
                 for j, b in enumerate(row):
-                    new_row[j] = new_row[j] + b.derivative(self.var)
+                    new_row[j] = new_row[j] + b.derivative()
                     new_row[j + 1] = new_row[j + 1] + b
                 row = new_row
             if p_k.is_zero():
@@ -307,35 +290,26 @@ class DiffOperator:
     def rescale_variable(self, factor) -> "DiffOperator":
         """Return the operator in s where t = factor * s (same variable name)."""
         factor = Fraction(factor)
-        sub = SparsePoly.variable((self.var,), self.var) * factor
-        out = []
-        for k, c in enumerate(self.coeffs):
-            out.append(c.compose(self.var, sub) * Fraction(1, factor ** k))
-        return DiffOperator(self.var, out)
+        return DiffOperator(self.var, [c.affine(factor, 0) * Fraction(1, factor ** k)
+                                       for k, c in enumerate(self.coeffs)])
 
     def invert_variable(self) -> "DiffOperator":
         """Return the operator in s where t = 1/s (d/dt = -s^2 d/ds)."""
-        var = self.var
-        s = SparsePoly.variable((var,), var)
-        zero = RationalFunction.from_const((var,), 0)
-        minus_s2 = RationalFunction.from_poly(-(s * s))
+        zero = RationalFunction(0)
+        minus_s2 = RationalFunction(UniPoly([0, 0, -1]))
 
         def sub_inv(f: RationalFunction) -> RationalFunction:
-            dn = f.num.degree_in(var)
-            dd = f.den.degree_in(var)
-            m = max(dn, dd)
-            rev_num = SparsePoly((var,), {(m - e[0],): c for e, c in f.num.terms.items()})
-            rev_den = SparsePoly((var,), {(m - e[0],): c for e, c in f.den.terms.items()})
-            return RationalFunction(rev_num, rev_den)
+            m = max(f.num.degree(), f.den.degree())
+            return RationalFunction(f.num.reverse(m), f.den.reverse(m))
 
         # (-s^2 D)^k built iteratively as rows of rational coefficients
         result = [zero] * (self.order + 1)
-        row = [RationalFunction.from_const((var,), 1)]  # identity operator
+        row = [RationalFunction(1)]  # identity operator
         for k, c in enumerate(self.coeffs):
             if k > 0:
                 new_row = [zero] * (len(row) + 1)
                 for j, b in enumerate(row):
-                    new_row[j] = new_row[j] + minus_s2 * b.derivative(var)
+                    new_row[j] = new_row[j] + minus_s2 * b.derivative()
                     new_row[j + 1] = new_row[j + 1] + minus_s2 * b
                 row = new_row
             if c.is_zero():
@@ -343,67 +317,57 @@ class DiffOperator:
             cc = sub_inv(c)
             for j, b in enumerate(row):
                 result[j] = result[j] + cc * b
-        return DiffOperator(var, result)
+        return DiffOperator(self.var, result)
 
     def rename_variable(self, new: str) -> "DiffOperator":
-        out = []
-        for c in self.coeffs:
-            num = SparsePoly((new,), dict(c.num.terms))
-            den = SparsePoly((new,), dict(c.den.terms))
-            out.append(RationalFunction(num, den, reduce=False))
-        return DiffOperator(new, out)
+        return DiffOperator(new, self.coeffs)
 
     def shift_variable(self, c) -> "DiffOperator":
         """Return the operator in s where t = s + c."""
         c = Fraction(c)
         if c == 0:
             return self
-        out = [coeff.compose(self.var,
-                             SparsePoly.variable((self.var,), self.var)
-                             + SparsePoly.const((self.var,), c))
-               for coeff in self.coeffs]
-        return DiffOperator(self.var, out)
+        return DiffOperator(self.var, [coeff.affine(1, c) for coeff in self.coeffs])
 
     def __repr__(self) -> str:
         bits = []
         for k, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
-            bits.append(f"({c!r})*D^{k}")
+            bits.append(f"({c.format(self.var)})*D^{k}")
         return " + ".join(reversed(bits))
 
 
 # ------------------------------------------------------------ indicial theory
 
 
-def _theta_form(op: DiffOperator) -> tuple[list[SparsePoly], int]:
+def _theta_form(op: DiffOperator) -> tuple[list[UniPoly], int]:
     """Write the operator as sum_j t^j q_j(theta) (theta = t d/dt).
 
-    Returns (q_0..q_J as polynomials in one variable 'rho', shift s) where the
-    operator was premultiplied by t^s / (content) to clear Laurent terms.
+    Returns (q_0..q_J as polynomials in rho, shift s) where the operator was
+    premultiplied by t^s / (content) to clear Laurent terms.
     """
-    var = op.var
     polys = op.cleared()
-    s = max(k - p.valuation_in(var) for k, p in enumerate(polys) if not p.is_zero())
-    rho = ("rho",)
+    s = max(k - p.valuation() for k, p in enumerate(polys) if p)
     # falling factorials rho (rho-1) ... (rho-k+1)
-    ff = [SparsePoly.const(rho, 1)]
-    x = SparsePoly.variable(rho, "rho")
+    ff = [UniPoly([1])]
     for k in range(1, len(polys)):
-        ff.append(ff[-1] * (x - SparsePoly.const(rho, k - 1)))
-    max_j = max((p.degree_in(var) - k + s) for k, p in enumerate(polys) if not p.is_zero())
-    q = [SparsePoly.zero(rho) for _ in range(max_j + 1)]
+        ff.append(ff[-1] * UniPoly([-(k - 1), 1]))
+    max_j = max((p.degree() - k + s) for k, p in enumerate(polys) if p)
+    q = [UniPoly() for _ in range(max_j + 1)]
     for k, p in enumerate(polys):
-        for expo, coeff in p.terms.items():
-            j = expo[0] - k + s
+        for e, coeff in enumerate(p.coefficients()):
+            if not coeff:
+                continue
+            j = e - k + s
             if j < 0:
                 raise IrregularSingular(
-                    f"pole order too high at t=0 (term k={k}, degree {expo[0]})")
+                    f"pole order too high at t=0 (term k={k}, degree {e})")
             q[j] = q[j] + ff[k] * coeff
     return q, s
 
 
-def _rational_roots(p: SparsePoly) -> list[tuple[Fraction, int]]:
+def _rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     """All roots of a univariate rational polynomial, with multiplicity.
 
     Raises NonRationalRoot when an irreducible non-linear factor remains.
@@ -413,8 +377,8 @@ def _rational_roots(p: SparsePoly) -> list[tuple[Fraction, int]]:
     import numpy as np
 
     out: list[tuple[Fraction, int]] = []
-    for factor, mult in squarefree_decomposition(p, p.vars[0]):
-        dense = UniPoly.from_sparse(factor, p.vars[0]).coefficients()
+    for factor, mult in p.squarefree():
+        dense = factor.coefficients()
         deg = len(dense) - 1
         remaining = factor
         found = 0
@@ -430,16 +394,15 @@ def _rational_roots(p: SparsePoly) -> list[tuple[Fraction, int]]:
                     cand = Fraction(x).limit_denominator(denom_cap)
                     if abs(float(cand) - x) > 1e-6 or cand in seen:
                         continue
-                    if remaining.evaluate({p.vars[0]: cand}) == 0:
+                    if remaining(cand) == 0:
                         seen.add(cand)
                         out.append((cand, mult))
                         found += 1
-                        root_poly = (SparsePoly.variable(p.vars, p.vars[0])
-                                     - SparsePoly.const(p.vars, cand))
-                        remaining = remaining.divide_exact(root_poly)
+                        remaining = remaining.divide_exact(UniPoly([-cand, 1]))
                         break
-        if remaining.total_degree() > 0:
-            raise NonRationalRoot(f"irrational indicial factor: {remaining!r}")
+        if remaining.degree() > 0:
+            raise NonRationalRoot(
+                f"irrational indicial factor: {remaining.format('rho')}")
     return out
 
 
@@ -449,7 +412,7 @@ def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
     local = op.invert_variable() if point == INFINITY else op.shift_variable(point)
     q, _ = _theta_form(local)
     q0 = q[0]
-    if q0.total_degree() < local.order:
+    if q0.degree() < local.order:
         raise IrregularSingular(
             f"indicial polynomial degenerates at {point} (irregular singularity)")
     roots: list[Fraction] = []
@@ -493,10 +456,9 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     local = op.shift_variable(point) if point != 0 else op
     q, _ = _theta_form(local)
     q0 = q[0]
-    if q0.total_degree() < local.order:
+    if q0.degree() < local.order:
         raise IrregularSingular(f"irregular singular point {point}")
     roots = _rational_roots(q0)
-    qu = [UniPoly.from_sparse(p, "rho") for p in q]
 
     # group roots into integer-difference classes
     classes: list[list[tuple[Fraction, int]]] = []
@@ -513,7 +475,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     for cls in classes:
         cls_sorted = sorted(cls, key=lambda rm: rm[0], reverse=True)
         collected: list[LogSeries] = []
-        basis_rows: list[dict] = []  # echelon data over (n, l) keys
+        accepted: list[dict] = []  # truncated coefficients of `collected`
         r_min = cls_sorted[-1][0]
         for idx, (root, mult) in enumerate(cls_sorted):
             above = sum(m for r, m in cls_sorted[:idx])
@@ -525,9 +487,9 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
                 acc = [Fraction(0)] * len(coeffs_jets[n - 1])
                 for j in range(1, min(n, len(q) - 1) + 1):
                     prev = coeffs_jets[n - j]
-                    qj = _taylor(qu[j], root + n - j, len(prev))
+                    qj = _taylor(q[j], root + n - j, len(prev))
                     acc = [x + y for x, y in zip(acc, series_mul(qj, prev, len(prev)))]
-                q0_jet = _taylor(qu[0], root + n, len(acc))
+                q0_jet = _taylor(q[0], root + n, len(acc))
                 coeffs_jets.append(_jet_divide([-x for x in acc], q0_jet))
             usable = min(len(j) for j in coeffs_jets)
             for k in range(min(above + mult, usable)):
@@ -544,7 +506,9 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
                 cand = LogSeries(var, parts)
                 if cand.is_zero_to_precision():
                     continue
-                if _reduce_against(cand, basis_rows, r_min, order):
+                vec = _truncated(cand, r_min, order)
+                if _independent(accepted + [vec]):
+                    accepted.append(vec)
                     collected.append(cand)
         solutions.extend(collected)
 
@@ -554,29 +518,14 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     return solutions
 
 
-def _reduce_against(cand: LogSeries, basis_rows: list[dict], r_min: Fraction,
-                    order: int) -> bool:
-    """Echelon-style independence test on (t-power, log-power) coefficients.
+def _truncated(cand: LogSeries, r_min: Fraction, order: int) -> dict:
+    """Nonzero coefficients of t^e log^l with e - r_min <= order, keyed (e, l)."""
+    return {(s.expo + n, l): c for l, s in cand.parts.items()
+            for n, c in enumerate(s.coeffs) if c != 0 and (s.expo - r_min + n) <= order}
 
-    Mutates basis_rows when the candidate is independent; returns that verdict.
-    """
-    vec: dict = {}
-    for l, s in cand.parts.items():
-        for n, c in enumerate(s.coeffs):
-            if c != 0 and (s.expo - r_min + n) <= order:
-                vec[(s.expo + n, l)] = c
-    for row in basis_rows:
-        pivot = row["pivot"]
-        if pivot in vec and vec[pivot] != 0:
-            factor = vec[pivot] / row["vec"][pivot]
-            for key, val in row["vec"].items():
-                vec[key] = vec.get(key, Fraction(0)) - factor * val
-                if vec[key] == 0:
-                    del vec[key]
-    vec = {k: v for k, v in vec.items() if v != 0}
-    if not vec:
-        return False
-    pivot = min(vec)
-    basis_rows.append({"pivot": pivot, "vec": vec})
-    basis_rows.sort(key=lambda r: r["pivot"])
-    return True
+
+def _independent(vecs: list[dict]) -> bool:
+    """Whether the last vector is independent of the others, which are."""
+    keys = sorted(set().union(*vecs))
+    rows = [[v.get(k, Fraction(0)) for k in keys] for v in vecs]
+    return len(gauss_jordan(rows, len(keys))) == len(vecs)

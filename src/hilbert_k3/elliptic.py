@@ -8,6 +8,7 @@ the test suite as a one-time cross-check of the normalisation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,22 +98,20 @@ class QExpansion:
             return total
 
 
-_SIGMA_CACHE: dict[int, list[int]] = {}
+@functools.cache
+def _sigma_sieve(k: int, size: int) -> tuple[int, ...]:
+    """(sigma_k(1), ..., sigma_k(size)) by sieve."""
+    table = [0] * (size + 1)
+    for d in range(1, size + 1):
+        dk = d ** k
+        for m in range(d, size + 1, d):
+            table[m] += dk
+    return tuple(table[1:])
 
 
-def _sigma_table(k: int, n: int) -> list[int]:
-    """[sigma_k(1), ..., sigma_k(n)] by sieve, cached and grown on demand."""
-    table = _SIGMA_CACHE.get(k, [])
-    if len(table) < n:
-        size = max(n, 2 * len(table), 64)
-        table = [0] * (size + 1)
-        for d in range(1, size + 1):
-            dk = d ** k
-            for m in range(d, size + 1, d):
-                table[m] += dk
-        table = table[1:]
-        _SIGMA_CACHE[k] = table
-    return table[:n]
+def _sigma_table(k: int, n: int) -> tuple[int, ...]:
+    """(sigma_k(1), ..., sigma_k(n)), from a cached sieve of power-of-two size."""
+    return _sigma_sieve(k, max(64, 1 << (n - 1).bit_length()))[:n]
 
 
 def eisenstein_qexp(weight: int, order: int) -> QExpansion:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import mpmath
 
 from .numkernel import PrecisionPolicy, to_mpc, working_precision
-from .polynomials import SparsePoly, poly_gcd, squarefree_decomposition
+from .polynomials import SparsePoly, UniPoly
 
 CHART_VARS = ("X", "Y", "y")
 
@@ -105,12 +105,13 @@ def _minimalized(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
 @dataclass(frozen=True)
 class WeierstrassChart:
     """Depressed cubic data z^2 = x^3 - g2(y) x - g3(y) over one affine chart
-    of the base line; disc = 4 g2^3 - 27 g3^2."""
+    of the base line; disc = 4 g2^3 - 27 g3^2.  A symbolic chart holds
+    SparsePolys in CHART_VARS; a chart at a point holds UniPolys in `var`."""
 
     var: str
-    g2: SparsePoly
-    g3: SparsePoly
-    disc: SparsePoly
+    g2: SparsePoly | UniPoly
+    g3: SparsePoly | UniPoly
+    disc: SparsePoly | UniPoly
 
 
 def _depress(c2: SparsePoly, c1: SparsePoly, c0: SparsePoly, var: str) -> WeierstrassChart:
@@ -202,19 +203,20 @@ def displayed_chart_inf_h2_h3() -> tuple[SparsePoly, SparsePoly]:
     return h2, h3
 
 
+def _at_point(chart: WeierstrassChart, subs: dict[str, Fraction]) -> WeierstrassChart:
+    """A symbolic chart with X and Y substituted, as UniPolys in its fiber
+    coordinate."""
+    def uni(p: SparsePoly) -> UniPoly:
+        return UniPoly.from_sparse(p.substitute(subs), chart.var)
+    return WeierstrassChart(var=chart.var, g2=uni(chart.g2), g3=uni(chart.g3),
+                            disc=uni(chart.disc))
+
+
 def weierstrass_data(X, Y) -> tuple[WeierstrassChart, WeierstrassChart]:
     """Both charts with rational (X, Y) substituted; univariate in y."""
-    X, Y = Fraction(X), Fraction(Y)
-    out = []
-    for chart in family_charts_symbolic():
-        subs = {"X": X, "Y": Y}
-        out.append(WeierstrassChart(
-            var="y",
-            g2=chart.g2.substitute(subs).project(("y",)),
-            g3=chart.g3.substitute(subs).project(("y",)),
-            disc=chart.disc.substitute(subs).project(("y",)),
-        ))
-    return out[0], out[1]
+    subs = {"X": Fraction(X), "Y": Fraction(Y)}
+    chart0, chart_inf = family_charts_symbolic()
+    return _at_point(chart0, subs), _at_point(chart_inf, subs)
 
 
 # ------------------------------------------------------------ classification
@@ -261,55 +263,53 @@ class FiberConfiguration:
         return out
 
 
-def _poly_valuation_of_factor(p: SparsePoly, factor: SparsePoly) -> int:
+def _poly_valuation_of_factor(p: UniPoly, factor: UniPoly) -> int:
     """Largest k with factor^k dividing p (0 if p is zero-free of it)."""
-    if p.is_zero():
+    if not p:
         raise ValueError("valuation of the zero polynomial")
     k = 0
     while True:
-        q, r = p.divmod_exact(factor)
-        if not r.is_zero():
+        q, r = p.divmod(factor)
+        if r:
             return k
         p = q
         k += 1
 
 
 def _classify_chart_origin(chart: WeierstrassChart, location: str) -> FiberPlacement:
-    v2 = chart.g2.valuation_in(chart.var) if not chart.g2.is_zero() else 10 ** 9
-    v3 = chart.g3.valuation_in(chart.var) if not chart.g3.is_zero() else 10 ** 9
-    vd = chart.disc.valuation_in(chart.var)
-    return FiberPlacement(location=location, type=_minimalized(v2, v3, vd))
+    v2 = chart.g2.valuation() if chart.g2 else 10 ** 9
+    v3 = chart.g3.valuation() if chart.g3 else 10 ** 9
+    return FiberPlacement(location=location,
+                          type=_minimalized(v2, v3, chart.disc.valuation()))
 
 
 def _classify_finite_nonzero(chart: WeierstrassChart) -> list[FiberPlacement]:
     """Fibers at the nonzero roots of the discriminant in this chart, handled
     through exact squarefree decomposition; each squarefree factor is split
     against g2/g3 so every root in a piece shares its valuation triple."""
-    var = chart.var
-    v0 = chart.disc.valuation_in(var)
-    rest = chart.disc.divide_power(var, v0)
+    rest = chart.disc.divide_exact(UniPoly([0, 1]) ** chart.disc.valuation())
     placements: list[FiberPlacement] = []
-    if rest.total_degree() == 0:
+    if rest.degree() == 0:
         return placements
-    for factor, mult in squarefree_decomposition(rest, var):
+    for factor, mult in rest.squarefree():
         pieces = [factor]
         for other in (chart.g2, chart.g3):
             refined = []
             for piece in pieces:
-                g = poly_gcd(piece, other) if not other.is_zero() else piece
-                if 0 < g.total_degree() < piece.total_degree():
+                g = piece.gcd(other) if other else piece
+                if 0 < g.degree() < piece.degree():
                     refined.extend([g, piece.divide_exact(g)])
                 else:
                     refined.append(piece)
             pieces = refined
         for piece in pieces:
-            deg = piece.total_degree()
+            deg = piece.degree()
             if deg == 0:
                 continue
-            v2 = _poly_valuation_of_factor(chart.g2, piece) if not chart.g2.is_zero() else 10 ** 9
-            v3 = _poly_valuation_of_factor(chart.g3, piece) if not chart.g3.is_zero() else 10 ** 9
+            v2 = _poly_valuation_of_factor(chart.g2, piece) if chart.g2 else 10 ** 9
+            v3 = _poly_valuation_of_factor(chart.g3, piece) if chart.g3 else 10 ** 9
             placements.append(FiberPlacement(
-                location=f"roots of {piece!r}",
+                location=f"roots of {piece.format(chart.var)}",
                 type=_minimalized(v2, v3, mult),
                 count=deg,
             ))
@@ -318,7 +318,7 @@ def _classify_finite_nonzero(chart: WeierstrassChart) -> list[FiberPlacement]:
 
 def classify_charts(chart0: WeierstrassChart,
                     chart_inf: WeierstrassChart) -> FiberConfiguration:
-    if chart0.disc.is_zero() or chart_inf.disc.is_zero():
+    if not chart0.disc or not chart_inf.disc:
         return FiberConfiguration(placements=(), euler_total=0, degenerate=True)
     placements = [_classify_chart_origin(chart0, "y=0"),
                   _classify_chart_origin(chart_inf, "y=infinity")]
@@ -337,16 +337,13 @@ def classify_fibers(X, Y) -> FiberConfiguration:
 def classify_boundary_family(l) -> FiberConfiguration:
     """Exact classification of the boundary family
     z^2 = x^3 - 16 l y^3 x^2 + 20 y^3 x + y^4 (one rational parameter l)."""
-    l = Fraction(l)
-    V = ("y",)
-    y = SparsePoly.variable(V, "y")
-    c2 = -16 * l * y ** 3
+    y = SparsePoly.variable(CHART_VARS, "y")
+    c2 = -16 * Fraction(l) * y ** 3
     c1 = 20 * y ** 3
     c0 = y ** 4
     chart0 = _depress(c2, c1, c0, "y")
-    c2i, c1i, c0i = _chart_at_infinity(c2, c1, c0, "y")
-    chart_inf = _depress(c2i, c1i, c0i, "y")
-    return classify_charts(chart0, chart_inf)
+    chart_inf = _depress(*_chart_at_infinity(c2, c1, c0, "y"), "y")
+    return classify_charts(_at_point(chart0, {}), _at_point(chart_inf, {}))
 
 
 def classify_fibers_numeric(X, Y, policy: PrecisionPolicy | None = None,
@@ -394,18 +391,15 @@ def classify_fibers_numeric(X, Y, policy: PrecisionPolicy | None = None,
 
 
 def _numeric_origin(chart: WeierstrassChart, Xc: complex, Yc: complex, loc: str):
-    def subs(p: SparsePoly) -> SparsePoly:
-        out: dict[tuple[int, ...], Fraction] = {}
+    def subs(p: SparsePoly) -> UniPoly:
         terms: dict[int, complex] = {}
         for expo, coeff in p.terms.items():
             k = expo[CHART_VARS.index("y")]
             terms[k] = terms.get(k, 0) + complex(coeff) * Xc ** expo[0] * Yc ** expo[1]
-        # numeric valuation only: rebuild a placeholder polynomial in y marking
-        # the nonzero coefficients
-        for k, v in terms.items():
-            if abs(v) > 1e-12:
-                out[(0, 0, k)] = Fraction(1)
-        return SparsePoly(CHART_VARS, out)
+        # numeric valuation only: a placeholder polynomial in y marking the
+        # nonzero coefficients
+        return UniPoly([int(abs(terms.get(k, 0)) > 1e-12)
+                        for k in range(max(terms, default=-1) + 1)])
 
     return (WeierstrassChart(var="y", g2=subs(chart.g2), g3=subs(chart.g3),
                              disc=subs(chart.disc)), loc)

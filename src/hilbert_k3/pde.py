@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -38,38 +39,44 @@ class SingularBasePoint(Exception):
     pass
 
 
+class Quotient(NamedTuple):
+    """num / den, two polynomials in (X, Y)."""
+
+    num: SparsePoly
+    den: SparsePoly
+
+    def evaluate(self, values):
+        return self.num.evaluate(values) / self.den.evaluate(values)
+
+
 @dataclass(frozen=True)
 class PDESystem:
-    L1: RationalFunction
-    M1: RationalFunction
-    A1: RationalFunction
-    B1: RationalFunction
-    C1: RationalFunction
-    D1: RationalFunction
-    P1: RationalFunction
-    Q1: RationalFunction
+    L1: Quotient
+    M1: Quotient
+    A1: Quotient
+    B1: Quotient
+    C1: Quotient
+    D1: Quotient
+    P1: Quotient
+    Q1: Quotient
 
 
 @functools.cache
 def build_pde() -> PDESystem:
-    """Exact transcription of the eight coefficients; the common singular
-    factor 36 X^2 - 32 X - Y sits in every denominator."""
+    """Exact transcription of the eight coefficients, each in lowest terms;
+    the common singular factor 36 X^2 - 32 X - Y sits in every denominator."""
     X = SparsePoly.variable(V, "X")
     Y = SparsePoly.variable(V, "Y")
     S = 36 * X ** 2 - 32 * X - Y
-
-    def rf(num, den):
-        return RationalFunction(num, den)
-
     return PDESystem(
-        L1=rf(-20 * (4 * X ** 2 + 3 * X * Y - 4 * Y), S),
-        M1=rf(-2 * (54 * X ** 3 - 50 * X ** 2 - 3 * X * Y + 2 * Y), 5 * Y * S),
-        A1=rf(-2 * (20 * X ** 3 - 8 * X * Y + 9 * X ** 2 * Y + Y ** 2), X * Y * S),
-        B1=rf(10 * Y * (3 * X - 8), X * S),
-        C1=rf(-2 * (-25 * X ** 2 + 27 * X ** 3 + 2 * Y - 3 * X * Y), 5 * Y ** 2 * S),
-        D1=rf(-2 * (-120 * X ** 2 + 135 * X ** 3 - 2 * Y - 3 * X * Y), 5 * X * Y * S),
-        P1=rf(-2 * (8 * X - Y), X ** 2 * S),
-        Q1=rf(-2 * (9 * X - 10), 25 * X * Y * S),
+        L1=Quotient(-20 * (4 * X ** 2 + 3 * X * Y - 4 * Y), S),
+        M1=Quotient(-2 * (54 * X ** 3 - 50 * X ** 2 - 3 * X * Y + 2 * Y), 5 * Y * S),
+        A1=Quotient(-2 * (20 * X ** 3 - 8 * X * Y + 9 * X ** 2 * Y + Y ** 2), X * Y * S),
+        B1=Quotient(10 * Y * (3 * X - 8), X * S),
+        C1=Quotient(-2 * (-25 * X ** 2 + 27 * X ** 3 + 2 * Y - 3 * X * Y), 5 * Y ** 2 * S),
+        D1=Quotient(-2 * (-120 * X ** 2 + 135 * X ** 3 - 2 * Y - 3 * X * Y), 5 * X * Y * S),
+        P1=Quotient(-2 * (8 * X - Y), X ** 2 * S),
+        Q1=Quotient(-2 * (9 * X - 10), 25 * X * Y * S),
     )
 
 
@@ -125,8 +132,7 @@ class _FactoredRF:
         return out
 
     def to_rational(self) -> RationalFunction:
-        return RationalFunction(self.num.to_sparse(("X",), "X"),
-                                self._den_poly().to_sparse(("X",), "X"))
+        return RationalFunction(self.num, self._den_poly())
 
     def __add__(self, other: "_FactoredRF") -> "_FactoredRF":
         if self.is_zero():
@@ -190,6 +196,11 @@ class _FactoredRF:
         return _FactoredRF(total, den)
 
 
+# tracked Y-order for the elimination; coefficient reads are precision-checked,
+# so an insufficient value fails loudly instead of silently truncating
+_REL_PREC = 8
+
+
 class _YSeries:
     """Laurent series in Y with exact univariate rational functions of X as
     coefficients, truncated at an explicitly tracked order.
@@ -200,7 +211,7 @@ class _YSeries:
 
     __slots__ = ("val", "coeffs", "prec")
 
-    def __init__(self, val: int, coeffs: list[RationalFunction], prec: int):
+    def __init__(self, val: int, coeffs: list[_FactoredRF], prec: int):
         self.val = val
         self.coeffs = coeffs
         self.prec = prec
@@ -210,20 +221,18 @@ class _YSeries:
         return cls(0, [], prec)
 
     @classmethod
-    def from_rf(cls, f: RationalFunction, rel_prec: int) -> "_YSeries":
-        num = cls._from_poly(f.num, rel_prec)
-        den = cls._from_poly(f.den, rel_prec)
-        return num.mul(den.inverse())
+    def from_quotient(cls, f: Quotient) -> "_YSeries":
+        return cls._from_poly(f.num).mul(cls._from_poly(f.den).inverse())
 
     @staticmethod
-    def _from_poly(p: SparsePoly, rel_prec: int) -> "_YSeries":
+    def _from_poly(p: SparsePoly) -> "_YSeries":
         rows = p.coeff_list("Y")
         if not rows:
-            return _YSeries(0, [], rel_prec)
+            return _YSeries(0, [], _REL_PREC)
         val = next(j for j, c in enumerate(rows) if c)
         coeffs = [_FactoredRF(UniPoly.from_sparse(c, "X"), {}, cancel=False)
                   for c in rows[val:]]
-        return _YSeries(val, coeffs, val + max(rel_prec, len(rows) - val))
+        return _YSeries(val, coeffs, val + max(_REL_PREC, len(rows) - val))
 
     def normalized(self) -> "_YSeries":
         c = list(self.coeffs)
@@ -244,7 +253,7 @@ class _YSeries:
         k = j - self.val
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k].to_rational()
-        return RationalFunction.from_const(("X",), 0)
+        return RationalFunction(0)
 
     def _padded(self, val: int, prec: int) -> list[_FactoredRF]:
         zero = _FactoredRF.const(0)
@@ -296,10 +305,6 @@ class _YSeries:
 
 Vector = tuple[_YSeries, _YSeries, _YSeries, _YSeries]
 
-# tracked Y-order for the elimination; coefficient reads are precision-checked,
-# so an insufficient value fails loudly instead of silently truncating
-_REL_PREC = 8
-
 
 def _vec_const(k: int) -> Vector:
     one = _YSeries(0, [_FactoredRF.const(1)], _REL_PREC)
@@ -325,9 +330,9 @@ class _JetReducer:
     block for the mixed third-order pair) instead of a dense sweep.
     """
 
-    def __init__(self, rel_prec: int = _REL_PREC):
+    def __init__(self):
         pde = build_pde()
-        s = {name: _YSeries.from_rf(getattr(pde, name), rel_prec)
+        s = {name: _YSeries.from_quotient(getattr(pde, name))
              for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1")}
         self.s = s
         self.table: dict[Jet, Vector] = {jet: _vec_const(i)
@@ -348,7 +353,7 @@ class _JetReducer:
             _vec_add(_vec_scale(s["D1"].derivative_X(), _vec_const(2)),
                      _vec_add(_vec_scale(s["Q1"].derivative_X(), _vec_const(0)),
                               _vec_scale(s["C1"], self.table[(2, 0)]))))
-        one = _YSeries(0, [_FactoredRF.const(1)], rel_prec)
+        one = _YSeries(0, [_FactoredRF.const(1)], _REL_PREC)
         det = one.sub(s["L1"].mul(s["M1"]))
         inv = det.inverse()
         self.table[(2, 1)] = _vec_scale(inv, _vec_add(known21,
@@ -378,11 +383,17 @@ class _JetReducer:
         return out  # type: ignore[return-value]
 
 
+@functools.cache
+def _jet_reducer() -> _JetReducer:
+    """The one reducer; its table of reduced jets grows as callers ask."""
+    return _JetReducer()
+
+
 def eliminate_to_restricted_ode() -> DiffOperator:
     """Exact elimination of the mixed jets: reduce u_XX, u_XXX, u_XXXX to the
     free-jet basis, take the unique dependency killing the u_Y and u_XY
     components, normalise by the leading coefficient, and read off Y = 0."""
-    red = _JetReducer()
+    red = _jet_reducer()
     red.reduce((3, 0))
     red.reduce((4, 0))
     v2, v3, v4 = red.table[(2, 0)], red.table[(3, 0)], red.table[(4, 0)]
@@ -398,15 +409,14 @@ def eliminate_to_restricted_ode() -> DiffOperator:
         if ratio.valuation() < 0:
             raise EliminationFailed("restricted coefficient has a pole on Y = 0")
         coeffs.append(ratio.coefficient(0))
-    one = RationalFunction.from_const(("X",), 1)
-    return DiffOperator("X", coeffs + [one])
+    return DiffOperator("X", coeffs + [RationalFunction(1)])
 
 
 def verify_mixed_jet_compatibility() -> dict:
     """The two reduction routes to the (2, 2) jet (through d/dY of u_XXY and
     d/dX of u_XYY) must coincide, exactly in X and to the tracked Y-order;
     this is the integrability relation between the two equations."""
-    red = _JetReducer()
+    red = _jet_reducer()
     via_y = red.derivative(red.reduce((2, 1)), "Y")
     via_x = red.derivative(red.reduce((1, 2)), "X")
     consistent = True
@@ -483,7 +493,7 @@ def _coefficient_series(base: tuple[Fraction, Fraction], order: int) -> dict[str
     pde = build_pde()
     out = {}
     for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
-        rf: RationalFunction = getattr(pde, name)
+        rf: Quotient = getattr(pde, name)
         num = _BiSeries.from_poly(rf.num, base, order)
         den = _BiSeries.from_poly(rf.den, base, order)
         out[name] = num.mul(den.inverse())
@@ -603,12 +613,10 @@ def estimate_singular_distance(base, grid_half_width: float = 1.5,
 
     x0, y0 = float(base[0]), float(base[1])
     best = min(abs(x0), abs(y0))
-    k2_y = K2_LOCUS.coeff_list("Y")
-    k2_coeffs = [c.project(("X",)) for c in k2_y]
+    k2_coeffs = [UniPoly.from_sparse(c, "X").coefficients() for c in K2_LOCUS.coeff_list("Y")]
 
-    def eval_x(poly_x, xc):
-        return complex(sum(complex(co) * xc ** e[0]
-                           for e, co in poly_x.terms.items())) if poly_x.terms else 0j
+    def eval_x(coeffs, xc):
+        return complex(sum(complex(co) * xc ** k for k, co in enumerate(coeffs) if co))
 
     centers, width = [x0], grid_half_width
     for _ in range(3):

@@ -17,10 +17,8 @@ from .diffops import DiffOperator, FormalSeries, LogSeries, series_solve
 from .elliptic import eisenstein_and_J
 from .moduli import moduli_XYZ
 from .numkernel import NonConvergent, PrecisionPolicy, to_mpc, working_precision
-from .polynomials import RationalFunction, SparsePoly, series_mul
-
-T = ("t",)
-XV = ("X",)
+from .polynomials import RationalFunction as RF
+from .polynomials import UniPoly, series_mul
 
 
 class NoSchwarzConvergence(Exception):
@@ -91,32 +89,22 @@ def hypergeom_value(upper: Sequence, lower: Sequence, t,
 # -------------------------------------------------------------- the operators
 
 
-def _rf(num: SparsePoly, den: SparsePoly) -> RationalFunction:
-    return RationalFunction(num, den)
-
-
 def gauss_operator() -> DiffOperator:
     """t(1-t) u'' + (1 - (3/2) t) u' - (5/144) u."""
-    t = SparsePoly.variable(T, "t")
-    one = SparsePoly.const(T, 1)
-    return DiffOperator("t", [
-        RationalFunction.from_const(T, Fraction(-5, 144)),
-        RationalFunction.from_poly(one - Fraction(3, 2) * t),
-        RationalFunction.from_poly(t * (1 - t)),
-    ])
+    t = UniPoly([0, 1])
+    return DiffOperator("t", [RF(Fraction(-5, 144)), RF(1 - Fraction(3, 2) * t),
+                              RF(t * (1 - t))])
 
 
 def restricted_ode_X() -> DiffOperator:
     """The rank-4 restriction of the two-variable system to the locus Y = 0,
     in the moduli coordinate X (monic in d^4/dX^4)."""
-    X = SparsePoly.variable(XV, "X")
+    X = UniPoly([0, 1])
     base = X * (81 * X ** 2 - 1155 * X + 1000)
-    a3 = _rf(3 * (243 * X ** 2 - 4060 * X + 2000), 2 * base)
-    a2 = _rf((2034 * X ** 2 - 40680 * X + 8000), 8 * X * base)
-    a1 = _rf(15 * (3 * X - 80), 8 * X * base)
-    zero = RationalFunction.from_const(XV, 0)
-    one = RationalFunction.from_const(XV, 1)
-    return DiffOperator("X", [zero, a1, a2, a3, one])
+    a3 = RF(3 * (243 * X ** 2 - 4060 * X + 2000), 2 * base)
+    a2 = RF((2034 * X ** 2 - 40680 * X + 8000), 8 * X * base)
+    a1 = RF(15 * (3 * X - 80), 8 * X * base)
+    return DiffOperator("X", [RF(0), a1, a2, a3, RF(1)])
 
 
 @dataclass(frozen=True)
@@ -131,32 +119,31 @@ class RestrictedODE:
 def build_restricted_operators() -> RestrictedODE:
     """W4, its factors W1 o W3, and the third-order equation satisfied by the
     derivatives of the periods; all in the rescaled coordinate t = 27 X / 25."""
-    t = SparsePoly.variable(T, "t")
+    t = UniPoly([0, 1])
     core = t * (t - 1) * (5 * t - 72)
-    one = RationalFunction.from_const(T, 1)
-    zero = RationalFunction.from_const(T, 0)
+    one, zero = RF(1), RF(0)
 
     w4 = DiffOperator("t", [
         zero,
-        _rf(25 * t - 720, 72 * t * core),
-        _rf(565 * t ** 2 - 12204 * t + 2592, 36 * t * core),
-        _rf(1620 * t ** 3 - 29232 * t ** 2 + 15552 * t, 72 * t * core),
+        RF(25 * t - 720, 72 * t * core),
+        RF(565 * t ** 2 - 12204 * t + 2592, 36 * t * core),
+        RF(1620 * t ** 3 - 29232 * t ** 2 + 15552 * t, 72 * t * core),
         one,
     ])
     w3 = DiffOperator("t", [
-        _rf(SparsePoly.const(T, 72) - 5 * t, 72 * t ** 3 * (t - 1)),
-        _rf(5 * t - 36, 36 * t ** 2 * (t - 1)),
-        _rf(SparsePoly.const(T, 3), 2 * (t - 1)),
+        RF(72 - 5 * t, 72 * t ** 3 * (t - 1)),
+        RF(5 * t - 36, 36 * t ** 2 * (t - 1)),
+        RF(3, 2 * (t - 1)),
         one,
     ])
     w1 = DiffOperator("t", [
-        _rf(15 * t ** 2 - 298 * t + 216, t * (t - 1) * (5 * t - 72)),
+        RF(15 * t ** 2 - 298 * t + 216, t * (t - 1) * (5 * t - 72)),
         one,
     ])
     restdiff3 = DiffOperator("t", [
-        _rf(25 * t - 720, 72 * t * core),
-        _rf(1130 * t ** 2 - 24408 * t + 5184, 72 * t * core),
-        _rf(1620 * t ** 3 - 29232 * t ** 2 + 15552 * t, 72 * t * core),
+        RF(25 * t - 720, 72 * t * core),
+        RF(1130 * t ** 2 - 24408 * t + 5184, 72 * t * core),
+        RF(1620 * t ** 3 - 29232 * t ** 2 + 15552 * t, 72 * t * core),
         one,
     ])
     ode = RestrictedODE(W4=w4, W3=w3, W1=w1, restdiff3=restdiff3)

@@ -1,14 +1,16 @@
 """Exact polynomial arithmetic over Q and the exact primitives built on it.
 
-* `SparsePoly` / `RationalFunction`: multivariate polynomials and rational
-  functions with Fraction coefficients; exponent vectors are dense tuples
-  keyed in a dict, canonically ordered by graded lex when an order is needed.
-  They carry the icosahedral invariants (degree 30 in 3 variables), the
-  Weierstrass charts and the two-variable PDE coefficients.
-* `UniPoly`: the dense univariate kernel, a primitive integer coefficient list
-  times a rational scale, with mul, divmod, gcd, content and derivative.  The
-  exact elimination runs on it with degrees up to about 72, and univariate
-  gcds of `SparsePoly` go through it.
+* `SparsePoly`: multivariate polynomials with Fraction coefficients; exponent
+  vectors are dense tuples keyed in a dict, ordered by graded lex when an
+  order is needed.  They carry the icosahedral invariants (degree 30 in 3
+  variables), the symbolic Weierstrass charts, the numerators and
+  denominators of the two-variable PDE coefficients and the lattice forms.
+* `UniPoly`: the one polynomial in one variable, a primitive integer
+  coefficient list times a rational scale, with mul, divmod, gcd, Yun's
+  square-free decomposition, derivative, affine substitution and reversal.
+  The exact elimination runs on it with degrees up to about 72.
+* `RationalFunction`: the one rational function in one variable, a reduced
+  quotient of UniPolys; the coefficients of differential operators over Q(t).
 * `series_mul` / `series_inverse`: truncated power-series product and
   inverse, over Fractions or any exact field elements.
 * `gauss_jordan`: exact Gauss-Jordan elimination over Q.
@@ -21,12 +23,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
-
-
-def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # gcd on Q normalised so that content extraction leaves coprime integers
-    return Fraction(math.gcd(a.numerator, b.numerator),
-                    math.lcm(a.denominator, b.denominator))
 
 
 class SparsePoly:
@@ -78,19 +74,11 @@ class SparsePoly:
             return self == SparsePoly.const(self.vars, other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def copy(self) -> "SparsePoly":
         return SparsePoly(self.vars, dict(self.terms))
 
     def term_count(self) -> int:
         return len(self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
         if not self.terms:
@@ -151,9 +139,6 @@ class SparsePoly:
     def __sub__(self, other) -> "SparsePoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "SparsePoly":
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
@@ -189,22 +174,6 @@ class SparsePoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    # ------------------------------------------------------------- calculus
-
-    def derivative(self, name: str) -> "SparsePoly":
-        i = self.vars.index(name)
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            if expo[i] == 0:
-                continue
-            new = list(expo)
-            new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff * expo[i]
-        res = SparsePoly.zero(self.vars)
-        res.terms = {k: v for k, v in out.items() if v}
-        return res
 
     # ----------------------------------------------------------- evaluation
 
@@ -297,35 +266,6 @@ class SparsePoly:
         res.terms = acc
         return res
 
-    def project(self, variables: Sequence[str]) -> "SparsePoly":
-        """Re-express in a subset (or reordering) of variables.
-
-        Raises if the polynomial depends on a dropped variable.
-        """
-        variables = tuple(variables)
-        keep = [self.vars.index(v) for v in variables]
-        dropped = [i for i in range(len(self.vars)) if i not in keep]
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            if any(expo[i] for i in dropped):
-                raise ValueError(f"polynomial depends on dropped variable: {expo}")
-            out[tuple(expo[i] for i in keep)] = coeff
-        return SparsePoly(variables, out)
-
-    def extend(self, variables: Sequence[str]) -> "SparsePoly":
-        """View in a larger variable tuple containing self.vars."""
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.vars]
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for p, e in zip(pos, expo):
-                new[p] = e
-            out[tuple(new)] = coeff
-        return SparsePoly(variables, out)
-
-    # -------------------------------------------------- univariate helpers
-
     def coeff_list(self, name: str) -> list["SparsePoly"]:
         """Coefficients of powers of `name` (each still in self.vars)."""
         i = self.vars.index(name)
@@ -338,25 +278,6 @@ class SparsePoly:
             rest[i] = 0
             coeffs[expo[i]].terms[tuple(rest)] = coeff
         return coeffs
-
-    def valuation_in(self, name: str) -> int:
-        """Lowest power of `name` occurring (0 for nonzero constant part)."""
-        if not self.terms:
-            raise ValueError("valuation of zero polynomial")
-        i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
-
-    def divide_power(self, name: str, k: int) -> "SparsePoly":
-        """Exact division by name**k."""
-        i = self.vars.index(name)
-        out: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            if expo[i] < k:
-                raise ValueError(f"not divisible by {name}**{k}")
-            new = list(expo)
-            new[i] -= k
-            out[tuple(new)] = coeff
-        return SparsePoly(self.vars, out)
 
     # ------------------------------------------------------ exact division
 
@@ -378,30 +299,6 @@ class SparsePoly:
             quotient = quotient + mono
             remainder = remainder - mono * divisor
         return quotient, remainder
-
-    def divide_exact(self, divisor: "SparsePoly") -> "SparsePoly":
-        q, r = self.divmod_exact(divisor)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    # -------------------------------------------------------------- content
-
-    def content(self) -> Fraction:
-        """Rational content: positive c with self = c * (coprime integer poly)."""
-        c = Fraction(0)
-        for coeff in self.terms.values():
-            c = _fraction_gcd(c, coeff)
-        return c if c else Fraction(1)
-
-    def primitive(self) -> "SparsePoly":
-        """self / content with positive graded-lex leading coefficient."""
-        if self.is_zero():
-            return self
-        c = self.content()
-        if self.leading()[1] < 0:
-            c = -c
-        return self * (1 / c)
 
     # ------------------------------------------------------------------ str
 
@@ -487,16 +384,6 @@ class UniPoly:
             out[expo[i]] = coeff
         return cls(out)
 
-    def to_sparse(self, variables: Sequence[str], name: str) -> SparsePoly:
-        variables = tuple(variables)
-        i = variables.index(name)
-        terms = {}
-        for k, c in enumerate(self.coefficients()):
-            expo = [0] * len(variables)
-            expo[i] = k
-            terms[tuple(expo)] = c
-        return SparsePoly(variables, terms)
-
     def coefficients(self) -> list[Fraction]:
         """Dense rational coefficients, constant term first."""
         return [self.scale * a for a in self.ints]
@@ -518,15 +405,67 @@ class UniPoly:
     def __repr__(self) -> str:
         return f"UniPoly({[str(c) for c in self.coefficients()]})"
 
+    def format(self, var: str) -> str:
+        """Terms by descending degree in `var`, such as '2*y^3 - y + 1/2'."""
+        parts = []
+        for k in reversed(range(len(self.ints))):
+            if not self.ints[k]:
+                continue
+            c = self.scale * self.ints[k]
+            power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+            if not power:
+                parts.append(str(c))
+            elif c == 1 or c == -1:
+                parts.append(power if c == 1 else "-" + power)
+            else:
+                parts.append(f"{c}*{power}")
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
     def __call__(self, x):
         acc = 0
         for a in reversed(self.ints):
             acc = acc * x + a
         return self.scale * acc
 
+    def valuation(self) -> int:
+        """Lowest power of x with a nonzero coefficient."""
+        if not self.ints:
+            raise ValueError("valuation of the zero polynomial")
+        return next(k for k, a in enumerate(self.ints) if a)
+
+    def reverse(self, n: int) -> "UniPoly":
+        """x^n p(1/x), for n at least the degree."""
+        if n < self.degree():
+            raise ValueError(f"reversal degree {n} below the degree {self.degree()}")
+        if not self.ints:
+            return self
+        return UniPoly._from_ints([0] * (n + 1 - len(self.ints)) + self.ints[::-1], self.scale)
+
+    def affine(self, a, b) -> "UniPoly":
+        """p(a x + b), by Horner's rule in integers."""
+        a, b = Fraction(a), Fraction(b)
+        n = len(self.ints) - 1
+        if n < 1:
+            return self
+        # a x + b = (A x + B) / den, and p(a x + b) = scale / den^n * acc with
+        # acc = sum_k ints[k] (A x + B)^k den^(n - k)
+        den = a.denominator * b.denominator
+        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        acc, dpow = [self.ints[n]], 1
+        for k in reversed(range(n)):
+            dpow *= den
+            nxt = [B * v for v in acc] + [0]
+            for j, v in enumerate(acc):
+                nxt[j + 1] += A * v
+            nxt[0] += self.ints[k] * dpow
+            acc = nxt
+        return UniPoly._from_ints(acc, self.scale / den ** n)
+
     # ------------------------------------------------------------ arithmetic
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
+    def __add__(self, other) -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            other = UniPoly([other])
         if not other.ints:
             return self
         if not self.ints:
@@ -545,11 +484,16 @@ class UniPoly:
             out[k] += mb * c
         return UniPoly._from_ints(out, Fraction(g, den))
 
+    __radd__ = __add__
+
     def __neg__(self) -> "UniPoly":
         return UniPoly._raw(self.ints, -self.scale)
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
+    def __sub__(self, other) -> "UniPoly":
         return self + (-other)
+
+    def __rsub__(self, other) -> "UniPoly":
+        return -self + other
 
     def __mul__(self, other) -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -648,195 +592,74 @@ class UniPoly:
             a, b = b, a.divmod(b)[1].primitive()
         return a
 
-
-# ---------------------------------------------------------------------- gcd
-
-
-def _pseudo_rem(a: list[SparsePoly], b: list[SparsePoly],
-                zero: SparsePoly) -> list[SparsePoly]:
-    """Pseudo-remainder of coefficient lists (univariate in the main var)."""
-    da, db = len(a) - 1, len(b) - 1
-    lead_b = b[-1]
-    r = list(a)
-    for _ in range(da - db + 1):
-        if len(r) - 1 < db:
-            break
-        lead_r = r[-1]
-        r = [c * lead_b for c in r]
-        shift = len(r) - 1 - db
-        for j, bc in enumerate(b):
-            r[shift + j] = r[shift + j] - lead_r * bc
-        while r and r[-1].is_zero():
-            r.pop()
-        if not r:
-            break
-    return r
-
-
-def poly_gcd(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    """GCD via primitive polynomial remainder sequences, recursive in variables."""
-    if a.vars != b.vars:
-        raise ValueError("variable mismatch in gcd")
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    active = [v for v in a.vars if a.degree_in(v) > 0 or b.degree_in(v) > 0]
-    if not active:
-        return SparsePoly.const(a.vars, 1)
-    if len(active) == 1:
-        name = active[0]
-        g = UniPoly.from_sparse(a, name).gcd(UniPoly.from_sparse(b, name))
-        return g.to_sparse(a.vars, name)
-
-    main = active[0]
-    ca, pa = _content_in(a, main)
-    cb, pb = _content_in(b, main)
-    cont_gcd = poly_gcd(ca, cb)
-
-    fa, fb = pa.coeff_list(main), pb.coeff_list(main)
-    while fa and fb:
-        if len(fa) < len(fb):
-            fa, fb = fb, fa
-        r = _pseudo_rem(fa, fb, SparsePoly.zero(a.vars))
-        fa, fb = fb, r
-        if fb:
-            # primitive part of the remainder w.r.t. main variable
-            poly = _from_coeff_list(fb, a.vars, main)
-            _, poly = _content_in(poly, main)
-            fb = poly.coeff_list(main)
-    result = _from_coeff_list(fa, a.vars, main)
-    _, result = _content_in(result, main)
-    return (cont_gcd * result).primitive()
-
-
-def _from_coeff_list(coeffs: list[SparsePoly], variables: tuple[str, ...],
-                     main: str) -> SparsePoly:
-    """Rebuild a polynomial from its main-variable coefficient list."""
-    i = variables.index(main)
-    out: dict[Exponent, Fraction] = {}
-    for power, c in enumerate(coeffs):
-        for expo, coeff in c.terms.items():
-            new = list(expo)
-            new[i] += power
-            out[tuple(new)] = coeff
-    return SparsePoly(variables, out)
-
-
-def _content_in(p: SparsePoly, main: str) -> tuple[SparsePoly, SparsePoly]:
-    """(content, primitive part) of p viewed as univariate in `main`."""
-    coeffs = [c for c in p.coeff_list(main) if not c.is_zero()]
-    if not coeffs:
-        return SparsePoly.zero(p.vars), SparsePoly.zero(p.vars)
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        cont = poly_gcd(cont, c)
-        if cont.total_degree() == 0 and cont.content() == 1:
-            break
-    cont = cont.primitive()
-    return cont, p.divide_exact(cont)
-
-
-def poly_lcm(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    if a.is_zero() or b.is_zero():
-        return SparsePoly.zero(a.vars)
-    return (a * b).divide_exact(poly_gcd(a, b)).primitive()
-
-
-def squarefree_decomposition(p: SparsePoly, name: str) -> list[tuple[SparsePoly, int]]:
-    """Yun's algorithm over Q: returns [(factor_i, multiplicity_i)] with
-    p = content * prod factor_i^multiplicity_i and the factors squarefree,
-    pairwise coprime, non-constant."""
-    if p.is_zero():
-        raise ValueError("squarefree decomposition of zero")
-    p = p.primitive()
-    dp = p.derivative(name)
-    a = poly_gcd(p, dp)
-    out: list[tuple[SparsePoly, int]] = []
-    b = p.divide_exact(a)
-    c = dp.divide_exact(a)
-    i = 1
-    while b.total_degree() > 0:
-        d = c - b.derivative(name)
-        f = poly_gcd(b, d)
-        if f.total_degree() > 0:
-            out.append((f, i))
-        b = b.divide_exact(f)
-        c = d.divide_exact(f)
-        i += 1
-    return out
+    def squarefree(self) -> list[tuple["UniPoly", int]]:
+        """Yun's algorithm over Q: [(f_i, i)] with self = c * prod f_i^i, the
+        f_i primitive, squarefree, pairwise coprime and non-constant."""
+        if not self.ints:
+            raise ValueError("squarefree decomposition of zero")
+        p = self.primitive()
+        dp = p.derivative()
+        a = p.gcd(dp)
+        b, c = p.divide_exact(a), dp.divide_exact(a)
+        out: list[tuple[UniPoly, int]] = []
+        i = 1
+        while b.degree() > 0:
+            d = c - b.derivative()
+            f = b.gcd(d)
+            if f.degree() > 0:
+                out.append((f, i))
+            b, c = b.divide_exact(f), d.divide_exact(f)
+            i += 1
+        return out
 
 
 # --------------------------------------------------------- rational functions
 
 
 class RationalFunction:
-    """Quotient of SparsePolys, gcd-reduced, denominator primitive with
-    positive leading coefficient."""
+    """num / den in one variable over Q: coprime UniPolys, den primitive with
+    positive leading coefficient.  The form is canonical, so equal functions
+    have equal parts."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: SparsePoly, den: SparsePoly | None = None,
-                 reduce: bool = True):
+    def __init__(self, num, den: UniPoly | None = None):
+        """num may be a UniPoly or a rational constant."""
+        num = num if isinstance(num, UniPoly) else UniPoly([num])
         if den is None:
-            den = SparsePoly.const(num.vars, 1)
-        if den.is_zero():
+            self.num, self.den = num, UniPoly([1])
+            return
+        if not den:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.vars != den.vars:
-            raise ValueError("variable mismatch")
-        if reduce and not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.total_degree() > 0 or g.content() != 1:
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
-        if num.is_zero():
-            den = SparsePoly.const(num.vars, 1)
-        # canonical sign/scale: denominator primitive, leading coefficient > 0
-        c = den.content()
-        if den.leading()[1] < 0:
-            c = -c
-        if c != 1:
-            den = den * (1 / c)
-            num = num * (1 / c)
-        self.num = num
-        self.den = den
-
-    # ------------------------------------------------------------- helpers
-
-    @classmethod
-    def from_const(cls, variables: Sequence[str], value) -> "RationalFunction":
-        return cls(SparsePoly.const(variables, value), reduce=False)
-
-    @classmethod
-    def from_poly(cls, p: SparsePoly) -> "RationalFunction":
-        return cls(p, reduce=False)
-
-    @property
-    def vars(self):
-        return self.num.vars
+        if not num:
+            den = UniPoly([1])
+        elif den.degree() > 0:
+            g = num.gcd(den)
+            if g.degree() > 0:
+                num, den = num.divide_exact(g), den.divide_exact(g)
+        # den = scale * (primitive, positive leading): move the scale up
+        self.num = num * (1 / den.scale) if den.scale != 1 else num
+        self.den = den.primitive()
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
     def is_poly(self) -> bool:
-        return self.den.total_degree() == 0
+        return self.den.degree() == 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RationalFunction):
-            return (self.num * other.den) == (other.num * self.den)
-        if isinstance(other, (int, Fraction, SparsePoly)):
-            return self == RationalFunction(self.num._coerce(other))
-        return NotImplemented
+        if isinstance(other, (int, Fraction, UniPoly)):
+            other = RationalFunction(other)
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def _coerce(self, other) -> "RationalFunction":
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, SparsePoly):
-            return RationalFunction(other, reduce=False)
-        return RationalFunction.from_const(self.vars, other)
+    @staticmethod
+    def _coerce(other) -> "RationalFunction":
+        return other if isinstance(other, RationalFunction) else RationalFunction(other)
 
     # ---------------------------------------------------------- arithmetic
 
@@ -848,13 +671,12 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, reduce=False)
+        out = RationalFunction.__new__(RationalFunction)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -868,39 +690,22 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return RationalFunction(self.den ** (-n), self.num ** (-n))
-        return RationalFunction(self.num ** n, self.den ** n, reduce=False)
-
-    def derivative(self, name: str) -> "RationalFunction":
+    def derivative(self) -> "RationalFunction":
         return RationalFunction(
-            self.num.derivative(name) * self.den - self.num * self.den.derivative(name),
+            self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den)
 
-    def evaluate(self, values: Mapping[str, object]):
-        return self.num.evaluate(values) / self.den.evaluate(values)
+    def affine(self, a, b) -> "RationalFunction":
+        """f(a x + b)."""
+        return RationalFunction(self.num.affine(a, b), self.den.affine(a, b))
 
-    def substitute(self, assignments: Mapping[str, object]) -> "RationalFunction":
-        return RationalFunction(self.num.substitute(assignments),
-                                self.den.substitute(assignments))
-
-    def compose(self, name: str, poly: SparsePoly) -> "RationalFunction":
-        return RationalFunction(self.num.compose(name, poly),
-                                self.den.compose(name, poly))
-
-    def project(self, variables: Sequence[str]) -> "RationalFunction":
-        return RationalFunction(self.num.project(variables),
-                                self.den.project(variables), reduce=False)
+    def format(self, var: str) -> str:
+        if self.is_poly():
+            return self.num.format(var)
+        return f"({self.num.format(var)}) / ({self.den.format(var)})"
 
     def __repr__(self) -> str:
-        if self.is_poly():
-            lead = self.den.leading()[1]
-            return repr(self.num * (1 / lead)) if lead != 1 else repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
+        return self.format("x")
 
 
 # ------------------------------------------------------ truncated power series

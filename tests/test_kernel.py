@@ -1,6 +1,7 @@
 """Property tests for the exact primitives in `polynomials`: the dense
-univariate kernel against sympy, the truncated-series pair over Fractions and
-over rational functions of X, and Gauss-Jordan through both of its callers."""
+univariate kernel and the one-variable rational functions against sympy, the
+truncated-series pair over Fractions and over rational functions of X, and
+Gauss-Jordan through both of its callers."""
 
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from hilbert_k3.lattice import mat_identity, mat_inverse_int, mat_mul
 from hilbert_k3.pde import InconsistentReduction, _BiSeries, _FactoredRF, taylor_solution
-from hilbert_k3.polynomials import UniPoly, series_inverse, series_mul
+from hilbert_k3.polynomials import RationalFunction, UniPoly, series_inverse, series_mul
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -22,9 +23,26 @@ nonzero_polys = polys.filter(bool)
 units = st.lists(rationals, min_size=1, max_size=6).filter(lambda c: c[0] != 0)
 
 
+def rational(c: Fraction) -> sympy.Rational:
+    return sympy.Rational(c.numerator, c.denominator)
+
+
 def oracle(p: UniPoly) -> sympy.Poly:
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients())]
+    coeffs = [rational(c) for c in reversed(p.coefficients())]
     return sympy.Poly(coeffs or [0], x, domain="QQ")
+
+
+def rf_oracle(f: RationalFunction) -> tuple[sympy.Poly, sympy.Poly]:
+    return oracle(f.num), oracle(f.den)
+
+
+def same(f: RationalFunction, pair: tuple[sympy.Poly, sympy.Poly]) -> bool:
+    """f equals num / den, by cross-multiplication in sympy."""
+    num, den = pair
+    return oracle(f.num) * den == num * oracle(f.den)
+
+
+rational_functions = st.builds(RationalFunction, polys, nonzero_polys)
 
 
 @PROPERTY
@@ -67,6 +85,73 @@ def test_unipoly_derivative_and_content(a):
         assert all(v.denominator == 1 for v in ints)
         assert sympy.gcd_list([int(v) for v in ints]) == 1
         assert a.primitive() * (a.coefficients()[-1] / a.primitive().coefficients()[-1]) == a
+
+
+@PROPERTY
+@given(st.lists(st.tuples(nonzero_polys, st.integers(min_value=1, max_value=3)), max_size=3),
+       rationals.filter(bool))
+def test_unipoly_squarefree_matches_sympy(factors, c):
+    p = UniPoly([c])
+    for f, m in factors:
+        p = p * f ** m
+    parts = p.squarefree()
+    rebuilt = UniPoly([1])
+    for f, m in parts:
+        assert f.degree() > 0 and f.content() == 1 and f.coefficients()[-1] > 0
+        rebuilt = rebuilt * f ** m
+    assert rebuilt == p.primitive()
+    expected = {m: sympy.Poly(g, x).monic() for g, m in sympy.sqf_list(oracle(p))[1]}
+    assert {m: oracle(f).monic() for f, m in parts} == expected
+
+
+@PROPERTY
+@given(polys, rationals, rationals)
+def test_unipoly_affine_matches_sympy(p, a, b):
+    expected = oracle(p).as_expr().subs(x, rational(a) * x + rational(b))
+    assert oracle(p.affine(a, b)) == sympy.Poly(sympy.expand(expected), x, domain="QQ")
+
+
+@PROPERTY
+@given(polys, st.integers(min_value=0, max_value=3))
+def test_unipoly_reverse_and_valuation_match_sympy(p, extra):
+    n = max(p.degree(), 0) + extra
+    expected = sympy.expand(x ** n * oracle(p).as_expr().subs(x, 1 / x))
+    assert oracle(p.reverse(n)) == sympy.Poly(expected, x, domain="QQ")
+    if p:
+        lowest = min(m[0] for m in oracle(p).monoms())
+        assert p.valuation() == lowest
+        assert p.reverse(n).degree() == n - lowest
+        assert p.reverse(n).reverse(n) == p
+    else:
+        with pytest.raises(ValueError):
+            p.valuation()
+
+
+@PROPERTY
+@given(polys, nonzero_polys, rationals.filter(bool))
+def test_rational_function_canonical_form(a, b, c):
+    f = RationalFunction(a, b)
+    assert same(f, (oracle(a), oracle(b)))
+    assert f.den.content() == 1 and f.den.coefficients()[-1] > 0
+    assert sympy.gcd(oracle(f.num), oracle(f.den)).degree() <= 0
+    # the same function from a scaled, unreduced pair has the same parts
+    g = RationalFunction(a * b * c, b * b * c)
+    assert (g.num, g.den) == (f.num, f.den) and g == f
+
+
+@PROPERTY
+@given(rational_functions, rational_functions)
+def test_rational_function_arithmetic_matches_sympy(f, g):
+    (fn, fd), (gn, gd) = rf_oracle(f), rf_oracle(g)
+    assert same(f + g, (fn * gd + gn * fd, fd * gd))
+    assert same(f - g, (fn * gd - gn * fd, fd * gd))
+    assert same(f * g, (fn * gn, fd * gd))
+    assert same(f.derivative(), (fn.diff(x) * fd - fn * fd.diff(x), fd * fd))
+    if g.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            f / g
+    else:
+        assert same(f / g, (fn * gd, fd * gn))
 
 
 @PROPERTY

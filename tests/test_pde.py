@@ -14,7 +14,7 @@ from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
                             taylor_solution, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
 from hilbert_k3.periods import restricted_ode_X
-from hilbert_k3.polynomials import RationalFunction, SparsePoly
+from hilbert_k3.polynomials import SparsePoly
 
 V = ("X", "Y")
 BASE = (Fraction(1, 10), Fraction(1, 10))
@@ -25,14 +25,30 @@ def test_coefficients_exact_transcription():
     X = SparsePoly.variable(V, "X")
     Y = SparsePoly.variable(V, "Y")
     S = 36 * X ** 2 - 32 * X - Y
-    assert pde.L1 * RationalFunction.from_poly(S) == RationalFunction.from_poly(
-        -20 * (4 * X ** 2 + 3 * X * Y - 4 * Y))
-    assert pde.Q1 == RationalFunction(-2 * (9 * X - 10), 25 * X * Y * S)
+    # L1 * S = -20 (4 X^2 + 3 X Y - 4 Y) and Q1 = -2 (9 X - 10) / (25 X Y S),
+    # by cross-multiplication
+    assert pde.L1.num * S == -20 * (4 * X ** 2 + 3 * X * Y - 4 * Y) * pde.L1.den
+    assert pde.Q1.num * (25 * X * Y * S) == -2 * (9 * X - 10) * pde.Q1.den
     # every denominator vanishes on the common singular locus
     for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
         den = getattr(pde, name).den
         _, rem = den.divmod_exact(S)
         assert rem.is_zero(), name
+
+
+
+def test_coefficients_in_lowest_terms():
+    import sympy
+    xs, ys = sympy.symbols("X Y")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * xs ** e[0] * ys ** e[1]
+                   for e, c in p.terms.items())
+
+    pde = build_pde()
+    for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
+        q = getattr(pde, name)
+        assert sympy.gcd(to_sympy(q.num), to_sympy(q.den)).is_number, name
 
 
 def test_elimination_matches_restricted_equation():
