@@ -153,7 +153,7 @@ def cmd_series(args, policy: PrecisionPolicy) -> tuple[int, object]:
         qe = j_qexpansion(args.order)
         payload = {
             "series": "1728*J",
-            "leading_exponent": qe.leading_exponent,
+            "leading_exponent": qe.expo,
             "coefficients": [str(c) for c in qe.coeffs],
         }
         return 0, payload
@@ -213,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    policy = PrecisionPolicy(args.prec) if args.prec else default_policy()
     handlers = {
         "forms": cmd_forms,
         "verify": cmd_verify,
@@ -222,6 +221,7 @@ def main(argv=None) -> int:
         "series": cmd_series,
     }
     try:
+        policy = PrecisionPolicy(args.prec) if args.prec is not None else default_policy()
         code, payload = handlers[args.command](args, policy)
     except (NoConvergence, JacobianSingular, NearZeroDenominator) as exc:
         code, payload = 1, {"error": type(exc).__name__, "message": str(exc)}

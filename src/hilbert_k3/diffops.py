@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import RationalFunction, UniPoly, gauss_jordan, series_inverse, series_mul
+from .polynomials import (FormalSeries, RationalFunction, UniPoly, gauss_jordan, series_inverse,
+                          series_mul)
 
 
 class IrregularSingular(Exception):
@@ -25,118 +26,7 @@ class NonRationalRoot(Exception):
 INFINITY = "infinity"
 
 
-# --------------------------------------------------------------- formal series
-
-
-class FormalSeries:
-    """t^expo * (c_0 + c_1 t + ...), known modulo t^prec (prec = expo + len)."""
-
-    __slots__ = ("var", "expo", "coeffs", "prec")
-
-    def __init__(self, var: str, expo: Fraction, coeffs: Sequence[Fraction],
-                 prec: Fraction | None = None):
-        self.var = var
-        self.expo = Fraction(expo)
-        self.coeffs = [Fraction(c) for c in coeffs]
-        self.prec = self.expo + len(self.coeffs) if prec is None else Fraction(prec)
-
-    @classmethod
-    def zero(cls, var: str, prec) -> "FormalSeries":
-        return cls(var, Fraction(0), [], prec=prec)
-
-    def copy(self) -> "FormalSeries":
-        return FormalSeries(self.var, self.expo, list(self.coeffs), self.prec)
-
-    def is_zero_to_precision(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def valuation(self) -> Fraction:
-        for n, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.expo + n
-        return self.prec
-
-    def coefficient(self, exponent) -> Fraction:
-        """Coefficient of t^exponent (must be below the precision)."""
-        exponent = Fraction(exponent)
-        if exponent >= self.prec:
-            raise ValueError("coefficient beyond truncation order")
-        n = exponent - self.expo
-        if n.denominator != 1 or n < 0:
-            return Fraction(0)
-        n = int(n)
-        return self.coeffs[n] if n < len(self.coeffs) else Fraction(0)
-
-    def _aligned(self, other: "FormalSeries") -> tuple["FormalSeries", "FormalSeries"]:
-        shift = self.expo - other.expo
-        if shift.denominator != 1:
-            raise ValueError("cannot add series with non-integer exponent offset")
-        expo = min(self.expo, other.expo)
-        a = [Fraction(0)] * int(self.expo - expo) + self.coeffs
-        b = [Fraction(0)] * int(other.expo - expo) + other.coeffs
-        prec = min(self.prec, other.prec)
-        n = int(prec - expo)
-        a = (a + [Fraction(0)] * n)[:n]
-        b = (b + [Fraction(0)] * n)[:n]
-        return (FormalSeries(self.var, expo, a, prec),
-                FormalSeries(self.var, expo, b, prec))
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        a, b = self._aligned(other)
-        return FormalSeries(self.var, a.expo,
-                            [x + y for x, y in zip(a.coeffs, b.coeffs)], a.prec)
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        a, b = self._aligned(other)
-        return FormalSeries(self.var, a.expo,
-                            [x - y for x, y in zip(a.coeffs, b.coeffs)], a.prec)
-
-    def __neg__(self) -> "FormalSeries":
-        return FormalSeries(self.var, self.expo, [-c for c in self.coeffs], self.prec)
-
-    def scale(self, c) -> "FormalSeries":
-        c = Fraction(c)
-        return FormalSeries(self.var, self.expo, [c * x for x in self.coeffs], self.prec)
-
-    def shift_exponent(self, k) -> "FormalSeries":
-        k = Fraction(k)
-        return FormalSeries(self.var, self.expo + k, list(self.coeffs), self.prec + k)
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        prec = min(self.prec + other.valuation(), other.prec + self.valuation())
-        expo = self.expo + other.expo
-        n = int(math.ceil(prec - expo))
-        return FormalSeries(self.var, expo, series_mul(self.coeffs, other.coeffs, n), prec)
-
-    def derivative(self) -> "FormalSeries":
-        coeffs = [(self.expo + n) * c for n, c in enumerate(self.coeffs)]
-        return FormalSeries(self.var, self.expo - 1, coeffs, self.prec - 1)
-
-    def multiply_poly(self, p: UniPoly) -> "FormalSeries":
-        if not p:
-            return FormalSeries(self.var, self.expo, [Fraction(0)] * len(self.coeffs),
-                                self.prec + 0)
-        prec = self.prec + p.valuation()
-        keep = int(prec - self.expo)
-        return FormalSeries(self.var, self.expo,
-                            series_mul(self.coeffs, p.coefficients(), keep), prec)
-
-    def multiply_rational(self, f: RationalFunction) -> "FormalSeries":
-        if f.is_zero():
-            return FormalSeries(self.var, self.expo,
-                                [Fraction(0)] * len(self.coeffs), self.prec)
-        num = self.multiply_poly(f.num)
-        v = f.den.valuation()
-        unit = f.den.coefficients()[v:]
-        shifted = num.shift_exponent(-v)
-        n = len(shifted.coeffs)
-        out = series_mul(shifted.coeffs, series_inverse(unit, n), n)
-        return FormalSeries(self.var, shifted.expo, out, shifted.prec)
-
-    def __repr__(self) -> str:
-        bits = [f"{c}*{self.var}^{self.expo + n}" for n, c in enumerate(self.coeffs) if c]
-        body = " + ".join(bits) if bits else "0"
-        return f"{body} + O({self.var}^{self.prec})"
+# ------------------------------------------------------------ log series
 
 
 class LogSeries:
@@ -172,7 +62,7 @@ class LogSeries:
         return self + other.scale(-1)
 
     def scale(self, c) -> "LogSeries":
-        return LogSeries(self.var, {l: s.scale(c) for l, s in self.parts.items()})
+        return LogSeries(self.var, {l: s * c for l, s in self.parts.items()})
 
     def __mul__(self, other: "LogSeries") -> "LogSeries":
         out: dict[int, FormalSeries] = {}
@@ -193,7 +83,7 @@ class LogSeries:
             d = s.derivative()
             out[l] = out[l] + d if l in out else d
             if l >= 1:
-                lower = s.shift_exponent(-1).scale(l)
+                lower = s.shift_exponent(-1) * l
                 out[l - 1] = out[l - 1] + lower if l - 1 in out else lower
         return LogSeries(self.var, out)
 
@@ -501,7 +391,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
                     d = k - l
                     series = [cj[d] if d < len(cj) else Fraction(0)
                               for cj in coeffs_jets]
-                    comp = FormalSeries(var, root, series).scale(Fraction(1, math.factorial(l)))
+                    comp = FormalSeries(var, root, series) * Fraction(1, math.factorial(l))
                     parts[l] = comp
                 cand = LogSeries(var, parts)
                 if cand.is_zero_to_precision():

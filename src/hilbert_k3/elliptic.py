@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from .numkernel import PrecisionPolicy, sum_series, to_mpc, working_precision
-from .polynomials import series_inverse, series_mul
+from .polynomials import FormalSeries
 
 
 class NotInUpperHalfPlane(ValueError):
@@ -75,29 +75,6 @@ def jacobi_theta(kind: str, z, policy: PrecisionPolicy | None = None) -> mpmath.
 # --------------------------------------------------------- exact q-expansions
 
 
-@dataclass(frozen=True)
-class QExpansion:
-    """Exact Laurent q-series: sum of coeffs[k] * q^(leading_exponent + k)."""
-
-    leading_exponent: int
-    coeffs: tuple[Fraction, ...]
-
-    def coefficient(self, power: int) -> Fraction:
-        k = power - self.leading_exponent
-        if k < 0 or k >= len(self.coeffs):
-            raise IndexError(f"coefficient q^{power} not stored")
-        return self.coeffs[k]
-
-    def evaluate(self, z, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
-        with working_precision(policy):
-            zc = as_uhp(z)
-            q = mpmath.exp(2j * mpmath.pi * zc)
-            total = mpmath.mpc(0)
-            for k, c in enumerate(self.coeffs):
-                total += to_mpc(c) * q ** (self.leading_exponent + k)
-            return total
-
-
 @functools.cache
 def _sigma_sieve(k: int, size: int) -> tuple[int, ...]:
     """(sigma_k(1), ..., sigma_k(size)) by sieve."""
@@ -114,7 +91,7 @@ def _sigma_table(k: int, n: int) -> tuple[int, ...]:
     return _sigma_sieve(k, max(64, 1 << (n - 1).bit_length()))[:n]
 
 
-def eisenstein_qexp(weight: int, order: int) -> QExpansion:
+def eisenstein_qexp(weight: int, order: int) -> FormalSeries:
     """Normalised E4 or E6 as an exact q-series up to q^order inclusive."""
     if weight == 4:
         mult, k = 240, 3
@@ -123,28 +100,22 @@ def eisenstein_qexp(weight: int, order: int) -> QExpansion:
     else:
         raise ValueError("only weights 4 and 6 are implemented")
     sig = _sigma_table(k, order)
-    coeffs = [Fraction(1)] + [Fraction(mult * s) for s in sig]
-    return QExpansion(0, tuple(coeffs))
+    return FormalSeries("q", 0, [Fraction(1)] + [Fraction(mult * s) for s in sig])
 
 
-def j_qexpansion(order: int) -> QExpansion:
+def j_qexpansion(order: int) -> FormalSeries:
     """1728*J as an exact q-series from E4^3 / ((E4^3 - E6^2)/1728).
 
-    Coefficients run from q^-1 through q^order.
+    Coefficients run from q^-1 through q^order: Delta starts at q, so its
+    inverse starts at q^-1 and is known to two fewer powers than E4 and E6.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    n = order + 2
-    e4 = list(eisenstein_qexp(4, n).coeffs)
-    e6 = list(eisenstein_qexp(6, n).coeffs)
-    e4_3 = series_mul(series_mul(e4, e4, n + 1), e4, n + 1)
-    e6_2 = series_mul(e6, e6, n + 1)
-    delta = [(a - b) / 1728 for a, b in zip(e4_3, e6_2)]
-    assert delta[0] == 0 and delta[1] == 1
-    unit = delta[1:]  # Delta/q, a unit power series
-    inv = series_inverse(unit, n + 1)
-    out = series_mul(e4_3, inv, n + 2)
-    return QExpansion(-1, tuple(out[: order + 2]))
+    e4 = eisenstein_qexp(4, order + 2)
+    e6 = eisenstein_qexp(6, order + 2)
+    e4_3 = e4 * e4 * e4
+    delta = (e4_3 - e6 * e6) * Fraction(1, 1728)
+    return e4_3 * delta.inverse()
 
 
 # ----------------------------------------------------------- numeric J / E_k

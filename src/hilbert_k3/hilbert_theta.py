@@ -338,9 +338,13 @@ def mueller_forms(p, policy: PrecisionPolicy | None = None,
               + _prod(th, "034568") ** 2 + _prod(th, "236789") ** 2
               + _prod(th, "134579") ** 2) / 256
         s10 = all10 ** 2 / 4096
+        # the 30 rows share 15 pairs: form each pair product and its powers once
+        pairs = {p: _prod(th, p) for row in S15_TABLE for p in row[1:]}
+        pow9 = {p: v ** 9 for p, v in pairs.items()}
+        pow5 = {p: v ** 5 for p, v in pairs.items()}
         acc = mpmath.mpc(0)
         for sign, p9, p5, p1 in S15_TABLE:
-            acc += sign * _prod(th, p9) ** 9 * _prod(th, p5) ** 5 * _prod(th, p1)
+            acc += sign * pow9[p9] * pow5[p5] * pairs[p1]
         s15 = -acc / 2 ** 18
         return MuellerForms(g2=g2, s5=s5, s6=s6, s10=s10, s15=s15)
 

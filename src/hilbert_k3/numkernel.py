@@ -62,9 +62,12 @@ class PrecisionPolicy:
 def default_policy() -> PrecisionPolicy:
     """Policy from the environment (HILBERT_K3_PREC, in bits) or 128 bits."""
     bits = os.environ.get(PRECISION_ENV_VAR)
-    if bits:
+    if not bits:
+        return PrecisionPolicy()
+    try:
         return PrecisionPolicy(mantissa_bits=int(bits))
-    return PrecisionPolicy()
+    except ValueError as exc:
+        raise ValueError(f"{PRECISION_ENV_VAR}={bits!r}: {exc}") from None
 
 
 @contextmanager

@@ -18,8 +18,7 @@ from .lattice import j_map
 from .moduli import K2_LOCUS, RankDeficient, continuation_invert, match_projective_maps, newton_invert
 from .numkernel import PrecisionPolicy, working_precision
 from .periods import restricted_ode_X
-from .polynomials import (RationalFunction, SparsePoly, UniPoly, gauss_jordan,
-                          series_inverse, series_mul)
+from .polynomials import FormalSeries, RationalFunction, SparsePoly, UniPoly, gauss_jordan
 
 V = ("X", "Y")
 
@@ -134,7 +133,12 @@ class _FactoredRF:
     def to_rational(self) -> RationalFunction:
         return RationalFunction(self.num, self._den_poly())
 
-    def __add__(self, other: "_FactoredRF") -> "_FactoredRF":
+    @staticmethod
+    def _coerce(other) -> "_FactoredRF":
+        return other if isinstance(other, _FactoredRF) else _FactoredRF.const(other)
+
+    def __add__(self, other) -> "_FactoredRF":
+        other = self._coerce(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -151,13 +155,20 @@ class _FactoredRF:
             return n
         return _FactoredRF(lift(self) + lift(other), union)
 
+    __radd__ = __add__
+
     def __neg__(self) -> "_FactoredRF":
         return _FactoredRF(-self.num, self.den, cancel=False)
 
-    def __sub__(self, other: "_FactoredRF") -> "_FactoredRF":
-        return self + (-other)
+    def __sub__(self, other) -> "_FactoredRF":
+        return self + (-self._coerce(other))
 
-    def __mul__(self, other: "_FactoredRF") -> "_FactoredRF":
+    def __rsub__(self, other) -> "_FactoredRF":
+        return -self + other
+
+    def __mul__(self, other) -> "_FactoredRF":
+        if not isinstance(other, _FactoredRF):
+            return _FactoredRF(self.num * other, self.den, cancel=False)
         if self.is_zero() or other.is_zero():
             return _FactoredRF.const(0)
         den = dict(self.den)
@@ -165,8 +176,7 @@ class _FactoredRF:
             den[f] = den.get(f, 0) + e
         return _FactoredRF(self.num * other.num, den)
 
-    def scale(self, c: Fraction) -> "_FactoredRF":
-        return _FactoredRF(self.num * c, self.den, cancel=False)
+    __rmul__ = __mul__
 
     def __rtruediv__(self, c) -> "_FactoredRF":
         """c / self for a rational constant c."""
@@ -201,123 +211,37 @@ class _FactoredRF:
 _REL_PREC = 8
 
 
-class _YSeries:
-    """Laurent series in Y with exact univariate rational functions of X as
-    coefficients, truncated at an explicitly tracked order.
-
-    Everything read below the tracked precision is exact; the elimination
-    only ever needs the Y^0 coefficients of ratios at the end.
-    """
-
-    __slots__ = ("val", "coeffs", "prec")
-
-    def __init__(self, val: int, coeffs: list[_FactoredRF], prec: int):
-        self.val = val
-        self.coeffs = coeffs
-        self.prec = prec
-
-    @classmethod
-    def zero(cls, prec: int) -> "_YSeries":
-        return cls(0, [], prec)
-
-    @classmethod
-    def from_quotient(cls, f: Quotient) -> "_YSeries":
-        return cls._from_poly(f.num).mul(cls._from_poly(f.den).inverse())
-
-    @staticmethod
-    def _from_poly(p: SparsePoly) -> "_YSeries":
-        rows = p.coeff_list("Y")
-        if not rows:
-            return _YSeries(0, [], _REL_PREC)
-        val = next(j for j, c in enumerate(rows) if c)
-        coeffs = [_FactoredRF(UniPoly.from_sparse(c, "X"), {}, cancel=False)
-                  for c in rows[val:]]
-        return _YSeries(val, coeffs, val + max(_REL_PREC, len(rows) - val))
-
-    def normalized(self) -> "_YSeries":
-        c = list(self.coeffs)
-        v = self.val
-        while c and c[0].is_zero():
-            c.pop(0)
-            v += 1
-        return _YSeries(v, c, self.prec)
-
-    def valuation(self) -> int:
-        s = self.normalized()
-        return s.val if s.coeffs else s.prec
-
-    def coefficient(self, j: int) -> RationalFunction:
-        if j >= self.prec:
-            raise EliminationFailed(
-                f"Y-order {j} beyond tracked precision {self.prec}")
-        k = j - self.val
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k].to_rational()
-        return RationalFunction(0)
-
-    def _padded(self, val: int, prec: int) -> list[_FactoredRF]:
-        zero = _FactoredRF.const(0)
-        out = []
-        for j in range(val, prec):
-            k = j - self.val
-            out.append(self.coeffs[k] if 0 <= k < len(self.coeffs) else zero)
-        return out
-
-    def add(self, other: "_YSeries") -> "_YSeries":
-        val = min(self.val, other.val)
-        prec = min(self.prec, other.prec)
-        a = self._padded(val, prec)
-        b = other._padded(val, prec)
-        return _YSeries(val, [x + y for x, y in zip(a, b)], prec)
-
-    def neg(self) -> "_YSeries":
-        return _YSeries(self.val, [-c for c in self.coeffs], self.prec)
-
-    def sub(self, other: "_YSeries") -> "_YSeries":
-        return self.add(other.neg())
-
-    def mul(self, other: "_YSeries") -> "_YSeries":
-        a, b = self.normalized(), other.normalized()
-        if not a.coeffs or not b.coeffs:
-            prec = min(self.prec + other.valuation(), other.prec + self.valuation())
-            return _YSeries(0, [], prec)
-        val = a.val + b.val
-        prec = min(a.prec + b.val, b.prec + a.val)
-        return _YSeries(val, series_mul(a.coeffs, b.coeffs, prec - val), prec)
-
-    def inverse(self) -> "_YSeries":
-        s = self.normalized()
-        if not s.coeffs:
-            raise ZeroDivisionError("inverting a series that vanishes to precision")
-        n = s.prec - s.val
-        return _YSeries(-s.val, series_inverse(s.coeffs, n), -s.val + n)
-
-    def derivative_X(self) -> "_YSeries":
-        return _YSeries(self.val, [c.derivative() for c in self.coeffs], self.prec)
-
-    def derivative_Y(self) -> "_YSeries":
-        out = [c.scale(Fraction(self.val + k)) for k, c in enumerate(self.coeffs)]
-        return _YSeries(self.val - 1, out, self.prec - 1)
-
-    def derivative(self, var: str) -> "_YSeries":
-        return self.derivative_X() if var == "X" else self.derivative_Y()
+def _y_series(p: SparsePoly) -> FormalSeries:
+    """p as a Laurent series in Y over Q(X), known to Y-order
+    val + max(_REL_PREC, len - val) for a polynomial of len Y-coefficients."""
+    rows = p.coeff_list("Y")
+    if not rows:
+        return FormalSeries("Y", 0, [], _REL_PREC)
+    val = next(j for j, c in enumerate(rows) if c)
+    coeffs = [_FactoredRF(UniPoly.from_sparse(c, "X"), {}, cancel=False)
+              for c in rows[val:]]
+    return FormalSeries("Y", val, coeffs, val + max(_REL_PREC, len(rows) - val))
 
 
-Vector = tuple[_YSeries, _YSeries, _YSeries, _YSeries]
+def _d_dX(s: FormalSeries) -> FormalSeries:
+    return FormalSeries(s.var, s.expo, [c.derivative() for c in s.coeffs], s.prec)
+
+
+Vector = tuple[FormalSeries, FormalSeries, FormalSeries, FormalSeries]
+_ONE = FormalSeries("Y", 0, [_FactoredRF.const(1)], _REL_PREC)
 
 
 def _vec_const(k: int) -> Vector:
-    one = _YSeries(0, [_FactoredRF.const(1)], _REL_PREC)
-    return tuple(one if i == k else _YSeries.zero(_REL_PREC)
+    return tuple(_ONE if i == k else FormalSeries("Y", 0, [], _REL_PREC)
                  for i in range(4))  # type: ignore[return-value]
 
 
 def _vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x.add(y) for x, y in zip(a, b))  # type: ignore[return-value]
+    return tuple(x + y for x, y in zip(a, b))  # type: ignore[return-value]
 
 
-def _vec_scale(c: _YSeries, a: Vector) -> Vector:
-    return tuple(c.mul(x) for x in a)  # type: ignore[return-value]
+def _vec_scale(c: FormalSeries, a: Vector) -> Vector:
+    return tuple(c * x for x in a)  # type: ignore[return-value]
 
 
 class _JetReducer:
@@ -332,8 +256,10 @@ class _JetReducer:
 
     def __init__(self):
         pde = build_pde()
-        s = {name: _YSeries.from_quotient(getattr(pde, name))
-             for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1")}
+        s = {}
+        for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
+            q = getattr(pde, name)
+            s[name] = _y_series(q.num) * _y_series(q.den).inverse()
         self.s = s
         self.table: dict[Jet, Vector] = {jet: _vec_const(i)
                                          for i, jet in enumerate(BASIS)}
@@ -342,20 +268,18 @@ class _JetReducer:
 
         # u_XXY = known21 + L1 u_XYY ; u_XYY = known12 + M1 u_XXY
         known21 = _vec_add(
-            _vec_add(_vec_scale(s["L1"].derivative_Y().add(s["A1"]), _vec_const(3)),
-                     _vec_scale(s["A1"].derivative_Y(), _vec_const(1))),
-            _vec_add(_vec_scale(s["B1"].derivative_Y().add(s["P1"]), _vec_const(2)),
-                     _vec_add(_vec_scale(s["P1"].derivative_Y(), _vec_const(0)),
+            _vec_add(_vec_scale(s["L1"].derivative() + s["A1"], _vec_const(3)),
+                     _vec_scale(s["A1"].derivative(), _vec_const(1))),
+            _vec_add(_vec_scale(s["B1"].derivative() + s["P1"], _vec_const(2)),
+                     _vec_add(_vec_scale(s["P1"].derivative(), _vec_const(0)),
                               _vec_scale(s["B1"], self.table[(0, 2)]))))
         known12 = _vec_add(
-            _vec_add(_vec_scale(s["M1"].derivative_X().add(s["D1"]), _vec_const(3)),
-                     _vec_scale(s["C1"].derivative_X().add(s["Q1"]), _vec_const(1))),
-            _vec_add(_vec_scale(s["D1"].derivative_X(), _vec_const(2)),
-                     _vec_add(_vec_scale(s["Q1"].derivative_X(), _vec_const(0)),
+            _vec_add(_vec_scale(_d_dX(s["M1"]) + s["D1"], _vec_const(3)),
+                     _vec_scale(_d_dX(s["C1"]) + s["Q1"], _vec_const(1))),
+            _vec_add(_vec_scale(_d_dX(s["D1"]), _vec_const(2)),
+                     _vec_add(_vec_scale(_d_dX(s["Q1"]), _vec_const(0)),
                               _vec_scale(s["C1"], self.table[(2, 0)]))))
-        one = _YSeries(0, [_FactoredRF.const(1)], _REL_PREC)
-        det = one.sub(s["L1"].mul(s["M1"]))
-        inv = det.inverse()
+        inv = (_ONE - s["L1"] * s["M1"]).inverse()
         self.table[(2, 1)] = _vec_scale(inv, _vec_add(known21,
                                                       _vec_scale(s["L1"], known12)))
         self.table[(1, 2)] = _vec_add(known12,
@@ -376,7 +300,7 @@ class _JetReducer:
     def derivative(self, vec: Vector, var: str) -> Vector:
         """d/dvar of sum c_beta u_beta, re-reduced to the basis."""
         step = (1, 0) if var == "X" else (0, 1)
-        out = tuple(c.derivative(var) for c in vec)
+        out = tuple(_d_dX(c) if var == "X" else c.derivative() for c in vec)
         for c, beta in zip(vec, BASIS):
             shifted = (beta[0] + step[0], beta[1] + step[1])
             out = _vec_add(out, _vec_scale(c, self.reduce(shifted)))
@@ -397,18 +321,21 @@ def eliminate_to_restricted_ode() -> DiffOperator:
     red.reduce((3, 0))
     red.reduce((4, 0))
     v2, v3, v4 = red.table[(2, 0)], red.table[(3, 0)], red.table[(4, 0)]
-    a2 = v3[2].mul(v4[3]).sub(v4[2].mul(v3[3]))
-    a3 = v4[2].mul(v2[3]).sub(v2[2].mul(v4[3]))
-    a4 = v2[2].mul(v3[3]).sub(v3[2].mul(v2[3]))
-    a1 = a2.mul(v2[1]).add(a3.mul(v3[1])).add(a4.mul(v4[1])).neg()
-    a0 = a2.mul(v2[0]).add(a3.mul(v3[0])).add(a4.mul(v4[0])).neg()
+    a2 = v3[2] * v4[3] - v4[2] * v3[3]
+    a3 = v4[2] * v2[3] - v2[2] * v4[3]
+    a4 = v2[2] * v3[3] - v3[2] * v2[3]
+    a1 = -(a2 * v2[1] + a3 * v3[1] + a4 * v4[1])
+    a0 = -(a2 * v2[0] + a3 * v3[0] + a4 * v4[0])
     inv_lead = a4.inverse()
     coeffs = []
     for a in (a0, a1, a2, a3):
-        ratio = a.mul(inv_lead)
+        ratio = a * inv_lead
         if ratio.valuation() < 0:
             raise EliminationFailed("restricted coefficient has a pole on Y = 0")
-        coeffs.append(ratio.coefficient(0))
+        if ratio.prec <= 0:
+            raise EliminationFailed(f"Y-order 0 beyond tracked precision {ratio.prec}")
+        c = ratio.coefficient(0)
+        coeffs.append(c.to_rational() if c else RationalFunction(0))
     return DiffOperator("X", coeffs + [RationalFunction(1)])
 
 
@@ -422,10 +349,10 @@ def verify_mixed_jet_compatibility() -> dict:
     consistent = True
     checked = None
     for a, b in zip(via_y, via_x):
-        diff = a.sub(b).normalized()
-        span = diff.prec - diff.val if diff.coeffs else diff.prec - min(a.val, b.val)
+        diff = a - b
+        span = diff.prec - (diff.expo if diff.is_zero_to_precision() else diff.valuation())
         checked = span if checked is None else min(checked, span)
-        if any(not c.is_zero() for c in diff.coeffs):
+        if not diff.is_zero_to_precision():
             consistent = False
     return {"consistent": consistent, "compared_orders": int(checked or 0)}
 
@@ -445,58 +372,42 @@ def verify_pde_restriction() -> dict:
 # -------------------------------------------------------- local Taylor theory
 
 
-class _BiSeries:
-    """Truncated bivariate Taylor series at a base point, exact over Q."""
-
-    __slots__ = ("terms", "order")
-
-    def __init__(self, terms: dict[Jet, Fraction], order: int):
-        self.order = order
-        self.terms = {k: v for k, v in terms.items()
-                      if v and k[0] + k[1] <= order}
-
-    @classmethod
-    def from_poly(cls, p: SparsePoly, base: tuple[Fraction, Fraction], order: int):
-        shifted = p.shift({"X": base[0], "Y": base[1]})
-        return cls({(e[0], e[1]): c for e, c in shifted.terms.items()}, order)
-
-    def mul(self, other: "_BiSeries") -> "_BiSeries":
-        out: dict[Jet, Fraction] = {}
-        for (i, j), a in self.terms.items():
-            for (k, l), b in other.terms.items():
-                if i + k + j + l > self.order:
-                    continue
-                key = (i + k, j + l)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return _BiSeries(out, self.order)
-
-    def inverse(self) -> "_BiSeries":
-        c0 = self.terms.get((0, 0), Fraction(0))
-        if c0 == 0:
-            raise SingularBasePoint("denominator vanishes at the base point")
-        inv = {(0, 0): 1 / c0}
-        rest = {k: v for k, v in self.terms.items() if k != (0, 0)}
-        # Newton-free: solve degree by degree
-        for d in range(1, self.order + 1):
-            for i in range(d + 1):
-                key = (i, d - i)
-                acc = Fraction(0)
-                for (p, q), a in rest.items():
-                    r = (key[0] - p, key[1] - q)
-                    if r[0] >= 0 and r[1] >= 0:
-                        acc += a * inv.get(r, Fraction(0))
-                inv[key] = -acc / c0
-        return _BiSeries(inv, self.order)
+def _taylor_series(p: SparsePoly, base: tuple[Fraction, Fraction], order: int) -> FormalSeries:
+    """p(X0 + dX, Y0 + dY) as a series in dY whose dY^k coefficient is a
+    series in dX known to total order `order`, that is to dX^(order - k)."""
+    rows = p.shift({"X": base[0], "Y": base[1]}).coeff_list("Y")[:order + 1]
+    return FormalSeries("dY", 0, [
+        FormalSeries("dX", 0, UniPoly.from_sparse(row, "X").coefficients()[:order + 1 - k],
+                     order + 1 - k)
+        for k, row in enumerate(rows)], order + 1)
 
 
-def _coefficient_series(base: tuple[Fraction, Fraction], order: int) -> dict[str, _BiSeries]:
+def _coefficient_series(base: tuple[Fraction, Fraction], order: int) -> dict[str, FormalSeries]:
+    """The eight coefficients of the system as Taylor series at the base
+    point (see `_taylor_series`), known to total order `order`."""
     pde = build_pde()
+    at = {"X": base[0], "Y": base[1]}
     out = {}
     for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
         rf: Quotient = getattr(pde, name)
-        num = _BiSeries.from_poly(rf.num, base, order)
-        den = _BiSeries.from_poly(rf.den, base, order)
-        out[name] = num.mul(den.inverse())
+        if not rf.den.evaluate(at):
+            raise SingularBasePoint("denominator vanishes at the base point")
+        num = _taylor_series(rf.num, base, order)
+        out[name] = num * _taylor_series(rf.den, base, order).inverse()
+    return out
+
+
+def _triangle(s: FormalSeries, order: int) -> dict[Jet, Fraction]:
+    """The nonzero coefficients of dX^i dY^j in a Taylor series at the base
+    point, for i + j <= order; reading past its precision raises."""
+    out = {}
+    for j in range(order + 1):
+        row = s.coefficient(j)
+        if row:  # a row that is not stored is zero
+            for i in range(order + 1 - j):
+                c = row.coefficient(i)
+                if c:
+                    out[(i, j)] = c
     return out
 
 
@@ -507,61 +418,58 @@ class JetBasisSolution:
     grids: tuple[dict[Jet, Fraction], ...]  # one grid per free jet
 
 
-def taylor_solution(base, jets, order: int,
-                    coeff_series: dict[str, _BiSeries] | None = None) -> dict[Jet, Fraction]:
-    """Taylor coefficients of the solution with prescribed
-    (u, u_X, u_Y, u_XY)(base), generated level by level; the overdetermined
-    level systems are solved exactly and any inconsistency raises."""
+def taylor_solutions(base, jet_values, order: int,
+                     coeff_series: dict[str, FormalSeries] | None = None
+                     ) -> list[dict[Jet, Fraction]]:
+    """Taylor coefficients to total order `order` of the solutions with
+    prescribed (u, u_X, u_Y, u_XY)(base), one grid per entry of `jet_values`,
+    generated level by level.  A level's overdetermined system is the same
+    for every solution, so it is solved once, exactly, with one right-hand
+    side per solution; any inconsistency raises.  `coeff_series` defaults to
+    `_coefficient_series` at total order order - 2, the highest a level reads."""
     base = (Fraction(base[0]), Fraction(base[1]))
-    cs = coeff_series or _coefficient_series(base, order)
-    t: dict[Jet, Fraction] = {
-        (0, 0): Fraction(jets[0]), (1, 0): Fraction(jets[1]),
-        (0, 1): Fraction(jets[2]), (1, 1): Fraction(jets[3]),
-    }
-
-    def series_coeff(name: str, i: int, j: int) -> Fraction:
-        return cs[name].terms.get((i, j), Fraction(0))
-
-    def known(i: int, j: int) -> Fraction:
-        return t[(i, j)]
+    cs = coeff_series or _coefficient_series(base, max(order - 2, 0))
+    tri = {name: _triangle(series, order - 2) for name, series in cs.items()}
+    grids = [dict(zip(BASIS, map(Fraction, jets))) for jets in jet_values]
 
     for d in range(2, order + 1):
         unknowns = [(k, d - k) for k in range(d + 1)]
         index = {jet: k for k, jet in enumerate(unknowns)}
         rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
 
         def coefficient_rows(which: str, i: int, j: int):
-            """Linear equation from equation E_which at series order (i, j)."""
+            """Linear equation from equation E_which at series order (i, j):
+            the level-d jets go to the row, each known jet, with its
+            coefficient, to every right-hand side."""
             row = [Fraction(0)] * (d + 1)
-            b = Fraction(0)
+            known: list[tuple[Fraction, Jet]] = []
             if which == "E1":
-                lead, cross, cA, cB, cP = "L1", (i + 1, j + 1), "A1", "B1", "P1"
+                lead, cA, cB, cP = tri["L1"], tri["A1"], tri["B1"], tri["P1"]
                 row[index[(i + 2, j)]] += Fraction((i + 1) * (i + 2))
             else:
-                lead, cross, cA, cB, cP = "M1", (i + 1, j + 1), "C1", "D1", "Q1"
+                lead, cA, cB, cP = tri["M1"], tri["C1"], tri["D1"], tri["Q1"]
                 row[index[(i, j + 2)]] += Fraction((j + 1) * (j + 2))
             for p in range(i + 1):
                 for q in range(j + 1):
                     ii, jj = i - p, j - q
-                    cxy = series_coeff(lead, p, q) * (ii + 1) * (jj + 1)
+                    cxy = lead.get((p, q), 0) * (ii + 1) * (jj + 1)
                     if cxy:
                         jet = (ii + 1, jj + 1)
                         if jet[0] + jet[1] == d:
                             row[index[jet]] -= cxy
                         else:
-                            b += cxy * known(*jet)
-                    cx = series_coeff(cA, p, q) * (ii + 1)
+                            known.append((cxy, jet))
+                    cx = cA.get((p, q), 0) * (ii + 1)
                     if cx:
-                        b += cx * known(ii + 1, jj)
-                    cy = series_coeff(cB, p, q) * (jj + 1)
+                        known.append((cx, (ii + 1, jj)))
+                    cy = cB.get((p, q), 0) * (jj + 1)
                     if cy:
-                        b += cy * known(ii, jj + 1)
-                    cu = series_coeff(cP, p, q)
+                        known.append((cy, (ii, jj + 1)))
+                    cu = cP.get((p, q), 0)
                     if cu:
-                        b += cu * known(ii, jj)
-            rows.append(row)
-            rhs.append(b)
+                        known.append((cu, (ii, jj)))
+            rows.append(row + [sum((c * t[jet] for c, jet in known), Fraction(0))
+                               for t in grids])
 
         for k in range(2, d + 1):
             coefficient_rows("E1", k - 2, d - k)
@@ -570,28 +478,26 @@ def taylor_solution(base, jets, order: int,
         if d == 2:
             row = [Fraction(0)] * 3
             row[index[(1, 1)]] = Fraction(1)
-            rows.append(row)
-            rhs.append(t[(1, 1)])
+            rows.append(row + [t[(1, 1)] for t in grids])
 
-        m = [row + [b] for row, b in zip(rows, rhs)]
         n = d + 1
-        pivots = gauss_jordan(m, n)
-        if any(row[n] != 0 for row in m[len(pivots):]):
+        pivots = gauss_jordan(rows, n)
+        if any(any(row[n:]) for row in rows[len(pivots):]):
             raise InconsistentReduction(
                 f"level {d} system inconsistent at base {base}")
         if len(pivots) < n:
             raise InconsistentReduction(f"level {d} system underdetermined")
-        for row, c in zip(m, pivots):
-            t[unknowns[c]] = row[n]
-    return t
+        for row, c in zip(rows, pivots):
+            for t, value in zip(grids, row[n:]):
+                t[unknowns[c]] = value
+    return grids
 
 
 def taylor_basis(base, order: int) -> JetBasisSolution:
     base = (Fraction(base[0]), Fraction(base[1]))
-    cs = _coefficient_series(base, order)
     units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    grids = tuple(taylor_solution(base, u, order, cs) for u in units)
-    return JetBasisSolution(base=base, order=order, grids=grids)
+    return JetBasisSolution(base=base, order=order,
+                            grids=tuple(taylor_solutions(base, units, order)))
 
 
 def evaluate_grid(grid: dict[Jet, Fraction], dx: Fraction, dy: Fraction) -> Fraction:
@@ -609,9 +515,15 @@ def estimate_singular_distance(base, grid_half_width: float = 1.5,
     """Numeric estimate of the distance from the base point to the union of
     the singular loci (the two coordinate axes, 36X^2 - 32X - Y = 0, and the
     quintic locus), used only to set safe sampling radii."""
+    return _singular_distance(float(base[0]), float(base[1]), grid_half_width, resolution)
+
+
+@functools.cache
+def _singular_distance(x0: float, y0: float, grid_half_width: float,
+                       resolution: int) -> float:
+    """estimate_singular_distance at (x0, y0); one np.roots call per grid point."""
     import numpy as np
 
-    x0, y0 = float(base[0]), float(base[1])
     best = min(abs(x0), abs(y0))
     k2_coeffs = [UniPoly.from_sparse(c, "X").coefficients() for c in K2_LOCUS.coeff_list("Y")]
 

@@ -13,12 +13,12 @@ from typing import Sequence
 
 import mpmath
 
-from .diffops import DiffOperator, FormalSeries, LogSeries, series_solve
+from .diffops import DiffOperator, LogSeries, series_solve
 from .elliptic import eisenstein_and_J
 from .moduli import moduli_XYZ
 from .numkernel import NonConvergent, PrecisionPolicy, to_mpc, working_precision
 from .polynomials import RationalFunction as RF
-from .polynomials import UniPoly, series_mul
+from .polynomials import FormalSeries, UniPoly, series_mul
 
 
 class NoSchwarzConvergence(Exception):

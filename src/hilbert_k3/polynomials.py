@@ -13,6 +13,10 @@
   quotient of UniPolys; the coefficients of differential operators over Q(t).
 * `series_mul` / `series_inverse`: truncated power-series product and
   inverse, over Fractions or any exact field elements.
+* `FormalSeries`: the one truncated Laurent series, built on that pair, with
+  tracked precision.  Its coefficients may be Fractions (Frobenius solutions,
+  q-expansions), rational functions of X (the elimination's series in Y) or
+  FormalSeries themselves (Taylor series in two variables at a point).
 * `gauss_jordan`: exact Gauss-Jordan elimination over Q.
 """
 
@@ -743,6 +747,126 @@ def series_inverse(a: Sequence, n: int) -> list:
                 acc = acc + a[j] * out[k - j]
         out.append(-(acc * first))
     return out[:n]
+
+
+class FormalSeries:
+    """var^expo * (c_0 + c_1 var + ...), known modulo var^prec.
+
+    The coefficients are Fractions or any exact field elements with +, -, *,
+    constant / element and a falsy zero, such as `pde._FactoredRF` or another
+    FormalSeries.  The exponents are ints or Fractions; two series add only
+    when their exponents differ by an integer.  Arithmetic never claims a
+    coefficient at or past `prec`: a sum is known to the lower precision, and
+    a product of series known to var^p and var^q, of valuations v and w, to
+    var^min(p + w, q + v).
+
+    A FormalSeries is truthy even when it vanishes to its precision, so that
+    `series_mul` and `series_inverse`, which skip falsy coefficients, never
+    drop the precision bound a nested series carries.
+    """
+
+    __slots__ = ("var", "expo", "coeffs", "prec")
+
+    def __init__(self, var: str, expo, coeffs: Sequence, prec=None):
+        self.var = var
+        self.expo = expo
+        self.coeffs = list(coeffs)
+        self.prec = expo + len(self.coeffs) if prec is None else prec
+
+    def is_zero_to_precision(self) -> bool:
+        return not any(self.coeffs)
+
+    def valuation(self):
+        """Exponent of the first nonzero coefficient; prec for a series that
+        vanishes to its precision."""
+        return next((self.expo + n for n, c in enumerate(self.coeffs) if c), self.prec)
+
+    def coefficient(self, exponent):
+        """Coefficient of var^exponent (must be below the precision); a
+        coefficient that is not stored reads as Fraction(0)."""
+        if exponent >= self.prec:
+            raise ValueError("coefficient beyond truncation order")
+        n = exponent - self.expo
+        if n.denominator != 1 or not 0 <= n < len(self.coeffs):
+            return Fraction(0)
+        return self.coeffs[int(n)]
+
+    def _aligned(self, other: "FormalSeries") -> tuple:
+        """(expo, prec, a, b): both coefficient lists from the lower exponent
+        up to the lower precision."""
+        if (self.expo - other.expo).denominator != 1:
+            raise ValueError("cannot add series with non-integer exponent offset")
+        expo, prec = min(self.expo, other.expo), min(self.prec, other.prec)
+        ref = (self.coeffs or other.coeffs or [None])[0]
+        if ref is None:
+            return expo, prec, [], []
+        zero, n = ref - ref, int(prec - expo)
+
+        def padded(s: FormalSeries) -> list:
+            out = ([zero] * int(s.expo - expo) + s.coeffs)[:n]
+            return out + [zero] * (n - len(out))
+        return expo, prec, padded(self), padded(other)
+
+    def __add__(self, other: "FormalSeries") -> "FormalSeries":
+        expo, prec, a, b = self._aligned(other)
+        return FormalSeries(self.var, expo, [x + y for x, y in zip(a, b)], prec)
+
+    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
+        return self + (-other)
+
+    def __neg__(self) -> "FormalSeries":
+        return FormalSeries(self.var, self.expo, [-c for c in self.coeffs], self.prec)
+
+    def shift_exponent(self, k) -> "FormalSeries":
+        """var^k * self."""
+        return FormalSeries(self.var, self.expo + k, self.coeffs, self.prec + k)
+
+    def __mul__(self, other) -> "FormalSeries":
+        """The product with another series, or with a coefficient-field constant."""
+        if not isinstance(other, FormalSeries):
+            return FormalSeries(self.var, self.expo, [c * other for c in self.coeffs], self.prec)
+        va, vb = self.valuation(), other.valuation()
+        prec = min(self.prec + vb, other.prec + va)
+        if va == self.prec or vb == other.prec:
+            return FormalSeries(self.var, va + vb, [], prec)
+        a = self.coeffs[int(va - self.expo):]
+        b = other.coeffs[int(vb - other.expo):]
+        return FormalSeries(self.var, va + vb, series_mul(a, b, int(prec - va - vb)), prec)
+
+    def inverse(self) -> "FormalSeries":
+        """1 / self, to as many terms as self is known past its valuation v;
+        the inverse starts at var^-v."""
+        v = self.valuation()
+        if v == self.prec:
+            raise ZeroDivisionError("inverting a series that vanishes to its precision")
+        n = int(self.prec - v)
+        return FormalSeries(self.var, -v, series_inverse(self.coeffs[int(v - self.expo):], n),
+                            n - v)
+
+    def __rtruediv__(self, c) -> "FormalSeries":
+        """c / self for a coefficient-field constant c."""
+        return self.inverse() * c
+
+    def derivative(self) -> "FormalSeries":
+        coeffs = [(self.expo + n) * c for n, c in enumerate(self.coeffs)]
+        return FormalSeries(self.var, self.expo - 1, coeffs, self.prec - 1)
+
+    def multiply_rational(self, f: RationalFunction) -> "FormalSeries":
+        """self * f, with f expanded in powers of var; a pole of f at 0 lowers
+        the exponent by its order."""
+        if f.is_zero():
+            return FormalSeries(self.var, self.expo, [], self.prec)
+        v = f.den.valuation()
+        expo, prec = self.expo - v, self.prec + f.num.valuation() - v
+        n = int(prec - expo)
+        num = series_mul(self.coeffs, f.num.coefficients(), n)
+        unit = f.den.coefficients()[v:v + n]
+        return FormalSeries(self.var, expo, series_mul(num, series_inverse(unit, n), n), prec)
+
+    def __repr__(self) -> str:
+        bits = [f"{c}*{self.var}^{self.expo + n}" for n, c in enumerate(self.coeffs) if c]
+        body = " + ".join(bits) if bits else "0"
+        return f"{body} + O({self.var}^{self.prec})"
 
 
 # ------------------------------------------------------------ linear algebra

@@ -93,6 +93,26 @@ def test_usage_error_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["--prec", "20"], None, "at least 53"),
+    (["--prec", "-3"], None, "at least 53"),
+    (["--prec", "0"], None, "at least 53"),
+    ([], "abc", "HILBERT_K3_PREC='abc'"),
+    ([], "20", "HILBERT_K3_PREC='20'"),
+])
+def test_bad_precision_exits_two_with_message(capsys, monkeypatch, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("HILBERT_K3_PREC", raising=False)
+    else:
+        monkeypatch.setenv("HILBERT_K3_PREC", env)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["series", "jfunction", "--order", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonexistent"])

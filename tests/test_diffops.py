@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from hilbert_k3.diffops import (DiffOperator, FormalSeries, IrregularSingular,
-                                NonRationalRoot, indicial_exponents, series_solve)
+from hilbert_k3.diffops import (DiffOperator, IrregularSingular, NonRationalRoot,
+                                indicial_exponents, series_solve)
 from hilbert_k3.periods import (gauss_operator, hypergeom_coefficients,
                                 restricted_ode_X, restricted_operators)
-from hilbert_k3.polynomials import RationalFunction, UniPoly
+from hilbert_k3.polynomials import FormalSeries, RationalFunction, UniPoly
 
 
 def _t():

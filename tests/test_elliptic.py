@@ -6,7 +6,7 @@ import pytest
 
 from hilbert_k3.elliptic import (NotInUpperHalfPlane, UHPoint, eisenstein_and_J,
                                  j_qexpansion, jacobi_theta, theta_delta_identity)
-from hilbert_k3.numkernel import working_precision
+from hilbert_k3.numkernel import to_mpc, working_precision
 
 
 def test_uhp_validation():
@@ -84,7 +84,7 @@ def test_theta_delta_identity(policy):
 
 def test_j_qexpansion_leading_coefficients():
     qe = j_qexpansion(2)
-    assert qe.leading_exponent == -1
+    assert (qe.expo, qe.prec) == (-1, 3)
     assert qe.coefficient(-1) == 1
     assert qe.coefficient(0) == 744
     assert qe.coefficient(1) == 196884
@@ -119,6 +119,9 @@ def test_qexpansion_evaluation_matches_eisenstein_path(policy):
         for _ in range(5):
             z = mpmath.mpc(round(rng.uniform(-0.5, 0.5), 6),
                            round(rng.uniform(0.8, 2.0), 6))
-            lhs = qe.evaluate(z, policy)
+            q = mpmath.exp(2j * mpmath.pi * z)
+            lhs = mpmath.mpc(0)
+            for k, c in enumerate(qe.coeffs):
+                lhs += to_mpc(c) * q ** (qe.expo + k)
             rhs = 1728 * eisenstein_and_J(z, policy).J
             assert abs(lhs - rhs) < policy.verify_tol * max(1, abs(rhs))

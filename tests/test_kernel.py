@@ -1,7 +1,7 @@
 """Property tests for the exact primitives in `polynomials`: the dense
 univariate kernel and the one-variable rational functions against sympy, the
-truncated-series pair over Fractions and over rational functions of X, and
-Gauss-Jordan through both of its callers."""
+truncated-series pair and `FormalSeries` over Fractions and over rational
+functions of X, and Gauss-Jordan through both of its callers."""
 
 from fractions import Fraction
 
@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_k3.lattice import mat_identity, mat_inverse_int, mat_mul
-from hilbert_k3.pde import InconsistentReduction, _BiSeries, _FactoredRF, taylor_solution
-from hilbert_k3.polynomials import RationalFunction, UniPoly, series_inverse, series_mul
+from hilbert_k3.pde import InconsistentReduction, _FactoredRF, taylor_solutions
+from hilbert_k3.polynomials import (FormalSeries, RationalFunction, UniPoly, series_inverse,
+                                    series_mul)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -173,6 +174,101 @@ def test_series_inverse_over_rational_functions(nums, den, n):
 
 
 @st.composite
+def series(draw, coefficients):
+    """x^expo (c_0 + c_1 x + ...) known to x^prec, with prec at or past the
+    last stored coefficient."""
+    coeffs = draw(st.lists(coefficients, max_size=5))
+    expo = draw(st.integers(min_value=-3, max_value=3))
+    return FormalSeries("x", expo, coeffs, expo + len(coeffs) + draw(st.integers(0, 2)))
+
+
+factored = st.builds(lambda num, den: _FactoredRF(num, {den: 1} if den.degree() > 0 else {}),
+                     st.lists(rationals, max_size=3).map(UniPoly),
+                     st.lists(rationals, min_size=1, max_size=3).map(UniPoly)
+                     .filter(bool).map(UniPoly.primitive))
+
+
+@PROPERTY
+@given(factored, rationals)
+def test_factored_rf_mixes_with_rational_constants(f, r):
+    g = f.to_rational()
+    assert (f + r).to_rational() == (r + f).to_rational() == g + r
+    assert (f - r).to_rational() == g - r
+    assert (r - f).to_rational() == RationalFunction(r) - g
+    assert (f * r).to_rational() == (r * f).to_rational() == g * r
+
+
+def laurent(s: FormalSeries):
+    return sum((rational(c) * x ** (s.expo + n) for n, c in enumerate(s.coeffs)),
+               sympy.Integer(0))
+
+
+@PROPERTY
+@given(series(rationals), series(rationals))
+def test_formal_series_sum_and_product_follow_the_precision_rules(a, b):
+    total, product = a + b, a * b
+    assert total.prec == min(a.prec, b.prec)
+    assert product.prec == min(a.prec + b.valuation(), b.prec + a.valuation())
+    exact_sum = sympy.expand(laurent(a) + laurent(b))
+    exact_product = sympy.expand(laurent(a) * laurent(b))
+    for k in range(min(a.expo, b.expo) - 1, total.prec):
+        assert total.coefficient(k) == exact_sum.coeff(x, k)
+    for k in range(a.expo + b.expo - 1, product.prec):
+        assert product.coefficient(k) == exact_product.coeff(x, k)
+    with pytest.raises(ValueError):
+        product.coefficient(product.prec)
+
+
+@PROPERTY
+@given(series(rationals).filter(lambda s: not s.is_zero_to_precision()))
+def test_formal_series_inverse_over_fractions(s):
+    v = s.valuation()
+    inv = s.inverse()
+    assert inv.expo == inv.valuation() == -v
+    one = s * inv
+    assert one.prec == s.prec - v
+    assert [one.coefficient(k) for k in range(one.prec)] == [1] + [0] * (one.prec - 1)
+
+
+@PROPERTY
+@given(series(factored), series(factored))
+def test_formal_series_sum_and_product_over_rational_functions(a, b):
+    def coeff(s, k):
+        c = s.coefficient(k)
+        return c.to_rational() if c else RationalFunction(0)
+
+    total, product = a + b, a * b
+    assert total.prec == min(a.prec, b.prec)
+    assert product.prec == min(a.prec + b.valuation(), b.prec + a.valuation())
+    for k in range(min(a.expo, b.expo), total.prec):
+        assert coeff(total, k) == coeff(a, k) + coeff(b, k)
+    for k in range(a.expo + b.expo, product.prec):
+        # a term past either precision multiplies a coefficient below the
+        # other's valuation, which is known to be zero
+        expected = RationalFunction(0)
+        for i in range(max(a.expo, k - b.prec + 1), min(a.prec, k - b.expo + 1)):
+            expected = expected + coeff(a, i) * coeff(b, k - i)
+        assert coeff(product, k) == expected
+
+
+@PROPERTY
+@given(series(factored).filter(lambda s: not s.is_zero_to_precision()))
+def test_formal_series_inverse_over_rational_functions(s):
+    v = s.valuation()
+    inv = s.inverse()
+    assert inv.expo == inv.valuation() == -v
+    one = s * inv
+    assert one.prec == s.prec - v
+    assert [one.coefficient(k).to_rational() for k in range(one.prec)] == \
+        [1] + [0] * (one.prec - 1)
+
+
+def test_formal_series_inverse_of_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        FormalSeries("x", 1, [Fraction(0), Fraction(0)]).inverse()
+
+
+@st.composite
 def unimodular_matrices(draw):
     """Products of random elementary integer matrices (det +-1)."""
     size = draw(st.integers(min_value=2, max_value=5))
@@ -203,7 +299,13 @@ def test_mat_inverse_int_rejects_singular_and_non_unimodular():
 
 
 def _series(**coeffs):
-    return {name: _BiSeries(coeffs.get(name, {}), 6)
+    """Taylor series at the base point known to total order 6: a series in dY
+    whose dY^j coefficient is a series in dX known to dX^(6 - j)."""
+    def series(terms):
+        return FormalSeries("dY", 0, [
+            FormalSeries("dX", 0, [terms.get((i, j), Fraction(0)) for i in range(7 - j)])
+            for j in range(7)])
+    return {name: series(coeffs.get(name, {}))
             for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1")}
 
 
@@ -212,11 +314,11 @@ def test_level_system_underdetermined_raises():
     # 2x2 block has determinant 1 - L1 M1), with a consistent right side
     cs = _series(L1={(0, 0): Fraction(1)}, M1={(0, 0): Fraction(1)})
     with pytest.raises(InconsistentReduction, match="underdetermined"):
-        taylor_solution((0, 0), (1, 1, 1, 1), 6, cs)
+        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6, cs)
 
 
 def test_level_system_inconsistent_raises():
     # u_XX = Y u and u_YY = 0 give u_XXYY = 2 u_Y = 0 at fourth order
     cs = _series(P1={(0, 1): Fraction(1)})
     with pytest.raises(InconsistentReduction, match="inconsistent"):
-        taylor_solution((0, 0), (1, 1, 1, 1), 6, cs)
+        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6, cs)

@@ -11,7 +11,7 @@ from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
                             estimate_singular_distance, evaluate_grid,
                             quadric_fit_from_vectors,
                             quadric_image_test, sampling_offsets, taylor_basis,
-                            taylor_solution, verify_mixed_jet_compatibility,
+                            taylor_solutions, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
 from hilbert_k3.periods import restricted_ode_X
 from hilbert_k3.polynomials import SparsePoly
@@ -49,6 +49,39 @@ def test_coefficients_in_lowest_terms():
     for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
         q = getattr(pde, name)
         assert sympy.gcd(to_sympy(q.num), to_sympy(q.den)).is_number, name
+
+
+@pytest.mark.parametrize("base", [BASE, (Fraction(3, 17), Fraction(5, 23))])
+def test_coefficient_series_match_sympy_derivatives(base):
+    """The dX^i dY^j coefficient of each coefficient's Taylor series is
+    d^i/dX^i d^j/dY^j f / (i! j!) at the base point, for i + j <= 4, with the
+    derivatives taken in sympy's field Q(X, Y)."""
+    import math
+
+    import sympy
+    field, xs, ys = sympy.field("X,Y", sympy.QQ)
+    x0, y0 = (sympy.QQ(c.numerator, c.denominator) for c in base)
+
+    def to_field(p):
+        return sum((sympy.QQ(c.numerator, c.denominator) * xs ** e[0] * ys ** e[1]
+                    for e, c in p.terms.items()), field.zero)
+
+    order = 4
+    cs = _coefficient_series(base, order)
+    pde = build_pde()
+    for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
+        q = getattr(pde, name)
+        d_dy = to_field(q.num) / to_field(q.den)
+        for j in range(order + 1):
+            row = cs[name].coefficient(j)
+            d_dxdy = d_dy
+            for i in range(order + 1 - j):
+                value = d_dxdy.numer(x0, y0) / d_dxdy.denom(x0, y0)
+                expected = value / (math.factorial(i) * math.factorial(j))
+                assert row.coefficient(i) == Fraction(int(expected.numerator),
+                                                      int(expected.denominator)), (name, i, j)
+                d_dxdy = d_dxdy.diff(xs)
+            d_dy = d_dy.diff(ys)
 
 
 def test_elimination_matches_restricted_equation():
@@ -93,11 +126,12 @@ def _residual_series(grid, base, order):
 
     def mul(series, g, cut):
         out = {}
-        for (p, q), a in series.terms.items():
-            for (i, j), b in g.items():
-                if p + i + q + j <= cut:
-                    key = (p + i, q + j)
-                    out[key] = out.get(key, Fraction(0)) + a * b
+        for q, row in enumerate(series.coeffs):
+            for p, a in enumerate(row.coeffs):
+                for (i, j), b in g.items():
+                    if p + i + q + j <= cut:
+                        key = (p + i, q + j)
+                        out[key] = out.get(key, Fraction(0)) + a * b
         return out
 
     def add(a, b, sign=1):
@@ -124,7 +158,7 @@ def _residual_series(grid, base, order):
 
 
 def test_taylor_solution_substitute_back():
-    grid = taylor_solution(BASE, (1, 0, 0, 0), 8)
+    grid = taylor_solutions(BASE, [(1, 0, 0, 0)], 8)[0]
     e1, e2, cut = _residual_series(grid, BASE, 8)
     for res in (e1, e2):
         for (i, j), c in res.items():
@@ -133,9 +167,9 @@ def test_taylor_solution_substitute_back():
 
 
 def test_taylor_solution_linearity():
-    a = taylor_solution(BASE, (1, 2, 3, 4), 6)
-    b = taylor_solution(BASE, (5, -1, 2, 0), 6)
-    ab = taylor_solution(BASE, (6, 1, 5, 4), 6)
+    a = taylor_solutions(BASE, [(1, 2, 3, 4)], 6)[0]
+    b = taylor_solutions(BASE, [(5, -1, 2, 0)], 6)[0]
+    ab = taylor_solutions(BASE, [(6, 1, 5, 4)], 6)[0]
     assert all(ab[k] == a[k] + b[k] for k in ab)
 
 
@@ -153,7 +187,7 @@ def test_integrability_at_random_bases():
         base = (Fraction(rng.randint(1, 9), rng.randint(10, 20)),
                 Fraction(rng.randint(1, 9), rng.randint(10, 20)))
         try:
-            taylor_solution(base, (1, 1, 1, 1), 8)
+            taylor_solutions(base, [(1, 1, 1, 1)], 8)
         except InconsistentReduction:
             pytest.fail(f"integrability violated at {base}")
         checked += 1
