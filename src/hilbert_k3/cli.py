@@ -21,7 +21,8 @@ from .fibrations import classify_fibers
 from .hilbert_theta import mueller_forms
 from .moduli import (JacobianSingular, NearZeroDenominator, NoConvergence, moduli_XYZ,
                      newton_invert)
-from .numkernel import PRECISION_ENV_VAR, PrecisionPolicy, default_policy, working_precision
+from .numkernel import (PRECISION_ENV_VAR, PrecisionPolicy, default_policy, to_mpf,
+                        working_precision)
 from .periods import hypergeom_coefficients
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -32,13 +33,14 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_complex(text: str):
     """Parse 'a+bi' with decimal or rational parts: '1.3i', '0.5+1.2i',
-    '-1/3+7/5i', '2', 'i'."""
+    '-1/3+7/5i', '2', 'i'.  The parts are read as exact fractions and rounded
+    once, at the current mpmath precision; call it inside working_precision."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty complex literal")
     if not s.endswith("i"):
         re_part = Fraction(s)
-        return mpmath.mpc(_frac_to_mpf(re_part), 0)
+        return mpmath.mpc(to_mpf(re_part), 0)
     body = s[:-1]
     # split off the imaginary coefficient: last top-level +/- not in position 0
     split = None
@@ -58,11 +60,7 @@ def parse_complex(text: str):
         im_part = Fraction(-1)
     else:
         im_part = Fraction(im_text)
-    return mpmath.mpc(_frac_to_mpf(re_part), _frac_to_mpf(im_part))
-
-
-def _frac_to_mpf(f: Fraction):
-    return mpmath.mpf(f.numerator) / f.denominator
+    return mpmath.mpc(to_mpf(re_part), to_mpf(im_part))
 
 
 def _nstr(x, digits: int = 30) -> str:
@@ -97,8 +95,8 @@ def _emit(payload, fmt: str) -> str:
 
 
 def cmd_forms(args, policy: PrecisionPolicy) -> tuple[int, object]:
-    p = (parse_complex(args.z1), parse_complex(args.z2))
     with working_precision(policy):
+        p = (parse_complex(args.z1), parse_complex(args.z2))
         f = mueller_forms(p, policy)
         x, y, z = moduli_XYZ(p, policy, forms=f)
         payload: dict = {}
@@ -139,8 +137,8 @@ def cmd_invert(args, policy: PrecisionPolicy) -> tuple[int, object]:
     guess_parts = args.guess.split(",")
     if len(guess_parts) != 2:
         raise ValueError("--guess needs the form z1,z2")
-    guess = (parse_complex(guess_parts[0]), parse_complex(guess_parts[1]))
     with working_precision(policy):
+        guess = (parse_complex(guess_parts[0]), parse_complex(guess_parts[1]))
         res = newton_invert(parse_complex(args.X), parse_complex(args.Y), guess, policy)
         payload = {"iterations": res.iterations, "residual": _nstr(res.residual, 8)}
         payload.update(_complex_fields("z1", res.z.z1))

@@ -46,9 +46,6 @@ class LogSeries:
         live = [l for l, s in self.parts.items() if not s.is_zero_to_precision()]
         return max(live) if live else 0
 
-    def component(self, l: int) -> FormalSeries | None:
-        return self.parts.get(l)
-
     def is_zero_to_precision(self) -> bool:
         return all(s.is_zero_to_precision() for s in self.parts.values())
 

@@ -22,17 +22,8 @@ class NotInUpperHalfPlane(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class UHPoint:
-    z: mpmath.mpc
-
-    def __post_init__(self):
-        if not (self.z.imag > 0):
-            raise NotInUpperHalfPlane(f"Im(z) must be positive, got {self.z}")
-
-
 def as_uhp(z) -> mpmath.mpc:
-    zc = to_mpc(z.z if isinstance(z, UHPoint) else z)
+    zc = to_mpc(z)
     if not (zc.imag > 0):
         raise NotInUpperHalfPlane(f"Im(z) must be positive, got {zc}")
     return zc
@@ -164,14 +155,3 @@ def eisenstein_and_J(z, policy: PrecisionPolicy | None = None) -> EllipticValues
         diff = e4 ** 3 - e6 ** 2
         delta = (64 * mpmath.pi ** 12 / 27) * diff
         return EllipticValues(E4=e4, E6=e6, Delta=delta, J=e4 ** 3 / diff)
-
-
-def theta_delta_identity(z, policy: PrecisionPolicy | None = None) -> mpmath.mpf:
-    """Relative residual of (1/1728)(3/(4 pi^4))^3 Delta = 2^-8 (t00 t01 t10)^8."""
-    with working_precision(policy) as pol:
-        vals = eisenstein_and_J(z, pol)
-        lhs = (mpmath.mpf(3) / (4 * mpmath.pi ** 4)) ** 3 * vals.Delta / 1728
-        prod = (jacobi_theta("00", z, pol) * jacobi_theta("01", z, pol)
-                * jacobi_theta("10", z, pol))
-        rhs = prod ** 8 / 256
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs))

@@ -1,10 +1,8 @@
 """Elliptic K3 surface charts for the two-parameter family, exact discriminants,
-Kodaira fiber classification, the boundary one-parameter family, and the
-birational transport back to the source family.
+Kodaira fiber classification and the boundary one-parameter family.
 
 Classification over Q is fully exact (squarefree decomposition, never floating
-root finding); a numeric fallback for complex parameters exists but is labeled
-non-certified.
+root finding).
 """
 
 from __future__ import annotations
@@ -13,9 +11,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .numkernel import PrecisionPolicy, to_mpc, working_precision
 from .polynomials import SparsePoly, UniPoly
 
 CHART_VARS = ("X", "Y", "y")
@@ -23,14 +18,6 @@ CHART_VARS = ("X", "Y", "y")
 
 class NonMinimal(Exception):
     """(v_g2, v_g3, v_disc) >= (4, 6, 12): caller must minimalize first."""
-
-
-class DegenerateSample(Exception):
-    pass
-
-
-class OutsideParameterDomain(Exception):
-    pass
 
 
 # ------------------------------------------------------------- Kodaira types
@@ -155,54 +142,6 @@ def family_charts_symbolic() -> tuple[WeierstrassChart, WeierstrassChart]:
     return chart0, chart_inf
 
 
-def displayed_discriminant_0() -> SparsePoly:
-    """The finite-chart discriminant as displayed: y^8 (27 Y^2 + 32000 X^3 y
-    - 7200 X Y y - ... - 16384 Y y^5)."""
-    y = SparsePoly.variable(CHART_VARS, "y")
-    X = SparsePoly.variable(CHART_VARS, "X")
-    Y = SparsePoly.variable(CHART_VARS, "Y")
-    inner = (27 * Y ** 2 + 32000 * X ** 3 * y - 7200 * X * Y * y
-             - 160000 * X ** 2 * y ** 2 + 32000 * Y * y ** 2 + 5760 * X * Y * y ** 2
-             + 256000 * X ** 2 * y ** 3 - 76800 * Y * y ** 3
-             - 102400 * X ** 2 * y ** 4 + 61440 * Y * y ** 4
-             - 16384 * Y * y ** 5)
-    return y ** 8 * inner
-
-
-def displayed_discriminant_infinity() -> SparsePoly:
-    y1 = SparsePoly.variable(CHART_VARS, "y")
-    X = SparsePoly.variable(CHART_VARS, "X")
-    Y = SparsePoly.variable(CHART_VARS, "Y")
-    inner = (-16384 * Y - 102400 * X ** 2 * y1 + 61440 * Y * y1
-             + 256000 * X ** 2 * y1 ** 2 - 76800 * Y * y1 ** 2
-             - 160000 * X ** 2 * y1 ** 3 + 32000 * Y * y1 ** 3 + 5760 * X * Y * y1 ** 3
-             + 32000 * X ** 3 * y1 ** 4 - 7200 * X * Y * y1 ** 4
-             + 27 * Y ** 2 * y1 ** 5)
-    return y1 ** 11 * inner
-
-
-def displayed_chart0_g2_g3() -> tuple[SparsePoly, SparsePoly]:
-    y = SparsePoly.variable(CHART_VARS, "y")
-    X = SparsePoly.variable(CHART_VARS, "X")
-    Y = SparsePoly.variable(CHART_VARS, "Y")
-    g2 = -(20 * X * y ** 3 - Fraction(16, 3) * y ** 4 * (4 * y - 5) ** 2)
-    g3 = -(Y * y ** 4 + Fraction(80, 3) * y ** 5 * (4 * y - 5) * X
-           - Fraction(128, 27) * y ** 6 * (4 * y - 5) ** 3)
-    return g2, g3
-
-
-def displayed_chart_inf_h2_h3() -> tuple[SparsePoly, SparsePoly]:
-    y1 = SparsePoly.variable(CHART_VARS, "y")
-    X = SparsePoly.variable(CHART_VARS, "X")
-    Y = SparsePoly.variable(CHART_VARS, "Y")
-    h2 = -(20 * X * y1 ** 5 - Fraction(256, 3) * y1 ** 2 + Fraction(640, 3) * y1 ** 3
-           - Fraction(400, 3) * y1 ** 4)
-    h3 = -(Y * y1 ** 8 + Fraction(320, 3) * X * y1 ** 6 - Fraction(400, 3) * X * y1 ** 7
-           - Fraction(8192, 27) * y1 ** 3 + Fraction(10240, 9) * y1 ** 4
-           - Fraction(12800, 9) * y1 ** 5 + Fraction(16000, 27) * y1 ** 6)
-    return h2, h3
-
-
 def _at_point(chart: WeierstrassChart, subs: dict[str, Fraction]) -> WeierstrassChart:
     """A symbolic chart with X and Y substituted, as UniPolys in its fiber
     coordinate."""
@@ -238,7 +177,11 @@ class FiberConfiguration:
     placements: tuple[FiberPlacement, ...]
     euler_total: int
     degenerate: bool = False
-    certified: bool = True
+
+    @property
+    def certified(self) -> bool:
+        """Always true: the classification is exact over Q."""
+        return True
 
     @property
     def is_k3(self) -> bool:
@@ -344,117 +287,3 @@ def classify_boundary_family(l) -> FiberConfiguration:
     chart0 = _depress(c2, c1, c0, "y")
     chart_inf = _depress(*_chart_at_infinity(c2, c1, c0, "y"), "y")
     return classify_charts(_at_point(chart0, {}), _at_point(chart_inf, {}))
-
-
-def classify_fibers_numeric(X, Y, policy: PrecisionPolicy | None = None,
-                            cluster_tol: float = 1e-8) -> FiberConfiguration:
-    """Numeric (non-certified) classification for complex parameters: fiber
-    locations from numpy roots with multiplicity clustering."""
-    import numpy as np
-
-    chart0_s, chart_inf_s = family_charts_symbolic()
-    with working_precision(policy):
-        Xc, Yc = complex(to_mpc(X)), complex(to_mpc(Y))
-
-    def numeric_chart(chart: WeierstrassChart):
-        coeffs = {}
-        for expo, coeff in chart.disc.terms.items():
-            k = expo[CHART_VARS.index("y")]
-            coeffs[k] = coeffs.get(k, 0) + complex(coeff) * Xc ** expo[0] * Yc ** expo[1]
-        deg = max(coeffs)
-        return [coeffs.get(k, 0.0) for k in range(deg + 1)]
-
-    placements = [
-        _classify_chart_origin(*_numeric_origin(chart0_s, Xc, Yc, "y=0")),
-        _classify_chart_origin(*_numeric_origin(chart_inf_s, Xc, Yc, "y=infinity")),
-    ]
-    dense = numeric_chart(chart0_s)
-    v0 = next(k for k, c in enumerate(dense) if abs(c) > 1e-12)
-    tailcoeffs = dense[v0:]
-    roots = np.roots(list(reversed(tailcoeffs)))
-    used = [False] * len(roots)
-    for i, r in enumerate(roots):
-        if used[i]:
-            continue
-        mult = 1
-        used[i] = True
-        for j in range(i + 1, len(roots)):
-            if not used[j] and abs(roots[j] - r) < cluster_tol:
-                mult += 1
-                used[j] = True
-        placements.append(FiberPlacement(location=f"y={r:.6g}",
-                                         type=KodairaType("I_n", mult)))
-    euler = sum(p.type.euler * p.count for p in placements)
-    placements = [p for p in placements if p.type.tag != "smooth"]
-    return FiberConfiguration(placements=tuple(placements), euler_total=euler,
-                              certified=False)
-
-
-def _numeric_origin(chart: WeierstrassChart, Xc: complex, Yc: complex, loc: str):
-    def subs(p: SparsePoly) -> UniPoly:
-        terms: dict[int, complex] = {}
-        for expo, coeff in p.terms.items():
-            k = expo[CHART_VARS.index("y")]
-            terms[k] = terms.get(k, 0) + complex(coeff) * Xc ** expo[0] * Yc ** expo[1]
-        # numeric valuation only: a placeholder polynomial in y marking the
-        # nonzero coefficients
-        return UniPoly([int(abs(terms.get(k, 0)) > 1e-12)
-                        for k in range(max(terms, default=-1) + 1)])
-
-    return (WeierstrassChart(var="y", g2=subs(chart.g2), g3=subs(chart.g3),
-                             disc=subs(chart.disc)), loc)
-
-
-# --------------------------------------------------------- birational checks
-
-
-def lambda_mu_to_XY(lam, mu, policy: PrecisionPolicy | None = None):
-    """(lambda, mu) -> (X, Y) = (25 mu / (2 (lambda - 1/4)^3),
-    -3125 mu^2 / (lambda - 1/4)^5), with the domain inequations enforced."""
-    with working_precision(policy) as pol:
-        lc, mc = to_mpc(lam), to_mpc(mu)
-        gate = lc * mc * (lc ** 2 * (4 * lc - 1) ** 3
-                          - 2 * (2 + 25 * lc * (20 * lc - 1)) * mc
-                          - 3125 * mc ** 2)
-        if abs(gate) < pol.verify_tol:
-            raise OutsideParameterDomain(
-                "(lambda, mu) violates the source-family inequations")
-        shift = lc - mpmath.mpf(1) / 4
-        return 25 * mc / (2 * shift ** 3), -3125 * mc ** 2 / shift ** 5
-
-
-def birational_transport(lam, mu, sample,
-                         policy: PrecisionPolicy | None = None) -> mpmath.mpf:
-    """End-to-end check of the birational substitution: take a point on the
-    intermediate surface over (X, Y), push it through the displayed
-    (x0, y0, z0) formulas, and return the relative residual of the source
-    family's defining equation."""
-    with working_precision(policy) as pol:
-        X, Y = lambda_mu_to_XY(lam, mu, pol)
-        lc, mc = to_mpc(lam), to_mpc(mu)
-        x1, y1 = to_mpc(sample[0]), to_mpc(sample[1])
-        rhs = Y * (x1 ** 3 - 4 * y1 ** 2 * (4 * y1 - 5) * x1 ** 2
-                   + 20 * X * y1 ** 3 * x1 + Y * y1 ** 4)
-        z1 = mpmath.sqrt(rhs)
-        den_y0 = (-50 * X ** 2 * Y * x1 * y1 - 5 * X * Y ** 2 * y1 ** 2
-                  + 5 * X * Y * z1)
-        den_z0 = 20 * X * Y * x1 * y1
-        if min(abs(x1), abs(den_y0), abs(den_z0)) < pol.verify_tol:
-            raise DegenerateSample("substitution denominator vanishes at sample")
-        x0 = Y * y1 / (10 * X * x1)
-        y0 = 4 * Y ** 2 * x1 * y1 ** 2 / den_y0
-        z0 = -(10 * X * Y * x1 * y1 + Y ** 2 * y1 ** 2 - Y * z1) / den_z0
-        terms = [x0 * y0 * z0 ** 2 * (x0 + y0 + z0 + 1), lc * x0 * y0 * z0, mc]
-        scale = max(abs(t) for t in terms)
-        return abs(sum(terms)) / scale
-
-
-def surface_ABC_residual(A, B, C, point, policy: PrecisionPolicy | None = None) -> mpmath.mpf:
-    """Relative residual of z^2 = x^3 - 4(4y^3 - 5A y^2)x^2 + 20B y^3 x + C y^4."""
-    with working_precision(policy):
-        a, b, c = to_mpc(A), to_mpc(B), to_mpc(C)
-        x, y, z = (to_mpc(v) for v in point)
-        terms = [z ** 2, -x ** 3, 4 * (4 * y ** 3 - 5 * a * y ** 2) * x ** 2,
-                 -20 * b * y ** 3 * x, -c * y ** 4]
-        scale = max(abs(t) for t in terms)
-        return abs(sum(terms)) / scale

@@ -28,10 +28,6 @@ from .numkernel import (PrecisionPolicy, quadratic_constants, to_mpc,
                         working_precision)
 
 
-class OddCharacteristic(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class UHPPair:
     z1: mpmath.mpc
@@ -105,16 +101,8 @@ DIAGONAL_FACTORS: dict[int, tuple[str, str] | None] = {
     8: ("01", "00"), 9: ("01", "10"),
 }
 
-
-def check_characteristic(ch: Characteristic) -> None:
-    a, b = ch
-    if any(x not in (0, 1) for x in (*a, *b)):
-        raise ValueError(f"characteristic entries must be 0/1: {ch}")
-    if (a[0] * b[0] + a[1] * b[1]) % 2:
-        raise OddCharacteristic(f"{ch} is odd")
-
-
 SHIFTS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
+
 
 @dataclass(frozen=True)
 class LatticeRegion:

@@ -7,16 +7,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
-from .numkernel import PrecisionPolicy, to_mpc, working_precision
 from .polynomials import SparsePoly
 
 ZETA_VARS = ("z0", "z1", "z2")
-
-
-class DegenerateChart(Exception):
-    """The affine chart A != 0 degenerates at the requested point."""
 
 
 @dataclass(frozen=True)
@@ -103,18 +96,3 @@ def swap_z1_z2(p: SparsePoly) -> SparsePoly:
     for (e0, e1, e2), coeff in p.terms.items():
         out[(e0, e2, e1)] = coeff
     return SparsePoly(p.vars, out)
-
-
-def affine_coords(zeta, policy: PrecisionPolicy | None = None):
-    """(X, Y, Z) = (B/A^3, C/A^5, D^2/A^15) at a complex projective point."""
-    inv = build_invariants()
-    with working_precision(policy) as pol:
-        vals = {"z0": to_mpc(zeta[0]), "z1": to_mpc(zeta[1]), "z2": to_mpc(zeta[2])}
-        a = inv.A.evaluate(vals)
-        scale = max(abs(vals["z0"]), abs(vals["z1"]), abs(vals["z2"]), mpmath.mpf(1))
-        if abs(a) < mpmath.mpf(pol.series_tol) * scale ** 2:
-            raise DegenerateChart("icosahedral A vanishes at this point")
-        b = inv.B.evaluate(vals)
-        c = inv.C.evaluate(vals)
-        d = inv.D.evaluate(vals)
-        return b / a ** 3, c / a ** 5, d ** 2 / a ** 15

@@ -18,24 +18,10 @@ K1 = 2 ** 5 * 5 ** 2
 K2 = 2 ** 10 * 5 ** 5
 K3 = Fraction(2 ** 26 * 5 ** 10, 9)
 
-XY_VARS = ("X", "Y")
-
-
-def _xy_polys():
-    X = SparsePoly.variable(XY_VARS, "X")
-    Y = SparsePoly.variable(XY_VARS, "Y")
-    return X, Y
-
-
-def k2_locus_poly() -> SparsePoly:
-    """1728 X^5 - 720 X^3 Y + 80 X Y^2 - 64 (5 X^2 - Y)^2 - Y^3, whose zero set
-    (together with Y = 0) bounds the good parameter region."""
-    X, Y = _xy_polys()
-    return (1728 * X ** 5 - 720 * X ** 3 * Y + 80 * X * Y ** 2
-            - 64 * (5 * X ** 2 - Y) ** 2 - Y ** 3)
-
-
-K2_LOCUS = k2_locus_poly()
+# 1728 X^5 - 720 X^3 Y + 80 X Y^2 - 64 (5 X^2 - Y)^2 - Y^3, whose zero set
+# (together with Y = 0) bounds the good parameter region
+K2_LOCUS = SparsePoly(("X", "Y"), {(5, 0): 1728, (3, 1): -720, (1, 2): 80, (4, 0): -1600,
+                                   (2, 1): 640, (0, 2): -64, (0, 3): -1})
 
 
 class NearZeroDenominator(Exception):
@@ -52,23 +38,6 @@ class JacobianSingular(Exception):
 
 class RankDeficient(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ModuliPoint:
-    X: mpmath.mpc
-    Y: mpmath.mpc
-    in_frak_x: bool
-
-
-def classify_moduli_point(X, Y, policy: PrecisionPolicy | None = None) -> ModuliPoint:
-    """Attach the open-region flag (Y != 0 and the quintic locus poly != 0)."""
-    with working_precision(policy) as pol:
-        Xc, Yc = to_mpc(X), to_mpc(Y)
-        k2v = K2_LOCUS.evaluate({"X": Xc, "Y": Yc})
-        scale = (1 + abs(Xc) + abs(Yc)) ** 5
-        ok = abs(Yc) > pol.verify_tol and abs(k2v) > pol.verify_tol * scale
-        return ModuliPoint(X=Xc, Y=Yc, in_frak_x=bool(ok))
 
 
 def moduli_XYZ(p, policy: PrecisionPolicy | None = None,

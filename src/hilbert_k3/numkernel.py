@@ -54,10 +54,6 @@ class PrecisionPolicy:
         if self.verify_tol < 10.0 * self.series_tol:
             raise ValueError("verify_tol must be >= 10 * series_tol")
 
-    def doubled(self) -> "PrecisionPolicy":
-        return PrecisionPolicy(mantissa_bits=2 * self.mantissa_bits,
-                               series_cap=self.series_cap)
-
 
 def default_policy() -> PrecisionPolicy:
     """Policy from the environment (HILBERT_K3_PREC, in bits) or 128 bits."""
@@ -108,23 +104,6 @@ def quadratic_constants(policy: PrecisionPolicy | None = None) -> QuadraticConst
     with working_precision(policy):
         s = mpmath.sqrt(mpmath.mpf(5))
         return QuadraticConstants(sqrt5=s, eps=(1 + s) / 2, eps_conj=(1 - s) / 2)
-
-
-def exp_i_pi(x, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
-    """exp(i*pi*x) with exact argument reduction modulo 2 for rational x.
-
-    For a Fraction input the reduction x mod 2 happens in exact arithmetic, so
-    the result magnitude/phase error stays within a few ulp of the working
-    precision regardless of the size of x.
-    """
-    with working_precision(policy):
-        if isinstance(x, (int, Fraction)):
-            r = Fraction(x) % 2
-            xr = to_mpf(r)
-        else:
-            xf = to_mpf(x)
-            xr = xf - 2 * mpmath.floor(xf / 2)
-        return mpmath.mpc(mpmath.cospi(xr), mpmath.sinpi(xr))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import mpmath
 from .diffops import DiffOperator, LogSeries, series_solve
 from .elliptic import eisenstein_and_J
 from .moduli import moduli_XYZ
-from .numkernel import NonConvergent, PrecisionPolicy, to_mpc, working_precision
+from .numkernel import PrecisionPolicy, to_mpc, working_precision
 from .polynomials import RationalFunction as RF
 from .polynomials import FormalSeries, UniPoly, series_mul
 
@@ -50,40 +50,6 @@ def hypergeom_coefficients(upper: Sequence, lower: Sequence, order: int) -> list
         c /= n + 1
         out.append(c)
     return out
-
-
-def hypergeom_value(upper: Sequence, lower: Sequence, t,
-                    policy: PrecisionPolicy | None = None) -> mpmath.mpc:
-    """pFq(t) for |t| < 1 by the Pochhammer recurrence with a ratio tail bound."""
-    params = HypergeomParams(tuple(Fraction(a) for a in upper),
-                             tuple(Fraction(b) for b in lower))
-    with working_precision(policy) as pol:
-        tc = to_mpc(t)
-        ta = abs(tc)
-        if ta >= 1:
-            raise NonConvergent(f"series evaluation needs |t| < 1, got {ta}")
-        term = mpmath.mpc(1)
-        total = mpmath.mpc(0)
-        tol = mpmath.mpf(pol.series_tol)
-        n = 0
-        while True:
-            total += term
-            ratio = tc
-            for a in params.upper:
-                ratio *= to_mpc(a) + n
-            for b in params.lower:
-                ratio /= to_mpc(b) + n
-            ratio /= n + 1
-            term = term * ratio
-            # |ratio| -> |t| from above; crude monotone majorant
-            bound_ratio = ta
-            for a in params.upper:
-                bound_ratio *= (n + 1 + abs(to_mpc(a))) / (n + 1)
-            if bound_ratio < 1 and abs(term) / (1 - bound_ratio) < tol:
-                return total
-            n += 1
-            if n > pol.series_cap:
-                raise NonConvergent("hypergeometric series did not converge")
 
 
 # -------------------------------------------------------------- the operators

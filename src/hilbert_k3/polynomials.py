@@ -581,10 +581,6 @@ class UniPoly:
 
     # --------------------------------------------------------------- content
 
-    def content(self) -> Fraction:
-        """Positive c with self = +-c * (coprime integer polynomial)."""
-        return abs(self.scale) if self.ints else Fraction(1)
-
     def primitive(self) -> "UniPoly":
         """self / content with positive leading coefficient."""
         return UniPoly._raw(self.ints, Fraction(1)) if self.ints else self

@@ -5,6 +5,9 @@ import mpmath
 import pytest
 
 from hilbert_k3.cli import main, parse_complex, parse_rational
+from hilbert_k3.hilbert_theta import mueller_forms
+from hilbert_k3.moduli import moduli_XYZ
+from hilbert_k3.numkernel import PrecisionPolicy, working_precision
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +45,25 @@ def test_forms_eval_diagonal(capsys):
     assert abs(float(payload["Y_re"])) < 1e-20
     assert abs(float(payload["Y_im"])) < 1e-20
     assert float(payload["g2_re"]) > 0
+
+
+def test_forms_eval_reads_the_point_at_working_precision(capsys):
+    """0.3 and 1/3 are not binary: each printed digit must be the exact
+    rational point's, not that of the point rounded to 53 bits."""
+    code, out = run_cli(capsys, "--prec", "256", "forms", "eval",
+                        "--z1", "0.3+1.1i", "--z2", "1/3+0.9i")
+    assert code == 0
+    payload = json.loads(out)
+    policy = PrecisionPolicy(256)
+    with working_precision(policy):
+        p = (mpmath.mpc(mpmath.mpf(3) / 10, mpmath.mpf(11) / 10),
+             mpmath.mpc(mpmath.mpf(1) / 3, mpmath.mpf(9) / 10))
+        f = mueller_forms(p, policy)
+        x, y, z = moduli_XYZ(p, policy, forms=f)
+        for name, exact in (("g2", f.g2), ("s5", f.s5), ("s6", f.s6), ("s10", f.s10),
+                            ("s15", f.s15), ("X", x), ("Y", y), ("Z", z)):
+            printed = mpmath.mpc(payload[f"{name}_re"], payload[f"{name}_im"])
+            assert abs(printed - exact) < 1e-28 * abs(exact), name
 
 
 def test_fibers_classify_json(capsys):

@@ -4,14 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from hilbert_k3.elliptic import (NotInUpperHalfPlane, UHPoint, eisenstein_and_J,
-                                 j_qexpansion, jacobi_theta, theta_delta_identity)
+from hilbert_k3.elliptic import (NotInUpperHalfPlane, eisenstein_and_J, j_qexpansion,
+                                 jacobi_theta)
 from hilbert_k3.numkernel import to_mpc, working_precision
 
 
 def test_uhp_validation():
-    with pytest.raises(NotInUpperHalfPlane):
-        UHPoint(mpmath.mpc(1, -0.5))
     with pytest.raises(NotInUpperHalfPlane):
         jacobi_theta("00", mpmath.mpc(0, -1))
 
@@ -72,11 +70,16 @@ def test_J_at_2i_against_lattice_sum_oracle(policy):
 
 
 def test_theta_delta_identity(policy):
+    """(1/1728) (3/(4 pi^4))^3 Delta = 2^-8 (theta00 theta01 theta10)^8."""
     with working_precision(policy):
-        for z in (mpmath.mpc(0, "1.1"), mpmath.mpc("0.8", "1.7")):
-            assert theta_delta_identity(z, policy) < policy.verify_tol
+        for z in (mpmath.mpc(0, "1.1"), mpmath.mpc("0.8", "1.7"), mpmath.mpc(0, 1)):
+            delta = eisenstein_and_J(z, policy).Delta
+            lhs = (mpmath.mpf(3) / (4 * mpmath.pi ** 4)) ** 3 * delta / 1728
+            prod = (jacobi_theta("00", z, policy) * jacobi_theta("01", z, policy)
+                    * jacobi_theta("10", z, policy))
+            rhs = prod ** 8 / 256
+            assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) < policy.verify_tol
         # at z = i the two shifted constants coincide
-        assert theta_delta_identity(mpmath.mpc(0, 1), policy) < policy.verify_tol
         t01 = jacobi_theta("01", mpmath.mpc(0, 1), policy)
         t10 = jacobi_theta("10", mpmath.mpc(0, 1), policy)
         assert abs(t01 - t10) < policy.verify_tol

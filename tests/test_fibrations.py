@@ -1,21 +1,64 @@
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 
-from hilbert_k3.fibrations import (DegenerateSample, KodairaType, NonMinimal,
-                                   OutsideParameterDomain, birational_transport,
+from hilbert_k3.fibrations import (CHART_VARS, KodairaType, NonMinimal,
                                    classify_boundary_family, classify_fibers,
-                                   displayed_chart0_g2_g3, displayed_chart_inf_h2_h3,
-                                   displayed_discriminant_0,
-                                   displayed_discriminant_infinity,
-                                   family_charts_symbolic, kodaira_type,
-                                   lambda_mu_to_XY, surface_ABC_residual,
-                                   weierstrass_data)
+                                   family_charts_symbolic, kodaira_type, weierstrass_data)
 from hilbert_k3.moduli import K2_LOCUS
-from hilbert_k3.numkernel import working_precision
-from hilbert_k3.polynomials import UniPoly
+from hilbert_k3.polynomials import SparsePoly, UniPoly
+
+# The charts as the paper displays them, transcribed term by term: the oracles
+# for the charts that family_charts_symbolic computes.
+
+
+def displayed_discriminant_0() -> SparsePoly:
+    """The finite-chart discriminant as displayed: y^8 (27 Y^2 + 32000 X^3 y
+    - 7200 X Y y - ... - 16384 Y y^5)."""
+    y = SparsePoly.variable(CHART_VARS, "y")
+    X = SparsePoly.variable(CHART_VARS, "X")
+    Y = SparsePoly.variable(CHART_VARS, "Y")
+    inner = (27 * Y ** 2 + 32000 * X ** 3 * y - 7200 * X * Y * y
+             - 160000 * X ** 2 * y ** 2 + 32000 * Y * y ** 2 + 5760 * X * Y * y ** 2
+             + 256000 * X ** 2 * y ** 3 - 76800 * Y * y ** 3
+             - 102400 * X ** 2 * y ** 4 + 61440 * Y * y ** 4
+             - 16384 * Y * y ** 5)
+    return y ** 8 * inner
+
+
+def displayed_discriminant_infinity() -> SparsePoly:
+    y1 = SparsePoly.variable(CHART_VARS, "y")
+    X = SparsePoly.variable(CHART_VARS, "X")
+    Y = SparsePoly.variable(CHART_VARS, "Y")
+    inner = (-16384 * Y - 102400 * X ** 2 * y1 + 61440 * Y * y1
+             + 256000 * X ** 2 * y1 ** 2 - 76800 * Y * y1 ** 2
+             - 160000 * X ** 2 * y1 ** 3 + 32000 * Y * y1 ** 3 + 5760 * X * Y * y1 ** 3
+             + 32000 * X ** 3 * y1 ** 4 - 7200 * X * Y * y1 ** 4
+             + 27 * Y ** 2 * y1 ** 5)
+    return y1 ** 11 * inner
+
+
+def displayed_chart0_g2_g3() -> tuple[SparsePoly, SparsePoly]:
+    y = SparsePoly.variable(CHART_VARS, "y")
+    X = SparsePoly.variable(CHART_VARS, "X")
+    Y = SparsePoly.variable(CHART_VARS, "Y")
+    g2 = -(20 * X * y ** 3 - Fraction(16, 3) * y ** 4 * (4 * y - 5) ** 2)
+    g3 = -(Y * y ** 4 + Fraction(80, 3) * y ** 5 * (4 * y - 5) * X
+           - Fraction(128, 27) * y ** 6 * (4 * y - 5) ** 3)
+    return g2, g3
+
+
+def displayed_chart_inf_h2_h3() -> tuple[SparsePoly, SparsePoly]:
+    y1 = SparsePoly.variable(CHART_VARS, "y")
+    X = SparsePoly.variable(CHART_VARS, "X")
+    Y = SparsePoly.variable(CHART_VARS, "Y")
+    h2 = -(20 * X * y1 ** 5 - Fraction(256, 3) * y1 ** 2 + Fraction(640, 3) * y1 ** 3
+           - Fraction(400, 3) * y1 ** 4)
+    h3 = -(Y * y1 ** 8 + Fraction(320, 3) * X * y1 ** 6 - Fraction(400, 3) * X * y1 ** 7
+           - Fraction(8192, 27) * y1 ** 3 + Fraction(10240, 9) * y1 ** 4
+           - Fraction(12800, 9) * y1 ** 5 + Fraction(16000, 27) * y1 ** 6)
+    return h2, h3
 
 
 def test_computed_discriminants_match_displayed_up_to_constant():
@@ -134,52 +177,3 @@ def test_finite_fiber_degree_bookkeeping():
     finite_counts = sum(p.count * p.type.n for p in cfg.placements
                         if p.type.tag == "I_n")
     assert finite_counts == quintic.degree() == 5
-
-
-def test_numeric_fallback_classification(policy):
-    from hilbert_k3.fibrations import classify_fibers_numeric
-    cfg = classify_fibers_numeric(mpmath.mpc(1, "0.5"), mpmath.mpc(2, "-0.3"), policy)
-    assert not cfg.certified
-    assert cfg.euler_total == 24
-    assert cfg.multiset() == {"IV*": 1, "I1": 5, "I5*": 1}
-
-
-def test_birational_transport_residual(policy):
-    with working_precision(policy):
-        r = birational_transport(1, Fraction(1, 100),
-                                 (mpmath.mpc("0.7", "0.2"), mpmath.mpc("0.4", "-0.3")),
-                                 policy)
-        assert r < policy.verify_tol * 100
-
-
-def test_transport_rejects_mu_zero(policy):
-    with pytest.raises(OutsideParameterDomain):
-        birational_transport(1, 0, (mpmath.mpc(1), mpmath.mpc(1)), policy)
-
-
-def test_transport_degenerate_sample(policy):
-    with pytest.raises(DegenerateSample):
-        birational_transport(1, Fraction(1, 100), (mpmath.mpc(0), mpmath.mpc(1)), policy)
-
-
-def test_lambda_mu_map_values(policy):
-    with working_precision(policy):
-        x, y = lambda_mu_to_XY(1, Fraction(1, 100), policy)
-        # exact images of the rational map
-        assert abs(x - mpmath.mpf(25) / 100 / (2 * mpmath.mpf("0.421875"))) < 1e-30
-        shift = mpmath.mpf(3) / 4
-        assert abs(y + 3125 * mpmath.mpf("0.0001") / shift ** 5) < 1e-30
-
-
-def test_weight_scaling_maps_surface_points(policy):
-    rng = random.Random(59)
-    with working_precision(policy):
-        A, B, C = mpmath.mpc(2), mpmath.mpc("0.5"), mpmath.mpc(-3)
-        k = mpmath.mpc("1.3", "0.4")
-        x, y = mpmath.mpc("0.8", "0.1"), mpmath.mpc("-0.6", "0.2")
-        z = mpmath.sqrt(x ** 3 - 4 * (4 * y ** 3 - 5 * A * y ** 2) * x ** 2
-                        + 20 * B * y ** 3 * x + C * y ** 4)
-        assert surface_ABC_residual(A, B, C, (x, y, z), policy) < policy.verify_tol
-        mapped = (k ** 6 * x, k ** 2 * y, k ** 9 * z)
-        scaled = (k ** 2 * A, k ** 6 * B, k ** 10 * C)
-        assert surface_ABC_residual(*scaled, mapped, policy) < policy.verify_tol * 10

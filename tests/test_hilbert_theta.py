@@ -6,10 +6,9 @@ import mpmath
 import pytest
 
 from hilbert_k3.elliptic import jacobi_theta
-from hilbert_k3.hilbert_theta import (DIAGONAL_FACTORS, SHIFTS, OddCharacteristic,
-                                      S15_TABLE, THETA_CHARACTERISTICS, SiegelPoint,
-                                      UHPPair, check_characteristic, lattice_region,
-                                      mueller_forms, psi, theta_batch,
+from hilbert_k3.hilbert_theta import (DIAGONAL_FACTORS, SHIFTS, S15_TABLE,
+                                      THETA_CHARACTERISTICS, SiegelPoint, UHPPair,
+                                      lattice_region, mueller_forms, psi, theta_batch,
                                       verify_modularity, verify_mueller_relation)
 from hilbert_k3.numkernel import PrecisionPolicy, default_policy, working_precision
 
@@ -63,7 +62,6 @@ def siegel_theta(Z: SiegelPoint, ch, policy: PrecisionPolicy | None = None,
                  radius_multiplier: int = 1) -> mpmath.mpc:
     """theta(Z; a, b) = sum over g in Z^2 of
     exp(i pi (t(g + a/2) Z (g + a/2) + tg b)), summed over a square box."""
-    check_characteristic(ch)
     a, (b1, b2) = ch
     policy = policy or default_policy()
     with working_precision(policy):
@@ -116,14 +114,9 @@ def test_psi_image_satisfies_slice_relation(policy):
 def test_all_ten_characteristics_even():
     assert len(THETA_CHARACTERISTICS) == 10
     for ch in THETA_CHARACTERISTICS.values():
-        check_characteristic(ch)
         a, b = ch
+        assert all(x in (0, 1) for x in (*a, *b))
         assert (a[0] * b[0] + a[1] * b[1]) % 2 == 0
-
-
-def test_odd_characteristic_rejected():
-    with pytest.raises(OddCharacteristic):
-        check_characteristic(((1, 0), (1, 0)))
 
 
 def test_diagonal_block_splits_into_jacobi_squares(policy):
@@ -187,7 +180,7 @@ def _risk_point(name):
 @pytest.mark.parametrize("name", sorted(RISK_POINTS))
 def test_batch_matches_doubled_oracle_at_risk_points(name, bits):
     pol = PrecisionPolicy(bits)
-    ref_pol = pol.doubled()
+    ref_pol = PrecisionPolicy(2 * bits)
     with working_precision(ref_pol):
         p = _risk_point(name)
         Z = psi(p, ref_pol)
@@ -211,7 +204,7 @@ def test_tail_bound_covers_dropped_terms(name, bits):
         p = _risk_point(name)
         Z = psi(p, pol)
         prec = mpmath.mp.prec
-        R = oracle_box(Z, pol.doubled(), 3)
+        R = oracle_box(Z, PrecisionPolicy(2 * bits), 3)
     for a in SHIFTS:
         region = lattice_region(Z, a, prec)
         assert region.log_tail <= -(prec + 4) * math.log(2)

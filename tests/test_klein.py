@@ -1,15 +1,10 @@
-import random
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 
-from hilbert_k3.klein import (DegenerateChart, ZETA_VARS,
-                              affine_coords, build_invariants,
-                              klein_relation_poly, swap_z1_z2,
-                              verify_klein_relation)
-from hilbert_k3.numkernel import working_precision
+from hilbert_k3.klein import (ZETA_VARS, build_invariants, klein_relation_poly,
+                              swap_z1_z2, verify_klein_relation)
 from hilbert_k3.polynomials import SparsePoly
 
 
@@ -97,38 +92,3 @@ def test_relation_rational_spot_check():
     inv = build_invariants()
     r = klein_relation_poly(inv.A, inv.B, inv.C, inv.D)
     assert r.evaluate({"z0": Fraction(1), "z1": Fraction(2), "z2": Fraction(3)}) == 0
-
-
-def test_affine_coords_B_zero_gives_X_zero(policy):
-    with working_precision(policy):
-        x, y, z = affine_coords((1, 0, 0), policy)
-        assert abs(x) == 0
-        assert abs(y) == 0
-
-
-def test_affine_coords_scaling_invariance(policy):
-    rng = random.Random(17)
-    with working_precision(policy):
-        base = (mpmath.mpc("0.7", "0.3"), mpmath.mpc("1.1", "-0.4"),
-                mpmath.mpc("-0.5", "0.9"))
-        x0, y0, z0 = affine_coords(base, policy)
-        for _ in range(5):
-            c = mpmath.mpc(rng.uniform(0.5, 2), rng.uniform(-1, 1))
-            xs, ys, zs = affine_coords(tuple(c * t for t in base), policy)
-            assert abs(xs - x0) < 1e-30 * (1 + abs(x0))
-            assert abs(ys - y0) < 1e-30 * (1 + abs(y0))
-            assert abs(zs - z0) < 1e-30 * (1 + abs(z0))
-
-
-def test_affine_coords_quintic_relation(policy):
-    with working_precision(policy):
-        x, y, z = affine_coords((1, 2, 3), policy)
-        lhs = 144 * z
-        rhs = (-1728 * x ** 5 + 720 * x ** 3 * y - 80 * x * y ** 2
-               + 64 * (5 * x ** 2 - y) ** 2 + y ** 3)
-        assert abs(lhs - rhs) <= policy.verify_tol * max(abs(lhs), abs(rhs))
-
-
-def test_degenerate_chart_raises(policy):
-    with pytest.raises(DegenerateChart):
-        affine_coords((1, 1, -1), policy)

@@ -1,11 +1,8 @@
-from fractions import Fraction
-
 import mpmath
 import pytest
 
-from hilbert_k3.numkernel import (NonConvergent, PrecisionPolicy, exp_i_pi,
-                                  quadratic_constants, sum_series,
-                                  working_precision)
+from hilbert_k3.numkernel import (NonConvergent, PrecisionPolicy, quadratic_constants,
+                                  sum_series, working_precision)
 
 
 def test_geometric_series(policy):
@@ -47,17 +44,6 @@ def test_nonconvergent_cap():
         sum_series(lambda n: mpmath.mpf(1), lambda n: mpmath.mpf(1), pol)
 
 
-def test_exp_i_pi_rational_reduction(policy):
-    with working_precision(policy):
-        assert abs(exp_i_pi(Fraction(1, 2), policy) - mpmath.mpc(0, 1)) < 1e-35
-        assert abs(exp_i_pi(Fraction(1), policy) + 1) < 1e-35
-        # huge rational argument: reduction is exact, modulus stays 1
-        big = Fraction(10 ** 40 + 1, 3)   # = 5/3 mod 2
-        v = exp_i_pi(big, policy)
-        assert abs(abs(v) - 1) < 1e-35
-        assert abs(v - exp_i_pi(Fraction(5, 3), policy)) < 1e-35
-
-
 def test_quadratic_constants(policy):
     qc = quadratic_constants(policy)
     with working_precision(policy):
@@ -90,7 +76,7 @@ def test_precision_doubling_consistency(policy):
     # doubling the mantissa moves exported values by less than the coarse tol
     from hilbert_k3.elliptic import eisenstein_and_J, jacobi_theta
 
-    double = policy.doubled()
+    double = PrecisionPolicy(2 * policy.mantissa_bits)
     import random
     rng = random.Random(11)
     with working_precision(double):
