@@ -67,8 +67,17 @@ def _nstr(x, digits: int = 30) -> str:
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
-def _complex_fields(name, value, digits=30):
-    return {f"{name}_re": _nstr(value.real, digits), f"{name}_im": _nstr(value.imag, digits)}
+def _floored(x, scale, policy: PrecisionPolicy, digits: int = 30) -> str:
+    """x to ``digits`` digits, or zero when |x| <= verify_tol * scale: below
+    that the digits are rounding noise."""
+    return _nstr(mpmath.mpf(0) if abs(x) <= policy.verify_tol * scale else x, digits)
+
+
+def _complex_fields(name, value, policy: PrecisionPolicy):
+    """Real and imaginary parts; a part within verify_tol of zero, relative
+    to |value|, prints as zero."""
+    return {f"{name}_re": _floored(value.real, abs(value), policy),
+            f"{name}_im": _floored(value.imag, abs(value), policy)}
 
 
 def _emit(payload, fmt: str) -> str:
@@ -103,7 +112,7 @@ def cmd_forms(args, policy: PrecisionPolicy) -> tuple[int, object]:
         for name, value in (("g2", f.g2), ("s5", f.s5), ("s6", f.s6),
                             ("s10", f.s10), ("s15", f.s15),
                             ("X", x), ("Y", y), ("Z", z)):
-            payload.update(_complex_fields(name, value))
+            payload.update(_complex_fields(name, value, policy))
         return 0, payload
 
 
@@ -139,10 +148,13 @@ def cmd_invert(args, policy: PrecisionPolicy) -> tuple[int, object]:
         raise ValueError("--guess needs the form z1,z2")
     with working_precision(policy):
         guess = (parse_complex(guess_parts[0]), parse_complex(guess_parts[1]))
-        res = newton_invert(parse_complex(args.X), parse_complex(args.Y), guess, policy)
-        payload = {"iterations": res.iterations, "residual": _nstr(res.residual, 8)}
-        payload.update(_complex_fields("z1", res.z.z1))
-        payload.update(_complex_fields("z2", res.z.z2))
+        X, Y = parse_complex(args.X), parse_complex(args.Y)
+        res = newton_invert(X, Y, guess, policy)
+        # X and Y are evaluated to verify_tol * (1 + |X| + |Y|) at best
+        payload = {"iterations": res.iterations,
+                   "residual": _floored(res.residual, 1 + abs(X) + abs(Y), policy, 8)}
+        payload.update(_complex_fields("z1", res.z.z1, policy))
+        payload.update(_complex_fields("z2", res.z.z2, policy))
         return 0, payload
 
 

@@ -24,7 +24,7 @@ import mpmath
 from mpmath import mp
 
 from .elliptic import NotInUpperHalfPlane
-from .numkernel import (PrecisionPolicy, quadratic_constants, to_mpc,
+from .numkernel import (Jet, PrecisionPolicy, quadratic_constants, to_mpc,
                         working_precision)
 
 
@@ -202,14 +202,40 @@ def _walk(tr: int, ti: int, rr: int, ri: int, qr: int, qi: int, n: int,
     return sums[0], sums[1], sums[2], sums[3]
 
 
-def _shift_pass(Z: SiegelPoint, region: LatticeRegion, step: mpmath.mpc,
-                wp: int) -> dict[tuple[int, int], mpmath.mpc]:
-    """The shift's four parity-class sums S[g mod 2], run at wp bits.
+def _walk_moments(tr: int, ti: int, rr: int, ri: int, qr: int, qi: int, n: int,
+                  v2: int, dv2: int, wp: int) -> list[int]:
+    """_walk that also weights each term by v2 and v2^2, v2 = 2 g2 + a2 moving
+    by dv2 = +-2 a step from the start's v2; returns, for the odd steps and
+    then the even ones, the sums of T, v2 T and v2^2 T (each re, im)."""
+    sums = [0] * 12
+    k = 0
+    for _ in range(n):
+        tr, ti = (tr * rr - ti * ri) >> wp, (tr * ri + ti * rr) >> wp
+        rr, ri = (rr * qr - ri * qi) >> wp, (rr * qi + ri * qr) >> wp
+        v2 += dv2
+        w = v2 * v2
+        sums[k] += tr
+        sums[k + 1] += ti
+        sums[k + 2] += v2 * tr
+        sums[k + 3] += v2 * ti
+        sums[k + 4] += w * tr
+        sums[k + 5] += w * ti
+        k = 6 - k
+    return sums
+
+
+def _shift_pass(Z: SiegelPoint, region: LatticeRegion, step: mpmath.mpc, wp: int,
+                moments: bool) -> tuple[mpmath.mpf, dict[tuple[int, int], list[int]]]:
+    """The shift's four parity-class sums S[g mod 2], run at wp bits, as a
+    scale and per class the fixed-point integers (re, im) that it multiplies.
+    With ``moments``, each class also carries the sums of u2^2 T, u2 v2 T and
+    v2^2 T, where (u2, v2) = 2g + a.
 
     The mirror -g - a of a term has the same value and, for every even
     characteristic, the same sign (-1)^(g.b), so each walked row that has a
     mirror counts twice in its own class; the combinations theta_batch takes
-    are then exact, though a single S[c] is not the sum over its class.
+    are then exact, though a single S[c] is not the sum over its class.  The
+    mirror turns (u2, v2) into (-u2, -v2), so the moments double alike.
 
     Each row starts at its largest term and walks outward both ways with
     T(v +- 1) = T(v) r, r <- r exp(2 pi i s3).  Terms are scaled by the shift's
@@ -227,27 +253,38 @@ def _shift_pass(Z: SiegelPoint, region: LatticeRegion, step: mpmath.mpc,
     u2, v2 = 2 * region.peak[0] + a1, 2 * region.peak[1] + a2
     pim = -(A * u2 * u2 + B * u2 * v2 + C * v2 * v2).real    # pi m
     qr, qi = fixed(step)
-    acc = {(c1, c2): [0, 0] for c1 in (0, 1) for c2 in (0, 1)}
+    acc = {(c1, c2): [0] * (8 if moments else 2) for c1 in (0, 1) for c2 in (0, 1)}
     for g1, lo, g2, hi in region.rows:
         u2, v2 = 2 * g1 + a1, 2 * g2 + a2
         up = mpmath.exp(2 * B * u2 + 4 * C * (v2 + 1))
         tr, ti = fixed(mpmath.exp(A * (u2 * u2) + B * (u2 * v2) + C * (v2 * v2) + pim))
         ur, ui = fixed(up)
         dr, di = fixed(step / up)
-        o1r, o1i, e1r, e1i = _walk(tr, ti, ur, ui, qr, qi, hi - g2, wp)
-        o2r, o2i, e2r, e2i = _walk(tr, ti, dr, di, qr, qi, g2 - lo, wp)
+        if moments:
+            upward = _walk_moments(tr, ti, ur, ui, qr, qi, hi - g2, v2, 2, wp)
+            downward = _walk_moments(tr, ti, dr, di, qr, qi, g2 - lo, v2, -2, wp)
+            peak = (tr, ti, v2 * tr, v2 * ti, v2 * v2 * tr, v2 * v2 * ti)
+        else:
+            upward = _walk(tr, ti, ur, ui, qr, qi, hi - g2, wp)
+            downward = _walk(tr, ti, dr, di, qr, qi, g2 - lo, wp)
+            peak = (tr, ti)
+        n = len(peak)
+        odd = [x + y for x, y in zip(upward[:n], downward[:n])]
         # terms an even number of steps from the peak share its g2 parity
-        row = {g2 & 1: (tr + e1r + e2r, ti + e1i + e2i),
-               (g2 + 1) & 1: (o1r + o2r, o1i + o2i)}
+        even = [p + x + y for p, x, y in zip(peak, upward[n:], downward[n:])]
         weight = 2 if a1 or g1 else 1
-        for c2, (sr, si) in row.items():
-            acc[g1 & 1, c2][0] += weight * sr
-            acc[g1 & 1, c2][1] += weight * si
-    scale = mpmath.exp(-pim) / 2 ** mpmath.mpf(wp)
-    return {c: mpmath.mpc(sr, si) * scale for c, (sr, si) in acc.items()}
+        for c2, sums in ((g2 & 1, even), ((g2 + 1) & 1, odd)):
+            if moments:
+                sr, si, vr, vi, wr, wi = sums
+                sums = (sr, si, u2 * u2 * sr, u2 * u2 * si, u2 * vr, u2 * vi, wr, wi)
+            cls = acc[g1 & 1, c2]
+            for i, x in enumerate(sums):
+                cls[i] += weight * x
+    return mpmath.exp(-pim) / 2 ** mpmath.mpf(wp), acc
 
 
-def theta_batch(p, policy: PrecisionPolicy | None = None) -> list[mpmath.mpc]:
+def theta_batch(p, policy: PrecisionPolicy | None = None,
+                derivatives: bool = False) -> list:
     """All ten theta_j(z1, z2), in the order of THETA_CHARACTERISTICS.
 
     theta(Z; a, b) = sum over g in Z^2 of exp(i pi (t(g + a/2) Z (g + a/2)))
@@ -258,6 +295,18 @@ def theta_batch(p, policy: PrecisionPolicy | None = None) -> list[mpmath.mpc]:
     lattice_region (the mirror g -> -g - a halves it) in fixed-point integers;
     its dropped terms sum to at most 2^-(prec + 4) times its largest term, at
     the working precision prec.
+
+    With ``derivatives``, each theta_j comes as a Jet (value, d/dz1, d/dz2)
+    from the same pass.  With (u2, v2) = 2g + a, d theta / d s1, d s2, d s3
+    are the sums of (i pi/4) u2^2 T, (i pi/2) u2 v2 T and (i pi/4) v2^2 T
+    over the same terms: u2 is fixed along a row, and the walk weights each
+    term by v2 and v2^2 as it steps, at a working precision raised by the
+    bits of the largest weight.  psi is linear, so the chain rule through it
+    gives d/dz1 and d/dz2.  The values agree with the plain call's up to
+    rounding at the working precision.  The derivatives have no stated tail
+    bound: a dropped term's weight grows like |g|^2, which the region's
+    margin absorbs in practice (the tests differentiate the brute-force sum).
+    Without ``derivatives`` the pass is the plain one, at its plain cost.
     """
     pair = as_pair(p, policy)
     with working_precision(policy):
@@ -267,9 +316,39 @@ def theta_batch(p, policy: PrecisionPolicy | None = None) -> list[mpmath.mpc]:
         longest = max(hi - lo + 1 for reg in regions for _, lo, _, hi in reg.rows)
         rows = sum(len(reg.rows) for reg in regions)
         wp = mp.prec + 8 + (rows * longest ** 3).bit_length()
+        if derivatives:
+            # the moments weight a term by up to max(|u2|, |v2|)^2
+            reach = max(max(abs(2 * g1 + reg.shift[0]), abs(2 * lo + reg.shift[1]),
+                            abs(2 * hi + reg.shift[1]))
+                        for reg in regions for g1, lo, _, hi in reg.rows)
+            wp += 2 * reach.bit_length()
         with mpmath.workprec(wp):
             step = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi) * Z.s3)
-            sums = {reg.shift: _shift_pass(Z, reg, step, wp) for reg in regions}
+            passes = {reg.shift: _shift_pass(Z, reg, step, wp, derivatives)
+                      for reg in regions}
+            if derivatives:
+                # combine the characteristics exactly, in the integers, into
+                # theta and the sums P = uu + vv and D = uu - vv + 4 uv
+                parts = []
+                for a, (b1, b2) in THETA_CHARACTERISTICS.values():
+                    scale, acc = passes[a]
+                    t_re, t_im, uu_re, uu_im, uv_re, uv_im, vv_re, vv_im = (
+                        sum((-1) ** (c1 * b1 + c2 * b2) * x[i] for (c1, c2), x in acc.items())
+                        for i in range(8))
+                    parts.append([mpmath.mpc(re, im) * scale for re, im in (
+                        (t_re, t_im), (uu_re + vv_re, uu_im + vv_im),
+                        (uu_re - vv_re + 4 * uv_re, uu_im - vv_im + 4 * uv_im))])
+            else:
+                sums = {a: {c: mpmath.mpc(sr, si) * scale for c, (sr, si) in acc.items()}
+                        for a, (scale, acc) in passes.items()}
+        if derivatives:
+            # i pi Q = (i pi / 4) (s1 u2^2 + 2 s2 u2 v2 + s3 v2^2), and by psi
+            # 2 sqrt5 d(s1, s2, s3)/dz1 = (1 + sqrt5, 2, sqrt5 - 1) and
+            # 2 sqrt5 d(s1, s2, s3)/dz2 = (sqrt5 - 1, -2, 1 + sqrt5), so
+            # d theta/dz1, dz2 = (i pi / 8) (P +- D / sqrt5)
+            k = mpmath.mpc(0, mpmath.pi) / 8
+            k5 = k / mpmath.sqrt(5)
+            return [Jet(value, k * P + k5 * D, k * P - k5 * D) for value, P, D in parts]
         out = []
         for j in range(10):
             a, (b1, b2) = THETA_CHARACTERISTICS[j]
@@ -281,18 +360,24 @@ def theta_batch(p, policy: PrecisionPolicy | None = None) -> list[mpmath.mpc]:
 # ------------------------------------------------------------- Mueller forms
 
 
+FORM_NAMES = ("g2", "s5", "s6", "s10", "s15")
+
+
 @dataclass(frozen=True)
 class MuellerForms:
-    g2: mpmath.mpc
-    s5: mpmath.mpc
-    s6: mpmath.mpc
-    s10: mpmath.mpc
-    s15: mpmath.mpc
+    """The forms at one point; a form that was not asked for is None.  Each
+    is an mpc, or a Jet when the thetas were (s15 excepted)."""
+
+    g2: mpmath.mpc | Jet
+    s5: mpmath.mpc | Jet | None = None
+    s6: mpmath.mpc | Jet | None = None
+    s10: mpmath.mpc | Jet | None = None
+    s15: mpmath.mpc | None = None
 
 
-def _prod(theta: list[mpmath.mpc], indices: str) -> mpmath.mpc:
-    out = mpmath.mpc(1)
-    for ch in indices:
+def _prod(theta: list, indices: str):
+    out = theta[int(indices[0])]
+    for ch in indices[1:]:
         out *= theta[int(ch)]
     return out
 
@@ -314,27 +399,37 @@ S15_TABLE: tuple[tuple[int, str, str, str], ...] = (
 
 
 def mueller_forms(p, policy: PrecisionPolicy | None = None,
-                  theta: list[mpmath.mpc] | None = None) -> MuellerForms:
-    """Evaluate g2, s5, s6, s10, s15 at (z1, z2)."""
+                  theta: list | None = None,
+                  names: tuple[str, ...] = FORM_NAMES) -> MuellerForms:
+    """Evaluate the forms in ``names`` (g2 always) at (z1, z2).
+
+    ``theta`` may be the thetas as Jets (theta_batch with derivatives); the
+    same products then carry d/dz1 and d/dz2 along, for every form but s15.
+    """
     with working_precision(policy):
         th = theta if theta is not None else theta_batch(p, policy)
-        g2 = (_prod(th, "0145") - _prod(th, "1279") - _prod(th, "3478")
-              + _prod(th, "0268") + _prod(th, "3569"))
-        all10 = _prod(th, "0123456789")
-        s5 = all10 / 64
-        s6 = (_prod(th, "012478") ** 2 + _prod(th, "012569") ** 2
-              + _prod(th, "034568") ** 2 + _prod(th, "236789") ** 2
-              + _prod(th, "134579") ** 2) / 256
-        s10 = all10 ** 2 / 4096
-        # the 30 rows share 15 pairs: form each pair product and its powers once
-        pairs = {p: _prod(th, p) for row in S15_TABLE for p in row[1:]}
-        pow9 = {p: v ** 9 for p, v in pairs.items()}
-        pow5 = {p: v ** 5 for p, v in pairs.items()}
-        acc = mpmath.mpc(0)
-        for sign, p9, p5, p1 in S15_TABLE:
-            acc += sign * pow9[p9] * pow5[p5] * pairs[p1]
-        s15 = -acc / 2 ** 18
-        return MuellerForms(g2=g2, s5=s5, s6=s6, s10=s10, s15=s15)
+        out = {"g2": _prod(th, "0145") - _prod(th, "1279") - _prod(th, "3478")
+               + _prod(th, "0268") + _prod(th, "3569")}
+        if "s5" in names or "s10" in names:
+            all10 = _prod(th, "0123456789")
+            if "s5" in names:
+                out["s5"] = all10 / 64
+            if "s10" in names:
+                out["s10"] = all10 ** 2 / 4096
+        if "s6" in names:
+            out["s6"] = (_prod(th, "012478") ** 2 + _prod(th, "012569") ** 2
+                         + _prod(th, "034568") ** 2 + _prod(th, "236789") ** 2
+                         + _prod(th, "134579") ** 2) / 256
+        if "s15" in names:
+            # the 30 rows share 15 pairs: form each pair product and its powers once
+            pairs = {p: _prod(th, p) for row in S15_TABLE for p in row[1:]}
+            pow9 = {p: v ** 9 for p, v in pairs.items()}
+            pow5 = {p: v ** 5 for p, v in pairs.items()}
+            acc = mpmath.mpc(0)
+            for sign, p9, p5, p1 in S15_TABLE:
+                acc += sign * pow9[p9] * pow5[p5] * pairs[p1]
+            out["s15"] = -acc / 2 ** 18
+        return MuellerForms(**out)
 
 
 def verify_mueller_relation(p, policy: PrecisionPolicy | None = None,

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .hilbert_theta import MuellerForms, UHPPair, as_pair, mueller_forms
+from .hilbert_theta import MuellerForms, UHPPair, as_pair, mueller_forms, theta_batch
 from .numkernel import PrecisionPolicy, quadratic_constants, to_mpc, working_precision
 from .polynomials import SparsePoly
 
@@ -42,7 +42,10 @@ class RankDeficient(Exception):
 
 def moduli_XYZ(p, policy: PrecisionPolicy | None = None,
                forms: MuellerForms | None = None):
-    """(X, Y, Z) = (800 s6/g2^3, 3200000 s10/g2^5, (2^26 5^10/9) s15^2/g2^15)."""
+    """(X, Y, Z) = (800 s6/g2^3, 3200000 s10/g2^5, (2^26 5^10/9) s15^2/g2^15).
+
+    Z is None when ``forms`` lacks s15; with forms of Jets, X, Y and Z are
+    Jets too."""
     with working_precision(policy) as pol:
         f = forms if forms is not None else mueller_forms(p, policy)
         if abs(f.g2) < mpmath.mpf(2) ** (-pol.mantissa_bits // 2):
@@ -50,7 +53,7 @@ def moduli_XYZ(p, policy: PrecisionPolicy | None = None,
         g2_3 = f.g2 ** 3
         X = K1 * f.s6 / g2_3
         Y = K2 * f.s10 / g2_3 / f.g2 ** 2
-        Z = to_mpc(K3) * f.s15 ** 2 / g2_3 ** 5
+        Z = None if f.s15 is None else to_mpc(K3) * f.s15 ** 2 / g2_3 ** 5
         return X, Y, Z
 
 
@@ -96,8 +99,12 @@ class InversionResult:
     iterations: int
 
 
-def _xy(p, policy) -> tuple[mpmath.mpc, mpmath.mpc]:
-    x, y, _ = moduli_XYZ(p, policy)
+def _xy(p, policy, derivatives: bool = False):
+    """X and Y at p from one theta pass, without s5 and s15; with
+    ``derivatives`` each is a Jet carrying d/dz1 and d/dz2."""
+    theta = theta_batch(p, policy, derivatives=derivatives)
+    x, y, _ = moduli_XYZ(p, policy, forms=mueller_forms(p, policy, theta=theta,
+                                                        names=("g2", "s6", "s10")))
     return x, y
 
 
@@ -105,12 +112,14 @@ def newton_invert(target_X, target_Y, guess,
                   policy: PrecisionPolicy | None = None,
                   max_iter: int = 40,
                   tol=None) -> InversionResult:
-    """Damped Newton for (X, Y)(z1, z2) = (X0, Y0), finite-difference Jacobian.
+    """Damped Newton for (X, Y)(z1, z2) = (X0, Y0) with the exact Jacobian.
 
-    Returns any preimage reproducing the target; the modular group ambiguity is
-    accepted.  The default success threshold is half the working digits
-    (finite-difference noise in rank-degenerate directions caps the reachable
-    residual well above the raw arithmetic tolerance).  Raises JacobianSingular
+    Each trial point costs one theta pass, which yields X, Y and their
+    derivatives in z1 and z2 together.  Returns any preimage reproducing the
+    target; the modular group ambiguity is accepted.  Success means
+    |X - X0| + |Y - Y0| < tol, by default (1 + |X0| + |Y0|) verify_tol.
+    Where the Jacobian is rank-deficient (on the diagonal dY vanishes) the
+    step is the ridge-regularised least-squares one.  Raises JacobianSingular
     when the iteration stalls on a rank-deficient Jacobian, NoConvergence
     otherwise.
     """
@@ -118,36 +127,22 @@ def newton_invert(target_X, target_Y, guess,
         X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
         pair = as_pair(guess, policy)
         scale = 1 + abs(X0) + abs(Y0)
-        if tol is None:
-            tol = scale * mpmath.mpf(2) ** (-(pol.mantissa_bits // 2))
-        else:
-            tol = mpmath.mpf(tol)
-        h = mpmath.mpf(2) ** (-(pol.mantissa_bits // 4))
+        tol = scale * mpmath.mpf(pol.verify_tol) if tol is None else mpmath.mpf(tol)
 
         def F(pr: UHPPair):
-            x, y = _xy(pr, pol)
-            return x - X0, y - Y0
+            """The residual (X - X0, Y - Y0) at pr and its Jacobian."""
+            x, y = _xy(pr, pol, derivatives=True)
+            return (x.value - X0, y.value - Y0), (x.d1, x.d2, y.d1, y.d2)
 
         def norm(f):
             return abs(f[0]) + abs(f[1])
 
-        f = F(pair)
+        f, jac = F(pair)
         for it in range(1, max_iter + 1):
             if norm(f) < tol:
                 return InversionResult(z=pair, residual=norm(f), iterations=it - 1)
             z1, z2 = pair.z1, pair.z2
-            cols = []
-            for slot in (0, 1):
-                dz = mpmath.mpc(h, 0)
-                if slot == 0:
-                    fp = F(UHPPair(z1 + dz, z2))
-                    fm = F(UHPPair(z1 - dz, z2))
-                else:
-                    fp = F(UHPPair(z1, z2 + dz))
-                    fm = F(UHPPair(z1, z2 - dz))
-                cols.append(((fp[0] - fm[0]) / (2 * h), (fp[1] - fm[1]) / (2 * h)))
-            a11, a21 = cols[0]
-            a12, a22 = cols[1]
+            a11, a12, a21, a22 = jac
             det = a11 * a22 - a12 * a21
             jnorm = max(abs(a11), abs(a12), abs(a21), abs(a22))
             singular = abs(det) < mpmath.mpf(1e-12) * jnorm ** 2
@@ -174,9 +169,9 @@ def newton_invert(target_X, target_Y, guess,
                 except ValueError:
                     step /= 2
                     continue
-                fc = F(cand)
+                fc, jc = F(cand)
                 if norm(fc) < norm(f):
-                    pair, f = cand, fc
+                    pair, f, jac = cand, fc, jc
                     improved = True
                     break
                 step /= 2
@@ -197,18 +192,22 @@ def continuation_invert(target_X, target_Y, seed_pair,
                         policy: PrecisionPolicy | None = None,
                         steps: int = 8) -> InversionResult:
     """Path-following inverse: walk (X, Y) linearly from the seed's image to
-    the target, Newton-polishing at each step with the previous solution."""
+    the target, Newton-polishing at each step with the previous solution.
+    The intermediate steps stop at half the working digits; only the last is
+    polished to newton_invert's default tolerance."""
     with working_precision(policy) as pol:
         pair = as_pair(seed_pair, policy)
         Xs, Ys = _xy(pair, pol)
         X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
+        half_digits = mpmath.mpf(2) ** (-(pol.mantissa_bits // 2))
         result = None
         k = 1
         while k <= steps:
             s = mpmath.mpf(k) / steps
             Xt = (1 - s) * Xs + s * X0
             Yt = (1 - s) * Ys + s * Y0
-            result = newton_invert(Xt, Yt, pair, pol)
+            tol = None if k == steps else (1 + abs(Xt) + abs(Yt)) * half_digits
+            result = newton_invert(Xt, Yt, pair, pol, tol=tol)
             pair = result.z
             k += 1
         assert result is not None

@@ -1,5 +1,6 @@
-"""Arbitrary-precision complex arithmetic, tail-controlled series summation,
-and the golden-ratio constants shared by every numeric module.
+"""Arbitrary-precision complex arithmetic, first-order jets, tail-controlled
+series summation, and the golden-ratio constants shared by every numeric
+module.
 
 All numeric code in this package runs under an explicit :class:`PrecisionPolicy`.
 Values are mpmath numbers created at the policy's mantissa width plus a small
@@ -89,6 +90,51 @@ def to_mpf(value) -> mpmath.mpf:
     if isinstance(value, Fraction):
         return mpmath.mpf(value.numerator) / value.denominator
     return mpmath.mpf(value)
+
+
+class Jet:
+    """A value with its partial derivatives d/dz1 and d/dz2.
+
+    Sums, differences and products of jets, a number times a jet, integer
+    powers, and quotients by a jet or a number follow the chain rule
+    (forward-mode differentiation), so a formula written for plain numbers
+    also yields its gradient.  The value part is computed by the same
+    operation a plain number would see, so it is bit-for-bit the plain
+    result.  ``abs`` is the modulus of the value.
+    """
+
+    __slots__ = ("value", "d1", "d2")
+
+    def __init__(self, value, d1, d2):
+        self.value, self.d1, self.d2 = value, d1, d2
+
+    def __abs__(self):
+        return abs(self.value)
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return Jet(self.value + other.value, self.d1 + other.d1, self.d2 + other.d2)
+
+    def __sub__(self, other: "Jet") -> "Jet":
+        return Jet(self.value - other.value, self.d1 - other.d1, self.d2 - other.d2)
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        return Jet(self.value * other.value,
+                   self.d1 * other.value + self.value * other.d1,
+                   self.d2 * other.value + self.value * other.d2)
+
+    def __rmul__(self, other) -> "Jet":
+        return Jet(other * self.value, other * self.d1, other * self.d2)
+
+    def __truediv__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            q = self.value / other.value
+            return Jet(q, (self.d1 - q * other.d1) / other.value,
+                       (self.d2 - q * other.d2) / other.value)
+        return Jet(self.value / other, self.d1 / other, self.d2 / other)
+
+    def __pow__(self, n: int) -> "Jet":
+        slope = n * self.value ** (n - 1)
+        return Jet(self.value ** n, slope * self.d1, slope * self.d2)
 
 
 @dataclass(frozen=True)

@@ -521,38 +521,77 @@ def estimate_singular_distance(base, grid_half_width: float = 1.5,
 @functools.cache
 def _singular_distance(x0: float, y0: float, grid_half_width: float,
                        resolution: int) -> float:
-    """estimate_singular_distance at (x0, y0); one np.roots call per grid point."""
+    """estimate_singular_distance at (x0, y0).
+
+    Three sweeps over a resolution x resolution grid of complex X, each
+    centred on the previous sweep's nearest point.  At each X the candidates
+    are Y = 36X^2 - 32X and the roots in Y of K2_LOCUS; the result is the
+    same float as a scan with one np.roots call per point gives.
+    """
     import numpy as np
 
     best = min(abs(x0), abs(y0))
-    k2_coeffs = [UniPoly.from_sparse(c, "X").coefficients() for c in K2_LOCUS.coeff_list("Y")]
-
-    def eval_x(coeffs, xc):
-        return complex(sum(complex(co) * xc ** k for k, co in enumerate(coeffs) if co))
-
-    centers, width = [x0], grid_half_width
+    k2_terms = [[(k, complex(co)) for k, co in enumerate(UniPoly.from_sparse(c, "X").coefficients())
+                 if co] for c in K2_LOCUS.coeff_list("Y")]
+    center, width = x0, grid_half_width
     for _ in range(3):
-        xc0 = centers[-1]
-        re = np.linspace(xc0 - width, xc0 + width, resolution)
+        re = np.linspace(center - width, center + width, resolution)
         im = np.linspace(-width, width, resolution)
-        local_best, local_arg = best, xc0
-        for a in re:
-            for b in im:
-                xc = complex(a, b)
-                cands = [36 * xc ** 2 - 32 * xc]
-                dense = [eval_x(p, xc) for p in k2_coeffs]
-                while dense and abs(dense[-1]) < 1e-14:
-                    dense.pop()
-                if len(dense) > 1:
-                    cands.extend(np.roots(list(reversed(dense))))
-                for ycand in cands:
-                    dist = float(np.hypot(abs(xc - x0), abs(ycand - y0)))
-                    if dist < local_best:
-                        local_best, local_arg = dist, xc
-        best = min(best, local_best)
-        centers.append(local_arg)
+        # blocks of four grid rows bound the memory the batched arrays take
+        for start in range(0, resolution, 4):
+            block = [complex(a, b) for a in re[start:start + 4] for b in im]
+            cands = _locus_candidates(block, k2_terms)
+            # np.hypot rounds as abs() of one complex does; np.abs of an
+            # array need not
+            xs = np.array(block)
+            dist = np.hypot(np.hypot(xs.real - x0, xs.imag)[:, None],
+                            np.hypot(cands.real - y0, cands.imag))
+            # the first nearest point, as a scan that keeps strict improvements
+            k = int(np.argmin(dist))
+            if dist.flat[k] < best:
+                best, center = float(dist.flat[k]), block[k // dist.shape[1]]
         width /= resolution / 4
     return best
+
+
+def _locus_candidates(xcs: list[complex], k2_terms):
+    """Row i: Y = 36X^2 - 32X at X = xcs[i], then the roots in Y of the
+    polynomial whose coefficients (lowest degree first) are k2_terms at X,
+    padded with inf.  The roots are np.roots': the same coefficients, with a
+    high coefficient below 1e-14 dropped and exact zeros stripped at both
+    ends, the same companion matrices, and the eigenvalues of all those of
+    one degree from one np.linalg.eigvals call."""
+    import numpy as np
+
+    degree = max(k for terms in k2_terms for k, _ in terms)
+    cands = np.full((len(xcs), len(k2_terms)), np.inf, dtype=complex)
+    coeffs = np.zeros((len(xcs), len(k2_terms)), dtype=complex)
+    # the lowest and highest nonzero coefficient; high = -1 means no roots
+    low, high = np.zeros(len(xcs), dtype=int), np.full(len(xcs), -1)
+    for i, xc in enumerate(xcs):
+        cands[i, 0] = 36 * xc ** 2 - 32 * xc
+        powers = [xc ** k for k in range(degree + 1)]
+        dense = [complex(sum(co * powers[k] for k, co in terms)) for terms in k2_terms]
+        while dense and abs(dense[-1]) < 1e-14:
+            dense.pop()
+        if len(dense) > 1:
+            nonzero = [k for k, co in enumerate(dense) if co != 0]
+            low[i], high[i] = nonzero[0], nonzero[-1]
+            coeffs[i, :len(dense)] = dense
+    for lo, hi in {(lo, hi) for lo, hi in zip(low.tolist(), high.tolist()) if hi >= 0}:
+        rows = np.flatnonzero((low == lo) & (high == hi))
+        n = hi - lo
+        # the lo zero coefficients are roots at 0, which np.roots puts last
+        cands[rows, 1 + n:1 + hi] = 0
+        if n:
+            # companion matrices; the first row is -p[1:] / p[0], with p the
+            # stripped coefficients, highest first
+            mats = np.zeros((len(rows), n, n), dtype=complex)
+            mats[:, np.arange(1, n), np.arange(n - 1)] = 1
+            top = coeffs[rows, lo:hi][:, ::-1]
+            np.divide(np.negative(top, out=top), coeffs[rows, hi:hi + 1], out=mats[:, 0, :])
+            cands[rows, 1:1 + n] = np.linalg.eigvals(mats)
+    return cands
 
 
 def sampling_offsets(base, count: int, scale_num: int = 1, scale_den: int = 64,

@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from . import elliptic, fibrations, hilbert_theta, klein, lattice, moduli, pde, periods
-from .numkernel import PrecisionPolicy, default_policy, working_precision
+from .numkernel import NonConvergent, PrecisionPolicy, default_policy, working_precision
 
 DEFAULT_SEED = 20250811
 
@@ -330,8 +330,25 @@ SUITES = {
 }
 
 
+# numeric failures a suite reports as a failed check rather than raising
+SUITE_FAILURES = (moduli.NoConvergence, moduli.JacobianSingular,
+                  moduli.NearZeroDenominator, moduli.RankDeficient, NonConvergent,
+                  ValueError)
+
+
 def run_suite(name: str, policy: PrecisionPolicy | None = None,
               seed: int = DEFAULT_SEED) -> VerificationReport:
+    """The named suite's report.  A suite that raises one of SUITE_FAILURES
+    yields a report with the single failed check ``error``, whose residual
+    is "<exception type>: <message>"."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    return SUITES[name](policy or default_policy(), seed)
+    policy = policy or default_policy()
+    t0 = time.perf_counter()
+    try:
+        return SUITES[name](policy, seed)
+    except SUITE_FAILURES as exc:
+        report = VerificationReport(name)
+        report.checks.append(CheckResult("error", False, f"{type(exc).__name__}: {exc}",
+                                         int((time.perf_counter() - t0) * 1000)))
+        return report

@@ -174,3 +174,47 @@ def test_numeric_failure_exits_one_with_json(capsys, monkeypatch, command, targe
     code, out = run_cli(capsys, *command)
     assert code == 1
     assert json.loads(out) == {"error": error, "message": "injected failure"}
+
+
+def test_invert_prints_no_noise_digits(capsys):
+    """The target is real, so the preimage lies on the imaginary axes and the
+    real parts are zero to the working precision: they print as zero, and a
+    guess changed in its 13th digit gives the same payload byte for byte."""
+    outs = [run_cli(capsys, "--prec", "256", "invert", "--X", "0.3", "--Y", "0.1",
+                    "--guess", guess)
+            for guess in ("0.2+1.1i,-0.3+1.5i", "0.2000000000001+1.1i,-0.3+1.5i")]
+    assert outs[0] == outs[1]
+    code, out = outs[0]
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["z1_re"] == payload["z2_re"] == "0.0"
+    assert float(payload["z1_im"]) > 1 and float(payload["z2_im"]) > 1
+
+
+@pytest.mark.parametrize("error", ["NoConvergence", "JacobianSingular", "NearZeroDenominator",
+                                   "RankDeficient", "NonConvergent", "ValueError"])
+def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, error):
+    from hilbert_k3 import moduli, numkernel, verify
+
+    exc_type = getattr(moduli, error, None) or getattr(numkernel, error, None) or ValueError
+
+    def stub(name):
+        def suite(policy, seed):
+            if name == "developing-map":
+                raise exc_type("injected failure")
+            report = verify.VerificationReport(name)
+            report.checks.append(verify.CheckResult("stub", True, "exact", 0))
+            return report
+        return suite
+
+    for name in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, name, stub(name))
+    code, out = run_cli(capsys, "--stable-output", "verify", "all")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["overall"] == "fail"
+    assert [s["suite"] for s in payload["suites"]] == sorted(verify.SUITES)
+    failed = [s for s in payload["suites"] if s["overall"] == "fail"]
+    assert failed == [{"suite": "developing-map", "overall": "fail", "checks": [
+        {"name": "error", "status": "fail", "residual": f"{error}: injected failure",
+         "runtime_ms": 0}]}]

@@ -10,7 +10,7 @@ from hilbert_k3.hilbert_theta import (DIAGONAL_FACTORS, SHIFTS, S15_TABLE,
                                       THETA_CHARACTERISTICS, SiegelPoint, UHPPair,
                                       lattice_region, mueller_forms, psi, theta_batch,
                                       verify_modularity, verify_mueller_relation)
-from hilbert_k3.numkernel import PrecisionPolicy, default_policy, working_precision
+from hilbert_k3.numkernel import Jet, PrecisionPolicy, default_policy, working_precision
 
 # ------------------------------------------------------- brute-force oracle
 
@@ -336,3 +336,63 @@ def test_s5_antisymmetry_at_fixed_point(policy):
         a = mueller_forms(p, policy)
         b = mueller_forms((p[1], p[0]), policy)
         assert abs(a.s5 + b.s5) < policy.verify_tol * max(1, abs(a.s5))
+
+
+# ------------------------------------------------------------ derivatives
+
+BOX_POINT = (mpmath.mpc("0.3", "1.1"), mpmath.mpc("-0.2", "0.9"))
+
+
+def _derivative_point(name):
+    # the box point, or its image z -> -1/(z + 3), at Im 0.091 and 0.104
+    return BOX_POINT if name == "box" else tuple(-1 / (z + 3) for z in BOX_POINT)
+
+
+@pytest.mark.parametrize("name, bits, slot", [
+    ("box", 128, 0), ("box", 128, 1), ("box", 256, 0), ("box", 256, 1),
+    ("image", 128, 0), ("image", 128, 1)])
+def test_theta_derivatives_match_differentiated_oracle(name, bits, slot):
+    """d theta_j / dz against mpmath.diff of the brute-force sum at twice the
+    precision.  The differenced oracle itself is good to about 2^-(bits - 14)
+    of the shift's largest derivative, so the bound leaves a factor 2^10."""
+    pol, ref = PrecisionPolicy(bits), PrecisionPolicy(2 * bits)
+    with working_precision(ref):
+        p = _derivative_point(name)
+    with working_precision(pol):
+        jets = theta_batch(p, pol, derivatives=True)
+        for j in range(10):
+            def oracle(t, j=j):
+                z = list(p)
+                z[slot] = t
+                return siegel_theta(psi(z, ref), THETA_CHARACTERISTICS[j], ref)
+
+            got = (jets[j].d1, jets[j].d2)[slot]
+            a = THETA_CHARACTERISTICS[j][0]
+            scale = max(max(abs(jets[k].d1), abs(jets[k].d2))
+                        for k in range(10) if THETA_CHARACTERISTICS[k][0] == a)
+            assert abs(got - mpmath.diff(oracle, p[slot])) < 2 ** -(bits - 24) * scale, j
+
+
+def test_theta_values_with_derivatives_match_the_plain_pass(policy):
+    with working_precision(policy):
+        for name in ("box", "image"):
+            p = _derivative_point(name)
+            plain = theta_batch(p, policy)
+            jets = theta_batch(p, policy, derivatives=True)
+            scale = max(abs(t) for t in plain)
+            for t, jet in zip(plain, jets):
+                assert abs(jet.value - t) < policy.series_tol * scale
+
+
+def test_reduced_forms_equal_the_full_forms(policy):
+    with working_precision(policy):
+        full = mueller_forms(BOX_POINT, policy)
+        reduced = mueller_forms(BOX_POINT, policy, names=("g2", "s6", "s10"))
+        assert (reduced.g2, reduced.s6, reduced.s10) == (full.g2, full.s6, full.s10)
+        assert reduced.s5 is None and reduced.s15 is None
+        # jets carry the plain values through the same products, bit for bit
+        theta = [Jet(t, 0, 0) for t in theta_batch(BOX_POINT, policy)]
+        names = ("g2", "s5", "s6", "s10")
+        jets = mueller_forms(BOX_POINT, policy, theta=theta, names=names)
+        for name in names:
+            assert getattr(jets, name).value == getattr(full, name), name

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,7 +10,8 @@ from hilbert_k3.moduli import (GENERATORS, JacobianSingular, K2_LOCUS,
                                NearZeroDenominator, RankDeficient, apply_generator,
                                continuation_invert, match_projective_maps,
                                moduli_XYZ, modular_invariance, newton_invert)
-from hilbert_k3.numkernel import working_precision
+from hilbert_k3.hilbert_theta import mueller_forms, theta_batch
+from hilbert_k3.numkernel import PrecisionPolicy, working_precision
 
 
 def test_diagonal_Y_vanishes(policy):
@@ -146,3 +148,48 @@ def test_moduli_point_flags():
     from fractions import Fraction
     assert K2_LOCUS.evaluate({"X": Fraction(0), "Y": Fraction(-64)}) == 0
     assert K2_LOCUS.evaluate({"X": Fraction(1), "Y": Fraction(1)}) == 63
+
+
+def _xy_jets(p, policy):
+    theta = theta_batch(p, policy, derivatives=True)
+    forms = mueller_forms(p, policy, theta=theta, names=("g2", "s6", "s10"))
+    x, y, z = moduli_XYZ(p, policy, forms=forms)
+    assert z is None
+    return x, y
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_jacobian_matches_central_differences_at_doubled_precision(bits):
+    pol, ref = PrecisionPolicy(bits), PrecisionPolicy(2 * bits)
+    p = (mpmath.mpc("0.3", "1.1"), mpmath.mpc("-0.2", "0.9"))
+    with working_precision(pol):
+        jets = _xy_jets(p, pol)
+    with working_precision(ref):
+        # the central difference errs by about h^2 = 2^-(bits + 16)
+        h = mpmath.mpf(2) ** -(bits // 2 + 8)
+        for slot in (0, 1):
+            step = [0, 0]
+            step[slot] = h
+            fp = moduli_XYZ((p[0] + step[0], p[1] + step[1]), ref)[:2]
+            fm = moduli_XYZ((p[0] - step[0], p[1] - step[1]), ref)[:2]
+            for jet, a, b in zip(jets, fp, fm):
+                got = (jet.d1, jet.d2)[slot]
+                scale = max(abs(jet.d1), abs(jet.d2))
+                assert abs(got - (a - b) / (2 * h)) < 2 ** -bits * scale
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_invert_reaches_verify_tol(bits):
+    """Newton's default tolerance is verify_tol * (1 + |X| + |Y|); the point
+    it returns meets it also when X and Y are evaluated at twice the
+    precision."""
+    pol, ref = PrecisionPolicy(bits), PrecisionPolicy(2 * bits)
+    target = (Fraction(1, 10), Fraction(1, 10))
+    with working_precision(pol):
+        guess = (mpmath.mpc("0.309", "1.22"), mpmath.mpc("-0.809", "1.85"))
+        res = newton_invert(*target, guess, pol)
+    tol = pol.verify_tol * (1 + 2 * Fraction(1, 10))
+    assert res.residual < tol
+    with working_precision(ref):
+        x, y, _ = moduli_XYZ(res.z, ref)
+        assert abs(x - mpmath.mpf(1) / 10) + abs(y - mpmath.mpf(1) / 10) < tol

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hilbert_k3.moduli import RankDeficient
+from hilbert_k3.moduli import K2_LOCUS, RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy
 from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
                             _coefficient_series, build_pde,
@@ -14,7 +15,7 @@ from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
                             taylor_solutions, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
 from hilbert_k3.periods import restricted_ode_X
-from hilbert_k3.polynomials import SparsePoly
+from hilbert_k3.polynomials import SparsePoly, UniPoly
 
 V = ("X", "Y")
 BASE = (Fraction(1, 10), Fraction(1, 10))
@@ -237,3 +238,44 @@ def test_transform_constant_across_sample_sets(policy):
 def test_singular_distance_sane():
     d = estimate_singular_distance(BASE)
     assert 0.005 < d < 0.12
+
+
+def _singular_distance_per_point(x0, y0, grid_half_width, resolution):
+    """The singular-distance scan with one np.roots call per grid point."""
+    best = min(abs(x0), abs(y0))
+    k2_coeffs = [UniPoly.from_sparse(c, "X").coefficients() for c in K2_LOCUS.coeff_list("Y")]
+
+    def eval_x(coeffs, xc):
+        return complex(sum(complex(co) * xc ** k for k, co in enumerate(coeffs) if co))
+
+    centers, width = [x0], grid_half_width
+    for _ in range(3):
+        xc0 = centers[-1]
+        re = np.linspace(xc0 - width, xc0 + width, resolution)
+        im = np.linspace(-width, width, resolution)
+        local_best, local_arg = best, xc0
+        for a in re:
+            for b in im:
+                xc = complex(a, b)
+                cands = [36 * xc ** 2 - 32 * xc]
+                dense = [eval_x(p, xc) for p in k2_coeffs]
+                while dense and abs(dense[-1]) < 1e-14:
+                    dense.pop()
+                if len(dense) > 1:
+                    cands.extend(np.roots(list(reversed(dense))))
+                for ycand in cands:
+                    dist = float(np.hypot(abs(xc - x0), abs(ycand - y0)))
+                    if dist < local_best:
+                        local_best, local_arg = dist, xc
+        best = min(best, local_best)
+        centers.append(local_arg)
+        width /= resolution / 4
+    return best
+
+
+@pytest.mark.parametrize("base", [BASE, (Fraction(3, 17), Fraction(5, 23)),
+                                  (Fraction(25, 27), Fraction(1, 50))])
+def test_batched_singular_distance_equals_the_per_point_scan(base):
+    x0, y0 = float(base[0]), float(base[1])
+    want = _singular_distance_per_point(x0, y0, 1.5, 15)
+    assert estimate_singular_distance(base, resolution=15) == want
