@@ -28,7 +28,12 @@ from .verify import DEFAULT_SEED, SUITES, run_suite
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """An exact rational such as '3/4', '-2' or '0.25'; a zero denominator
+    is a ValueError, as any other malformed number is."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def parse_complex(text: str):
@@ -39,8 +44,7 @@ def parse_complex(text: str):
     if not s:
         raise ValueError("empty complex literal")
     if not s.endswith("i"):
-        re_part = Fraction(s)
-        return mpmath.mpc(to_mpf(re_part), 0)
+        return mpmath.mpc(to_mpf(parse_rational(s)), 0)
     body = s[:-1]
     # split off the imaginary coefficient: last top-level +/- not in position 0
     split = None
@@ -52,14 +56,14 @@ def parse_complex(text: str):
         re_part = Fraction(0)
         im_text = body
     else:
-        re_part = Fraction(body[:split])
+        re_part = parse_rational(body[:split])
         im_text = body[split:]
     if im_text in ("", "+"):
         im_part = Fraction(1)
     elif im_text == "-":
         im_part = Fraction(-1)
     else:
-        im_part = Fraction(im_text)
+        im_part = parse_rational(im_text)
     return mpmath.mpc(to_mpf(re_part), to_mpf(im_part))
 
 
@@ -167,8 +171,10 @@ def cmd_series(args, policy: PrecisionPolicy) -> tuple[int, object]:
             "coefficients": [str(c) for c in qe.coeffs],
         }
         return 0, payload
-    upper = [Fraction(a) for a in args.upper.split(",")]
-    lower = [Fraction(b) for b in args.lower.split(",")]
+    if args.order < 0:
+        raise ValueError(f"--order must be >= 0, got {args.order}")
+    upper = [parse_rational(a) for a in args.upper.split(",")]
+    lower = [parse_rational(b) for b in args.lower.split(",")]
     coeffs = hypergeom_coefficients(upper, lower, args.order)
     payload = {
         "series": f"hypergeometric {args.upper};{args.lower}",

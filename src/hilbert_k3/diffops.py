@@ -116,21 +116,19 @@ class DiffOperator:
         return (self.var == other.var and len(self.coeffs) == len(other.coeffs)
                 and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __hash__(self):
-        return hash((self.var, tuple(self.coeffs)))
-
     def monic(self) -> "DiffOperator":
         lead = self.coeffs[-1]
         return DiffOperator(self.var, [c / lead for c in self.coeffs])
 
     def cleared(self) -> list[UniPoly]:
-        """Polynomial coefficients after multiplying by the denominator lcm,
-        scaled so the leading one is primitive with positive leading
-        coefficient."""
+        """Polynomial coefficients after multiplying by the lcm of the reduced
+        denominators, scaled so the leading one is primitive with positive
+        leading coefficient."""
+        parts = [c.reduced() for c in self.coeffs]
         den = UniPoly([1])
-        for c in self.coeffs:
-            den = (den * c.den).divide_exact(den.gcd(c.den))
-        polys = [c.num * den.divide_exact(c.den) for c in self.coeffs]
+        for _, d in parts:
+            den = (den * d).divide_exact(den.gcd(d))
+        polys = [n * den.divide_exact(d) for n, d in parts]
         return [p * (1 / polys[-1].scale) for p in polys]
 
     # ---------------------------------------------------------- application
@@ -186,8 +184,9 @@ class DiffOperator:
         minus_s2 = RationalFunction(UniPoly([0, 0, -1]))
 
         def sub_inv(f: RationalFunction) -> RationalFunction:
-            m = max(f.num.degree(), f.den.degree())
-            return RationalFunction(f.num.reverse(m), f.den.reverse(m))
+            num, den = f.num, f.den
+            m = max(num.degree(), den.degree())
+            return RationalFunction(num.reverse(m), den.reverse(m))
 
         # (-s^2 D)^k built iteratively as rows of rational coefficients
         result = [zero] * (self.order + 1)

@@ -206,19 +206,6 @@ class FiberConfiguration:
         return out
 
 
-def _poly_valuation_of_factor(p: UniPoly, factor: UniPoly) -> int:
-    """Largest k with factor^k dividing p (0 if p is zero-free of it)."""
-    if not p:
-        raise ValueError("valuation of the zero polynomial")
-    k = 0
-    while True:
-        q, r = p.divmod(factor)
-        if r:
-            return k
-        p = q
-        k += 1
-
-
 def _classify_chart_origin(chart: WeierstrassChart, location: str) -> FiberPlacement:
     v2 = chart.g2.valuation() if chart.g2 else 10 ** 9
     v3 = chart.g3.valuation() if chart.g3 else 10 ** 9
@@ -249,8 +236,8 @@ def _classify_finite_nonzero(chart: WeierstrassChart) -> list[FiberPlacement]:
             deg = piece.degree()
             if deg == 0:
                 continue
-            v2 = _poly_valuation_of_factor(chart.g2, piece) if chart.g2 else 10 ** 9
-            v3 = _poly_valuation_of_factor(chart.g3, piece) if chart.g3 else 10 ** 9
+            v2 = chart.g2.divide_out(piece)[1] if chart.g2 else 10 ** 9
+            v3 = chart.g3.divide_out(piece)[1] if chart.g3 else 10 ** 9
             placements.append(FiberPlacement(
                 location=f"roots of {piece.format(chart.var)}",
                 type=_minimalized(v2, v3, mult),

@@ -11,6 +11,7 @@ by precision-doubling consistency tests.
 from __future__ import annotations
 
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -67,17 +68,26 @@ def default_policy() -> PrecisionPolicy:
         raise ValueError(f"{PRECISION_ENV_VAR}={bits!r}: {exc}") from None
 
 
+# mp.prec is one process-wide setting; blocks that set it take turns
+_PRECISION_LOCK = threading.RLock()
+
+
 @contextmanager
 def working_precision(policy: PrecisionPolicy | None = None,
                       guard_bits: int = GUARD_BITS) -> Iterator[PrecisionPolicy]:
-    """Run a block at policy precision (plus guard bits)."""
+    """Run a block at policy precision (plus guard bits).
+
+    The block holds a process-wide re-entrant lock: blocks nest within one
+    thread, and blocks in different threads run one at a time rather than
+    change each other's precision mid-computation."""
     policy = policy or default_policy()
-    old = mp.prec
-    mp.prec = policy.mantissa_bits + guard_bits
-    try:
-        yield policy
-    finally:
-        mp.prec = old
+    with _PRECISION_LOCK:
+        old = mp.prec
+        mp.prec = policy.mantissa_bits + guard_bits
+        try:
+            yield policy
+        finally:
+            mp.prec = old
 
 
 def to_mpc(value) -> mpmath.mpc:

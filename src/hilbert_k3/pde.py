@@ -84,128 +84,6 @@ def build_pde() -> PDESystem:
 BASIS: tuple[Jet, ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-class _FactoredRF:
-    """Rational function of X kept as numerator / product of factor powers;
-    avoids per-operation gcds, cancelling only by exact trial division
-    against the stored (primitive) factors."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: dict[UniPoly, int] | None = None,
-                 cancel: bool = True):
-        self.num = num
-        self.den = {f: e for f, e in (den or {}).items() if e > 0}
-        if not num:
-            self.den = {}
-        elif cancel and self.den:
-            self._cancel()
-
-    def _cancel(self):
-        for f in list(self.den):
-            e = self.den[f]
-            while e > 0:
-                try:
-                    self.num = self.num.divide_exact(f)
-                except ValueError:
-                    break
-                e -= 1
-            if e:
-                self.den[f] = e
-            else:
-                del self.den[f]
-
-    @classmethod
-    def const(cls, value) -> "_FactoredRF":
-        return cls(UniPoly([value]), {}, cancel=False)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def _den_poly(self) -> UniPoly:
-        out = UniPoly([1])
-        for f, e in self.den.items():
-            out = out * f ** e
-        return out
-
-    def to_rational(self) -> RationalFunction:
-        return RationalFunction(self.num, self._den_poly())
-
-    @staticmethod
-    def _coerce(other) -> "_FactoredRF":
-        return other if isinstance(other, _FactoredRF) else _FactoredRF.const(other)
-
-    def __add__(self, other) -> "_FactoredRF":
-        other = self._coerce(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        union = dict(self.den)
-        for f, e in other.den.items():
-            union[f] = max(union.get(f, 0), e)
-        def lift(term: "_FactoredRF") -> UniPoly:
-            n = term.num
-            for f, e in union.items():
-                missing = e - term.den.get(f, 0)
-                if missing:
-                    n = n * f ** missing
-            return n
-        return _FactoredRF(lift(self) + lift(other), union)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_FactoredRF":
-        return _FactoredRF(-self.num, self.den, cancel=False)
-
-    def __sub__(self, other) -> "_FactoredRF":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "_FactoredRF":
-        return -self + other
-
-    def __mul__(self, other) -> "_FactoredRF":
-        if not isinstance(other, _FactoredRF):
-            return _FactoredRF(self.num * other, self.den, cancel=False)
-        if self.is_zero() or other.is_zero():
-            return _FactoredRF.const(0)
-        den = dict(self.den)
-        for f, e in other.den.items():
-            den[f] = den.get(f, 0) + e
-        return _FactoredRF(self.num * other.num, den)
-
-    __rmul__ = __mul__
-
-    def __rtruediv__(self, c) -> "_FactoredRF":
-        """c / self for a rational constant c."""
-        if self.is_zero():
-            raise ZeroDivisionError("reciprocal of zero")
-        atom = self.num.primitive()
-        den = {atom: 1} if atom.degree() > 0 else {}
-        return _FactoredRF(self._den_poly() * (Fraction(c) / self.num.scale), den)
-
-    def derivative(self) -> "_FactoredRF":
-        dn = self.num.derivative()
-        if not self.den:
-            return _FactoredRF(dn, {}, cancel=False)
-        # (n / prod f^e)' = [n' prod f - n sum e_i f_i' prod_{j != i} f_j] / prod f^(e+1)
-        factors = list(self.den.items())
-        prod_all = UniPoly([1])
-        for f, _ in factors:
-            prod_all = prod_all * f
-        total = dn * prod_all
-        for i, (f, e) in enumerate(factors):
-            rest = UniPoly([1])
-            for j, (g, _) in enumerate(factors):
-                if j != i:
-                    rest = rest * g
-            total = total - self.num * (e * f.derivative()) * rest
-        den = {f: e + 1 for f, e in factors}
-        return _FactoredRF(total, den)
-
-
 # tracked Y-order for the elimination; coefficient reads are precision-checked,
 # so an insufficient value fails loudly instead of silently truncating
 _REL_PREC = 8
@@ -218,8 +96,7 @@ def _y_series(p: SparsePoly) -> FormalSeries:
     if not rows:
         return FormalSeries("Y", 0, [], _REL_PREC)
     val = next(j for j, c in enumerate(rows) if c)
-    coeffs = [_FactoredRF(UniPoly.from_sparse(c, "X"), {}, cancel=False)
-              for c in rows[val:]]
+    coeffs = [RationalFunction(UniPoly.from_sparse(c, "X")) for c in rows[val:]]
     return FormalSeries("Y", val, coeffs, val + max(_REL_PREC, len(rows) - val))
 
 
@@ -228,7 +105,7 @@ def _d_dX(s: FormalSeries) -> FormalSeries:
 
 
 Vector = tuple[FormalSeries, FormalSeries, FormalSeries, FormalSeries]
-_ONE = FormalSeries("Y", 0, [_FactoredRF.const(1)], _REL_PREC)
+_ONE = FormalSeries("Y", 0, [RationalFunction(1)], _REL_PREC)
 
 
 def _vec_const(k: int) -> Vector:
@@ -335,7 +212,7 @@ def eliminate_to_restricted_ode() -> DiffOperator:
         if ratio.prec <= 0:
             raise EliminationFailed(f"Y-order 0 beyond tracked precision {ratio.prec}")
         c = ratio.coefficient(0)
-        coeffs.append(c.to_rational() if c else RationalFunction(0))
+        coeffs.append(c if c else RationalFunction(0))
     return DiffOperator("X", coeffs + [RationalFunction(1)])
 
 

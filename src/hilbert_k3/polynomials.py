@@ -6,11 +6,15 @@
   variables), the symbolic Weierstrass charts, the numerators and
   denominators of the two-variable PDE coefficients and the lattice forms.
 * `UniPoly`: the one polynomial in one variable, a primitive integer
-  coefficient list times a rational scale, with mul, divmod, gcd, Yun's
-  square-free decomposition, derivative, affine substitution and reversal.
+  coefficient list times a rational scale, with mul, divmod, dividing out
+  a factor, gcd, Yun's square-free decomposition, derivative, affine
+  substitution and reversal.
   The exact elimination runs on it with degrees up to about 72.
-* `RationalFunction`: the one rational function in one variable, a reduced
-  quotient of UniPolys; the coefficients of differential operators over Q(t).
+* `RationalFunction`: the one rational function in one variable, a UniPoly
+  over a product of powers of primitive UniPolys, cancelled by trial division
+  with no gcd; `reduced` gives the coprime quotient.  It carries the
+  coefficients of differential operators over Q(t) and the Q(X) coefficients
+  of the elimination's series in Y.
 * `series_mul` / `series_inverse`: truncated power-series product and
   inverse, over Fractions or any exact field elements.
 * `FormalSeries`: the one truncated Laurent series, built on that pair, with
@@ -579,6 +583,20 @@ class UniPoly:
         # both operands primitive, so the quotient is too (Gauss's lemma)
         return UniPoly._raw(q, self.scale / other.scale)
 
+    def divide_out(self, factor: "UniPoly", limit: int | None = None) -> tuple["UniPoly", int]:
+        """(self / factor^k, k) for the largest k, at most `limit`, such that
+        factor^k divides self; factor must be non-constant."""
+        if not self.ints or factor.degree() < 1:
+            raise ValueError("dividing a constant out, or a factor out of zero")
+        k = 0
+        while limit is None or k < limit:
+            try:
+                q = self.divide_exact(factor)
+            except ValueError:
+                break
+            self, k = q, k + 1
+        return self, k
+
     # --------------------------------------------------------------- content
 
     def primitive(self) -> "UniPoly":
@@ -617,45 +635,80 @@ class UniPoly:
 
 
 class RationalFunction:
-    """num / den in one variable over Q: coprime UniPolys, den primitive with
-    positive leading coefficient.  The form is canonical, so equal functions
-    have equal parts."""
+    """num / prod f^e in one variable over Q: a UniPoly numerator over a dict
+    `factors` of primitive, non-constant UniPolys f to exponents e > 0.
 
-    __slots__ = ("num", "den")
+    Arithmetic takes no gcd.  It cancels only by exact trial division of the
+    numerator by the stored factors, so a result may keep a common factor
+    that two different stored factors share; the form is not canonical.
+    Equality is by cross-multiplication, and `reduced` gives the coprime
+    form."""
+
+    __slots__ = ("num", "factors")
 
     def __init__(self, num, den: UniPoly | None = None):
-        """num may be a UniPoly or a rational constant."""
+        """num / den; num may be a UniPoly or a rational constant, den a
+        nonzero UniPoly."""
         num = num if isinstance(num, UniPoly) else UniPoly([num])
-        if den is None:
-            self.num, self.den = num, UniPoly([1])
-            return
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
+        factors = {}
+        if den is not None:
+            if not den:
+                raise ZeroDivisionError("rational function with zero denominator")
+            # den = scale * (primitive, positive leading): move the scale up
+            num = num * (1 / den.scale)
+            if den.degree() > 0:
+                factors = {den.primitive(): 1}
+        out = RationalFunction._of(num, factors)
+        self.num, self.factors = out.num, out.factors
+
+    @classmethod
+    def _of(cls, num: UniPoly, factors: dict[UniPoly, int],
+            cancel: bool = True) -> "RationalFunction":
+        """num / prod f^e; with `cancel`, each factor is divided out of num as
+        often as it divides, up to its exponent.  `factors` is never mutated,
+        so results may share it."""
+        out = cls.__new__(cls)
+        if cancel and num and factors:
+            kept = {}
+            for f, e in factors.items():
+                num, k = num.divide_out(f, e)
+                if k < e:
+                    kept[f] = e - k
+            factors = kept
+        out.num, out.factors = num, factors if num else {}
+        return out
+
+    @property
+    def den(self) -> UniPoly:
+        """prod f^e: primitive, with positive leading coefficient."""
+        out = UniPoly([1])
+        for f, e in self.factors.items():
+            out = out * f ** e
+        return out
+
+    def reduced(self) -> tuple[UniPoly, UniPoly]:
+        """(num, den) coprime, den primitive with positive leading coefficient:
+        the canonical form, so equal functions give equal pairs."""
+        num, den = self.num, self.den
         if not num:
-            den = UniPoly([1])
-        elif den.degree() > 0:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num, den = num.divide_exact(g), den.divide_exact(g)
-        # den = scale * (primitive, positive leading): move the scale up
-        self.num = num * (1 / den.scale) if den.scale != 1 else num
-        self.den = den.primitive()
+            return num, den
+        g = num.gcd(den)
+        if g.degree() > 0:
+            num, den = num.divide_exact(g), den.divide_exact(g)
+        return num, den
 
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_poly(self) -> bool:
-        return self.den.degree() == 0
+    def __bool__(self) -> bool:
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, UniPoly)):
             other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
+        return self.num * other.den == other.num * self.den
 
     @staticmethod
     def _coerce(other) -> "RationalFunction":
@@ -663,46 +716,90 @@ class RationalFunction:
 
     # ---------------------------------------------------------- arithmetic
 
+    def _lifted(self, factors: dict[UniPoly, int]) -> UniPoly:
+        """num over prod f^e for `factors`, which contain self's."""
+        n = self.num
+        for f, e in factors.items():
+            missing = e - self.factors.get(f, 0)
+            if missing:
+                n = n * f ** missing
+        return n
+
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        if not self.num:
+            return other
+        if not other.num:
+            return self
+        union = dict(self.factors)
+        for f, e in other.factors.items():
+            union[f] = max(union.get(f, 0), e)
+        return RationalFunction._of(self._lifted(union) + other._lifted(union), union)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den
-        return out
+        return RationalFunction._of(-self.num, self.factors, cancel=False)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
 
+    def __rsub__(self, other) -> "RationalFunction":
+        return -self + other
+
     def __mul__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._of(self.num * other, self.factors, cancel=False)
         other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        factors = dict(self.factors)
+        for f, e in other.factors.items():
+            factors[f] = factors.get(f, 0) + e
+        return RationalFunction._of(self.num * other.num, factors)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other)
-        if other.is_zero():
+    def _inverse(self) -> "RationalFunction":
+        """1 / self: the denominator over the numerator as one factor."""
+        if not self.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        atom = self.num.primitive()
+        return RationalFunction._of(self.den * (1 / self.num.scale),
+                                    {atom: 1} if atom.degree() > 0 else {})
+
+    def __truediv__(self, other) -> "RationalFunction":
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return self * self._coerce(other)._inverse()
+
+    def __rtruediv__(self, c) -> "RationalFunction":
+        """c / self for a rational constant c."""
+        return self._inverse() * c
 
     def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
+        dn = self.num.derivative()
+        if not self.factors:
+            return RationalFunction._of(dn, {}, cancel=False)
+        # (n / prod f^e)' = [n' prod f - n sum e_i f_i' prod_{j != i} f_j] / prod f^(e+1)
+        items = list(self.factors.items())
+        total = dn
+        for f, _ in items:
+            total = total * f
+        for i, (f, e) in enumerate(items):
+            rest = UniPoly([1])
+            for g, _ in items[:i] + items[i + 1:]:
+                rest = rest * g
+            total = total - self.num * (e * f.derivative()) * rest
+        return RationalFunction._of(total, {f: e + 1 for f, e in self.factors.items()})
 
     def affine(self, a, b) -> "RationalFunction":
         """f(a x + b)."""
         return RationalFunction(self.num.affine(a, b), self.den.affine(a, b))
 
     def format(self, var: str) -> str:
-        if self.is_poly():
-            return self.num.format(var)
-        return f"({self.num.format(var)}) / ({self.den.format(var)})"
+        num, den = self.reduced()
+        if den.degree() == 0:
+            return num.format(var)
+        return f"({num.format(var)}) / ({den.format(var)})"
 
     def __repr__(self) -> str:
         return self.format("x")
@@ -749,7 +846,7 @@ class FormalSeries:
     """var^expo * (c_0 + c_1 var + ...), known modulo var^prec.
 
     The coefficients are Fractions or any exact field elements with +, -, *,
-    constant / element and a falsy zero, such as `pde._FactoredRF` or another
+    constant / element and a falsy zero, such as `RationalFunction` or another
     FormalSeries.  The exponents are ints or Fractions; two series add only
     when their exponents differ by an integer.  Arithmetic never claims a
     coefficient at or past `prec`: a sum is known to the lower precision, and
@@ -852,11 +949,12 @@ class FormalSeries:
         the exponent by its order."""
         if f.is_zero():
             return FormalSeries(self.var, self.expo, [], self.prec)
-        v = f.den.valuation()
+        den = f.den
+        v = den.valuation()
         expo, prec = self.expo - v, self.prec + f.num.valuation() - v
         n = int(prec - expo)
         num = series_mul(self.coeffs, f.num.coefficients(), n)
-        unit = f.den.coefficients()[v:v + n]
+        unit = den.coefficients()[v:v + n]
         return FormalSeries(self.var, expo, series_mul(num, series_inverse(unit, n), n), prec)
 
     def __repr__(self) -> str:

@@ -135,6 +135,24 @@ def test_bad_precision_exits_two_with_message(capsys, monkeypatch, argv, env, me
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fibers", "classify", "--X", "1", "--Y", "1/0"], "zero denominator in '1/0'"),
+    (["forms", "eval", "--z1", "1/0+1i", "--z2", "1i"], "zero denominator in '1/0'"),
+    (["forms", "eval", "--z1", "1+1/0i", "--z2", "1i"], "zero denominator in '+1/0'"),
+    (["invert", "--X", "1/0", "--Y", "1", "--guess", "0.2+1.1i,-0.3+1.5i"],
+     "zero denominator in '1/0'"),
+    (["series", "hypergeom", "--order", "3", "--lower", "1/0"], "zero denominator in '1/0'"),
+    (["series", "hypergeom", "--order", "-3"], "--order must be >= 0"),
+])
+def test_bad_numbers_exit_two_with_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonexistent"])

@@ -166,3 +166,28 @@ def test_formal_series_arithmetic_tracks_precision():
     d = a.derivative()
     assert d.coefficient(0) == 1
     assert d.coefficient(1) == 4
+
+
+def _series_data(basis):
+    return [{l: (s.expo, s.coeffs, s.prec) for l, s in b.parts.items()} for b in basis]
+
+
+def test_non_reduced_coefficients_give_the_same_local_theory():
+    """Coefficients stored with a common factor in numerator and denominator,
+    such as t (t - 1) / (t (t - 1) (5t - 72)), give the same indicial
+    exponents and Frobenius series as the reduced ones."""
+    t = _t()
+    m = t * (t - 1) * (5 * t - 72)
+    f = RationalFunction(t * (t - 1), m)
+    assert f.num.degree() == 2
+    assert f.reduced() == (UniPoly([1]), 5 * t - 72)
+    ode = restricted_operators()
+    for op in (ode.W1, ode.W3):
+        padded = DiffOperator("t", [RationalFunction(c.num * m, c.den * m) for c in op.coeffs])
+        assert padded == op
+        assert any(p.num != c.num for p, c in zip(padded.coeffs, op.coeffs))
+        for point in (0, 1, Fraction(72, 5), "infinity"):
+            assert indicial_exponents(padded, point) == indicial_exponents(op, point)
+        for point in (0, 1):
+            assert (_series_data(series_solve(padded, point, 6))
+                    == _series_data(series_solve(op, point, 6)))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_k3.lattice import mat_identity, mat_inverse_int, mat_mul
-from hilbert_k3.pde import InconsistentReduction, _FactoredRF, taylor_solutions
+from hilbert_k3.pde import InconsistentReduction, taylor_solutions
 from hilbert_k3.polynomials import (FormalSeries, RationalFunction, UniPoly, series_inverse,
                                     series_mul)
 
@@ -21,6 +21,7 @@ x = sympy.Symbol("x")
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=9)
 polys = st.lists(rationals, max_size=7).map(UniPoly)
 nonzero_polys = polys.filter(bool)
+small_polys = st.lists(rationals, max_size=3).map(UniPoly)
 units = st.lists(rationals, min_size=1, max_size=6).filter(lambda c: c[0] != 0)
 
 
@@ -44,6 +45,10 @@ def rf_oracle(f: RationalFunction) -> tuple[sympy.Poly, sympy.Poly]:
     return oracle(f.num), oracle(f.den)
 
 
+def rf_expr(f: RationalFunction) -> sympy.Expr:
+    return oracle(f.num).as_expr() / oracle(f.den).as_expr()
+
+
 def same(f: RationalFunction, pair: tuple[sympy.Poly, sympy.Poly]) -> bool:
     """f equals num / den, by cross-multiplication in sympy."""
     num, den = pair
@@ -51,6 +56,8 @@ def same(f: RationalFunction, pair: tuple[sympy.Poly, sympy.Poly]) -> bool:
 
 
 rational_functions = st.builds(RationalFunction, polys, nonzero_polys)
+# smaller ones, as the coefficients of FormalSeries
+small_rational_functions = st.builds(RationalFunction, small_polys, small_polys.filter(bool))
 
 
 @PROPERTY
@@ -140,11 +147,29 @@ def test_unipoly_reverse_and_valuation_match_sympy(p, extra):
 def test_rational_function_canonical_form(a, b, c):
     f = RationalFunction(a, b)
     assert same(f, (oracle(a), oracle(b)))
-    assert is_primitive(f.den)
-    assert sympy.gcd(oracle(f.num), oracle(f.den)).degree() <= 0
-    # the same function from a scaled, unreduced pair has the same parts
+    num, den = f.reduced()
+    assert same(f, (oracle(num), oracle(den)))
+    assert is_primitive(den)
+    assert sympy.gcd(oracle(num), oracle(den)).degree() <= 0
+    # the same function from a scaled, unreduced pair has the same reduced form
     g = RationalFunction(a * b * c, b * b * c)
-    assert (g.num, g.den) == (f.num, f.den) and g == f
+    assert g.reduced() == (num, den) and g == f
+
+
+@PROPERTY
+@given(small_polys, small_polys.filter(bool), small_polys.filter(bool),
+       small_rational_functions, small_rational_functions, st.booleans())
+def test_rational_function_equality_across_arithmetic_paths(a, b, c, h, k, reuse):
+    """a / (b c) stored as one factor and as the two factors b and c: the
+    results of further arithmetic keep different factors, yet compare equal
+    exactly when sympy says the functions are equal."""
+    k = h if reuse else k
+    p = (RationalFunction(a, b * c) + h) * h
+    q = (RationalFunction(a, b) / c + k) * k
+    assert (p == q) == (sympy.cancel(rf_expr(p) - rf_expr(q)) == 0)
+    assert (p == q) == (p.reduced() == q.reduced())
+    if k:
+        assert (p * k) / k == p
 
 
 @PROPERTY
@@ -174,10 +199,9 @@ def test_series_inverse_over_fractions(a, n):
 def test_series_inverse_over_rational_functions(nums, den, n):
     if not nums[0]:
         nums[0] = UniPoly([1])
-    den = den.primitive()
-    a = [_FactoredRF(num, {den: 1} if den.degree() > 0 else {}) for num in nums]
+    a = [RationalFunction(num, den) for num in nums]
     product = series_mul(a, series_inverse(a, n), n)
-    assert [c.to_rational() for c in product] == [1] + [0] * (n - 1)
+    assert product == [1] + [0] * (n - 1)
 
 
 @st.composite
@@ -189,20 +213,19 @@ def series(draw, coefficients):
     return FormalSeries("x", expo, coeffs, expo + len(coeffs) + draw(st.integers(0, 2)))
 
 
-factored = st.builds(lambda num, den: _FactoredRF(num, {den: 1} if den.degree() > 0 else {}),
-                     st.lists(rationals, max_size=3).map(UniPoly),
-                     st.lists(rationals, min_size=1, max_size=3).map(UniPoly)
-                     .filter(bool).map(UniPoly.primitive))
-
-
 @PROPERTY
-@given(factored, rationals)
-def test_factored_rf_mixes_with_rational_constants(f, r):
-    g = f.to_rational()
-    assert (f + r).to_rational() == (r + f).to_rational() == g + r
-    assert (f - r).to_rational() == g - r
-    assert (r - f).to_rational() == RationalFunction(r) - g
-    assert (f * r).to_rational() == (r * f).to_rational() == g * r
+@given(rational_functions, rationals)
+def test_rational_function_mixes_with_rational_constants(f, r):
+    fn, fd = rf_oracle(f)
+    c = rational(r)
+    assert same(f + r, (fn + c * fd, fd)) and same(r + f, (fn + c * fd, fd))
+    assert same(f - r, (fn - c * fd, fd))
+    assert same(r - f, (c * fd - fn, fd))
+    assert same(f * r, (c * fn, fd)) and same(r * f, (c * fn, fd))
+    if r:
+        assert same(f / r, (fn, c * fd))
+    if f:
+        assert same(r / f, (c * fd, fn))
 
 
 def laurent(s: FormalSeries):
@@ -238,11 +261,11 @@ def test_formal_series_inverse_over_fractions(s):
 
 
 @PROPERTY
-@given(series(factored), series(factored))
+@given(series(small_rational_functions), series(small_rational_functions))
 def test_formal_series_sum_and_product_over_rational_functions(a, b):
     def coeff(s, k):
         c = s.coefficient(k)
-        return c.to_rational() if c else RationalFunction(0)
+        return c if c else RationalFunction(0)
 
     total, product = a + b, a * b
     assert total.prec == min(a.prec, b.prec)
@@ -259,15 +282,14 @@ def test_formal_series_sum_and_product_over_rational_functions(a, b):
 
 
 @PROPERTY
-@given(series(factored).filter(lambda s: not s.is_zero_to_precision()))
+@given(series(small_rational_functions).filter(lambda s: not s.is_zero_to_precision()))
 def test_formal_series_inverse_over_rational_functions(s):
     v = s.valuation()
     inv = s.inverse()
     assert inv.expo == inv.valuation() == -v
     one = s * inv
     assert one.prec == s.prec - v
-    assert [one.coefficient(k).to_rational() for k in range(one.prec)] == \
-        [1] + [0] * (one.prec - 1)
+    assert [one.coefficient(k) for k in range(one.prec)] == [1] + [0] * (one.prec - 1)
 
 
 def test_formal_series_inverse_of_zero_raises():

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import mpmath
 import pytest
 
+from hilbert_k3.hilbert_theta import FORM_NAMES, mueller_forms
 from hilbert_k3.numkernel import (NonConvergent, PrecisionPolicy, quadratic_constants,
                                   sum_series, working_precision)
 
@@ -91,3 +95,36 @@ def test_precision_doubling_consistency(policy):
             # J divides nearly-cancelling Eisenstein combinations; its
             # condition number w.r.t. the series tails is ~ 3 |J| (1 + |J|)
             assert abs(ja - jb) < policy.series_tol * 12 * (1 + abs(jb)) ** 2
+
+
+def test_threads_at_different_precisions_keep_their_digits():
+    """Two threads evaluate the forms at 128 and at 256 bits while the
+    interpreter switches between them as often as it can.  working_precision
+    serialises the blocks that set the process-wide mp.prec, so every result
+    agrees with a reference at twice its precision."""
+    p = (mpmath.mpc("0.25", "1.125"), mpmath.mpc("-0.125", "0.875"))
+    results: dict[int, list] = {128: [], 256: []}
+
+    def work(bits):
+        policy = PrecisionPolicy(bits)
+        for _ in range(20):
+            results[bits].append(mueller_forms(p, policy))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(bits,)) for bits in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(old)
+    for bits, forms in results.items():
+        assert len(forms) == 20, bits
+        reference = PrecisionPolicy(2 * bits)
+        ref = mueller_forms(p, reference)
+        with working_precision(reference):
+            worst = max(abs(getattr(f, name) - getattr(ref, name)) / abs(getattr(ref, name))
+                        for f in forms for name in FORM_NAMES)
+        assert worst < PrecisionPolicy(bits).verify_tol, (bits, worst)

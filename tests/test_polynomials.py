@@ -90,11 +90,10 @@ def test_squarefree_decomposition():
 def test_rational_function_reduction_and_sign():
     t = T
     r = RationalFunction(t ** 2 - 1, t + 1)
-    assert r.is_poly()
-    assert r.num == t - 1
+    assert r.reduced() == (t - 1, UniPoly([1]))
     # canonical sign: denominator leading coefficient positive
     r2 = RationalFunction(t, -2 * (t + 1))
-    assert r2.den.coefficients()[-1] > 0
+    assert r2.reduced()[1].coefficients()[-1] > 0
     assert r2 == RationalFunction(-t, 2 * (t + 1))
 
 

@@ -48,7 +48,6 @@ ALLOWED = {
     "polynomials.SparsePoly.copy": "used only by divmod_exact",
     "pde.Quotient.evaluate": "the exact benchmark's Taylor-basis checker calls it",
     "polynomials.RationalFunction.format": "RationalFunction.__repr__ prints with it",
-    "polynomials.RationalFunction.is_poly": "RationalFunction.format calls it",
 }
 
 
