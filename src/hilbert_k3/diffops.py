@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import (FormalSeries, RationalFunction, UniPoly, gauss_jordan, series_inverse,
+from .polynomials import (FormalSeries, RationalFunction, UniPoly, gauss_jordan, series_divide,
                           series_mul)
 
 
@@ -21,6 +21,10 @@ class IrregularSingular(Exception):
 
 class NonRationalRoot(Exception):
     """The indicial polynomial has an irreducible factor of degree > 1 over Q."""
+
+
+class IncompleteBasis(Exception):
+    """A Frobenius basis lacks solutions or has an unexpected log structure."""
 
 
 INFINITY = "infinity"
@@ -310,26 +314,27 @@ def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
 # ------------------------------------------------------------- Frobenius jets
 # A jet is the list of Taylor coefficients in a formal epsilon, truncated at
 # its length; the recurrence below runs on jets in rho = root + n + epsilon.
+# Below higher roots of total multiplicity `above` in its integer class, a root
+# of multiplicity mult starts from c_0 = eps^above with jets 2 above + mult long.
+# Dividing by q_0(root + n + eps) loses m leading terms exactly where root + n
+# is a higher root of multiplicity m, so the above + mult terms the log
+# solutions read (eps-derivatives of order k < above + mult) survive.
 
 
 def _taylor(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
     """p(x + epsilon) to length n: the first n Taylor coefficients at x."""
-    out = []
-    for k in range(n):
-        out.append(p(x) / math.factorial(k))
-        p = p.derivative()
-    return out
+    out = p.affine(1, x).coefficients()[:n]
+    return out + [Fraction(0)] * (n - len(out))
 
 
 def _jet_divide(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """num / den, allowing a common epsilon valuation in both jets."""
+    """num / den, allowing a common epsilon valuation v in both jets (v terms are lost)."""
     v = next((i for i, c in enumerate(den) if c), None)
     if v is None:
         raise ZeroDivisionError("division by zero jet")
     if any(num[:v]):
         raise ValueError("jet division would produce a pole")
-    n = min(len(num), len(den)) - v
-    return series_mul(num[v:], series_inverse(den[v:], n), n)
+    return series_divide(num[v:], den[v:], min(len(num), len(den)) - v)
 
 
 def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
@@ -365,7 +370,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
         r_min = cls_sorted[-1][0]
         for idx, (root, mult) in enumerate(cls_sorted):
             above = sum(m for r, m in cls_sorted[:idx])
-            jet_len = 2 * above + mult + 4
+            jet_len = 2 * above + mult
             n_terms = order + int(max(r for r, _ in cls_sorted) - root) + 1
             # coefficient jets c_n(root + eps), with c_0 = eps^above
             coeffs_jets = [[Fraction(int(k == above)) for k in range(jet_len)]]
@@ -399,7 +404,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
         solutions.extend(collected)
 
     if len(solutions) != local.order:
-        raise RuntimeError(
+        raise IncompleteBasis(
             f"Frobenius basis incomplete: got {len(solutions)} of {local.order}")
     return solutions
 

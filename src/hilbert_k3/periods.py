@@ -13,7 +13,7 @@ from typing import Sequence
 
 import mpmath
 
-from .diffops import DiffOperator, LogSeries, series_solve
+from .diffops import DiffOperator, IncompleteBasis, LogSeries, series_solve
 from .elliptic import eisenstein_and_J
 from .moduli import moduli_XYZ
 from .numkernel import PrecisionPolicy, to_mpc, working_precision
@@ -132,7 +132,7 @@ def gauss_frobenius_basis(order: int) -> tuple[LogSeries, LogSeries]:
     holo = [b for b in basis if b.log_degree() == 0]
     logs = [b for b in basis if b.log_degree() == 1]
     if len(holo) != 1 or len(logs) != 1:
-        raise RuntimeError("unexpected Frobenius structure for the Gauss equation")
+        raise IncompleteBasis("unexpected Frobenius structure for the Gauss equation")
     return holo[0], logs[0]
 
 

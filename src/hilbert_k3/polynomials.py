@@ -15,8 +15,8 @@
   with no gcd; `reduced` gives the coprime quotient.  It carries the
   coefficients of differential operators over Q(t) and the Q(X) coefficients
   of the elimination's series in Y.
-* `series_mul` / `series_inverse`: truncated power-series product and
-  inverse, over Fractions or any exact field elements.
+* `series_mul` / `series_divide`: truncated power-series product and
+  quotient (`series_inverse` divides 1), over Fractions or exact field elements.
 * `FormalSeries`: the one truncated Laurent series, built on that pair, with
   tracked precision.  Its coefficients may be Fractions (Frobenius solutions,
   q-expansions), rational functions of X (the elimination's series in Y) or
@@ -826,20 +826,26 @@ def series_mul(a: Sequence, b: Sequence, n: int) -> list:
     return out
 
 
+def series_divide(a: Sequence, b: Sequence, n: int) -> list:
+    """Coefficients 0..n-1 of a / b, from b[0] q[k] = a[k] - sum_j b[j] q[k-j]
+    in O(n len b); b[0] must be nonzero."""
+    if not b or not b[0]:
+        raise ZeroDivisionError("division by a power series with zero constant term")
+    first = 1 / b[0]
+    zero = b[0] - b[0]
+    out: list = []
+    for k in range(n):
+        acc = a[k] if k < len(a) else zero
+        for j in range(1, min(k, len(b) - 1) + 1):
+            if b[j] and out[k - j]:
+                acc = acc - b[j] * out[k - j]
+        out.append(acc * first)
+    return out
+
+
 def series_inverse(a: Sequence, n: int) -> list:
     """Coefficients 0..n-1 of 1 / a; a[0] must be nonzero."""
-    if not a or not a[0]:
-        raise ZeroDivisionError("power series with zero constant term has no inverse")
-    first = 1 / a[0]
-    zero = a[0] - a[0]
-    out = [first]
-    for k in range(1, n):
-        acc = zero
-        for j in range(1, min(k, len(a) - 1) + 1):
-            if a[j] and out[k - j]:
-                acc = acc + a[j] * out[k - j]
-        out.append(-(acc * first))
-    return out[:n]
+    return series_divide([1], a, n)
 
 
 class FormalSeries:
@@ -854,7 +860,7 @@ class FormalSeries:
     var^min(p + w, q + v).
 
     A FormalSeries is truthy even when it vanishes to its precision, so that
-    `series_mul` and `series_inverse`, which skip falsy coefficients, never
+    `series_mul` and `series_divide`, which skip falsy coefficients, never
     drop the precision bound a nested series carries.
     """
 
@@ -926,6 +932,8 @@ class FormalSeries:
         b = other.coeffs[int(vb - other.expo):]
         return FormalSeries(self.var, va + vb, series_mul(a, b, int(prec - va - vb)), prec)
 
+    __rmul__ = __mul__
+
     def inverse(self) -> "FormalSeries":
         """1 / self, to as many terms as self is known past its valuation v;
         the inverse starts at var^-v."""
@@ -954,8 +962,7 @@ class FormalSeries:
         expo, prec = self.expo - v, self.prec + f.num.valuation() - v
         n = int(prec - expo)
         num = series_mul(self.coeffs, f.num.coefficients(), n)
-        unit = den.coefficients()[v:v + n]
-        return FormalSeries(self.var, expo, series_mul(num, series_inverse(unit, n), n), prec)
+        return FormalSeries(self.var, expo, series_divide(num, den.coefficients()[v:], n), prec)
 
     def __repr__(self) -> str:
         bits = [f"{c}*{self.var}^{self.expo + n}" for n, c in enumerate(self.coeffs) if c]

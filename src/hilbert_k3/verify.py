@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import elliptic, fibrations, hilbert_theta, klein, lattice, moduli, pde, periods
+from . import diffops, elliptic, fibrations, hilbert_theta, klein, lattice, moduli, pde, periods
 from .numkernel import NonConvergent, PrecisionPolicy, default_policy, working_precision
 
 DEFAULT_SEED = 20250811
@@ -330,10 +330,12 @@ SUITES = {
 }
 
 
-# numeric failures a suite reports as a failed check rather than raising
-SUITE_FAILURES = (moduli.NoConvergence, moduli.JacobianSingular,
-                  moduli.NearZeroDenominator, moduli.RankDeficient, NonConvergent,
-                  ValueError)
+# numeric and exact-layer failures a suite reports as a failed check
+SUITE_FAILURES = (moduli.NoConvergence, moduli.JacobianSingular, moduli.NearZeroDenominator,
+                  moduli.RankDeficient, NonConvergent, ValueError, diffops.IrregularSingular,
+                  diffops.NonRationalRoot, diffops.IncompleteBasis, pde.EliminationFailed,
+                  pde.InconsistentReduction, pde.SingularBasePoint, periods.NoSchwarzConvergence,
+                  fibrations.NonMinimal, lattice.NoConventionMatches)
 
 
 def run_suite(name: str, policy: PrecisionPolicy | None = None,

@@ -210,11 +210,19 @@ def test_invert_prints_no_noise_digits(capsys):
 
 
 @pytest.mark.parametrize("error", ["NoConvergence", "JacobianSingular", "NearZeroDenominator",
-                                   "RankDeficient", "NonConvergent", "ValueError"])
+                                   "RankDeficient", "NonConvergent", "ValueError",
+                                   "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
+                                   "EliminationFailed", "InconsistentReduction",
+                                   "SingularBasePoint", "NoSchwarzConvergence", "NonMinimal",
+                                   "NoConventionMatches"])
 def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, error):
-    from hilbert_k3 import moduli, numkernel, verify
+    import builtins
 
-    exc_type = getattr(moduli, error, None) or getattr(numkernel, error, None) or ValueError
+    from hilbert_k3 import diffops, fibrations, lattice, moduli, numkernel, pde, periods, verify
+
+    exc_type = next(getattr(m, error) for m in (moduli, numkernel, diffops, pde, periods,
+                                                 fibrations, lattice, builtins)
+                    if hasattr(m, error))
 
     def stub(name):
         def suite(policy, seed):

@@ -1,9 +1,13 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hilbert_k3.diffops import (DiffOperator, IrregularSingular, NonRationalRoot,
+from hilbert_k3.diffops import (DiffOperator, IrregularSingular, NonRationalRoot, _taylor,
                                 indicial_exponents, series_solve)
 from hilbert_k3.periods import (gauss_operator, hypergeom_coefficients,
                                 restricted_ode_X, restricted_operators)
@@ -191,3 +195,110 @@ def test_non_reduced_coefficients_give_the_same_local_theory():
         for point in (0, 1):
             assert (_series_data(series_solve(padded, point, 6))
                     == _series_data(series_solve(op, point, 6)))
+
+
+def _theta_operator(qs: list[UniPoly]) -> DiffOperator:
+    """sum_j t^j q_j(theta) with theta = t d/dt.  The falling factorial
+    theta (theta - 1) ... (theta - i + 1) is t^i D^i, and q has the
+    coefficient Delta^i q(0) / i! on the i-th falling factorial."""
+    coeffs = [UniPoly()] * (max(q.degree() for q in qs) + 1)
+    for j, q in enumerate(qs):
+        for i in range(q.degree() + 1):
+            a = sum((-1) ** (i - m) * math.comb(i, m) * q(m)
+                    for m in range(i + 1)) / math.factorial(i)
+            coeffs[i] = coeffs[i] + UniPoly([0] * (i + j) + [a])
+    return DiffOperator("t", [RationalFunction(c) for c in coeffs])
+
+
+RHO = UniPoly([0, 1])
+
+
+@pytest.mark.parametrize("qs, exponents, expected", [
+    # exponents 3 > 1 = 1 > 0 in one class: every collision carries a log
+    ([RHO * (RHO - 1) ** 2 * (RHO - 3), RHO ** 2 + 1], [0, 1, 1, 3],
+     [(0, 3), (1, 1), (2, 1), (3, 0)]),
+    # q_1 vanishes at 2, so the collision of 1 with 3 needs no log
+    ([RHO * (RHO - 1) ** 2 * (RHO - 3), RHO - 2], [0, 1, 1, 3],
+     [(0, 3), (0, 1), (1, 1), (2, 0)]),
+    # a triple exponent below a simple one, at half-integers
+    ([(RHO - Fraction(1, 2)) ** 3 * (RHO - Fraction(5, 2)), RHO ** 2 + 1],
+     [Fraction(1, 2)] * 3 + [Fraction(5, 2)],
+     [(0, Fraction(5, 2)), (1, Fraction(1, 2)), (2, Fraction(1, 2)), (3, Fraction(1, 2))]),
+], ids=["logs-at-every-collision", "collision-without-log", "half-integer-triple"])
+def test_frobenius_basis_at_resonance(qs, exponents, expected):
+    """Exponents that differ by integers, with multiplicities: a full basis
+    with the expected (log degree, leading exponent) pairs, each solution
+    annihilated to its truncation order.  Jets one term shorter than
+    `series_solve` builds lose the last solution of a resonant exponent."""
+    op = _theta_operator(qs)
+    assert indicial_exponents(op, 0) == exponents
+    basis = series_solve(op, 0, 12)
+    assert len(basis) == op.order
+    assert [(b.log_degree(), min(s.expo for s in b.parts.values())) for b in basis] == expected
+    for b in basis:
+        assert op.apply(b).is_zero_to_precision()
+
+
+def _basis_digest(basis) -> str:
+    h = hashlib.sha256()
+    for b in basis:
+        for l in sorted(b.parts):
+            s = b.parts[l]
+            h.update(f"{l}|{s.expo}|{s.prec}|{','.join(str(c) for c in s.coeffs)};".encode())
+        h.update(b"#")
+    return h.hexdigest()
+
+
+# sha256 of every exponent, precision and coefficient of the order-40 bases
+FROBENIUS_DIGESTS = {
+    "0": "c1e2e48a58567b91813c61194f7b1ece58bf06c72902310c031a2e4e0c2f5e29",
+    "25/27": "67a3046e592f8cd35df4f63623df22ea5cb933f3e6c439a72d82511fd45cfff8",
+    "40/3": "56e62f6bb7a139f4e2131d343adc2e484a3d9e2a0a75b81249b8e897374bef5f",
+    "infinity": "e832324043880f59e1e1b7f4ef258b4fdcfd42feb3e73e5135b89209cf6f54ec",
+    "gauss": "609a6dd1cd4482f3cc83f8e84e2a3b97dbc26775df99692d5df773f24cbb7c41",
+}
+
+
+@pytest.mark.parametrize("point", sorted(FROBENIUS_DIGESTS))
+def test_frobenius_outputs_are_pinned(point):
+    """The restricted equation at its four singular points and the Gauss
+    equation at 0, to order 40, reproduce the recorded coefficients exactly."""
+    if point == "gauss":
+        local = gauss_operator()
+    elif point == "infinity":
+        local = restricted_ode_X().invert_variable()
+    else:
+        local = restricted_ode_X().shift_variable(Fraction(point))
+    assert _basis_digest(series_solve(local, 0, 40)) == FROBENIUS_DIGESTS[point]
+
+
+def _taylor_oracle(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
+    """The first n Taylor coefficients p^(k)(x) / k! at x."""
+    out = []
+    for k in range(n):
+        out.append(p(x) / math.factorial(k))
+        p = p.derivative()
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9), max_size=7),
+       st.fractions(min_value=-20, max_value=20, max_denominator=12),
+       st.integers(min_value=0, max_value=10))
+def test_taylor_matches_derivatives_over_factorials(coeffs, x, n):
+    p = UniPoly(coeffs)
+    assert _taylor(p, x, n) == _taylor_oracle(p, x, n)
+
+
+@pytest.mark.parametrize("p, x, n", [
+    (UniPoly(), Fraction(3, 7), 4),
+    (UniPoly([5]), Fraction(-1, 2), 3),
+    (UniPoly([1, -2, 0, 3]), Fraction(5, 3), 9),
+    (UniPoly([Fraction(1, 2), 7, 1]), Fraction(2), 0),
+])
+def test_taylor_edge_cases(p, x, n):
+    """The zero polynomial, a constant, n past the degree, n = 0, and
+    non-integer points."""
+    out = _taylor(p, x, n)
+    assert out == _taylor_oracle(p, x, n)
+    assert len(out) == n and all(isinstance(c, Fraction) for c in out)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from hilbert_k3.lattice import mat_identity, mat_inverse_int, mat_mul
 from hilbert_k3.pde import InconsistentReduction, taylor_solutions
-from hilbert_k3.polynomials import (FormalSeries, RationalFunction, UniPoly, series_inverse,
-                                    series_mul)
+from hilbert_k3.polynomials import (FormalSeries, RationalFunction, UniPoly, series_divide,
+                                    series_inverse, series_mul)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -202,6 +202,34 @@ def test_series_inverse_over_rational_functions(nums, den, n):
     a = [RationalFunction(num, den) for num in nums]
     product = series_mul(a, series_inverse(a, n), n)
     assert product == [1] + [0] * (n - 1)
+
+
+@PROPERTY
+@given(st.lists(rationals, max_size=7), units, st.integers(min_value=1, max_value=9))
+def test_series_divide_over_fractions_matches_sympy(a, b, n):
+    """a / b to n terms is a times the inverse of b modulo x^n."""
+    inverse = sympy.invert(oracle(UniPoly(b)), sympy.Poly(x ** n, x, domain="QQ"))
+    expected = (oracle(UniPoly(a)) * inverse).rem(sympy.Poly(x ** n, x, domain="QQ"))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(expected.all_coeffs())]
+    assert series_divide(a, b, n) == (coeffs + [0] * n)[:n]
+
+
+@PROPERTY
+@given(st.lists(small_rational_functions, max_size=4),
+       st.lists(small_rational_functions, min_size=1, max_size=4).filter(lambda b: b[0]),
+       st.integers(min_value=0, max_value=5))
+def test_series_divide_over_rational_functions(a, b, n):
+    q = series_divide(a, b, n)
+    assert len(q) == n
+    assert series_mul(q, b, n) == (a + [RationalFunction(0)] * n)[:n]
+
+
+def test_series_divide_edge_cases():
+    assert series_divide([Fraction(1)], [Fraction(2)], 0) == []
+    with pytest.raises(ZeroDivisionError):
+        series_divide([Fraction(1)], [Fraction(0), Fraction(1)], 3)
+    with pytest.raises(ZeroDivisionError):
+        series_divide([Fraction(1)], [], 3)
 
 
 @st.composite
