@@ -11,8 +11,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import (FormalSeries, RationalFunction, UniPoly, gauss_jordan, series_divide,
-                          series_mul)
+from .polynomials import FormalSeries, RationalFunction, UniPoly, series_divide, series_mul
 
 
 class IrregularSingular(Exception):
@@ -366,7 +365,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     for cls in classes:
         cls_sorted = sorted(cls, key=lambda rm: rm[0], reverse=True)
         collected: list[LogSeries] = []
-        accepted: list[dict] = []  # truncated coefficients of `collected`
+        echelon: list[tuple[tuple, dict]] = []  # `collected`, truncated and reduced
         r_min = cls_sorted[-1][0]
         for idx, (root, mult) in enumerate(cls_sorted):
             above = sum(m for r, m in cls_sorted[:idx])
@@ -397,9 +396,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
                 cand = LogSeries(var, parts)
                 if cand.is_zero_to_precision():
                     continue
-                vec = _truncated(cand, r_min, order)
-                if _independent(accepted + [vec]):
-                    accepted.append(vec)
+                if _independent(echelon, _truncated(cand, r_min, order)):
                     collected.append(cand)
         solutions.extend(collected)
 
@@ -415,8 +412,25 @@ def _truncated(cand: LogSeries, r_min: Fraction, order: int) -> dict:
             for n, c in enumerate(s.coeffs) if c != 0 and (s.expo - r_min + n) <= order}
 
 
-def _independent(vecs: list[dict]) -> bool:
-    """Whether the last vector is independent of the others, which are."""
-    keys = sorted(set().union(*vecs))
-    rows = [[v.get(k, Fraction(0)) for k in keys] for v in vecs]
-    return len(gauss_jordan(rows, len(keys))) == len(vecs)
+def _independent(echelon: list[tuple[tuple, dict]], vec: dict) -> bool:
+    """Whether `vec` is independent of the rows of `echelon`, and if so add it.
+
+    `echelon` holds (pivot key, row) pairs; each row is 1 at its pivot and 0
+    at the pivots before it.  Reducing `vec` against them in that order clears
+    every pivot, so `vec` is independent iff a nonzero entry remains; the
+    lowest such key becomes its pivot.  `vec` is reduced in place."""
+    for key, row in echelon:
+        f = vec.get(key)
+        if f:
+            for k, c in row.items():
+                x = vec.get(k, 0) - f * c
+                if x:
+                    vec[k] = x
+                else:
+                    vec.pop(k, None)
+    if not vec:
+        return False
+    pivot = min(vec)
+    inv = 1 / vec[pivot]
+    echelon.append((pivot, {k: c * inv for k, c in vec.items()}))
+    return True

@@ -7,13 +7,10 @@ root finding).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import SparsePoly, UniPoly
-
-CHART_VARS = ("X", "Y", "y")
+from .polynomials import UniPoly
 
 
 class NonMinimal(Exception):
@@ -91,71 +88,35 @@ def _minimalized(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
 
 @dataclass(frozen=True)
 class WeierstrassChart:
-    """Depressed cubic data z^2 = x^3 - g2(y) x - g3(y) over one affine chart
-    of the base line; disc = 4 g2^3 - 27 g3^2.  A symbolic chart holds
-    SparsePolys in CHART_VARS; a chart at a point holds UniPolys in `var`."""
+    """Depressed cubic data z^2 = x^3 - g2 x - g3 over one affine chart of the
+    base line, as polynomials in its fiber coordinate (y at 0, 1/y at
+    infinity); disc = 4 g2^3 - 27 g3^2."""
 
-    var: str
-    g2: SparsePoly | UniPoly
-    g3: SparsePoly | UniPoly
-    disc: SparsePoly | UniPoly
+    g2: UniPoly
+    g3: UniPoly
+    disc: UniPoly
 
 
-def _depress(c2: SparsePoly, c1: SparsePoly, c0: SparsePoly, var: str) -> WeierstrassChart:
+def _depress(c2: UniPoly, c1: UniPoly, c0: UniPoly) -> WeierstrassChart:
+    """The chart of z^2 = x^3 + c2 x^2 + c1 x + c0, moved by x -> x - c2 / 3."""
     g2 = c2 * c2 * Fraction(1, 3) - c1
     g3 = -c0 + c1 * c2 * Fraction(1, 3) - c2 ** 3 * Fraction(2, 27)
     disc = 4 * g2 ** 3 - 27 * g3 ** 2
-    return WeierstrassChart(var=var, g2=g2, g3=g3, disc=disc)
+    return WeierstrassChart(g2=g2, g3=g3, disc=disc)
 
 
-def _chart_at_infinity(c2: SparsePoly, c1: SparsePoly, c0: SparsePoly,
-                       var: str) -> tuple[SparsePoly, SparsePoly, SparsePoly]:
-    """c_k(y) -> y1^(4k) c_k(1/y1) for the K3 rescaling x -> x/y1^4, z -> z/y1^6."""
-    i = c2.vars.index(var)
-
-    def flip(c: SparsePoly, k: int) -> SparsePoly:
-        out = {}
-        for expo, coeff in c.terms.items():
-            if expo[i] > 4 * k:
-                raise ValueError(f"degree too high for a K3 chart: {expo}")
-            new = list(expo)
-            new[i] = 4 * k - expo[i]
-            out[tuple(new)] = coeff
-        return SparsePoly(c.vars, out)
-
-    return flip(c2, 1), flip(c1, 2), flip(c0, 3)
-
-
-@functools.cache
-def family_charts_symbolic() -> tuple[WeierstrassChart, WeierstrassChart]:
-    """Both Weierstrass charts of z^2 = x^3 - 4y^2(4y-5)x^2 + 20X y^3 x + Y y^4
-    with X, Y kept symbolic (variables 'X', 'Y', fiber coordinate 'y')."""
-    y = SparsePoly.variable(CHART_VARS, "y")
-    X = SparsePoly.variable(CHART_VARS, "X")
-    Y = SparsePoly.variable(CHART_VARS, "Y")
-    c2 = -4 * y ** 2 * (4 * y - 5)
-    c1 = 20 * X * y ** 3
-    c0 = Y * y ** 4
-    chart0 = _depress(c2, c1, c0, "y")
-    c2i, c1i, c0i = _chart_at_infinity(c2, c1, c0, "y")
-    chart_inf = _depress(c2i, c1i, c0i, "y")
-    return chart0, chart_inf
-
-
-def _at_point(chart: WeierstrassChart, subs: dict[str, Fraction]) -> WeierstrassChart:
-    """A symbolic chart with X and Y substituted, as UniPolys in its fiber
-    coordinate."""
-    def uni(p: SparsePoly) -> UniPoly:
-        return UniPoly.from_sparse(p.substitute(subs), chart.var)
-    return WeierstrassChart(var=chart.var, g2=uni(chart.g2), g3=uni(chart.g3),
-                            disc=uni(chart.disc))
+def _charts(c2: UniPoly, c1: UniPoly, c0: UniPoly) -> tuple[WeierstrassChart, WeierstrassChart]:
+    """Both charts of z^2 = x^3 + c2(y) x^2 + c1(y) x + c0(y).  The one at
+    infinity takes c_k(y) -> y1^(4k) c_k(1/y1), the K3 rescaling x -> x/y1^4,
+    z -> z/y1^6, and raises ValueError past degree 4k."""
+    return _depress(c2, c1, c0), _depress(c2.reverse(4), c1.reverse(8), c0.reverse(12))
 
 
 def weierstrass_data(X, Y) -> tuple[WeierstrassChart, WeierstrassChart]:
-    """Both charts with rational (X, Y) substituted; univariate in y."""
-    subs = {"X": Fraction(X), "Y": Fraction(Y)}
-    chart0, chart_inf = family_charts_symbolic()
-    return _at_point(chart0, subs), _at_point(chart_inf, subs)
+    """Both charts of z^2 = x^3 - 4y^2(4y-5)x^2 + 20X y^3 x + Y y^4 at rational
+    (X, Y)."""
+    return _charts(UniPoly([0, 0, 20, -16]), UniPoly([0, 0, 0, 20 * Fraction(X)]),
+                   UniPoly([0, 0, 0, 0, Fraction(Y)]))
 
 
 # ------------------------------------------------------------ classification
@@ -239,7 +200,7 @@ def _classify_finite_nonzero(chart: WeierstrassChart) -> list[FiberPlacement]:
             v2 = chart.g2.divide_out(piece)[1] if chart.g2 else 10 ** 9
             v3 = chart.g3.divide_out(piece)[1] if chart.g3 else 10 ** 9
             placements.append(FiberPlacement(
-                location=f"roots of {piece.format(chart.var)}",
+                location=f"roots of {piece.format('y')}",
                 type=_minimalized(v2, v3, mult),
                 count=deg,
             ))
@@ -267,10 +228,5 @@ def classify_fibers(X, Y) -> FiberConfiguration:
 def classify_boundary_family(l) -> FiberConfiguration:
     """Exact classification of the boundary family
     z^2 = x^3 - 16 l y^3 x^2 + 20 y^3 x + y^4 (one rational parameter l)."""
-    y = SparsePoly.variable(CHART_VARS, "y")
-    c2 = -16 * Fraction(l) * y ** 3
-    c1 = 20 * y ** 3
-    c0 = y ** 4
-    chart0 = _depress(c2, c1, c0, "y")
-    chart_inf = _depress(*_chart_at_infinity(c2, c1, c0, "y"), "y")
-    return classify_charts(_at_point(chart0, {}), _at_point(chart_inf, {}))
+    return classify_charts(*_charts(UniPoly([0, 0, 0, -16 * Fraction(l)]),
+                                    UniPoly([0, 0, 0, 20]), UniPoly([0, 0, 0, 0, 1])))

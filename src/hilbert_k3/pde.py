@@ -7,6 +7,7 @@ the developing-map match against the theta-side inverse."""
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -92,11 +93,11 @@ _REL_PREC = 8
 def _y_series(p: SparsePoly) -> FormalSeries:
     """p as a Laurent series in Y over Q(X), known to Y-order
     val + max(_REL_PREC, len - val) for a polynomial of len Y-coefficients."""
-    rows = p.coeff_list("Y")
+    rows = p.rows("Y")
     if not rows:
         return FormalSeries("Y", 0, [], _REL_PREC)
     val = next(j for j, c in enumerate(rows) if c)
-    coeffs = [RationalFunction(UniPoly.from_sparse(c, "X")) for c in rows[val:]]
+    coeffs = [RationalFunction(c) for c in rows[val:]]
     return FormalSeries("Y", val, coeffs, val + max(_REL_PREC, len(rows) - val))
 
 
@@ -250,13 +251,20 @@ def verify_pde_restriction() -> dict:
 
 
 def _taylor_series(p: SparsePoly, base: tuple[Fraction, Fraction], order: int) -> FormalSeries:
-    """p(X0 + dX, Y0 + dY) as a series in dY whose dY^k coefficient is a
-    series in dX known to total order `order`, that is to dX^(order - k)."""
-    rows = p.shift({"X": base[0], "Y": base[1]}).coeff_list("Y")[:order + 1]
-    return FormalSeries("dY", 0, [
-        FormalSeries("dX", 0, UniPoly.from_sparse(row, "X").coefficients()[:order + 1 - k],
-                     order + 1 - k)
-        for k, row in enumerate(rows)], order + 1)
+    """p(x0 + dX, y0 + dY) at base = (x0, y0), as a series in dY whose dY^k
+    coefficient is a series in dX known to total order `order`, that is to
+    dX^(order - k)."""
+    x0, y0 = base
+    rows = [r.affine(1, x0) for r in p.rows("Y")]
+    # (y0 + dY)^j = sum_k C(j, k) y0^(j - k) dY^k, so the dY^k row is
+    # sum_{j >= k} C(j, k) y0^(j - k) rows[j]
+    out = []
+    for k in range(min(len(rows), order + 1)):
+        row = UniPoly()
+        for j in range(k, len(rows)):
+            row = row + rows[j] * (math.comb(j, k) * y0 ** (j - k))
+        out.append(FormalSeries("dX", 0, row.coefficients()[:order + 1 - k], order + 1 - k))
+    return FormalSeries("dY", 0, out, order + 1)
 
 
 def _coefficient_series(base: tuple[Fraction, Fraction], order: int) -> dict[str, FormalSeries]:
@@ -408,8 +416,8 @@ def _singular_distance(x0: float, y0: float, grid_half_width: float,
     import numpy as np
 
     best = min(abs(x0), abs(y0))
-    k2_terms = [[(k, complex(co)) for k, co in enumerate(UniPoly.from_sparse(c, "X").coefficients())
-                 if co] for c in K2_LOCUS.coeff_list("Y")]
+    k2_terms = [[(k, complex(co)) for k, co in enumerate(c.coefficients()) if co]
+                for c in K2_LOCUS.rows("Y")]
     center, width = x0, grid_half_width
     for _ in range(3):
         re = np.linspace(center - width, center + width, resolution)
@@ -475,16 +483,14 @@ def sampling_offsets(base, count: int, scale_num: int = 1, scale_den: int = 64,
                      distance: float | None = None) -> list[tuple[Fraction, Fraction]]:
     """Real rational offsets on rings of radius distance * scale within the
     convergence region, exactly representable for the rational Taylor grids."""
-    import math as _m
-
     d = distance if distance is not None else estimate_singular_distance(base)
     r = d * scale_num / scale_den
     out = []
     for k in range(count):
-        angle = 2 * _m.pi * k / count + 0.37
+        angle = 2 * math.pi * k / count + 0.37
         rho = r * (0.55 + 0.45 * ((k * 7919) % count) / max(count - 1, 1))
-        dx = Fraction(round(rho * _m.cos(angle) * 2 ** 24), 2 ** 24)
-        dy = Fraction(round(rho * _m.sin(angle) * 2 ** 24), 2 ** 24)
+        dx = Fraction(round(rho * math.cos(angle) * 2 ** 24), 2 ** 24)
+        dy = Fraction(round(rho * math.sin(angle) * 2 ** 24), 2 ** 24)
         out.append((dx, dy))
     return out
 

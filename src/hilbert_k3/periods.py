@@ -82,7 +82,7 @@ class RestrictedODE:
 
 
 @functools.cache
-def build_restricted_operators() -> RestrictedODE:
+def restricted_operators() -> RestrictedODE:
     """W4, its factors W1 o W3, and the third-order equation satisfied by the
     derivatives of the periods; all in the rescaled coordinate t = 27 X / 25."""
     t = UniPoly([0, 1])
@@ -118,9 +118,6 @@ def build_restricted_operators() -> RestrictedODE:
     if transported.monic().rename_variable("t") != w4:
         raise AssertionError("t = 27 X / 25 transport does not reproduce W4")
     return ode
-
-
-restricted_operators = build_restricted_operators
 
 
 # ------------------------------------------------------- series verifications

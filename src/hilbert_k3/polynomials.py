@@ -3,8 +3,10 @@
 * `SparsePoly`: multivariate polynomials with Fraction coefficients; exponent
   vectors are dense tuples keyed in a dict, ordered by graded lex when an
   order is needed.  They carry the icosahedral invariants (degree 30 in 3
-  variables), the symbolic Weierstrass charts, the numerators and
-  denominators of the two-variable PDE coefficients and the lattice forms.
+  variables), the numerators and denominators of the two-variable PDE
+  coefficients, the quintic locus and the lattice forms.  `rows` is the one
+  bridge from two variables to one: a polynomial in (X, Y) as its list of
+  Y-rows, each a UniPoly in X.
 * `UniPoly`: the one polynomial in one variable, a primitive integer
   coefficient list times a rational scale, with mul, divmod, dividing out
   a factor, gcd, Yun's square-free decomposition, derivative, affine
@@ -87,12 +89,6 @@ class SparsePoly:
 
     def term_count(self) -> int:
         return len(self.terms)
-
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
         if not self.terms:
@@ -199,61 +195,6 @@ class SparsePoly:
             total = total + term
         return total
 
-    def substitute(self, assignments: Mapping[str, object]) -> "SparsePoly":
-        """Partial substitution with rational values; result keeps all variables."""
-        out = SparsePoly.zero(self.vars)
-        idx = {self.vars.index(k): Fraction(v) for k, v in assignments.items()}
-        acc: dict[Exponent, Fraction] = {}
-        for expo, coeff in self.terms.items():
-            c = coeff
-            new = list(expo)
-            for i, val in idx.items():
-                c *= val ** expo[i]
-                new[i] = 0
-            if c:
-                key = tuple(new)
-                s = acc.get(key, Fraction(0)) + c
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        out.terms = acc
-        return out
-
-    def compose(self, name: str, poly: "SparsePoly") -> "SparsePoly":
-        """Substitute a polynomial for one variable."""
-        i = self.vars.index(name)
-        result = SparsePoly.zero(self.vars)
-        # group by power of the replaced variable, then Horner
-        by_power: dict[int, SparsePoly] = {}
-        for expo, coeff in self.terms.items():
-            rest = list(expo)
-            rest[i] = 0
-            p = by_power.setdefault(expo[i], SparsePoly.zero(self.vars))
-            p.terms[tuple(rest)] = p.terms.get(tuple(rest), Fraction(0)) + coeff
-        for power in sorted(by_power, reverse=True):
-            chunk = by_power[power]
-            chunk.terms = {k: v for k, v in chunk.terms.items() if v}
-        powers = sorted(by_power, reverse=True)
-        if not powers:
-            return result
-        result = by_power[powers[0]]
-        for prev, cur in zip(powers, powers[1:]):
-            result = result * poly ** (prev - cur) + by_power[cur]
-        result = result * poly ** powers[-1]
-        return result
-
-    def shift(self, offsets: Mapping[str, Fraction]) -> "SparsePoly":
-        """Substitute var -> var + offset for each given variable."""
-        result = self
-        for name, off in offsets.items():
-            off = Fraction(off)
-            if off == 0:
-                continue
-            repl = SparsePoly.variable(self.vars, name) + SparsePoly.const(self.vars, off)
-            result = result.compose(name, repl)
-        return result
-
     def reduce_square(self, name: str, value) -> "SparsePoly":
         """Rewrite name**2 -> value (for algebraic elements such as sqrt5)."""
         value = Fraction(value)
@@ -274,18 +215,20 @@ class SparsePoly:
         res.terms = acc
         return res
 
-    def coeff_list(self, name: str) -> list["SparsePoly"]:
-        """Coefficients of powers of `name` (each still in self.vars)."""
-        i = self.vars.index(name)
-        deg = self.degree_in(name)
-        if deg < 0:
-            return []
-        coeffs = [SparsePoly.zero(self.vars) for _ in range(deg + 1)]
+    def rows(self, outer: str) -> list["UniPoly"]:
+        """The coefficients of outer^0, outer^1, ... as UniPolys in the other
+        variable, [] for zero: the one bridge from two variables to one."""
+        if len(self.vars) != 2:
+            raise ValueError(f"rows needs exactly two variables, not {self.vars}")
+        i = self.vars.index(outer)
+        dense: dict[int, dict[int, Fraction]] = {}
         for expo, coeff in self.terms.items():
-            rest = list(expo)
-            rest[i] = 0
-            coeffs[expo[i]].terms[tuple(rest)] = coeff
-        return coeffs
+            dense.setdefault(expo[i], {})[expo[1 - i]] = coeff
+        out = []
+        for j in range(max(dense, default=-1) + 1):
+            row = dense.get(j, {})
+            out.append(UniPoly([row.get(k, 0) for k in range(max(row, default=-1) + 1)]))
+        return out
 
     # ------------------------------------------------------ exact division
 
@@ -380,17 +323,6 @@ class UniPoly:
         p = cls.__new__(cls)
         p.ints, p.scale = ints, scale
         return p
-
-    @classmethod
-    def from_sparse(cls, p: SparsePoly, name: str) -> "UniPoly":
-        """p as a polynomial in `name`; p may involve no other variable."""
-        i = p.vars.index(name)
-        out = [Fraction(0)] * (p.degree_in(name) + 1)
-        for expo, coeff in p.terms.items():
-            if sum(expo) != expo[i]:
-                raise ValueError(f"{p!r} involves variables other than {name}")
-            out[expo[i]] = coeff
-        return cls(out)
 
     def coefficients(self) -> list[Fraction]:
         """Dense rational coefficients, constant term first."""

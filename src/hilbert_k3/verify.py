@@ -16,6 +16,7 @@ import mpmath
 
 from . import diffops, elliptic, fibrations, hilbert_theta, klein, lattice, moduli, pde, periods
 from .numkernel import NonConvergent, PrecisionPolicy, default_policy, working_precision
+from .polynomials import SparsePoly
 
 DEFAULT_SEED = 20250811
 
@@ -115,7 +116,7 @@ def suite_klein(policy: PrecisionPolicy, seed: int) -> VerificationReport:
         c.add("relation_at_rational_point", val == 0)
         perturbed = klein.klein_relation_poly(
             inv.A, inv.B, inv.C,
-            inv.D + klein.SparsePoly.variable(klein.ZETA_VARS, "z0") ** 15)
+            inv.D + SparsePoly.variable(klein.ZETA_VARS, "z0") ** 15)
         c.add("perturbation_breaks_relation", not perturbed.is_zero())
     return c.report
 

@@ -1,16 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from hilbert_k3.fibrations import (CHART_VARS, KodairaType, NonMinimal,
-                                   classify_boundary_family, classify_fibers,
-                                   family_charts_symbolic, kodaira_type, weierstrass_data)
+from hilbert_k3.fibrations import (KodairaType, NonMinimal, classify_boundary_family,
+                                   classify_fibers, kodaira_type, weierstrass_data)
 from hilbert_k3.moduli import K2_LOCUS
 from hilbert_k3.polynomials import SparsePoly, UniPoly
 
-# The charts as the paper displays them, transcribed term by term: the oracles
-# for the charts that family_charts_symbolic computes.
+# The charts as the paper displays them, transcribed term by term with X and Y
+# symbolic: the oracles for the charts that weierstrass_data computes at a
+# point.  The fiber coordinate is y in both charts.
+CHART_VARS = ("X", "Y", "y")
 
 
 def displayed_discriminant_0() -> SparsePoly:
@@ -61,36 +63,43 @@ def displayed_chart_inf_h2_h3() -> tuple[SparsePoly, SparsePoly]:
     return h2, h3
 
 
+# g2 is affine in X and g3 affine in X and in Y, so every chart polynomial,
+# displayed or computed, has degree at most 3 in X and at most 2 in Y with
+# coefficients in Q[y]; two of them that agree on a grid of 4 X-values times
+# 3 Y-values agree identically.
+GRID = [(Fraction(x), Fraction(y)) for x in (0, 1, Fraction(-2, 3), Fraction(5, 2))
+        for y in (0, Fraction(1, 2), -3)]
+
+
+def _at(p: SparsePoly, x: Fraction, y: Fraction) -> UniPoly:
+    return p.evaluate({"X": x, "Y": y, "y": UniPoly([0, 1])})
+
+
 def test_computed_discriminants_match_displayed_up_to_constant():
-    chart0, chart_inf = family_charts_symbolic()
-    q0, r0 = chart0.disc.divmod_exact(displayed_discriminant_0())
-    assert r0.is_zero()
-    assert q0.terms == {(0, 0, 0): -1}  # frozen constant
-    qi, ri = chart_inf.disc.divmod_exact(displayed_discriminant_infinity())
-    assert ri.is_zero()
-    assert qi.terms == {(0, 0, 0): -1}
+    for x, y in GRID:
+        chart0, chart_inf = weierstrass_data(x, y)
+        assert chart0.disc == -_at(displayed_discriminant_0(), x, y)  # frozen constant -1
+        assert chart_inf.disc == -_at(displayed_discriminant_infinity(), x, y)
 
 
 def test_displayed_chart_polynomials_match_computed():
-    chart0, chart_inf = family_charts_symbolic()
     g2d, g3d = displayed_chart0_g2_g3()
-    assert chart0.g2 == g2d and chart0.g3 == g3d
     h2d, h3d = displayed_chart_inf_h2_h3()
-    assert chart_inf.g2 == h2d and chart_inf.g3 == h3d
-
-
-def _order_in_y(p):
-    return min(e[2] for e in p.terms)
+    for x, y in GRID:
+        chart0, chart_inf = weierstrass_data(x, y)
+        assert chart0.g2 == _at(g2d, x, y) and chart0.g3 == _at(g3d, x, y)
+        assert chart_inf.g2 == _at(h2d, x, y) and chart_inf.g3 == _at(h3d, x, y)
 
 
 def test_symbolic_orders_of_vanishing():
-    chart0, chart_inf = family_charts_symbolic()
-    assert _order_in_y(chart0.disc) == 8
-    assert _order_in_y(chart0.g2) == 3
-    assert _order_in_y(chart0.g3) == 4
-    assert _order_in_y(chart_inf.disc) == 11
-    assert _order_in_y(chart_inf.g2) == 2
-    assert _order_in_y(chart_inf.g3) == 3
+    """The orders in y that the displayed charts show, at a generic point."""
+    chart0, chart_inf = weierstrass_data(Fraction(3, 7), Fraction(-2, 5))
+    assert chart0.disc.valuation() == 8
+    assert chart0.g2.valuation() == 3
+    assert chart0.g3.valuation() == 4
+    assert chart_inf.disc.valuation() == 11
+    assert chart_inf.g2.valuation() == 2
+    assert chart_inf.g3.valuation() == 3
 
 
 def test_kodaira_table_rows():
@@ -177,3 +186,37 @@ def test_finite_fiber_degree_bookkeeping():
     finite_counts = sum(p.count * p.type.n for p in cfg.placements
                         if p.type.tag == "I_n")
     assert finite_counts == quintic.degree() == 5
+
+
+def _configuration_digest(cfg) -> str:
+    text = ";".join(str(p) for p in cfg.placements)
+    return hashlib.sha256(f"{text}|{cfg.euler_total}|{cfg.degenerate}".encode()).hexdigest()
+
+
+# sha256 of the placements, Euler total and degeneracy flag of each configuration
+FIBER_DIGESTS = {
+    "1 1": "cc3ae954289af2942c6e6e22b3643f90f15c4e6e32f82a8e3ea18edb176f62c6",
+    "1 0": "026f573d77463cca3a81bccbc6a1b2cfebcf3bcad6d7f02afde224f8c64be494",
+    "0 -64": "24c207df1a8fed5dbd639f03eb715c694418e15460ecc4e8836c3d5c33d6ea01",
+    "0 0": "5bfeb3f998cbfb72cb1a25ff865bd9352ddc6830d2c011495d7f3ccccfa28760",
+    "3/7 -2/5": "89be9c51e78b12eb3b34316dfaf76a6651273fd7c5f89985f6a966ff7a825caf",
+    "1/10 1/10": "35d5ba2f8356bc38ba25cc22c3c405c5621a85aad67c8018ea092c030ea71c96",
+    "2 5": "15ef86f79f8ae8826b87e45969e41393feeeafd01f73dda94fab893afaef2135",
+    "-3 7/2": "17243b229580b827c4f12b18f795bc0e6e22bba71f65e6c1299f56617fb18e19",
+}
+BOUNDARY_DIGESTS = {
+    "0": "7551b0eb94e5c117403df4ae49d7552894828da1ef2e2725db0d846501438890",
+    "1": "7341c30984d66b0a7764a2f7291d03bc720012b409bb422169a35ee963623ea5",
+    "3/7": "5f975038e26ba214668da66420320c3d3e45068a047e81db32c7e4c9bd8bf8f6",
+}
+
+
+@pytest.mark.parametrize("point", sorted(FIBER_DIGESTS))
+def test_fiber_placements_are_pinned(point):
+    x, y = map(Fraction, point.split())
+    assert _configuration_digest(classify_fibers(x, y)) == FIBER_DIGESTS[point]
+
+
+@pytest.mark.parametrize("l", sorted(BOUNDARY_DIGESTS))
+def test_boundary_family_is_pinned(l):
+    assert _configuration_digest(classify_boundary_family(Fraction(l))) == BOUNDARY_DIGESTS[l]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
                             taylor_solutions, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
 from hilbert_k3.periods import restricted_ode_X
-from hilbert_k3.polynomials import SparsePoly, UniPoly
+from hilbert_k3.polynomials import SparsePoly
 
 V = ("X", "Y")
 BASE = (Fraction(1, 10), Fraction(1, 10))
@@ -243,7 +244,7 @@ def test_singular_distance_sane():
 def _singular_distance_per_point(x0, y0, grid_half_width, resolution):
     """The singular-distance scan with one np.roots call per grid point."""
     best = min(abs(x0), abs(y0))
-    k2_coeffs = [UniPoly.from_sparse(c, "X").coefficients() for c in K2_LOCUS.coeff_list("Y")]
+    k2_coeffs = [c.coefficients() for c in K2_LOCUS.rows("Y")]
 
     def eval_x(coeffs, xc):
         return complex(sum(complex(co) * xc ** k for k, co in enumerate(coeffs) if co))
@@ -279,3 +280,26 @@ def test_batched_singular_distance_equals_the_per_point_scan(base):
     x0, y0 = float(base[0]), float(base[1])
     want = _singular_distance_per_point(x0, y0, 1.5, 15)
     assert estimate_singular_distance(base, resolution=15) == want
+
+
+def _grid_digest(sol) -> str:
+    h = hashlib.sha256()
+    for grid in sol.grids:
+        for i, j in sorted(grid):
+            h.update(f"{i},{j}|{grid[(i, j)]};".encode())
+        h.update(b"#")
+    return h.hexdigest()
+
+
+# sha256 of every jet and coefficient of the four order-10 basis grids
+TAYLOR_DIGESTS = {
+    (Fraction(1, 10), Fraction(1, 10)):
+        "b1cd64c77895df6dec113fd7ff093b5430267f3a771b912842e509a295dbd4c4",
+    (Fraction(3, 17), Fraction(5, 23)):
+        "b3d62af76fa106d97eaa9aeff574531366dbb46a72820dea577d530bc5184812",
+}
+
+
+@pytest.mark.parametrize("base", sorted(TAYLOR_DIGESTS))
+def test_taylor_basis_grids_are_pinned(base):
+    assert _grid_digest(taylor_basis(base, 10)) == TAYLOR_DIGESTS[base]

@@ -6,8 +6,7 @@ import pytest
 from hilbert_k3.diffops import indicial_exponents
 from hilbert_k3.elliptic import eisenstein_and_J
 from hilbert_k3.numkernel import working_precision
-from hilbert_k3.periods import (HypergeomParams,
-                                build_restricted_operators, gauss_operator,
+from hilbert_k3.periods import (HypergeomParams, gauss_operator,
                                 hypergeom_coefficients,
                                 restricted_ode_X, restricted_operators,
                                 schwarz_map, verify_clausen_and_S,
@@ -67,8 +66,9 @@ def test_factorization_is_exact():
 
 
 def test_transport_consistency_runs():
-    # build_restricted_operators asserts the X <-> t rescaling internally
-    build_restricted_operators()
+    # restricted_operators asserts the X <-> t rescaling internally; the
+    # uncached call runs that check even when an earlier test filled the cache
+    restricted_operators.__wrapped__()
 
 
 def test_riemann_scheme_all_four_points():

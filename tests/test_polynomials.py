@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbert_k3.klein import build_invariants
 from hilbert_k3.polynomials import RationalFunction, SparsePoly, UniPoly
@@ -116,15 +118,32 @@ def test_shift_and_compose():
     # q(t) = p(t + 1)
     for x in (Fraction(0), Fraction(2), Fraction(-3, 2)):
         assert q(x) == p(x + 1)
-    # the multivariate substitutions behind the Taylor series of the PDE
-    X, Y = SparsePoly.variable(("X", "Y"), "X"), SparsePoly.variable(("X", "Y"), "Y")
-    P = X ** 3 - 2 * X * Y + 1
-    Q = P.shift({"X": Fraction(1), "Y": Fraction(-1, 2)})
-    R = P.compose("X", X * X)
-    for x in (Fraction(0), Fraction(2), Fraction(-3, 2)):
-        y = Fraction(1, 3)
-        assert Q.evaluate({"X": x, "Y": y}) == P.evaluate({"X": x + 1, "Y": y - Fraction(1, 2)})
-        assert R.evaluate({"X": x, "Y": y}) == P.evaluate({"X": x * x, "Y": y})
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=9)
+two_variable_polys = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)),
+    rationals, max_size=8).map(lambda terms: SparsePoly(("X", "Y"), terms))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(two_variable_polys, st.sampled_from(["X", "Y"]), rationals, rationals)
+def test_rows_sum_back_to_the_polynomial(p, outer, x, y):
+    rows = p.rows(outer)
+    inner, at = (x, y) if outer == "Y" else (y, x)
+    total = sum((r(inner) * at ** j for j, r in enumerate(rows)), Fraction(0))
+    assert total == p.evaluate({"X": x, "Y": y})
+    # no trailing zero row: the last one holds the top power of `outer`
+    assert bool(rows) == (not p.is_zero()) and (not rows or rows[-1])
+
+
+def test_rows_needs_exactly_two_variables():
+    z0, z1, z2 = _vars()
+    with pytest.raises(ValueError):
+        (z0 * z1 + z2).rows("z0")
+    with pytest.raises(ValueError):
+        SparsePoly.variable(("X",), "X").rows("X")
+    assert SparsePoly.zero(("X", "Y")).rows("Y") == []
 
 
 def test_valuation_and_divide_power():
