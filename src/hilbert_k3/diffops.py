@@ -256,42 +256,37 @@ def _theta_form(op: DiffOperator) -> tuple[list[UniPoly], int]:
     return q, s
 
 
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of the nonzero integer n."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def _rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     """All roots of a univariate rational polynomial, with multiplicity.
 
     Raises NonRationalRoot when an irreducible non-linear factor remains.
-    Roots are located numerically on the squarefree parts, rationalised, and
-    verified exactly.
+    Each primitive squarefree factor, with x divided out first, has integer
+    coefficients a_0 ... a_n and a_0 != 0; by the rational root theorem a
+    root s/q in lowest terms has s | a_0 and q | a_n.  Each such candidate is
+    tested by exact evaluation.
     """
-    import numpy as np
-
     out: list[tuple[Fraction, int]] = []
     for factor, mult in p.squarefree():
-        dense = factor.coefficients()
-        deg = len(dense) - 1
-        remaining = factor
-        found = 0
-        if deg >= 1:
-            npcoeffs = [float(c) for c in reversed(dense)]
-            candidates = np.roots(npcoeffs)
-            seen: set[Fraction] = set()
-            for r in candidates:
-                if abs(r.imag) > 1e-6:
-                    continue
-                x = float(r.real)
-                for denom_cap in (10 ** 3, 10 ** 6, 10 ** 9):
-                    cand = Fraction(x).limit_denominator(denom_cap)
-                    if abs(float(cand) - x) > 1e-6 or cand in seen:
-                        continue
-                    if remaining(cand) == 0:
-                        seen.add(cand)
-                        out.append((cand, mult))
-                        found += 1
-                        remaining = remaining.divide_exact(UniPoly([-cand, 1]))
-                        break
-        if remaining.degree() > 0:
+        if not factor.ints[0]:
+            out.append((Fraction(0), mult))
+            factor = factor.divide_exact(UniPoly([0, 1]))
+        for q in _divisors(factor.ints[-1]):
+            for s in _divisors(factor.ints[0]):
+                for root in (Fraction(s, q), Fraction(-s, q)):
+                    # skip a candidate not in lowest terms: it comes again as one
+                    if factor.degree() > 0 and root.denominator == q and not factor(root):
+                        out.append((root, mult))
+                        factor = factor.divide_exact(UniPoly([-root, 1]))
+        if factor.degree() > 0:
             raise NonRationalRoot(
-                f"irrational indicial factor: {remaining.format('rho')}")
+                f"irrational indicial factor: {factor.format('rho')}")
     return out
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 
 from .hilbert_theta import MuellerForms, UHPPair, as_pair, mueller_forms, theta_batch
-from .numkernel import PrecisionPolicy, quadratic_constants, to_mpc, working_precision
+from .numkernel import GUARD_BITS, PrecisionPolicy, quadratic_constants, to_mpc, working_precision
 from .polynomials import SparsePoly
 
 # X = K1 s6/g2^3, Y = K2 s10/g2^5, Z = K3 s15^2/g2^15
@@ -217,88 +217,47 @@ def continuation_invert(target_X, target_Y, seed_pair,
 # ------------------------------------------------- projective map estimation
 
 
-def _whitening_transform(cloud):
-    """Projective-linear map spreading a concentrated point cloud: pass to the
-    affine chart of the dominant component, centre, and rescale by the
-    principal deviations.  Keeps tightly clustered correspondence problems
-    well-conditioned."""
-    import numpy as np
-
-    m = np.array([v / np.linalg.norm(v) for v in cloud])
-    # align phases along the dominant component before averaging
-    k0 = int(np.argmax(np.mean(np.abs(m), axis=0)))
-    m = np.array([v * (np.conj(v[k0]) / abs(v[k0])) for v in m])
-    chart = m / m[:, k0:k0 + 1]
-    rest = [i for i in range(4) if i != k0]
-    aff = chart[:, rest]
-    mean = aff.mean(axis=0)
-    dev = aff - mean
-    _, svals, vh = np.linalg.svd(dev, full_matrices=False)
-    spread_floor = 1e-12 * (1.0 + float(np.max(np.abs(aff))))
-    if svals.max() < spread_floor or svals.min() < 1e-10 * svals.max():
-        raise RankDeficient(
-            "sample cloud is not in general position (degenerate spread)")
-    w = np.diag(1.0 / svals) @ vh
-    t = np.zeros((4, 4), dtype=complex)
-    t[0, k0] = 1.0
-    for r in range(3):
-        for c, idx in enumerate(rest):
-            t[1 + r, idx] = w[r, c]
-        t[1 + r, k0] = -(w[r] @ mean)
-    return t
+def _frame(samples):
+    """The matrix whose columns are the first four samples, its inverse, and
+    the coordinates c of the fifth sample in them.  Raises RankDeficient
+    unless every c_i is nonzero at the working precision, that is, above
+    the error that the columns' condition number allows."""
+    m = mpmath.matrix([[v[k] for v in samples[:4]] for k in range(4)])
+    try:
+        inv = mpmath.inverse(m)
+    except ZeroDivisionError:
+        raise RankDeficient("four frame samples are linearly dependent") from None
+    c = inv * mpmath.matrix(samples[4])
+    cond = mpmath.mnorm(m, 1) * mpmath.mnorm(inv, 1)
+    size = max(abs(x) for x in c)
+    if min(abs(x) for x in c) <= 2 ** GUARD_BITS * mpmath.eps * cond * size:
+        raise RankDeficient("the five frame samples are not in general position")
+    return m, inv, c
 
 
-def match_projective_maps(samples_a, samples_b, holdout: int = 0,
-                          nullity_gap: float = 1e-6):
-    """Find G (4x4, up to scale) with G a_k parallel to b_k, by the linear
-    cross-product conditions; report the worst holdout misalignment (sine of
-    the angle between G a and b, measured in whitened frames).
+def match_projective_maps(samples_a, samples_b):
+    """Find G (a 4x4 mpmath matrix, up to scale) with G a_k parallel to b_k.
 
-    The last `holdout` sample pairs are excluded from the fit.  Raises
-    RankDeficient when the constraint system has nullity > 1.
+    Five samples in general position fix a projective map of P^3: with
+    a_5 = sum c_i a_i and b_5 = sum d_i b_i, G = B diag(d_i / c_i) A^-1,
+    where A and B have the first four samples as columns.  Returns G and the
+    worst misalignment over the other samples: the sine of the angle between
+    G a_k and b_k.  Raises RankDeficient when either frame is not in general
+    position at the working precision.
     """
-    import numpy as np
-
-    va = [np.array([complex(x) for x in v], dtype=complex) for v in samples_a]
-    vb = [np.array([complex(x) for x in v], dtype=complex) for v in samples_b]
-    if len(va) != len(vb):
+    if len(samples_a) != len(samples_b):
         raise ValueError("sample lists differ in length")
-    if len(va) - holdout < 8:
-        raise ValueError("need at least 8 fitting samples")
-
-    ta = _whitening_transform(va[: len(va) - holdout])
-    tb = _whitening_transform(vb[: len(vb) - holdout])
-    wa = [ta @ v for v in va]
-    wb = [tb @ v for v in vb]
-    wa = [v / np.linalg.norm(v) for v in wa]
-    wb = [v / np.linalg.norm(v) for v in wb]
-
-    fit_a, fit_b = wa[: len(wa) - holdout], wb[: len(wb) - holdout]
-    rows = []
-    for v, w in zip(fit_a, fit_b):
-        for i in range(4):
-            for j in range(i + 1, 4):
-                row = np.zeros(16, dtype=complex)
-                row[4 * i: 4 * i + 4] = w[j] * v
-                row[4 * j: 4 * j + 4] -= w[i] * v
-                rows.append(row)
-    m = np.vstack(rows)
-    _, svals, vh = np.linalg.svd(m)
-    if svals[-2] < nullity_gap * svals[0]:
-        raise RankDeficient(
-            f"nullity > 1 in projective fit (s13={svals[-2]:.3e}, s0={svals[0]:.3e})")
-    # right singular vectors are the conjugated rows of vh
-    g_white = np.conj(vh[-1]).reshape(4, 4)
+    if len(samples_a) < 6:
+        raise ValueError("need five frame samples and one more to check")
+    _, a_inv, c = _frame(samples_a)
+    b, _, d = _frame(samples_b)
+    g = b * mpmath.diag([d[i] / c[i] for i in range(4)]) * a_inv
 
     def misalignment(v, w):
-        gv = g_white @ v
-        gv = gv / np.linalg.norm(gv)
-        wn = w / np.linalg.norm(w)
-        return float(np.linalg.norm(gv - np.vdot(wn, gv) * wn))
+        gv = g * mpmath.matrix(v)
+        gv /= mpmath.norm(gv)
+        w = mpmath.matrix(w)
+        w /= mpmath.norm(w)
+        return mpmath.norm(gv - mpmath.fdot(gv, w, conjugate=True) * w)
 
-    check_a = wa[len(wa) - holdout:] if holdout else fit_a
-    check_b = wb[len(wb) - holdout:] if holdout else fit_b
-    residual = max(misalignment(v, w) for v, w in zip(check_a, check_b))
-    g = np.linalg.inv(tb) @ g_white @ ta
-    g = g / np.linalg.norm(g)
-    return g, residual
+    return g, max(misalignment(v, w) for v, w in zip(samples_a[5:], samples_b[5:]))

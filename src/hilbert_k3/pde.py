@@ -1,7 +1,7 @@
 """The rank-4 system of partial differential equations in the moduli
 coordinates (X, Y): exact coefficient data, fraction-free elimination down to
 the fourth-order ordinary equation on Y = 0, exact local Taylor solutions from
-the four free jets, quadric fitting of the projectivized solution image, and
+the four free jets, the exact quadric of the projectivized solution image, and
 the developing-map match against the theta-side inverse."""
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import mpmath
 
@@ -300,7 +301,7 @@ def _triangle(s: FormalSeries, order: int) -> dict[Jet, Fraction]:
 class JetBasisSolution:
     base: tuple[Fraction, Fraction]
     order: int
-    grids: tuple[dict[Jet, Fraction], ...]  # one grid per free jet
+    grids: tuple[Mapping[Jet, Fraction], ...]  # one grid per free jet
 
 
 def taylor_solutions(base, jet_values, order: int,
@@ -378,14 +379,18 @@ def taylor_solutions(base, jet_values, order: int,
     return grids
 
 
+@functools.cache
 def taylor_basis(base, order: int) -> JetBasisSolution:
+    """The four solutions whose free jets at the base are the unit vectors,
+    to total order `order`.  Cached, so its grids are read-only."""
     base = (Fraction(base[0]), Fraction(base[1]))
     units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    grids = taylor_solutions(base, units, order)
     return JetBasisSolution(base=base, order=order,
-                            grids=tuple(taylor_solutions(base, units, order)))
+                            grids=tuple(MappingProxyType(g) for g in grids))
 
 
-def evaluate_grid(grid: dict[Jet, Fraction], dx: Fraction, dy: Fraction) -> Fraction:
+def evaluate_grid(grid: Mapping[Jet, Fraction], dx: Fraction, dy: Fraction) -> Fraction:
     total = Fraction(0)
     for (i, j), c in grid.items():
         total += c * dx ** i * dy ** j
@@ -395,96 +400,44 @@ def evaluate_grid(grid: dict[Jet, Fraction], dx: Fraction, dy: Fraction) -> Frac
 # --------------------------------------------------- geometry of the solution
 
 
-def estimate_singular_distance(base, grid_half_width: float = 1.5,
-                               resolution: int = 61) -> float:
-    """Numeric estimate of the distance from the base point to the union of
-    the singular loci (the two coordinate axes, 36X^2 - 32X - Y = 0, and the
-    quintic locus), used only to set safe sampling radii."""
-    return _singular_distance(float(base[0]), float(base[1]), grid_half_width, resolution)
+def estimate_singular_distance(base) -> Fraction:
+    """A certified radius r: no singular locus of the system (the axes X = 0
+    and Y = 0, 36X^2 - 32X - Y = 0 and the quintic K2_LOCUS) meets the
+    polydisc |dX|, |dY| <= r around the base point.  Despite the name it is
+    a lower bound on the distance, not an estimate; it sets the sampling
+    radii."""
+    base = (Fraction(base[0]), Fraction(base[1]))
+    X, Y = SparsePoly.variable(V, "X"), SparsePoly.variable(V, "Y")
+    return min(_exclusion_radius(p, base) for p in (X, Y, 36 * X ** 2 - 32 * X - Y, K2_LOCUS))
 
 
-@functools.cache
-def _singular_distance(x0: float, y0: float, grid_half_width: float,
-                       resolution: int) -> float:
-    """estimate_singular_distance at (x0, y0).
+def _exclusion_radius(p: SparsePoly, base: tuple[Fraction, Fraction]) -> Fraction:
+    """A dyadic r, within 2^-24 of the largest, with |c_00| > sum |c_ij|
+    r^(i + j) over (i, j) != (0, 0), where c_ij are the coefficients of p
+    shifted to the base; then p has no zero on the polydisc of radius r.
+    0 when p vanishes at the base."""
+    degree = max(map(sum, p.terms))
+    coeffs = _triangle(_taylor_series(p, base, degree), degree)
+    c00 = abs(coeffs.pop((0, 0), 0))
 
-    Three sweeps over a resolution x resolution grid of complex X, each
-    centred on the previous sweep's nearest point.  At each X the candidates
-    are Y = 36X^2 - 32X and the roots in Y of K2_LOCUS; the result is the
-    same float as a scan with one np.roots call per point gives.
-    """
-    import numpy as np
+    def excludes(r: Fraction) -> bool:
+        return c00 > sum(abs(c) * r ** (i + j) for (i, j), c in coeffs.items())
 
-    best = min(abs(x0), abs(y0))
-    k2_terms = [[(k, complex(co)) for k, co in enumerate(c.coefficients()) if co]
-                for c in K2_LOCUS.rows("Y")]
-    center, width = x0, grid_half_width
-    for _ in range(3):
-        re = np.linspace(center - width, center + width, resolution)
-        im = np.linspace(-width, width, resolution)
-        # blocks of four grid rows bound the memory the batched arrays take
-        for start in range(0, resolution, 4):
-            block = [complex(a, b) for a in re[start:start + 4] for b in im]
-            cands = _locus_candidates(block, k2_terms)
-            # np.hypot rounds as abs() of one complex does; np.abs of an
-            # array need not
-            xs = np.array(block)
-            dist = np.hypot(np.hypot(xs.real - x0, xs.imag)[:, None],
-                            np.hypot(cands.real - y0, cands.imag))
-            # the first nearest point, as a scan that keeps strict improvements
-            k = int(np.argmin(dist))
-            if dist.flat[k] < best:
-                best, center = float(dist.flat[k]), block[k // dist.shape[1]]
-        width /= resolution / 4
-    return best
+    if not c00:
+        return Fraction(0)
+    lo, hi = Fraction(0), Fraction(1)
+    while excludes(hi):
+        lo, hi = hi, 2 * hi
+    for _ in range(24):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excludes(mid) else (lo, mid)
+    return lo
 
 
-def _locus_candidates(xcs: list[complex], k2_terms):
-    """Row i: Y = 36X^2 - 32X at X = xcs[i], then the roots in Y of the
-    polynomial whose coefficients (lowest degree first) are k2_terms at X,
-    padded with inf.  The roots are np.roots': the same coefficients, with a
-    high coefficient below 1e-14 dropped and exact zeros stripped at both
-    ends, the same companion matrices, and the eigenvalues of all those of
-    one degree from one np.linalg.eigvals call."""
-    import numpy as np
-
-    degree = max(k for terms in k2_terms for k, _ in terms)
-    cands = np.full((len(xcs), len(k2_terms)), np.inf, dtype=complex)
-    coeffs = np.zeros((len(xcs), len(k2_terms)), dtype=complex)
-    # the lowest and highest nonzero coefficient; high = -1 means no roots
-    low, high = np.zeros(len(xcs), dtype=int), np.full(len(xcs), -1)
-    for i, xc in enumerate(xcs):
-        cands[i, 0] = 36 * xc ** 2 - 32 * xc
-        powers = [xc ** k for k in range(degree + 1)]
-        dense = [complex(sum(co * powers[k] for k, co in terms)) for terms in k2_terms]
-        while dense and abs(dense[-1]) < 1e-14:
-            dense.pop()
-        if len(dense) > 1:
-            nonzero = [k for k, co in enumerate(dense) if co != 0]
-            low[i], high[i] = nonzero[0], nonzero[-1]
-            coeffs[i, :len(dense)] = dense
-    for lo, hi in {(lo, hi) for lo, hi in zip(low.tolist(), high.tolist()) if hi >= 0}:
-        rows = np.flatnonzero((low == lo) & (high == hi))
-        n = hi - lo
-        # the lo zero coefficients are roots at 0, which np.roots puts last
-        cands[rows, 1 + n:1 + hi] = 0
-        if n:
-            # companion matrices; the first row is -p[1:] / p[0], with p the
-            # stripped coefficients, highest first
-            mats = np.zeros((len(rows), n, n), dtype=complex)
-            mats[:, np.arange(1, n), np.arange(n - 1)] = 1
-            top = coeffs[rows, lo:hi][:, ::-1]
-            np.divide(np.negative(top, out=top), coeffs[rows, hi:hi + 1], out=mats[:, 0, :])
-            cands[rows, 1:1 + n] = np.linalg.eigvals(mats)
-    return cands
-
-
-def sampling_offsets(base, count: int, scale_num: int = 1, scale_den: int = 64,
-                     distance: float | None = None) -> list[tuple[Fraction, Fraction]]:
-    """Real rational offsets on rings of radius distance * scale within the
-    convergence region, exactly representable for the rational Taylor grids."""
-    d = distance if distance is not None else estimate_singular_distance(base)
-    r = d * scale_num / scale_den
+def sampling_offsets(base, count: int) -> list[tuple[Fraction, Fraction]]:
+    """Real rational offsets on rings of radius up to 1/64 of the certified
+    radius, exactly representable for the rational Taylor grids."""
+    r = estimate_singular_distance(base) / 64
     out = []
     for k in range(count):
         angle = 2 * math.pi * k / count + 0.37
@@ -495,65 +448,100 @@ def sampling_offsets(base, count: int, scale_num: int = 1, scale_den: int = 64,
     return out
 
 
+# the ten products u_i u_j, i <= j, of the four basis solutions
+_PAIRS = tuple((i, j) for i in range(4) for j in range(i, 4))
+
+
 @dataclass(frozen=True)
 class QuadricFit:
-    matrix: object               # 4x4 numpy array
-    holdout_residual: float
+    matrix: tuple[tuple[Fraction, ...], ...]  # symmetric 4x4, exact, up to scale
+    holdout_residual: Fraction
     rank: int
-    eigenvalue_signs: tuple[int, ...]
+    eigenvalue_signs: tuple[int, ...]         # ascending, 0 for a zero eigenvalue
 
 
-def quadric_fit_from_vectors(vectors, holdout: int = 6,
-                             nullity_tol: float = 1e-7) -> QuadricFit:
-    """Fit one quadric through projective 4-vectors (nullspace of the
-    10-column Gram design matrix); verify on held-out vectors."""
-    import numpy as np
-
-    vecs = [np.array([float(x) for x in v], dtype=float) for v in vectors]
-    vecs = [v / np.linalg.norm(v) for v in vecs]
-    fit = vecs[: len(vecs) - holdout]
-    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
-    design = np.array([[v[i] * v[j] for (i, j) in pairs] for v in fit])
-    colscale = np.max(np.abs(design), axis=0)
-    design = design / colscale
-    _, svals, vh = np.linalg.svd(design)
-    nullity = int(np.sum(svals < nullity_tol * svals[0]))
-    if nullity != 1:
-        raise RankDeficient(f"quadric nullity {nullity} != 1 "
-                            f"(singular values {svals})")
-    coeffs = vh[-1] / colscale
-    q = np.zeros((4, 4))
-    for c, (i, j) in zip(coeffs, pairs):
-        if i == j:
-            q[i, i] = c
-        else:
-            q[i, j] = q[j, i] = c / 2
-    q /= np.linalg.norm(q)
-    eigs = np.linalg.eigvalsh(q)
-    rank = int(np.sum(np.abs(eigs) > 1e-8 * np.max(np.abs(eigs))))
-    signs = tuple(int(np.sign(e)) for e in sorted(eigs))
-    res = max(float(abs(v @ q @ v)) for v in vecs[len(vecs) - holdout:]) if holdout else 0.0
-    return QuadricFit(matrix=q, holdout_residual=res, rank=rank,
-                      eigenvalue_signs=signs)
+def _truncated_product(g: Mapping[Jet, Fraction], h: Mapping[Jet, Fraction],
+                       order: int) -> dict[Jet, Fraction]:
+    """The coefficients of g h to total order `order`, for two Taylor grids."""
+    out: dict[Jet, Fraction] = {}
+    for (a, b), x in g.items():
+        for (c, d), y in h.items():
+            if a + b + c + d <= order:
+                out[(a + c, b + d)] = out.get((a + c, b + d), 0) + x * y
+    return out
 
 
-def quadric_image_test(base, sample_count: int = 14, holdout: int = 6,
-                       order: int = 10) -> QuadricFit:
-    """Evaluate the four basis solutions near the base point and fit the
-    quadric their projective image lies on."""
-    basis = taylor_basis(base, order)
-    offsets = sampling_offsets(base, sample_count + holdout)
-    vectors = [[evaluate_grid(g, dx, dy) for g in basis.grids]
-               for dx, dy in offsets]
-    return quadric_fit_from_vectors(vectors, holdout=holdout)
+def _eigenvalue_signs(matrix) -> tuple[int, ...]:
+    """The signs of the eigenvalues of a symmetric rational matrix, ascending.
+
+    The characteristic polynomial det(t I - m) comes exactly from the
+    Faddeev-LeVerrier recurrence; its constant term is det(m) up to sign.
+    All its roots are real, so Descartes' rule is exact: its coefficients
+    have as many sign changes as it has positive roots, and those of p(-t)
+    as many as it has negative roots.  The rest are 0."""
+    n = len(matrix)
+    coeffs = [Fraction(1)]  # c_n, c_(n-1), ..., c_0 of t^n + ... + c_0
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = m M_(k-1) + c_(n-k+1) I, and c_(n-k) = -tr(m M_k) / k
+        mk = [[sum(matrix[i][l] * mk[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        coeffs.append(-sum(matrix[i][l] * mk[l][i] for i in range(n) for l in range(n)) / k)
+
+    def sign_changes(cs) -> int:
+        signs = [c > 0 for c in cs if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    positive = sign_changes(coeffs)
+    negative = sign_changes([-c if k % 2 else c for k, c in enumerate(coeffs)])
+    return (-1,) * negative + (0,) * (n - positive - negative) + (1,) * positive
+
+
+def quadric_from_grids(grids, order: int) -> QuadricFit:
+    """The quadric sum q_ij u_i u_j = 0 through four Taylor grids, exactly.
+
+    Each monomial dX^a dY^b of the truncated products gives one linear
+    equation in the ten q_ij.  Those of total order at most order - 2 fix q;
+    raises RankDeficient unless their nullity is exactly 1.  The equations of
+    orders order - 1 and order are the holdout, and holdout_residual is their
+    largest |value| for q scaled so that its free entry is 1."""
+    products = [_truncated_product(grids[i], grids[j], order) for i, j in _PAIRS]
+
+    def equations(degrees) -> list[list[Fraction]]:
+        return [[p.get((a, d - a), Fraction(0)) for p in products]
+                for d in degrees for a in range(d + 1)]
+
+    fit = equations(range(order - 1))
+    pivots = gauss_jordan(fit, len(_PAIRS))
+    if len(pivots) != len(_PAIRS) - 1:
+        raise RankDeficient(f"quadric nullity {len(_PAIRS) - len(pivots)} != 1")
+    free = next(c for c in range(len(_PAIRS)) if c not in pivots)
+    q = [Fraction(int(c == free)) for c in range(len(_PAIRS))]
+    for row, c in zip(fit, pivots):
+        q[c] = -row[free]
+    residual = max(abs(sum(x * y for x, y in zip(q, row)))
+                   for row in equations((order - 1, order)))
+    m = [[Fraction(0)] * 4 for _ in range(4)]
+    for c, (i, j) in zip(q, _PAIRS):
+        m[i][j] = m[j][i] = c if i == j else c / 2
+    signs = _eigenvalue_signs(m)
+    return QuadricFit(matrix=tuple(map(tuple, m)), holdout_residual=residual,
+                      rank=sum(1 for s in signs if s), eigenvalue_signs=signs)
+
+
+def quadric_image_test(base, order: int = 10) -> QuadricFit:
+    """The quadric on which the projective image of the four basis solutions
+    at the base point lies, from their order-`order` Taylor grids."""
+    return quadric_from_grids(taylor_basis(base, order).grids, order)
 
 
 def developing_map_match(base, sample_count: int = 10,
                          policy: PrecisionPolicy | None = None,
-                         holdout: int = 4, order: int = 10,
-                         seed_pair=None) -> dict:
+                         holdout: int = 4, order: int = 10) -> dict:
     """Match the PDE basis-solution ratios against the lattice embedding of
-    the theta-side inverse (z1, z2)(X, Y) by one projective transformation.
+    the theta-side inverse (z1, z2)(X, Y) by one projective transformation,
+    at sample_count + holdout points around the base: the first five fix the
+    map and every other one is checked against it.
 
     This is the desk-scale machine check that the projectivized solutions
     develop the parameter space into the period domain.
@@ -566,8 +554,7 @@ def developing_map_match(base, sample_count: int = 10,
         offsets = sampling_offsets(base, sample_count + holdout)
         vectors = [[evaluate_grid(g, dx, dy) for g in basis.grids]
                    for dx, dy in offsets]
-        if seed_pair is None:
-            seed_pair = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))
+        seed_pair = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))
         anchor = continuation_invert(base[0], base[1], seed_pair, pol, steps=10)
         jvecs = []
         prev = anchor.z
@@ -575,6 +562,6 @@ def developing_map_match(base, sample_count: int = 10,
             res = newton_invert(base[0] + dx, base[1] + dy, prev, pol)
             prev = res.z
             jvecs.append(j_map(prev, pol).xi)
-        g, residual = match_projective_maps(vectors, jvecs, holdout=holdout)
+        g, residual = match_projective_maps(vectors, jvecs)
         return {"transform": g, "holdout_residual": residual,
                 "anchor": anchor, "samples": len(offsets)}

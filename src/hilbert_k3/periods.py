@@ -116,7 +116,7 @@ def restricted_operators() -> RestrictedODE:
     # the X <-> t = 27X/25 transport must reproduce W4 exactly
     transported = restricted_ode_X().rescale_variable(Fraction(25, 27))
     if transported.monic().rename_variable("t") != w4:
-        raise AssertionError("t = 27 X / 25 transport does not reproduce W4")
+        raise ValueError("t = 27 X / 25 transport does not reproduce W4")
     return ode
 
 

@@ -167,14 +167,14 @@ def test_criterion_09_monodromy_constants():
 
 def _criterion_10(policy) -> tuple[bool, str]:
     t0 = time.time()
-    fit = quadric_image_test(BASE, sample_count=14, holdout=6, order=10)
+    fit = quadric_image_test(BASE, order=10)
     match = developing_map_match(BASE, sample_count=10, policy=policy,
                                  holdout=4, order=10)
     dt = time.time() - t0
     ok = (fit.rank == 4 and fit.holdout_residual < 1e-6
           and match["holdout_residual"] < 1e-5 and dt < 300)
-    return ok, (f"quadric rank {fit.rank} holdout {fit.holdout_residual:.2e}, "
-                f"match holdout {match['holdout_residual']:.2e}, {dt:.1f}s")
+    return ok, (f"quadric rank {fit.rank} holdout {float(fit.holdout_residual):.2e}, "
+                f"match holdout {float(match['holdout_residual']):.2e}, {dt:.1f}s")
 
 
 def test_criterion_10_developing_map_pipeline():

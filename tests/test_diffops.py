@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbert_k3.diffops import (DiffOperator, IrregularSingular, NonRationalRoot, _taylor,
-                                indicial_exponents, series_solve)
+from hilbert_k3.diffops import (DiffOperator, IrregularSingular, NonRationalRoot,
+                                _rational_roots, _taylor, indicial_exponents, series_solve)
 from hilbert_k3.periods import (gauss_operator, hypergeom_coefficients,
                                 restricted_ode_X, restricted_operators)
 from hilbert_k3.polynomials import FormalSeries, RationalFunction, UniPoly
@@ -302,3 +303,35 @@ def test_taylor_edge_cases(p, x, n):
     out = _taylor(p, x, n)
     assert out == _taylor_oracle(p, x, n)
     assert len(out) == n and all(isinstance(c, Fraction) for c in out)
+
+
+def test_rational_roots_finds_a_denominator_above_1e9():
+    big = Fraction(3, 1_000_000_007)
+    p = UniPoly([-big, 1]) * UniPoly([Fraction(7, 2), 1]) ** 2 * UniPoly([0, 1])
+    assert sorted(_rational_roots(p)) == [(Fraction(-7, 2), 2), (0, 1), (big, 1)]
+
+
+def test_rational_roots_reject_an_irreducible_quadratic():
+    with pytest.raises(NonRationalRoot):
+        _rational_roots(UniPoly([-2, 0, 1]))
+    with pytest.raises(NonRationalRoot):
+        _rational_roots(UniPoly([-2, 0, 1]) * UniPoly([Fraction(-1, 3), 1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.fractions(min_value=-12, max_value=12, max_denominator=12),
+                          st.integers(min_value=1, max_value=3)),
+                min_size=1, max_size=4),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+def test_rational_roots_agree_with_sympy(factors, lead):
+    """Products of rational linear factors, times a constant: the roots and
+    their multiplicities against sympy's."""
+    p = UniPoly([lead])
+    for root, mult in factors:
+        p = p * UniPoly([-root, 1]) ** mult
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coefficients())]
+    want = {Fraction(int(r.p), int(r.q)): m for r, m in sympy.roots(sympy.Poly(coeffs, x)).items()}
+    got = _rational_roots(p)
+    assert len(got) == len({r for r, _ in got})
+    assert dict(got) == want

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 
 from hilbert_k3.elliptic import eisenstein_and_J
@@ -104,33 +103,50 @@ def test_continuation_reaches_target(policy):
         assert abs(xr - mpmath.mpf(1) / 10) + abs(yr - mpmath.mpf(1) / 10) < 1e-10
 
 
-def test_match_identity():
-    rng = np.random.default_rng(5)
-    samples = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(14)]
-    g, res = match_projective_maps(samples, samples, holdout=4)
-    assert res < 1e-8
-    gd = g / g[0, 0]
-    assert np.linalg.norm(gd - np.eye(4)) < 1e-8
+def _vector(rng):
+    return mpmath.matrix([mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)])
 
 
-def test_match_recovers_random_transform():
-    rng = np.random.default_rng(6)
-    samples = [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(14)]
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    images = [m @ v for v in samples]
-    g, res = match_projective_maps(samples, images, holdout=4)
-    assert res < 1e-8
-    lam = (m.flatten() @ np.conj(g.flatten())) / (g.flatten() @ np.conj(g.flatten()))
-    assert np.linalg.norm(m - lam * g) < 1e-6 * np.linalg.norm(m)
+def _equal_up_to_scale(g, m, tol):
+    """g = lam m for one complex lam, to a relative tol."""
+    k = max(((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(m[ij]))
+    lam = g[k] / m[k]
+    return mpmath.mnorm(g - lam * m, 1) < tol * mpmath.mnorm(g, 1)
 
 
-def test_match_rank_deficient_on_ambiguous_data():
-    # all samples proportional: many transforms fit, nullity > 1
-    rng = np.random.default_rng(8)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    samples = [v * rng.normal() for _ in range(12)]
-    with pytest.raises((RankDeficient, ZeroDivisionError, FloatingPointError, ValueError)):
-        match_projective_maps(samples, samples, holdout=2)
+def test_match_identity(policy):
+    with working_precision(policy):
+        rng = random.Random(5)
+        samples = [_vector(rng) for _ in range(14)]
+        g, res = match_projective_maps(samples, samples)
+        assert res < 1e-30
+        assert _equal_up_to_scale(g, mpmath.eye(4), 1e-30)
+
+
+def test_match_recovers_random_transform(policy):
+    with working_precision(policy):
+        rng = random.Random(6)
+        samples = [_vector(rng) for _ in range(14)]
+        m = mpmath.matrix([[mpmath.mpc(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(4)]
+                           for _ in range(4)])
+        g, res = match_projective_maps(samples, [m * v for v in samples])
+        assert res < 1e-30
+        assert _equal_up_to_scale(g, m, 1e-30)
+
+
+def test_match_rank_deficient_on_ambiguous_data(policy):
+    with working_precision(policy):
+        rng = random.Random(8)
+        # all samples proportional: many transforms fit
+        v = _vector(rng)
+        samples = [v * rng.gauss(0, 1) for _ in range(12)]
+        with pytest.raises(RankDeficient):
+            match_projective_maps(samples, samples)
+        # the fifth sample in the span of three others: c_4 = 0
+        samples = [_vector(rng) for _ in range(12)]
+        samples[4] = samples[0] - 2 * samples[1] + samples[2]
+        with pytest.raises(RankDeficient):
+            match_projective_maps(samples, samples)
 
 
 def test_near_zero_denominator_guard(policy):

@@ -2,17 +2,17 @@ import hashlib
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from hilbert_k3.moduli import K2_LOCUS, RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy
 from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
-                            _coefficient_series, build_pde,
-                            developing_map_match, eliminate_to_restricted_ode,
-                            estimate_singular_distance, evaluate_grid,
-                            quadric_fit_from_vectors,
-                            quadric_image_test, sampling_offsets, taylor_basis,
+                            _coefficient_series, _eigenvalue_signs, _truncated_product,
+                            build_pde, developing_map_match, eliminate_to_restricted_ode,
+                            estimate_singular_distance, quadric_from_grids,
+                            quadric_image_test, taylor_basis,
                             taylor_solutions, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
 from hilbert_k3.periods import restricted_ode_X
@@ -196,22 +196,41 @@ def test_integrability_at_random_bases():
 
 
 def test_quadric_image_fit():
-    fit = quadric_image_test(BASE, sample_count=14, holdout=6, order=10)
+    fit = quadric_image_test(BASE, order=10)
     assert fit.rank == 4
-    assert fit.holdout_residual < 1e-6
+    assert fit.holdout_residual == 0
     assert sorted(fit.eigenvalue_signs) == [-1, -1, 1, 1]
+    assert all(isinstance(x, Fraction) for row in fit.matrix for x in row)
 
 
 def test_quadric_negative_control():
-    basis = taylor_basis(BASE, 10)
-    offsets = sampling_offsets(BASE, 20)
-    vectors = []
-    for dx, dy in offsets:
-        v = [evaluate_grid(g, dx, dy) for g in basis.grids]
-        v[3] = v[3] * v[3]
-        vectors.append(v)
+    grids = list(taylor_basis(BASE, 10).grids)
+    grids[3] = _truncated_product(grids[3], grids[3], 10)
     with pytest.raises(RankDeficient):
-        quadric_fit_from_vectors(vectors, holdout=6)
+        quadric_from_grids(grids, 10)
+
+
+@pytest.mark.parametrize("diagonal, signs", [
+    ((3, Fraction(1, 2), 7, -2), (-1, 1, 1, 1)),
+    ((-5, 0, Fraction(2, 3), -1), (-1, -1, 0, 1)),
+    ((1, -1, -1, 1), (-1, -1, 1, 1)),
+])
+def test_eigenvalue_signs_of_diagonal_matrices(diagonal, signs):
+    """Inertia (3, 1), rank 3 and (2, 2); conjugating by an integer matrix of
+    determinant 1 keeps the inertia and fills every entry."""
+    p = [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, -1], [0, 0, 0, 1]]
+    d = [[Fraction(diagonal[i]) if i == j else Fraction(0) for j in range(4)] for i in range(4)]
+    m = [[sum(p[k][i] * d[k][l] * p[l][j] for k in range(4) for l in range(4))
+          for j in range(4)] for i in range(4)]
+    assert _eigenvalue_signs(d) == signs
+    assert _eigenvalue_signs(m) == signs
+
+
+def test_taylor_basis_is_cached_and_read_only():
+    basis = taylor_basis(BASE, 4)
+    assert taylor_basis(BASE, 4) is basis
+    with pytest.raises(TypeError):
+        basis.grids[0][(0, 0)] = Fraction(2)
 
 
 def test_developing_map_pipeline(policy):
@@ -227,13 +246,13 @@ def test_developing_map_rejects_diagonal_base(policy):
 
 
 def test_transform_constant_across_sample_sets(policy):
-    import numpy as np
     pol = PrecisionPolicy(96)
     rep1 = developing_map_match(BASE, sample_count=9, policy=pol, holdout=1, order=10)
     rep2 = developing_map_match(BASE, sample_count=13, policy=pol, holdout=5, order=10)
     g1, g2 = rep1["transform"], rep2["transform"]
-    lam = (g2.flatten() @ np.conj(g1.flatten())) / (g1.flatten() @ np.conj(g1.flatten()))
-    assert np.linalg.norm(g2 - lam * g1) < 1e-6 * np.linalg.norm(g2)
+    k = max(((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(g1[ij]))
+    lam = g2[k] / g1[k]
+    assert mpmath.mnorm(g2 - lam * g1, 1) < 1e-15 * mpmath.mnorm(g2, 1)
 
 
 def test_singular_distance_sane():
@@ -276,10 +295,12 @@ def _singular_distance_per_point(x0, y0, grid_half_width, resolution):
 
 @pytest.mark.parametrize("base", [BASE, (Fraction(3, 17), Fraction(5, 23)),
                                   (Fraction(25, 27), Fraction(1, 50))])
-def test_batched_singular_distance_equals_the_per_point_scan(base):
+def test_certified_radius_within_the_per_point_scan(base):
+    """A locus point closer than r would lie in the certified polydisc, so r
+    is at most the distance to any locus point the scan finds."""
     x0, y0 = float(base[0]), float(base[1])
-    want = _singular_distance_per_point(x0, y0, 1.5, 15)
-    assert estimate_singular_distance(base, resolution=15) == want
+    r = estimate_singular_distance(base)
+    assert 0 < r <= _singular_distance_per_point(x0, y0, 1.5, 15)
 
 
 def _grid_digest(sol) -> str:

@@ -66,9 +66,23 @@ def test_factorization_is_exact():
 
 
 def test_transport_consistency_runs():
-    # restricted_operators asserts the X <-> t rescaling internally; the
+    # restricted_operators checks the X <-> t rescaling internally; the
     # uncached call runs that check even when an earlier test filled the cache
     restricted_operators.__wrapped__()
+
+
+def test_failed_transport_is_a_fail_row(monkeypatch):
+    """A transport that does not reproduce W4 raises a type the suites turn
+    into the fail row ``error``, not a traceback."""
+    from hilbert_k3 import periods, verify
+    moved = restricted_ode_X().rescale_variable(Fraction(2))
+    monkeypatch.setattr(periods, "restricted_ode_X", lambda: moved)
+    with pytest.raises(verify.SUITE_FAILURES, match="does not reproduce W4"):
+        restricted_operators.__wrapped__()
+    monkeypatch.setattr(periods, "restricted_operators", restricted_operators.__wrapped__)
+    report = verify.run_suite("factorization")
+    assert [(c.name, c.passed) for c in report.checks] == [("error", False)]
+    assert "does not reproduce W4" in report.checks[0].residual
 
 
 def test_riemann_scheme_all_four_points():
