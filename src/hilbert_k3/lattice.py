@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from .hilbert_theta import as_pair
-from .moduli import apply_generator
+from .moduli import apply_generator, projective_distance
 from .numkernel import PrecisionPolicy, quadratic_constants, working_precision
 from .polynomials import SparsePoly, gauss_jordan
 
@@ -177,18 +177,6 @@ def j_map_symbolic_identities() -> dict:
 
 
 # ------------------------------------------------------- intertwining checks
-
-
-def projective_distance(u, v) -> mpmath.mpf:
-    """Norm of the component of u/|u| orthogonal to v/|v| (avoids the
-    sqrt(1 - cos^2) cancellation floor at high precision)."""
-    nu = mpmath.sqrt(sum(abs(x) ** 2 for x in u))
-    nv = mpmath.sqrt(sum(abs(x) ** 2 for x in v))
-    uh = [x / nu for x in u]
-    vh = [x / nv for x in v]
-    inner = sum(x * mpmath.conj(y) for x, y in zip(uh, vh))
-    resid = [x - inner * y for x, y in zip(uh, vh)]
-    return mpmath.sqrt(sum(abs(x) ** 2 for x in resid))
 
 
 CONVENTIONS = ("direct", "transpose", "inverse", "inverse_transpose")

@@ -235,15 +235,27 @@ def _frame(samples):
     return m, inv, c
 
 
+def projective_distance(u, v) -> mpmath.mpf:
+    """Norm of the component of u/|u| orthogonal to v/|v| (avoids the
+    sqrt(1 - cos^2) cancellation floor at high precision)."""
+    nu = mpmath.sqrt(sum(abs(x) ** 2 for x in u))
+    nv = mpmath.sqrt(sum(abs(x) ** 2 for x in v))
+    uh = [x / nu for x in u]
+    vh = [x / nv for x in v]
+    inner = sum(x * mpmath.conj(y) for x, y in zip(uh, vh))
+    resid = [x - inner * y for x, y in zip(uh, vh)]
+    return mpmath.sqrt(sum(abs(x) ** 2 for x in resid))
+
+
 def match_projective_maps(samples_a, samples_b):
     """Find G (a 4x4 mpmath matrix, up to scale) with G a_k parallel to b_k.
 
     Five samples in general position fix a projective map of P^3: with
     a_5 = sum c_i a_i and b_5 = sum d_i b_i, G = B diag(d_i / c_i) A^-1,
     where A and B have the first four samples as columns.  Returns G and the
-    worst misalignment over the other samples: the sine of the angle between
-    G a_k and b_k.  Raises RankDeficient when either frame is not in general
-    position at the working precision.
+    worst misalignment over the other samples: projective_distance(G a_k,
+    b_k), the sine of the angle between them.  Raises RankDeficient when
+    either frame is not in general position at the working precision.
     """
     if len(samples_a) != len(samples_b):
         raise ValueError("sample lists differ in length")
@@ -252,12 +264,5 @@ def match_projective_maps(samples_a, samples_b):
     _, a_inv, c = _frame(samples_a)
     b, _, d = _frame(samples_b)
     g = b * mpmath.diag([d[i] / c[i] for i in range(4)]) * a_inv
-
-    def misalignment(v, w):
-        gv = g * mpmath.matrix(v)
-        gv /= mpmath.norm(gv)
-        w = mpmath.matrix(w)
-        w /= mpmath.norm(w)
-        return mpmath.norm(gv - mpmath.fdot(gv, w, conjugate=True) * w)
-
-    return g, max(misalignment(v, w) for v, w in zip(samples_a[5:], samples_b[5:]))
+    return g, max(projective_distance(g * mpmath.matrix(v), w)
+                  for v, w in zip(samples_a[5:], samples_b[5:]))

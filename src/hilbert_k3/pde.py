@@ -251,49 +251,42 @@ def verify_pde_restriction() -> dict:
 # -------------------------------------------------------- local Taylor theory
 
 
-def _taylor_series(p: SparsePoly, base: tuple[Fraction, Fraction], order: int) -> FormalSeries:
-    """p(x0 + dX, y0 + dY) at base = (x0, y0), as a series in dY whose dY^k
-    coefficient is a series in dX known to total order `order`, that is to
-    dX^(order - k)."""
+@functools.cache
+def _cleared_equations() -> tuple[tuple[tuple[SparsePoly, Jet], ...], ...]:
+    """The two equations of the system with their denominators cleared, each
+    a tuple of (polynomial c, jet) terms with sum c u_jet = 0: E1 times
+    X^2 Y S and E2 times 25 X Y^2 S, with S = 36 X^2 - 32 X - Y.  The first
+    term is the lead, minus the multiplier on u_XX or on u_YY."""
+    pde = build_pde()
+    X, Y = SparsePoly.variable(V, "X"), SparsePoly.variable(V, "Y")
+    S = 36 * X ** 2 - 32 * X - Y
+    out = []
+    for multiplier, lead, names in ((X ** 2 * Y * S, (2, 0), ("L1", "A1", "B1", "P1")),
+                                    (25 * X * Y ** 2 * S, (0, 2), ("M1", "C1", "D1", "Q1"))):
+        terms = [(-multiplier, lead)]
+        for name, jet in zip(names, ((1, 1), (1, 0), (0, 1), (0, 0))):
+            q: Quotient = getattr(pde, name)
+            cofactor, rem = multiplier.divmod_exact(q.den)
+            if rem:
+                raise ValueError(f"the denominator of {name} does not divide {multiplier}")
+            terms.append((q.num * cofactor, jet))
+        out.append(tuple(terms))
+    return tuple(out)
+
+
+def _shifted(p: SparsePoly, base: tuple[Fraction, Fraction]) -> dict[Jet, Fraction]:
+    """The Taylor triangle {(i, j): c} of p(x0 + dX, y0 + dY) at base =
+    (x0, y0): the nonzero coefficients c of dX^i dY^j."""
     x0, y0 = base
     rows = [r.affine(1, x0) for r in p.rows("Y")]
     # (y0 + dY)^j = sum_k C(j, k) y0^(j - k) dY^k, so the dY^k row is
     # sum_{j >= k} C(j, k) y0^(j - k) rows[j]
-    out = []
-    for k in range(min(len(rows), order + 1)):
+    out = {}
+    for k in range(len(rows)):
         row = UniPoly()
         for j in range(k, len(rows)):
             row = row + rows[j] * (math.comb(j, k) * y0 ** (j - k))
-        out.append(FormalSeries("dX", 0, row.coefficients()[:order + 1 - k], order + 1 - k))
-    return FormalSeries("dY", 0, out, order + 1)
-
-
-def _coefficient_series(base: tuple[Fraction, Fraction], order: int) -> dict[str, FormalSeries]:
-    """The eight coefficients of the system as Taylor series at the base
-    point (see `_taylor_series`), known to total order `order`."""
-    pde = build_pde()
-    at = {"X": base[0], "Y": base[1]}
-    out = {}
-    for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
-        rf: Quotient = getattr(pde, name)
-        if not rf.den.evaluate(at):
-            raise SingularBasePoint("denominator vanishes at the base point")
-        num = _taylor_series(rf.num, base, order)
-        out[name] = num * _taylor_series(rf.den, base, order).inverse()
-    return out
-
-
-def _triangle(s: FormalSeries, order: int) -> dict[Jet, Fraction]:
-    """The nonzero coefficients of dX^i dY^j in a Taylor series at the base
-    point, for i + j <= order; reading past its precision raises."""
-    out = {}
-    for j in range(order + 1):
-        row = s.coefficient(j)
-        if row:  # a row that is not stored is zero
-            for i in range(order + 1 - j):
-                c = row.coefficient(i)
-                if c:
-                    out[(i, j)] = c
+        out.update(((i, k), c) for i, c in enumerate(row.coefficients()) if c)
     return out
 
 
@@ -304,63 +297,42 @@ class JetBasisSolution:
     grids: tuple[Mapping[Jet, Fraction], ...]  # one grid per free jet
 
 
-def taylor_solutions(base, jet_values, order: int,
-                     coeff_series: dict[str, FormalSeries] | None = None
-                     ) -> list[dict[Jet, Fraction]]:
+def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
     """Taylor coefficients to total order `order` of the solutions with
     prescribed (u, u_X, u_Y, u_XY)(base), one grid per entry of `jet_values`,
-    generated level by level.  A level's overdetermined system is the same
-    for every solution, so it is solved once, exactly, with one right-hand
-    side per solution; any inconsistency raises.  `coeff_series` defaults to
-    `_coefficient_series` at total order order - 2, the highest a level reads."""
+    generated level by level from the cleared equations.  A level's
+    overdetermined system is the same for every solution, so it is solved
+    once, exactly, with one right-hand side per solution; any inconsistency
+    raises."""
     base = (Fraction(base[0]), Fraction(base[1]))
-    cs = coeff_series or _coefficient_series(base, max(order - 2, 0))
-    tri = {name: _triangle(series, order - 2) for name, series in cs.items()}
+    equations = [[(_shifted(c, base), jet) for c, jet in eq] for eq in _cleared_equations()]
+    if any(not eq[0][0].get((0, 0)) for eq in equations):
+        raise SingularBasePoint("a leading coefficient vanishes at the base point")
     grids = [dict(zip(BASIS, map(Fraction, jets))) for jets in jet_values]
 
     for d in range(2, order + 1):
         unknowns = [(k, d - k) for k in range(d + 1)]
         index = {jet: k for k, jet in enumerate(unknowns)}
         rows: list[list[Fraction]] = []
-
-        def coefficient_rows(which: str, i: int, j: int):
-            """Linear equation from equation E_which at series order (i, j):
-            the level-d jets go to the row, each known jet, with its
-            coefficient, to every right-hand side."""
-            row = [Fraction(0)] * (d + 1)
-            known: list[tuple[Fraction, Jet]] = []
-            if which == "E1":
-                lead, cA, cB, cP = tri["L1"], tri["A1"], tri["B1"], tri["P1"]
-                row[index[(i + 2, j)]] += Fraction((i + 1) * (i + 2))
-            else:
-                lead, cA, cB, cP = tri["M1"], tri["C1"], tri["D1"], tri["Q1"]
-                row[index[(i, j + 2)]] += Fraction((j + 1) * (j + 2))
-            for p in range(i + 1):
-                for q in range(j + 1):
-                    ii, jj = i - p, j - q
-                    cxy = lead.get((p, q), 0) * (ii + 1) * (jj + 1)
-                    if cxy:
-                        jet = (ii + 1, jj + 1)
-                        if jet[0] + jet[1] == d:
-                            row[index[jet]] -= cxy
-                        else:
-                            known.append((cxy, jet))
-                    cx = cA.get((p, q), 0) * (ii + 1)
-                    if cx:
-                        known.append((cx, (ii + 1, jj)))
-                    cy = cB.get((p, q), 0) * (jj + 1)
-                    if cy:
-                        known.append((cy, (ii, jj + 1)))
-                    cu = cP.get((p, q), 0)
-                    if cu:
-                        known.append((cu, (ii, jj)))
-            rows.append(row + [sum((c * t[jet] for c, jet in known), Fraction(0))
-                               for t in grids])
-
-        for k in range(2, d + 1):
-            coefficient_rows("E1", k - 2, d - k)
-        for k in range(0, d - 1):
-            coefficient_rows("E2", k, d - k - 2)
+        # the dX^i dY^j coefficient of sum c u_(a, b), i + j = d - 2: the
+        # level-d jets go to the row, each known jet, with its coefficient,
+        # to every right-hand side
+        for eq in equations:
+            for i in range(d - 1):
+                j = d - 2 - i
+                row = [Fraction(0)] * (d + 1)
+                known: list[tuple[Fraction, Jet]] = []
+                for tri, (a, b) in eq:
+                    for (p, q), c in tri.items():
+                        if p <= i and q <= j:
+                            jet = (i - p + a, j - q + b)
+                            w = c * math.perm(jet[0], a) * math.perm(jet[1], b)
+                            if sum(jet) == d:
+                                row[index[jet]] += w
+                            else:
+                                known.append((w, jet))
+                rows.append(row + [-sum((c * t[jet] for c, jet in known), Fraction(0))
+                                   for t in grids])
         if d == 2:
             row = [Fraction(0)] * 3
             row[index[(1, 1)]] = Fraction(1)
@@ -416,8 +388,7 @@ def _exclusion_radius(p: SparsePoly, base: tuple[Fraction, Fraction]) -> Fractio
     r^(i + j) over (i, j) != (0, 0), where c_ij are the coefficients of p
     shifted to the base; then p has no zero on the polydisc of radius r.
     0 when p vanishes at the base."""
-    degree = max(map(sum, p.terms))
-    coeffs = _triangle(_taylor_series(p, base, degree), degree)
+    coeffs = _shifted(p, base)
     c00 = abs(coeffs.pop((0, 0), 0))
 
     def excludes(r: Fraction) -> bool:
@@ -535,13 +506,13 @@ def quadric_image_test(base, order: int = 10) -> QuadricFit:
     return quadric_from_grids(taylor_basis(base, order).grids, order)
 
 
-def developing_map_match(base, sample_count: int = 10,
+def developing_map_match(base, samples: int = 14,
                          policy: PrecisionPolicy | None = None,
-                         holdout: int = 4, order: int = 10) -> dict:
+                         order: int = 10) -> dict:
     """Match the PDE basis-solution ratios against the lattice embedding of
     the theta-side inverse (z1, z2)(X, Y) by one projective transformation,
-    at sample_count + holdout points around the base: the first five fix the
-    map and every other one is checked against it.
+    at `samples` points around the base: the first five fix the map and
+    every other one is checked against it.
 
     This is the desk-scale machine check that the projectivized solutions
     develop the parameter space into the period domain.
@@ -551,7 +522,7 @@ def developing_map_match(base, sample_count: int = 10,
         raise SingularBasePoint("the system is singular along Y = 0")
     with working_precision(policy) as pol:
         basis = taylor_basis(base, order)
-        offsets = sampling_offsets(base, sample_count + holdout)
+        offsets = sampling_offsets(base, samples)
         vectors = [[evaluate_grid(g, dx, dy) for g in basis.grids]
                    for dx, dy in offsets]
         seed_pair = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))

@@ -218,30 +218,31 @@ def schwarz_map(t, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
         y = max(y, mpmath.mpf("1.0000001"))
         tol = mpmath.mpf(pol.verify_tol) * target
 
-        def jval(yy):
-            return eisenstein_and_J(mpmath.mpc(0, yy), pol).J.real
+        def residual(yy):
+            """J(i yy) - target and its exact y-derivative: with q = e^(-2 pi yy),
+            q dJ/dq = -(E6 / E4) J gives dJ/dy = 2 pi (E6 / E4) J."""
+            ev = eisenstein_and_J(mpmath.mpc(0, yy), pol)
+            return ev.J.real - target, (2 * mpmath.pi * ev.E6 / ev.E4 * ev.J).real
 
         # near t = 1 the target sits at a critical point of J (double root),
         # so Newton degrades to linear convergence; allow a generous budget
-        f = jval(y) - target
+        f, df = residual(y)
         for _ in range(240):
             if abs(f) < tol:
                 z0 = mpmath.mpc(0, y)
                 if not (z0.imag > 1):
                     raise NoSchwarzConvergence(f"branch left Im > 1 at t = {tf}")
                 return z0
-            h = max(abs(y) * mpmath.mpf(2) ** (-pol.mantissa_bits // 4), mpmath.mpf(2) ** -60)
-            df = (jval(y + h) - jval(y - h)) / (2 * h)
             step = f / df
             ynew = y - step
-            fnew = jval(ynew) - target
+            fnew, dfnew = residual(ynew)
             halvings = 0
             while abs(fnew) >= abs(f) and halvings < 8:
                 step /= 2
                 ynew = y - step
-                fnew = jval(ynew) - target
+                fnew, dfnew = residual(ynew)
                 halvings += 1
-            y, f = ynew, fnew
+            y, f, df = ynew, fnew, dfnew
         raise NoSchwarzConvergence(f"no convergence at t = {tf}, residual {f}")
 
 

@@ -21,8 +21,7 @@
   quotient (`series_inverse` divides 1), over Fractions or exact field elements.
 * `FormalSeries`: the one truncated Laurent series, built on that pair, with
   tracked precision.  Its coefficients may be Fractions (Frobenius solutions,
-  q-expansions), rational functions of X (the elimination's series in Y) or
-  FormalSeries themselves (Taylor series in two variables at a point).
+  q-expansions) or rational functions of X (the elimination's series in Y).
 * `gauss_jordan`: exact Gauss-Jordan elimination over Q.
 """
 
@@ -784,16 +783,11 @@ class FormalSeries:
     """var^expo * (c_0 + c_1 var + ...), known modulo var^prec.
 
     The coefficients are Fractions or any exact field elements with +, -, *,
-    constant / element and a falsy zero, such as `RationalFunction` or another
-    FormalSeries.  The exponents are ints or Fractions; two series add only
-    when their exponents differ by an integer.  Arithmetic never claims a
-    coefficient at or past `prec`: a sum is known to the lower precision, and
-    a product of series known to var^p and var^q, of valuations v and w, to
-    var^min(p + w, q + v).
-
-    A FormalSeries is truthy even when it vanishes to its precision, so that
-    `series_mul` and `series_divide`, which skip falsy coefficients, never
-    drop the precision bound a nested series carries.
+    constant / element and a falsy zero, such as `RationalFunction`.  The
+    exponents are ints or Fractions; two series add only when their exponents
+    differ by an integer.  Arithmetic never claims a coefficient at or past
+    `prec`: a sum is known to the lower precision, and a product of series
+    known to var^p and var^q, of valuations v and w, to var^min(p + w, q + v).
     """
 
     __slots__ = ("var", "expo", "coeffs", "prec")

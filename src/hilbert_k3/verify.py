@@ -269,8 +269,7 @@ def suite_quadric(policy: PrecisionPolicy, seed: int) -> VerificationReport:
 def suite_developing_map(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("developing-map") as c:
         rep = pde.developing_map_match((Fraction(1, 10), Fraction(1, 10)),
-                                       sample_count=10, policy=policy,
-                                       holdout=4, order=10)
+                                       samples=14, policy=policy, order=10)
         c.add("projective_match_holdout", rep["holdout_residual"] < 1e-5,
               rep["holdout_residual"])
     return c.report
@@ -288,7 +287,7 @@ def suite_monodromy(policy: PrecisionPolicy, seed: int) -> VerificationReport:
               conv["residual"])
         ji = lattice.j_map((mpmath.mpc(0, 1), mpmath.mpc(0, 1)), policy)
         anchor = (mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(0, -1), mpmath.mpc(0))
-        r = lattice.projective_distance(ji.xi, anchor)
+        r = moduli.projective_distance(ji.xi, anchor)
         c.add("anchor_point_at_i_i", r < 1e-8, r)
     return c.report
 

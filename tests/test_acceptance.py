@@ -14,9 +14,8 @@ from hilbert_k3.elliptic import jacobi_theta
 from hilbert_k3.fibrations import classify_fibers
 from hilbert_k3.hilbert_theta import mueller_forms, verify_mueller_relation
 from hilbert_k3.klein import build_invariants, verify_klein_relation
-from hilbert_k3.lattice import (check_orthogonality, detect_common_convention,
-                                j_map, projective_distance)
-from hilbert_k3.moduli import moduli_XYZ
+from hilbert_k3.lattice import check_orthogonality, detect_common_convention, j_map
+from hilbert_k3.moduli import moduli_XYZ, projective_distance
 from hilbert_k3.numkernel import PrecisionPolicy, working_precision
 from hilbert_k3.pde import developing_map_match, quadric_image_test, verify_pde_restriction
 from hilbert_k3.periods import (restricted_ode_X, restricted_operators,
@@ -168,8 +167,7 @@ def test_criterion_09_monodromy_constants():
 def _criterion_10(policy) -> tuple[bool, str]:
     t0 = time.time()
     fit = quadric_image_test(BASE, order=10)
-    match = developing_map_match(BASE, sample_count=10, policy=policy,
-                                 holdout=4, order=10)
+    match = developing_map_match(BASE, samples=14, policy=policy, order=10)
     dt = time.time() - t0
     ok = (fit.rank == 4 and fit.holdout_residual < 1e-6
           and match["holdout_residual"] < 1e-5 and dt < 300)

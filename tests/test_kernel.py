@@ -10,10 +10,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbert_k3 import pde
 from hilbert_k3.lattice import mat_identity, mat_inverse_int, mat_mul
 from hilbert_k3.pde import InconsistentReduction, taylor_solutions
-from hilbert_k3.polynomials import (FormalSeries, RationalFunction, UniPoly, series_divide,
-                                    series_inverse, series_mul)
+from hilbert_k3.polynomials import (FormalSeries, RationalFunction, SparsePoly, UniPoly,
+                                    series_divide, series_inverse, series_mul)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -355,27 +356,26 @@ def test_mat_inverse_int_rejects_singular_and_non_unimodular():
         mat_inverse_int(((2, 0), (0, 1)))
 
 
-def _series(**coeffs):
-    """Taylor series at the base point known to total order 6: a series in dY
-    whose dY^j coefficient is a series in dX known to dX^(6 - j)."""
-    def series(terms):
-        return FormalSeries("dY", 0, [
-            FormalSeries("dX", 0, [terms.get((i, j), Fraction(0)) for i in range(7 - j)])
-            for j in range(7)])
-    return {name: series(coeffs.get(name, {}))
-            for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1")}
+def _toy_system(monkeypatch, e1, e2):
+    """Replace the cleared system by u_XX = e1 and u_YY = e2, each given as
+    {jet: coefficient polynomial in (X, Y)}."""
+    lead = SparsePoly.const(("X", "Y"), -1)
+    equations = tuple(((lead, jet),) + tuple((c, j) for j, c in rhs.items())
+                      for jet, rhs in (((2, 0), e1), ((0, 2), e2)))
+    monkeypatch.setattr(pde, "_cleared_equations", lambda: equations)
 
 
-def test_level_system_underdetermined_raises():
+def test_level_system_underdetermined_raises(monkeypatch):
     # L1 M1 = 1 makes the third-order level system singular (its mixed
     # 2x2 block has determinant 1 - L1 M1), with a consistent right side
-    cs = _series(L1={(0, 0): Fraction(1)}, M1={(0, 0): Fraction(1)})
+    one = SparsePoly.const(("X", "Y"), 1)
+    _toy_system(monkeypatch, {(1, 1): one}, {(1, 1): one})
     with pytest.raises(InconsistentReduction, match="underdetermined"):
-        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6, cs)
+        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6)
 
 
-def test_level_system_inconsistent_raises():
+def test_level_system_inconsistent_raises(monkeypatch):
     # u_XX = Y u and u_YY = 0 give u_XXYY = 2 u_Y = 0 at fourth order
-    cs = _series(P1={(0, 1): Fraction(1)})
+    _toy_system(monkeypatch, {(0, 0): SparsePoly.variable(("X", "Y"), "Y")}, {})
     with pytest.raises(InconsistentReduction, match="inconsistent"):
-        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6, cs)
+        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6)

@@ -5,7 +5,8 @@ from hilbert_k3.lattice import (CONVENTIONS, FORM_A, FORM_A_X, GTILDE,
                                 detect_common_convention, intertwine_check,
                                 j_map, j_map_symbolic_identities, mat_identity,
                                 mat_inverse_int, mat_mul, mat_transpose,
-                                preserves_form, projective_distance)
+                                preserves_form)
+from hilbert_k3.moduli import projective_distance
 from hilbert_k3.numkernel import working_precision
 from hilbert_k3.verify import sample_points
 

@@ -9,7 +9,7 @@ import pytest
 from hilbert_k3.moduli import K2_LOCUS, RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy
 from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
-                            _coefficient_series, _eigenvalue_signs, _truncated_product,
+                            _cleared_equations, _eigenvalue_signs, _shifted, _truncated_product,
                             build_pde, developing_map_match, eliminate_to_restricted_ode,
                             estimate_singular_distance, quadric_from_grids,
                             quadric_image_test, taylor_basis,
@@ -39,51 +39,52 @@ def test_coefficients_exact_transcription():
 
 
 
+def _to_sympy(p, x, y):
+    """p(x, y) as a sympy expression."""
+    import sympy
+    return sum((sympy.Rational(c.numerator, c.denominator) * x ** e[0] * y ** e[1]
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
 def test_coefficients_in_lowest_terms():
     import sympy
     xs, ys = sympy.symbols("X Y")
-
-    def to_sympy(p):
-        return sum(sympy.Rational(c.numerator, c.denominator) * xs ** e[0] * ys ** e[1]
-                   for e, c in p.terms.items())
-
     pde = build_pde()
     for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
         q = getattr(pde, name)
-        assert sympy.gcd(to_sympy(q.num), to_sympy(q.den)).is_number, name
+        assert sympy.gcd(_to_sympy(q.num, xs, ys), _to_sympy(q.den, xs, ys)).is_number, name
+
+
+def test_cleared_coefficients_clear_every_denominator():
+    """Each cleared coefficient times its denominator is its numerator times
+    the multiplier of its equation, X^2 Y S for E1 and 25 X Y^2 S for E2."""
+    pde = build_pde()
+    X = SparsePoly.variable(V, "X")
+    Y = SparsePoly.variable(V, "Y")
+    S = 36 * X ** 2 - 32 * X - Y
+    e1, e2 = _cleared_equations()
+    for eq, multiplier, lead, names in ((e1, X ** 2 * Y * S, (2, 0), ("L1", "A1", "B1", "P1")),
+                                        (e2, 25 * X * Y ** 2 * S, (0, 2), ("M1", "C1", "D1", "Q1"))):
+        assert eq[0] == (-multiplier, lead)
+        assert [jet for _, jet in eq[1:]] == [(1, 1), (1, 0), (0, 1), (0, 0)]
+        for name, (c, _) in zip(names, eq[1:]):
+            q = getattr(pde, name)
+            assert c * q.den == q.num * multiplier, name
 
 
 @pytest.mark.parametrize("base", [BASE, (Fraction(3, 17), Fraction(5, 23))])
-def test_coefficient_series_match_sympy_derivatives(base):
-    """The dX^i dY^j coefficient of each coefficient's Taylor series is
-    d^i/dX^i d^j/dY^j f / (i! j!) at the base point, for i + j <= 4, with the
-    derivatives taken in sympy's field Q(X, Y)."""
-    import math
-
+def test_shifted_matches_sympy_expansion(base):
+    """The Taylor triangle of p at the base is the expansion of
+    p(x0 + dX, y0 + dY) in sympy, for the quintic locus and every cleared
+    coefficient."""
     import sympy
-    field, xs, ys = sympy.field("X,Y", sympy.QQ)
-    x0, y0 = (sympy.QQ(c.numerator, c.denominator) for c in base)
-
-    def to_field(p):
-        return sum((sympy.QQ(c.numerator, c.denominator) * xs ** e[0] * ys ** e[1]
-                    for e, c in p.terms.items()), field.zero)
-
-    order = 4
-    cs = _coefficient_series(base, order)
-    pde = build_pde()
-    for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
-        q = getattr(pde, name)
-        d_dy = to_field(q.num) / to_field(q.den)
-        for j in range(order + 1):
-            row = cs[name].coefficient(j)
-            d_dxdy = d_dy
-            for i in range(order + 1 - j):
-                value = d_dxdy.numer(x0, y0) / d_dxdy.denom(x0, y0)
-                expected = value / (math.factorial(i) * math.factorial(j))
-                assert row.coefficient(i) == Fraction(int(expected.numerator),
-                                                      int(expected.denominator)), (name, i, j)
-                d_dxdy = d_dxdy.diff(xs)
-            d_dy = d_dy.diff(ys)
+    dx, dy = sympy.symbols("dX dY")
+    x0, y0 = (sympy.Rational(c.numerator, c.denominator) for c in base)
+    polys = [K2_LOCUS] + [c for eq in _cleared_equations() for c, _ in eq]
+    for p in polys:
+        expanded = sympy.Poly(_to_sympy(p, x0 + dx, y0 + dy), dx, dy).as_dict()
+        expected = {e: Fraction(int(c.p), int(c.q)) for e, c in expanded.items() if c}
+        assert _shifted(p, base) == expected, p
 
 
 def test_elimination_matches_restricted_equation():
@@ -113,58 +114,41 @@ def test_mixed_jet_compatibility():
 
 
 def _residual_series(grid, base, order):
-    """Independent substitute-back oracle: expand both equations directly as
-    truncated series products (no level-by-level solving)."""
-    cs = _coefficient_series(base, order)
+    """Independent substitute-back oracle in sympy: both equations of the
+    system with the grid's polynomial u, each residual over a common
+    denominator, whose numerator is expanded at the base; the denominator
+    does not vanish there, so the residual vanishes to total order
+    order - 2 when the numerator does.  Returns the two numerators'
+    coefficients {(i, j): c} in dX, dY and the cut order - 2."""
+    import sympy
+    X, Y, dx, dy = sympy.symbols("X Y dX dY")
+    x0, y0 = (sympy.Rational(c.numerator, c.denominator) for c in base)
+    pde = build_pde()
+    coeff = {name: _to_sympy(getattr(pde, name).num, X, Y) / _to_sympy(getattr(pde, name).den, X, Y)
+             for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1")}
+    u = sum(sympy.Rational(c.numerator, c.denominator) * (X - x0) ** i * (Y - y0) ** j
+            for (i, j), c in grid.items())
+    ux, uy, uxy = sympy.diff(u, X), sympy.diff(u, Y), sympy.diff(u, X, Y)
 
-    def partial(g, var):
-        out = {}
-        for (i, j), c in g.items():
-            if var == "X" and i:
-                out[(i - 1, j)] = out.get((i - 1, j), Fraction(0)) + c * i
-            if var == "Y" and j:
-                out[(i, j - 1)] = out.get((i, j - 1), Fraction(0)) + c * j
-        return out
+    def numerator(lhs, lead, cA, cB, cP):
+        residual = lhs - (coeff[lead] * uxy + coeff[cA] * ux + coeff[cB] * uy + coeff[cP] * u)
+        num, den = sympy.fraction(sympy.together(residual))
+        assert den.subs({X: x0, Y: y0}) != 0
+        shifted = sympy.Poly(num.subs({X: x0 + dx, Y: y0 + dy}), dx, dy)
+        return {e: Fraction(int(c.p), int(c.q)) for e, c in shifted.as_dict().items()}
 
-    def mul(series, g, cut):
-        out = {}
-        for q, row in enumerate(series.coeffs):
-            for p, a in enumerate(row.coeffs):
-                for (i, j), b in g.items():
-                    if p + i + q + j <= cut:
-                        key = (p + i, q + j)
-                        out[key] = out.get(key, Fraction(0)) + a * b
-        return out
-
-    def add(a, b, sign=1):
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, Fraction(0)) + sign * v
-        return {k: v for k, v in out.items() if v}
-
-    ux = partial(grid, "X")
-    uy = partial(grid, "Y")
-    uxx = partial(ux, "X")
-    uyy = partial(uy, "Y")
-    uxy = partial(ux, "Y")
-    cut = order - 2
-    e1 = add(uxx, add(mul(cs["L1"], uxy, cut),
-                      add(mul(cs["A1"], ux, cut),
-                          add(mul(cs["B1"], uy, cut), mul(cs["P1"], grid, cut)))),
-             sign=-1)
-    e2 = add(uyy, add(mul(cs["M1"], uxy, cut),
-                      add(mul(cs["C1"], ux, cut),
-                          add(mul(cs["D1"], uy, cut), mul(cs["Q1"], grid, cut)))),
-             sign=-1)
-    return e1, e2, cut
+    e1 = numerator(sympy.diff(u, X, 2), "L1", "A1", "B1", "P1")
+    e2 = numerator(sympy.diff(u, Y, 2), "M1", "C1", "D1", "Q1")
+    return e1, e2, order - 2
 
 
 def test_taylor_solution_substitute_back():
     grid = taylor_solutions(BASE, [(1, 0, 0, 0)], 8)[0]
     e1, e2, cut = _residual_series(grid, BASE, 8)
     for res in (e1, e2):
+        assert any(i + j > cut for i, j in res)
         for (i, j), c in res.items():
-            if i + j <= cut - 0:
+            if i + j <= cut:
                 assert c == 0, ((i, j), c)
 
 
@@ -234,8 +218,7 @@ def test_taylor_basis_is_cached_and_read_only():
 
 
 def test_developing_map_pipeline(policy):
-    rep = developing_map_match(BASE, sample_count=10, policy=policy,
-                               holdout=4, order=10)
+    rep = developing_map_match(BASE, samples=14, policy=policy, order=10)
     assert rep["holdout_residual"] < 1e-5
     assert rep["samples"] == 14
 
@@ -247,8 +230,8 @@ def test_developing_map_rejects_diagonal_base(policy):
 
 def test_transform_constant_across_sample_sets(policy):
     pol = PrecisionPolicy(96)
-    rep1 = developing_map_match(BASE, sample_count=9, policy=pol, holdout=1, order=10)
-    rep2 = developing_map_match(BASE, sample_count=13, policy=pol, holdout=5, order=10)
+    rep1 = developing_map_match(BASE, samples=10, policy=pol, order=10)
+    rep2 = developing_map_match(BASE, samples=18, policy=pol, order=10)
     g1, g2 = rep1["transform"], rep2["transform"]
     k = max(((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(g1[ij]))
     lam = g2[k] / g1[k]
@@ -324,3 +307,10 @@ TAYLOR_DIGESTS = {
 @pytest.mark.parametrize("base", sorted(TAYLOR_DIGESTS))
 def test_taylor_basis_grids_are_pinned(base):
     assert _grid_digest(taylor_basis(base, 10)) == TAYLOR_DIGESTS[base]
+
+
+def test_order_16_taylor_basis_grids_are_pinned():
+    """sha256 of the four order-16 basis grids at (1/10, 1/10), recorded
+    from the solver that expanded the eight rational coefficients as series."""
+    assert (_grid_digest(taylor_basis(BASE, 16))
+            == "7a6dbe988d93a2d85a3fbbfc965867b5ca292e86e10b44befbc9b84fb7139e55")

@@ -41,11 +41,6 @@ RUNS = [
 
 # module.qualname -> why it stays although no command above enters it
 ALLOWED = {
-    "polynomials.SparsePoly.divmod_exact":
-        "the exact benchmark's warm-up calls it and a benchmark span traces it",
-    "polynomials.SparsePoly.leading": "used only by divmod_exact",
-    "polynomials.SparsePoly._grlex_key": "used only by leading",
-    "polynomials.SparsePoly.copy": "used only by divmod_exact",
     "pde.Quotient.evaluate": "the exact benchmark's Taylor-basis checker calls it",
     "polynomials.RationalFunction.format": "RationalFunction.__repr__ prints with it",
 }
