@@ -24,7 +24,7 @@ from .moduli import (JacobianSingular, NearZeroDenominator, NoConvergence, modul
 from .numkernel import (PRECISION_ENV_VAR, PrecisionPolicy, default_policy, to_mpf,
                         working_precision)
 from .periods import hypergeom_coefficients
-from .verify import DEFAULT_SEED, SUITES, run_suite
+from .verify import DEFAULT_SEED, SUITES, run_suites
 
 
 def parse_rational(text: str) -> Fraction:
@@ -122,7 +122,7 @@ def cmd_forms(args, policy: PrecisionPolicy) -> tuple[int, object]:
 
 def cmd_verify(args, policy: PrecisionPolicy) -> tuple[int, object]:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = [run_suite(n, policy, args.seed) for n in names]
+    reports = run_suites(names, policy, args.seed)
     ok = all(r.overall_pass for r in reports)
     if len(reports) == 1:
         payload = reports[0].as_dict(stable=args.stable_output)

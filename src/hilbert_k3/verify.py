@@ -2,11 +2,13 @@
 
 Each suite re-runs a cluster of the toolkit's identities at fixed tolerances
 and reports one (name, pass, residual) line per check.  The CLI and the
-acceptance tests both drive these functions.
+acceptance tests both drive these functions.  ``run_suites`` runs several
+suites side by side in forked worker processes, one per usable CPU.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -353,3 +355,53 @@ def run_suite(name: str, policy: PrecisionPolicy | None = None,
         report.checks.append(CheckResult("error", False, f"{type(exc).__name__}: {exc}",
                                          int((time.perf_counter() - t0) * 1000)))
         return report
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def worker_count(suites: int, cpus: int) -> int:
+    """Worker processes for ``suites`` suites on ``cpus`` CPUs; 1 means the
+    suites run in the calling process."""
+    return max(1, min(suites, cpus))
+
+
+def run_suites(names: list[str], policy: PrecisionPolicy | None = None,
+               seed: int = DEFAULT_SEED) -> list[VerificationReport]:
+    """The named suites' reports, in the order of ``names``.
+
+    With more than one suite and more than one usable CPU, the suites run in
+    forked worker processes, one per CPU; otherwise they run one after
+    another in this process, where in-process profilers and tracers see
+    them.  A suite whose worker dies before it reports (``os._exit``, the
+    OOM killer) gets the single failed check ``error`` with residual
+    "BrokenProcessPool: <message>"."""
+    workers = worker_count(len(names), usable_cpus())
+    if workers == 1:
+        return [run_suite(name, policy, seed) for name in names]
+    # imported only here: they cost every other command about 20 ms
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    t0 = time.perf_counter()
+    # forked workers start with this process's modules and patches, with no
+    # re-import; the pool forks them all before it starts its own threads
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(run_suite, name, policy, seed) for name in names]
+        reports = []
+        for name, future in zip(names, futures):
+            try:
+                reports.append(future.result())
+            except BrokenProcessPool as exc:
+                report = VerificationReport(name)
+                report.checks.append(CheckResult(
+                    "error", False, f"{type(exc).__name__}: {exc}",
+                    int((time.perf_counter() - t0) * 1000)))
+                reports.append(report)
+    return reports

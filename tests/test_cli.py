@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import mpmath
@@ -209,25 +210,15 @@ def test_invert_prints_no_noise_digits(capsys):
     assert float(payload["z1_im"]) > 1 and float(payload["z2_im"]) > 1
 
 
-@pytest.mark.parametrize("error", ["NoConvergence", "JacobianSingular", "NearZeroDenominator",
-                                   "RankDeficient", "NonConvergent", "ValueError",
-                                   "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
-                                   "EliminationFailed", "InconsistentReduction",
-                                   "SingularBasePoint", "NoSchwarzConvergence", "NonMinimal",
-                                   "NoConventionMatches"])
-def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, error):
-    import builtins
-
-    from hilbert_k3 import diffops, fibrations, lattice, moduli, numkernel, pde, periods, verify
-
-    exc_type = next(getattr(m, error) for m in (moduli, numkernel, diffops, pde, periods,
-                                                 fibrations, lattice, builtins)
-                    if hasattr(m, error))
+def stub_suites(monkeypatch, developing_map):
+    """Every suite becomes one passing ``stub`` check; the developing-map stub
+    first calls ``developing_map()``."""
+    from hilbert_k3 import verify
 
     def stub(name):
         def suite(policy, seed):
             if name == "developing-map":
-                raise exc_type("injected failure")
+                developing_map()
             report = verify.VerificationReport(name)
             report.checks.append(verify.CheckResult("stub", True, "exact", 0))
             return report
@@ -235,12 +226,102 @@ def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, error):
 
     for name in list(verify.SUITES):
         monkeypatch.setitem(verify.SUITES, name, stub(name))
+    return sorted(verify.SUITES)
+
+
+STUB_ROWS = [{"name": "stub", "status": "pass", "residual": "exact", "runtime_ms": 0}]
+
+
+@pytest.mark.parametrize("error", ["NoConvergence", "JacobianSingular", "NearZeroDenominator",
+                                   "RankDeficient", "NonConvergent", "ValueError",
+                                   "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
+                                   "EliminationFailed", "InconsistentReduction",
+                                   "SingularBasePoint", "NoSchwarzConvergence", "NonMinimal",
+                                   "NoConventionMatches"])
+def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error):
+    """On one CPU and on two, where the fail row comes back from a worker."""
+    import builtins
+
+    from hilbert_k3 import diffops, fibrations, lattice, moduli, numkernel, pde, periods
+
+    exc_type = next(getattr(m, error) for m in (moduli, numkernel, diffops, pde, periods,
+                                                 fibrations, lattice, builtins)
+                    if hasattr(m, error))
+
+    def fail():
+        raise exc_type("injected failure")
+
+    names = stub_suites(monkeypatch, fail)
+    for count in (1, 2):
+        cpus(count)
+        code, out = run_cli(capsys, "--stable-output", "verify", "all")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["overall"] == "fail"
+        assert [s["suite"] for s in payload["suites"]] == names
+        failed = [s for s in payload["suites"] if s["overall"] == "fail"]
+        assert failed == [{"suite": "developing-map", "overall": "fail", "checks": [
+            {"name": "error", "status": "fail", "residual": f"{error}: injected failure",
+             "runtime_ms": 0}]}]
+
+
+def test_a_dead_worker_gives_fail_rows(capsys, monkeypatch, cpus):
+    """A worker that dies leaves its suite, and any suite the broken pool had
+    not finished, with a fail row; every suite is still listed, in order."""
+    parent = os.getpid()
+
+    def die_in_worker():
+        if os.getpid() != parent:
+            os._exit(3)
+
+    names = stub_suites(monkeypatch, die_in_worker)
+    cpus(2)
     code, out = run_cli(capsys, "--stable-output", "verify", "all")
     assert code == 1
     payload = json.loads(out)
     assert payload["overall"] == "fail"
-    assert [s["suite"] for s in payload["suites"]] == sorted(verify.SUITES)
-    failed = [s for s in payload["suites"] if s["overall"] == "fail"]
-    assert failed == [{"suite": "developing-map", "overall": "fail", "checks": [
-        {"name": "error", "status": "fail", "residual": f"{error}: injected failure",
-         "runtime_ms": 0}]}]
+    assert [s["suite"] for s in payload["suites"]] == names
+    rows = {s["suite"]: s["checks"] for s in payload["suites"]}
+    [dead] = rows["developing-map"]
+    assert dead["name"] == "error" and dead["status"] == "fail"
+    assert dead["residual"].startswith("BrokenProcessPool: ")
+    for checks in rows.values():
+        assert checks == STUB_ROWS or checks == [dead]
+    # a single named suite runs in this process, so the stub does not exit
+    code, out = run_cli(capsys, "--stable-output", "verify", "developing-map")
+    assert code == 0
+    assert json.loads(out)["checks"] == STUB_ROWS
+
+
+def test_verify_all_report_is_the_same_on_one_cpu_and_on_two(capsys, monkeypatch, cpus):
+    from hilbert_k3 import verify
+
+    counts = []
+    worker_count = verify.worker_count
+
+    def counting(suites, usable):
+        counts.append(worker_count(suites, usable))
+        return counts[-1]
+
+    monkeypatch.setattr(verify, "worker_count", counting)
+    outs = []
+    for count in (1, 2):
+        cpus(count)
+        outs.append(run_cli(capsys, "--prec", "128", "--stable-output", "verify", "all"))
+    assert counts == [1, 2]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+def test_worker_count_is_suites_capped_by_usable_cpus(monkeypatch, cpus):
+    from hilbert_k3 import verify
+
+    cpus(64)
+    assert verify.usable_cpus() == 64
+    assert verify.worker_count(13, verify.usable_cpus()) == 13
+    assert verify.worker_count(13, 2) == 2
+    assert verify.worker_count(1, 64) == 1
+    assert verify.worker_count(13, 1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify.usable_cpus() == 1

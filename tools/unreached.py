@@ -6,6 +6,11 @@ that runs at import counts as reached) and prints every non-dunder function
 or method defined in ``src/hilbert_k3`` that none of them entered.  Functions
 named in ``ALLOWED`` are exempt, each for the reason given there.
 
+``sys.setprofile`` sees only this process, and ``verify all`` forks one
+worker process per CPU it may use, so the script first pins itself to one
+allowed CPU: the suites then run here, under the profiler.  Pinning needs
+``os.sched_setaffinity`` (Linux).
+
     python tools/unreached.py
 
 Exits 0 when nothing is listed, 1 otherwise.  It takes about as long as the
@@ -17,6 +22,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -79,6 +85,7 @@ def entered_functions() -> tuple[set[tuple[str, str]], list[str]]:
             codes.add(frame.f_code)
 
     failed = []
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.path.insert(0, str(SRC))
     sys.setprofile(profile)
     try:
