@@ -21,8 +21,8 @@ from .fibrations import classify_fibers
 from .hilbert_theta import mueller_forms
 from .moduli import (JacobianSingular, NearZeroDenominator, NoConvergence, moduli_XYZ,
                      newton_invert)
-from .numkernel import (PRECISION_ENV_VAR, PrecisionPolicy, default_policy, to_mpf,
-                        working_precision)
+from .numkernel import (PRECISION_ENV_VAR, NonConvergent, PrecisionPolicy, default_policy,
+                        to_mpf, working_precision)
 from .periods import hypergeom_coefficients
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     try:
         policy = PrecisionPolicy(args.prec) if args.prec is not None else default_policy()
         code, payload = handlers[args.command](args, policy)
-    except (NoConvergence, JacobianSingular, NearZeroDenominator) as exc:
+    except (NoConvergence, JacobianSingular, NearZeroDenominator, NonConvergent) as exc:
         code, payload = 1, {"error": type(exc).__name__, "message": str(exc)}
     except (ValueError, KeyError) as exc:
         ap.exit(2, f"error: {exc}\n")

@@ -8,7 +8,8 @@ the ten characteristics is a +-1 combination of its shift's four sums.  A pass
 covers an ellipse of the lattice whose dropped terms have the bound stated in
 LatticeRegion, and walks each row outward from its largest term in
 fixed-point integers (after Deconinck, Heil, Bobenko, van Hoeij and Schmies,
-"Computing Riemann theta functions", Math. Comp. 73 (2004)).
+"Computing Riemann theta functions", Math. Comp. 73 (2004)); each row starts
+from integer recurrences out of the largest term, with no mpmath work per row.
 
 The numerically risky object here is the 30-monomial weight-15 form; it is
 transcribed into a data table and pinned down by the transformation checks in
@@ -24,8 +25,8 @@ import mpmath
 from mpmath import mp
 
 from .elliptic import NotInUpperHalfPlane
-from .numkernel import (Jet, PrecisionPolicy, quadratic_constants, to_mpc,
-                        working_precision)
+from .numkernel import (Jet, NonConvergent, PrecisionPolicy, quadratic_constants,
+                        to_mpc, working_precision)
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,10 @@ class LatticeRegion:
     log_tail: float     # natural log of the bound on the dropped terms
 
 
-def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegion:
-    """The ellipse of terms one theta_batch pass keeps at ``prec`` bits."""
+def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int,
+                   cap: float = math.inf) -> LatticeRegion:
+    """The ellipse of terms one theta_batch pass keeps at ``prec`` bits; above
+    ``cap`` terms (its area, pi (R^2 + m) / sqrt(delta r)) it raises NonConvergent."""
     a1, a2 = a
     p, q, r = Z.s1.imag, Z.s2.imag, Z.s3.imag
     delta, q_r = float((p * r - q * q) / r), float(q / r)
@@ -174,6 +177,9 @@ def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegi
     R2 = 0.0
     while log_tail(R2) > log_cut:
         R2 += (log_tail(R2) - log_cut) / math.pi + 1e-9
+    if (terms := math.pi * (R2 + m) / math.sqrt(delta * r)) > cap:
+        raise NonConvergent(f"the theta sum needs about {terms:.3g} terms, over the cap of "
+                            f"{cap}; reduce the point toward Im ~ 1 first")
     # a relative margin keeps points on the boundary inside despite rounding
     reach = (R2 + m) * (1 + 1e-12)
     rows = []
@@ -224,12 +230,32 @@ def _walk_moments(tr: int, ti: int, rr: int, ri: int, qr: int, qi: int, n: int,
     return sums
 
 
-def _shift_pass(Z: SiegelPoint, region: LatticeRegion, step: mpmath.mpc, wp: int,
+def _float(z: mpmath.mpc, wp: int) -> tuple[int, int, int]:
+    """z as (re, im, e) with z = (re + i im) 2^e and wp-bit integer parts."""
+    k = wp - mpmath.mag(z)
+    return z.real.to_fixed(k), z.imag.to_fixed(k), -k
+
+
+def _mul(x: tuple, y: tuple, wp: int) -> tuple[int, int, int]:
+    """The product of two _float values, rounded to wp bits: by < 2^(2 - wp) of it."""
+    re, im = x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+    s = max(re.bit_length(), im.bit_length()) - wp
+    return re >> s, im >> s, x[2] + y[2] + s
+
+
+def _fixed(x: tuple[int, int, int], bits: int) -> tuple[int, int]:
+    """A _float value times 2^bits, as integers (re, im)."""
+    return (x[0] << bits) >> -x[2], (x[1] << bits) >> -x[2]
+
+
+def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: int,
                 moments: bool) -> tuple[mpmath.mpf, dict[tuple[int, int], list[int]]]:
     """The shift's four parity-class sums S[g mod 2], run at wp bits, as a
     scale and per class the fixed-point integers (re, im) that it multiplies.
-    With ``moments``, each class also carries the sums of u2^2 T, u2 v2 T and
-    v2^2 T, where (u2, v2) = 2g + a.
+    ``powers[k - 1][n]`` is f_k^n for n = 0, 1, 2, +-4, +-8 as a _float value,
+    where f_k = exp(i pi s_k / 4) and e_k = f_k^4.  With ``moments``, each
+    class also carries the sums of u2^2 T, u2 v2 T and v2^2 T, where
+    (u2, v2) = 2g + a.
 
     The mirror -g - a of a term has the same value and, for every even
     characteristic, the same sign (-1)^(g.b), so each walked row that has a
@@ -237,50 +263,80 @@ def _shift_pass(Z: SiegelPoint, region: LatticeRegion, step: mpmath.mpc, wp: int
     are then exact, though a single S[c] is not the sum over its class.  The
     mirror turns (u2, v2) into (-u2, -v2), so the moments double alike.
 
-    Each row starts at its largest term and walks outward both ways with
-    T(v +- 1) = T(v) r, r <- r exp(2 pi i s3).  Terms are scaled by the shift's
-    largest term, so the fixed-point values T, r and exp(2 pi i s3) all have
-    modulus at most 1.
+    Each row starts at its largest term T and walks outward both ways with
+    T(v +- 1) = T(v) r, r <- r e3^2, in fixed point, scaled by a power of two
+    so that T, r and e3^2 have modulus at most 1.  T and the first ratios up,
+    dn to g2 +- 1 come from a sweep that also carries the ratios R, L to
+    g1 +- 1: a step to g2 +- 1 or g1 +- 1 multiplies T by up, dn, R or L and
+    each ratio by some e_k^+-2.  It starts at g = 0, where T and each ratio are
+    products of ``powers``, steps to the shift's largest term at region.peak,
+    and from there outward row by row both ways, all in integers.
+
+    Error bound.  The sweep holds each value as wp-bit integer parts with a
+    binary exponent (_float), so a product rounds relative to its own size and
+    no step amplifies an earlier error, as a fixed-point step out of a small
+    term would.  A value from mpmath, or a product, then rounds by at most
+    eps = 2^(4 - wp) relatively, so ``powers`` are within 16 eps, the state at
+    g = 0 within 64 eps, a ratio updated k times within 32 (k + 2) eps, and a
+    row start N steps from g = 0 within 16 (N + 2)^2 eps: absolutely too, in
+    units of the shift's largest term, as T, up and dn have modulus at most 1
+    at a row start.  theta_batch adds the bits of 256 (N + 2)^2 to wp, N the
+    longest sweep.
     """
     a1, a2 = region.shift
-    # with u2 = 2u, v2 = 2v: i pi Q = A u2^2 + B u2 v2 + C v2^2, and the
-    # first upward ratio of a row is exp(2 B u2 + 4 C (v2 + 1))
-    A, B, C = (mpmath.mpc(0, mpmath.pi) * s / 4 for s in (Z.s1, 2 * Z.s2, Z.s3))
 
-    def fixed(z: mpmath.mpc) -> tuple[int, int]:
-        return z.real.to_fixed(wp), z.imag.to_fixed(wp)
+    def unit(n1: int, n2: int, n3: int) -> tuple[int, int, int]:   # f1^n1 f2^n2 f3^n3
+        return _mul(_mul(powers[0][n1], powers[1][n2], wp), powers[2][n3], wp)
 
-    u2, v2 = 2 * region.peak[0] + a1, 2 * region.peak[1] + a2
-    pim = -(A * u2 * u2 + B * u2 * v2 + C * v2 * v2).real    # pi m
-    qr, qi = fixed(step)
+    # at g = 0, (u2, v2) = a: T = exp(i pi Q(a/2)) = f1^a1 f2^(2 a1 a2) f3^a2, and
+    # up = e2^u2 e3^(v2 + 1), dn = e2^-u2 e3^(1 - v2), R = e1^(u2 + 1) e2^v2, L = e1^2 / R
+    origin = [unit(a1, 2 * a1 * a2, a2), unit(0, 4 * a1, 4 * a2 + 4), unit(0, -4 * a1, 4 - 4 * a2),
+              unit(4 * a1 + 4, 4 * a2, 0), unit(4 - 4 * a1, -4 * a2, 0)]
+    p1, m1, p2, m2, p3, m3 = (powers[k][n] for k in range(3) for n in (8, -8))
+    # a step to g2 + 1, g2 - 1, g1 + 1, g1 - 1: T *= up, dn, R, L; (up, dn, R, L) *= moves[k]
+    moves = ((p3, m3, p2, m2), (m3, p3, m2, p2), (p2, m2, p1, m1), (m2, p2, m1, p1))
+
+    def go(state: list, g: tuple, h: tuple) -> list:   # the state at h from g, g2 first
+        for k, n in enumerate((h[1] - g[1], g[1] - h[1], h[0] - g[0], g[0] - h[0])):
+            for _ in range(n):
+                state = [_mul(state[0], state[k + 1], wp)] + [
+                    _mul(x, f, wp) for x, f in zip(state[1:], moves[k])]
+        return state
+
+    top = go(origin, (0, 0), region.peak)
+    # 2^bits puts the largest term's modulus in [1/4, 1)
+    bits = wp - 1 - top[0][2] - max(x.bit_length() for x in top[0][:2])
+    qr, qi = _fixed(p3, wp)
     acc = {(c1, c2): [0] * (8 if moments else 2) for c1 in (0, 1) for c2 in (0, 1)}
-    for g1, lo, g2, hi in region.rows:
-        u2, v2 = 2 * g1 + a1, 2 * g2 + a2
-        up = mpmath.exp(2 * B * u2 + 4 * C * (v2 + 1))
-        tr, ti = fixed(mpmath.exp(A * (u2 * u2) + B * (u2 * v2) + C * (v2 * v2) + pim))
-        ur, ui = fixed(up)
-        dr, di = fixed(step / up)
-        if moments:
-            upward = _walk_moments(tr, ti, ur, ui, qr, qi, hi - g2, v2, 2, wp)
-            downward = _walk_moments(tr, ti, dr, di, qr, qi, g2 - lo, v2, -2, wp)
-            peak = (tr, ti, v2 * tr, v2 * ti, v2 * v2 * tr, v2 * v2 * ti)
-        else:
-            upward = _walk(tr, ti, ur, ui, qr, qi, hi - g2, wp)
-            downward = _walk(tr, ti, dr, di, qr, qi, g2 - lo, wp)
-            peak = (tr, ti)
-        n = len(peak)
-        odd = [x + y for x, y in zip(upward[:n], downward[:n])]
-        # terms an even number of steps from the peak share its g2 parity
-        even = [p + x + y for p, x, y in zip(peak, upward[n:], downward[n:])]
-        weight = 2 if a1 or g1 else 1
-        for c2, sums in ((g2 & 1, even), ((g2 + 1) & 1, odd)):
+    ahead = [row for row in region.rows if row[0] >= region.peak[0]]
+    behind = [row for row in reversed(region.rows) if row[0] < region.peak[0]]
+    for rows in (ahead, behind):
+        state, g = top, region.peak
+        for g1, lo, g2, hi in rows:
+            state, g = go(state, g, (g1, g2)), (g1, g2)
+            u2, v2 = 2 * g1 + a1, 2 * g2 + a2
+            (tr, ti), (ur, ui), (dr, di) = (_fixed(x, b) for x, b in zip(state, (bits, wp, wp)))
             if moments:
-                sr, si, vr, vi, wr, wi = sums
-                sums = (sr, si, u2 * u2 * sr, u2 * u2 * si, u2 * vr, u2 * vi, wr, wi)
-            cls = acc[g1 & 1, c2]
-            for i, x in enumerate(sums):
-                cls[i] += weight * x
-    return mpmath.exp(-pim) / 2 ** mpmath.mpf(wp), acc
+                upward = _walk_moments(tr, ti, ur, ui, qr, qi, hi - g2, v2, 2, wp)
+                downward = _walk_moments(tr, ti, dr, di, qr, qi, g2 - lo, v2, -2, wp)
+                peak = (tr, ti, v2 * tr, v2 * ti, v2 * v2 * tr, v2 * v2 * ti)
+            else:
+                upward = _walk(tr, ti, ur, ui, qr, qi, hi - g2, wp)
+                downward = _walk(tr, ti, dr, di, qr, qi, g2 - lo, wp)
+                peak = (tr, ti)
+            n = len(peak)
+            odd = [x + y for x, y in zip(upward[:n], downward[:n])]
+            # terms an even number of steps from the peak share its g2 parity
+            even = [p + x + y for p, x, y in zip(peak, upward[n:], downward[n:])]
+            weight = 2 if a1 or g1 else 1
+            for c2, sums in ((g2 & 1, even), ((g2 + 1) & 1, odd)):
+                if moments:
+                    sr, si, vr, vi, wr, wi = sums
+                    sums = (sr, si, u2 * u2 * sr, u2 * u2 * si, u2 * vr, u2 * vi, wr, wi)
+                cls = acc[g1 & 1, c2]
+                for i, x in enumerate(sums):
+                    cls[i] += weight * x
+    return mpmath.ldexp(1, -bits), acc
 
 
 def theta_batch(p, policy: PrecisionPolicy | None = None,
@@ -294,7 +350,8 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
     four lattice passes serve all ten.  Each pass sums the ellipse of
     lattice_region (the mirror g -> -g - a halves it) in fixed-point integers;
     its dropped terms sum to at most 2^-(prec + 4) times its largest term, at
-    the working precision prec.
+    the working precision prec.  Rows start from recurrences, with no mpmath
+    work per row (_shift_pass); past series_cap terms it raises NonConvergent.
 
     With ``derivatives``, each theta_j comes as a Jet (value, d/dz1, d/dz2)
     from the same pass.  With (u2, v2) = 2g + a, d theta / d s1, d s2, d s3
@@ -309,13 +366,17 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
     Without ``derivatives`` the pass is the plain one, at its plain cost.
     """
     pair = as_pair(p, policy)
-    with working_precision(policy):
-        Z = psi(pair, policy)
-        regions = [lattice_region(Z, a, mp.prec) for a in SHIFTS]
-        # fixed-point rounding grows at most like (row length)^3 per row
+    with working_precision(policy) as pol:
+        Z = psi(pair, pol)
+        regions = [lattice_region(Z, a, mp.prec, pol.series_cap) for a in SHIFTS]
+        # fixed-point rounding grows at most like (row length)^3 per row, and
+        # a sweep of N steps starts its rows within 256 (N + 2)^2 2^-wp
         longest = max(hi - lo + 1 for reg in regions for _, lo, _, hi in reg.rows)
         rows = sum(len(reg.rows) for reg in regions)
-        wp = mp.prec + 8 + (rows * longest ** 3).bit_length()
+        sweep = max(sum(map(abs, reg.peak)) + sum(abs(h1 - g1) + abs(h2 - g2) for (
+            g1, _, g2, _), (h1, _, h2, _) in zip(reg.rows, reg.rows[1:])) for reg in regions)
+        wp = (mp.prec + 8 + (rows * longest ** 3).bit_length()
+              + (256 * (sweep + 2) ** 2).bit_length())
         if derivatives:
             # the moments weight a term by up to max(|u2|, |v2|)^2
             reach = max(max(abs(2 * g1 + reg.shift[0]), abs(2 * lo + reg.shift[1]),
@@ -323,24 +384,27 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
                         for reg in regions for g1, lo, _, hi in reg.rows)
             wp += 2 * reach.bit_length()
         with mpmath.workprec(wp):
-            step = mpmath.exp(mpmath.mpc(0, 2 * mpmath.pi) * Z.s3)
-            passes = {reg.shift: _shift_pass(Z, reg, step, wp, derivatives)
-                      for reg in regions}
-            if derivatives:
-                # combine the characteristics exactly, in the integers, into
-                # theta and the sums P = uu + vv and D = uu - vv + 4 uv
-                parts = []
-                for a, (b1, b2) in THETA_CHARACTERISTICS.values():
-                    scale, acc = passes[a]
-                    t_re, t_im, uu_re, uu_im, uv_re, uv_im, vv_re, vv_im = (
-                        sum((-1) ** (c1 * b1 + c2 * b2) * x[i] for (c1, c2), x in acc.items())
-                        for i in range(8))
-                    parts.append([mpmath.mpc(re, im) * scale for re, im in (
-                        (t_re, t_im), (uu_re + vv_re, uu_im + vv_im),
-                        (uu_re - vv_re + 4 * uv_re, uu_im - vv_im + 4 * uv_im))])
-            else:
-                sums = {a: {c: mpmath.mpc(sr, si) * scale for c, (sr, si) in acc.items()}
-                        for a, (scale, acc) in passes.items()}
+            powers = []     # f_k^n = exp(i pi s_k n / 4) for n = 0, 1, 2, +-4, +-8
+            for f in (mpmath.exp(mpmath.mpc(0, mpmath.pi / 4) * s) for s in (Z.s1, Z.s2, Z.s3)):
+                x = {0: (1 << wp, 0, -wp), 1: _float(f, wp), -1: _float(1 / f, wp)}
+                for n in (2, -2, 4, -4, 8, -8):
+                    x[n] = _mul(x[n // 2], x[n // 2], wp)
+                powers.append(x)
+            passes = {reg.shift: _shift_pass(Z, reg, powers, wp, derivatives) for reg in regions}
+            # combine the characteristics exactly, in the integers, into theta
+            # and, with derivatives, the sums P = uu + vv and D = uu - vv + 4 uv
+            parts = []
+            for a, (b1, b2) in THETA_CHARACTERISTICS.values():
+                scale, acc = passes[a]
+                signs = [(-1) ** (c1 * b1 + c2 * b2) for c1, c2 in acc]
+                t_re, t_im, *moment = (sum(sg * x for sg, x in zip(signs, column))
+                                       for column in zip(*acc.values()))
+                pairs = [(t_re, t_im)]
+                if derivatives:
+                    uu_re, uu_im, uv_re, uv_im, vv_re, vv_im = moment
+                    pairs += [(uu_re + vv_re, uu_im + vv_im),
+                              (uu_re - vv_re + 4 * uv_re, uu_im - vv_im + 4 * uv_im)]
+                parts.append([mpmath.mpc(re, im) * scale for re, im in pairs])
         if derivatives:
             # i pi Q = (i pi / 4) (s1 u2^2 + 2 s2 u2 v2 + s3 v2^2), and by psi
             # 2 sqrt5 d(s1, s2, s3)/dz1 = (1 + sqrt5, 2, sqrt5 - 1) and
@@ -348,13 +412,8 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
             # d theta/dz1, dz2 = (i pi / 8) (P +- D / sqrt5)
             k = mpmath.mpc(0, mpmath.pi) / 8
             k5 = k / mpmath.sqrt(5)
-            return [Jet(value, k * P + k5 * D, k * P - k5 * D) for value, P, D in parts]
-        out = []
-        for j in range(10):
-            a, (b1, b2) = THETA_CHARACTERISTICS[j]
-            out.append(sum((-1) ** (c1 * b1 + c2 * b2) * s
-                           for (c1, c2), s in sums[a].items()))
-        return out
+            return [Jet(v, x + y, x - y) for v, x, y in ((v, k * P, k5 * D) for v, P, D in parts)]
+        return [part[0] for part in parts]
 
 
 # ------------------------------------------------------------- Mueller forms

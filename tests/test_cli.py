@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from fractions import Fraction
 
 import mpmath
@@ -193,6 +194,18 @@ def test_numeric_failure_exits_one_with_json(capsys, monkeypatch, command, targe
     code, out = run_cli(capsys, *command)
     assert code == 1
     assert json.loads(out) == {"error": error, "message": "injected failure"}
+
+
+def test_forms_eval_near_the_real_axis_exits_one_at_once(capsys):
+    """Near the real axis the theta ellipse holds far more terms than the
+    policy's series_cap: the estimate stops the call before any row is built."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "forms", "eval", "--z1", "1e-30i", "--z2", "1e-30i")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "NonConvergent"
+    assert "reduce the point" in payload["message"]
 
 
 def test_invert_prints_no_noise_digits(capsys):

@@ -10,7 +10,8 @@ from hilbert_k3.hilbert_theta import (DIAGONAL_FACTORS, SHIFTS, S15_TABLE,
                                       THETA_CHARACTERISTICS, SiegelPoint, UHPPair,
                                       lattice_region, mueller_forms, psi, theta_batch,
                                       verify_modularity, verify_mueller_relation)
-from hilbert_k3.numkernel import Jet, PrecisionPolicy, default_policy, working_precision
+from hilbert_k3.numkernel import (Jet, NonConvergent, PrecisionPolicy, default_policy,
+                                  working_precision)
 
 # ------------------------------------------------------- brute-force oracle
 
@@ -162,12 +163,14 @@ def test_theta_j_generic_fixtures_against_brute_force(policy):
 # where the kernel is most at risk: an off-diagonal Im Z with Re != 0; the
 # diagonal (8i, 8i), whose a != 0 thetas are about 2e-3; a point near Im 50,
 # whose a != 0 thetas are below 1e-30 and keep their digits only through the
-# per-shift scaling; and Im near 0.1, which has many rows
+# per-shift scaling; Im near 0.1, which has many rows; and a sheared Im Z
+# (|q / r| about 1.5), whose row peaks move by one or two columns a row
 RISK_POINTS = {
     "off_axis": (("0.3", "1.1"), ("-0.2", "0.9")),
     "diagonal_8i": (("0", "8"), ("0", "8")),
     "high": (("0.1", "45"), ("-0.2", "50")),
     "low": (("0.05", "0.1"), ("-0.03", "0.12")),
+    "sheared": (("0.2", "5"), ("-0.3", "0.1")),
 }
 
 
@@ -375,8 +378,8 @@ def test_theta_derivatives_match_differentiated_oracle(name, bits, slot):
 
 def test_theta_values_with_derivatives_match_the_plain_pass(policy):
     with working_precision(policy):
-        for name in ("box", "image"):
-            p = _derivative_point(name)
+        points = [_derivative_point(name) for name in ("box", "image")]
+        for p in points + [_risk_point(name) for name in sorted(RISK_POINTS)]:
             plain = theta_batch(p, policy)
             jets = theta_batch(p, policy, derivatives=True)
             scale = max(abs(t) for t in plain)
@@ -396,3 +399,34 @@ def test_reduced_forms_equal_the_full_forms(policy):
         jets = mueller_forms(BOX_POINT, policy, theta=theta, names=names)
         for name in names:
             assert getattr(jets, name).value == getattr(full, name), name
+
+
+def test_a_pass_makes_the_same_exponentials_whatever_its_row_count(monkeypatch):
+    """Rows start from recurrences out of each shift's largest term, so the
+    mpmath exp / expj calls of a pass do not grow with its rows."""
+    pol = PrecisionPolicy(128)
+    with working_precision(pol):
+        points = {name: _risk_point(name) for name in ("off_axis", "low")}
+        rows = {name: sum(len(lattice_region(psi(p, pol), a, mpmath.mp.prec).rows)
+                          for a in SHIFTS) for name, p in points.items()}
+    assert rows["low"] > 2 * rows["off_axis"]
+    calls = []
+    for name in ("exp", "expj"):
+        inner = getattr(mpmath, name)
+        monkeypatch.setattr(mpmath, name, lambda *a, inner=inner, **k: calls.append(1)
+                            or inner(*a, **k))
+    counts = {}
+    for name, p in points.items():
+        for derivatives in (False, True):
+            calls.clear()
+            theta_batch(p, pol, derivatives=derivatives)
+            counts[name, derivatives] = len(calls)
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_a_point_past_the_term_cap_raises_before_summing():
+    with pytest.raises(NonConvergent, match="terms"):
+        theta_batch(BOX_POINT, PrecisionPolicy(128, series_cap=10))
+    tiny = (mpmath.mpc(0, "1e-30"), mpmath.mpc(0, "1e-30"))
+    with pytest.raises(NonConvergent, match="reduce the point"):
+        theta_batch(tiny, PrecisionPolicy(128))
