@@ -11,9 +11,10 @@ fixed-point integers (after Deconinck, Heil, Bobenko, van Hoeij and Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)); each row starts
 from integer recurrences out of the largest term, with no mpmath work per row.
 
-The numerically risky object here is the 30-monomial weight-15 form; it is
-transcribed into a data table and pinned down by the transformation checks in
-verify_modularity / verify_mueller_relation rather than trusted blindly.
+mueller_forms evaluates the forms in integer binary floats (BinaryFloat).  The
+numerically risky one, the weight-15 form s15, R. Mueller's 30-monomial sum, is
+evaluated as five factored triples; the tests expand them against the table,
+and the checks in verify_modularity / verify_mueller_relation pin s15 down too.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import mpmath
 from mpmath import mp
 
 from .elliptic import NotInUpperHalfPlane
-from .numkernel import (Jet, NonConvergent, PrecisionPolicy, quadratic_constants,
-                        to_mpc, working_precision)
+from .numkernel import (GUARD_BITS, BinaryFloat, Jet, NonConvergent, PrecisionPolicy,
+                        quadratic_constants, to_mpc, working_precision)
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,6 @@ THETA_CHARACTERISTICS: dict[int, Characteristic] = {
     7: ((1, 0), (0, 1)),
     8: ((0, 0), (1, 0)),
     9: ((0, 1), (1, 0)),
-}
-
-# diagonal factorisation theta_j(z, z) -> product of Jacobi constants
-DIAGONAL_FACTORS: dict[int, tuple[str, str] | None] = {
-    0: ("00", "00"), 1: ("10", "10"), 2: ("01", "01"), 3: None,
-    4: ("00", "10"), 5: ("10", "00"), 6: ("00", "01"), 7: ("10", "01"),
-    8: ("01", "00"), 9: ("01", "10"),
 }
 
 SHIFTS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -230,29 +224,15 @@ def _walk_moments(tr: int, ti: int, rr: int, ri: int, qr: int, qi: int, n: int,
     return sums
 
 
-def _float(z: mpmath.mpc, wp: int) -> tuple[int, int, int]:
-    """z as (re, im, e) with z = (re + i im) 2^e and wp-bit integer parts."""
-    k = wp - mpmath.mag(z)
-    return z.real.to_fixed(k), z.imag.to_fixed(k), -k
-
-
-def _mul(x: tuple, y: tuple, wp: int) -> tuple[int, int, int]:
-    """The product of two _float values, rounded to wp bits: by < 2^(2 - wp) of it."""
-    re, im = x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-    s = max(re.bit_length(), im.bit_length()) - wp
-    return re >> s, im >> s, x[2] + y[2] + s
-
-
-def _fixed(x: tuple[int, int, int], bits: int) -> tuple[int, int]:
-    """A _float value times 2^bits, as integers (re, im)."""
-    return (x[0] << bits) >> -x[2], (x[1] << bits) >> -x[2]
+def _fixed(x: BinaryFloat, bits: int) -> tuple[int, int]:   # x 2^bits as integers (re, im)
+    return (x.re << bits) >> -x.exp, (x.im << bits) >> -x.exp
 
 
 def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: int,
-                moments: bool) -> tuple[mpmath.mpf, dict[tuple[int, int], list[int]]]:
-    """The shift's four parity-class sums S[g mod 2], run at wp bits, as a
-    scale and per class the fixed-point integers (re, im) that it multiplies.
-    ``powers[k - 1][n]`` is f_k^n for n = 0, 1, 2, +-4, +-8 as a _float value,
+                moments: bool) -> tuple[int, dict[tuple[int, int], list[int]]]:
+    """The shift's four parity-class sums S[g mod 2], run at wp bits, as bits
+    and per class the fixed-point integers (re, im) that 2^-bits multiplies.
+    ``powers[k - 1][n]`` is f_k^n for n = 0, 1, 2, +-4, +-8 as a BinaryFloat,
     where f_k = exp(i pi s_k / 4) and e_k = f_k^4.  With ``moments``, each
     class also carries the sums of u2^2 T, u2 v2 T and v2^2 T, where
     (u2, v2) = 2g + a.
@@ -273,7 +253,7 @@ def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: i
     and from there outward row by row both ways, all in integers.
 
     Error bound.  The sweep holds each value as wp-bit integer parts with a
-    binary exponent (_float), so a product rounds relative to its own size and
+    binary exponent (BinaryFloat), so a product rounds relative to its own size and
     no step amplifies an earlier error, as a fixed-point step out of a small
     term would.  A value from mpmath, or a product, then rounds by at most
     eps = 2^(4 - wp) relatively, so ``powers`` are within 16 eps, the state at
@@ -285,8 +265,8 @@ def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: i
     """
     a1, a2 = region.shift
 
-    def unit(n1: int, n2: int, n3: int) -> tuple[int, int, int]:   # f1^n1 f2^n2 f3^n3
-        return _mul(_mul(powers[0][n1], powers[1][n2], wp), powers[2][n3], wp)
+    def unit(*ns: int) -> BinaryFloat:   # f1^n1 f2^n2 f3^n3, skipping the factors 1
+        return math.prod((powers[k][n] for k, n in enumerate(ns) if n), start=powers[0][0])
 
     # at g = 0, (u2, v2) = a: T = exp(i pi Q(a/2)) = f1^a1 f2^(2 a1 a2) f3^a2, and
     # up = e2^u2 e3^(v2 + 1), dn = e2^-u2 e3^(1 - v2), R = e1^(u2 + 1) e2^v2, L = e1^2 / R
@@ -299,13 +279,12 @@ def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: i
     def go(state: list, g: tuple, h: tuple) -> list:   # the state at h from g, g2 first
         for k, n in enumerate((h[1] - g[1], g[1] - h[1], h[0] - g[0], g[0] - h[0])):
             for _ in range(n):
-                state = [_mul(state[0], state[k + 1], wp)] + [
-                    _mul(x, f, wp) for x, f in zip(state[1:], moves[k])]
+                state = [state[0] * state[k + 1], *map(BinaryFloat.__mul__, state[1:], moves[k])]
         return state
 
     top = go(origin, (0, 0), region.peak)
     # 2^bits puts the largest term's modulus in [1/4, 1)
-    bits = wp - 1 - top[0][2] - max(x.bit_length() for x in top[0][:2])
+    bits = wp - 1 - top[0].exp - max(top[0].re.bit_length(), top[0].im.bit_length())
     qr, qi = _fixed(p3, wp)
     acc = {(c1, c2): [0] * (8 if moments else 2) for c1 in (0, 1) for c2 in (0, 1)}
     ahead = [row for row in region.rows if row[0] >= region.peak[0]]
@@ -336,7 +315,7 @@ def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: i
                 cls = acc[g1 & 1, c2]
                 for i, x in enumerate(sums):
                     cls[i] += weight * x
-    return mpmath.ldexp(1, -bits), acc
+    return bits, acc
 
 
 def theta_batch(p, policy: PrecisionPolicy | None = None,
@@ -386,16 +365,17 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
         with mpmath.workprec(wp):
             powers = []     # f_k^n = exp(i pi s_k n / 4) for n = 0, 1, 2, +-4, +-8
             for f in (mpmath.exp(mpmath.mpc(0, mpmath.pi / 4) * s) for s in (Z.s1, Z.s2, Z.s3)):
-                x = {0: (1 << wp, 0, -wp), 1: _float(f, wp), -1: _float(1 / f, wp)}
+                x = {0: BinaryFloat(1, 0, 0, wp), 1: BinaryFloat.from_mpc(f, wp),
+                     -1: BinaryFloat.from_mpc(1 / f, wp)}
                 for n in (2, -2, 4, -4, 8, -8):
-                    x[n] = _mul(x[n // 2], x[n // 2], wp)
+                    x[n] = x[n // 2] * x[n // 2]
                 powers.append(x)
             passes = {reg.shift: _shift_pass(Z, reg, powers, wp, derivatives) for reg in regions}
             # combine the characteristics exactly, in the integers, into theta
             # and, with derivatives, the sums P = uu + vv and D = uu - vv + 4 uv
             parts = []
             for a, (b1, b2) in THETA_CHARACTERISTICS.values():
-                scale, acc = passes[a]
+                bits, acc = passes[a]
                 signs = [(-1) ** (c1 * b1 + c2 * b2) for c1, c2 in acc]
                 t_re, t_im, *moment = (sum(sg * x for sg, x in zip(signs, column))
                                        for column in zip(*acc.values()))
@@ -404,7 +384,7 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
                     uu_re, uu_im, uv_re, uv_im, vv_re, vv_im = moment
                     pairs += [(uu_re + vv_re, uu_im + vv_im),
                               (uu_re - vv_re + 4 * uv_re, uu_im - vv_im + 4 * uv_im)]
-                parts.append([mpmath.mpc(re, im) * scale for re, im in pairs])
+                parts.append([BinaryFloat(re, im, -bits, wp).to_mpc() for re, im in pairs])
         if derivatives:
             # i pi Q = (i pi / 4) (s1 u2^2 + 2 s2 u2 v2 + s3 v2^2), and by psi
             # 2 sqrt5 d(s1, s2, s3)/dz1 = (1 + sqrt5, 2, sqrt5 - 1) and
@@ -435,26 +415,20 @@ class MuellerForms:
 
 
 def _prod(theta: list, indices: str):
-    out = theta[int(indices[0])]
-    for ch in indices[1:]:
-        out *= theta[int(ch)]
-    return out
+    return math.prod((theta[int(j)] for j in indices[1:]), start=theta[int(indices[0])])
 
 
-# s15 = -2^-18 * sum sign * theta_{p9}^9 theta_{p5}^5 theta_{p1}, transcribed
-# term by term; the transformation checks guard this table against typos.
-S15_TABLE: tuple[tuple[int, str, str, str], ...] = (
-    (+1, "07", "18", "24"), (-1, "25", "16", "09"), (+1, "58", "03", "46"),
-    (-1, "09", "25", "16"), (+1, "09", "16", "25"), (-1, "67", "23", "89"),
-    (+1, "18", "24", "07"), (-1, "24", "18", "07"), (-1, "46", "03", "58"),
-    (-1, "24", "07", "18"), (-1, "89", "67", "23"), (-1, "07", "24", "18"),
-    (+1, "89", "23", "67"), (-1, "49", "13", "57"), (+1, "16", "09", "25"),
-    (-1, "03", "46", "58"), (+1, "16", "25", "09"), (-1, "46", "58", "03"),
-    (-1, "25", "09", "16"), (-1, "57", "49", "13"), (+1, "67", "89", "23"),
-    (+1, "58", "46", "03"), (+1, "57", "13", "49"), (-1, "23", "89", "67"),
-    (+1, "18", "07", "24"), (+1, "03", "58", "46"), (+1, "23", "67", "89"),
-    (+1, "49", "57", "13"), (-1, "13", "57", "49"), (+1, "13", "49", "57"),
+# s15 = -2^-18 sum sigma abc (A +- B)(A +- C)(B - C) over (sigma, +-1, triple), with
+# a, b, c the triple's pair products theta_p theta_q and A, B, C their 4th powers:
+# six rows each of R. Mueller's 30-row table (Arch. Math. 45, 1985), as the tests check
+S15_TRIPLES: tuple[tuple[int, int, tuple[str, str, str]], ...] = (
+    (+1, +1, ("07", "18", "24")), (+1, +1, ("09", "16", "25")), (-1, +1, ("03", "46", "58")),
+    (+1, -1, ("23", "67", "89")), (+1, -1, ("13", "49", "57")),
 )
+
+
+def _each(f, x):   # f(x), or for a Jet x the Jet of f at each part
+    return Jet(f(x.value), f(x.d1), f(x.d2)) if isinstance(x, Jet) else f(x)
 
 
 def mueller_forms(p, policy: PrecisionPolicy | None = None,
@@ -464,31 +438,38 @@ def mueller_forms(p, policy: PrecisionPolicy | None = None,
 
     ``theta`` may be the thetas as Jets (theta_batch with derivatives); the
     same products then carry d/dz1 and d/dz2 along, for every form but s15.
+
+    The products run on BinaryFloat at wp = mp.prec + 16 bits, each rounding by
+    less than 2^(2 - wp) of itself; each form is then rounded to mp.prec.  Its
+    error is about 2^-mp.prec times the sum of its monomials' moduli: for s15,
+    sum |abc| (|A|+|B|) (|A|+|C|) (|B|+|C|) over the triples, <= 4/3 the table's.
     """
     with working_precision(policy):
         th = theta if theta is not None else theta_batch(p, policy)
-        out = {"g2": _prod(th, "0145") - _prod(th, "1279") - _prod(th, "3478")
-               + _prod(th, "0268") + _prod(th, "3569")}
+        th = [_each(lambda t: BinaryFloat.from_mpc(t, mp.prec + GUARD_BITS), t) for t in th]
+        # each form as a BinaryFloat (or Jet) and the power of two it is scaled by
+        out = {"g2": (_prod(th, "0145") - _prod(th, "1279") - _prod(th, "3478")
+                      + _prod(th, "0268") + _prod(th, "3569"), 0)}
         if "s5" in names or "s10" in names:
             all10 = _prod(th, "0123456789")
             if "s5" in names:
-                out["s5"] = all10 / 64
+                out["s5"] = all10, -6
             if "s10" in names:
-                out["s10"] = all10 ** 2 / 4096
+                out["s10"] = all10 ** 2, -12
         if "s6" in names:
             out["s6"] = (_prod(th, "012478") ** 2 + _prod(th, "012569") ** 2
                          + _prod(th, "034568") ** 2 + _prod(th, "236789") ** 2
-                         + _prod(th, "134579") ** 2) / 256
+                         + _prod(th, "134579") ** 2), -8
         if "s15" in names:
-            # the 30 rows share 15 pairs: form each pair product and its powers once
-            pairs = {p: _prod(th, p) for row in S15_TABLE for p in row[1:]}
-            pow9 = {p: v ** 9 for p, v in pairs.items()}
-            pow5 = {p: v ** 5 for p, v in pairs.items()}
-            acc = mpmath.mpc(0)
-            for sign, p9, p5, p1 in S15_TABLE:
-                acc += sign * pow9[p9] * pow5[p5] * pairs[p1]
-            out["s15"] = -acc / 2 ** 18
-        return MuellerForms(**out)
+            terms = []
+            for sigma, pm, triple in S15_TRIPLES:
+                a, b, c = (_prod(th, pair) for pair in triple)
+                A, B, C = a ** 4, b ** 4, c ** 4
+                ab, ac = (A + B, A + C) if pm > 0 else (A - B, A - C)
+                terms.append(a * b * c * ab * ac * (B - C if sigma > 0 else C - B))
+            out["s15"] = -sum(terms[1:], terms[0]), -18
+        return MuellerForms(**{name: _each(lambda v, e=e: v.to_mpc(e), x)
+                               for name, (x, e) in out.items()})
 
 
 def verify_mueller_relation(p, policy: PrecisionPolicy | None = None,

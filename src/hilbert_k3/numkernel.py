@@ -19,6 +19,7 @@ from typing import Callable, Iterator
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 DEFAULT_MANTISSA_BITS = 128
 PRECISION_ENV_VAR = "HILBERT_K3_PREC"
@@ -145,6 +146,63 @@ class Jet:
     def __pow__(self, n: int) -> "Jet":
         slope = n * self.value ** (n - 1)
         return Jet(self.value ** n, slope * self.d1, slope * self.d2)
+
+
+class BinaryFloat:
+    """A complex number (re + i im) 2^exp with integer parts of about wp bits,
+    wp carried by the value rather than by any precision state.  A product, a
+    sum or a small-int multiple truncates its parts to wp bits, rounding by
+    less than 2^(2 - wp) of itself; a sum whose exponents differ by more than
+    wp keeps the larger-exponent operand (the other lies below its last bit)
+    unless that is zero."""
+
+    __slots__ = ("re", "im", "exp", "wp")
+
+    def __init__(self, re: int, im: int, exp: int, wp: int):
+        self.re, self.im, self.exp, self.wp = re, im, exp, wp
+
+    @classmethod
+    def from_mpc(cls, z, wp: int) -> "BinaryFloat":   # z an mpc, or an exact or int zero
+        if not z:
+            return cls(0, 0, 0, wp)
+        k = wp - mpmath.mag(z)
+        return cls(z.real.to_fixed(k), z.imag.to_fixed(k), -k, wp)
+
+    def to_mpc(self, shift: int = 0) -> mpmath.mpc:   # times 2^shift, rounded to mp.prec
+        e = self.exp + shift
+        return mp.make_mpc((from_man_exp(self.re, e, mp.prec, "n"),
+                            from_man_exp(self.im, e, mp.prec, "n")))
+
+    def __mul__(self, other: "BinaryFloat") -> "BinaryFloat":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _rounded(a * c - b * d, a * d + b * c, self.exp + other.exp, self.wp)
+
+    def __rmul__(self, n: int) -> "BinaryFloat":
+        return _rounded(n * self.re, n * self.im, self.exp, self.wp)
+
+    def __add__(self, other: "BinaryFloat") -> "BinaryFloat":
+        x, y = (self, other) if self.exp >= other.exp else (other, self)
+        d = x.exp - y.exp
+        if d > self.wp:
+            return x if x.re or x.im else y
+        return _rounded((x.re << d) + y.re, (x.im << d) + y.im, y.exp, self.wp)
+
+    def __neg__(self) -> "BinaryFloat":
+        return BinaryFloat(-self.re, -self.im, self.exp, self.wp)
+
+    def __sub__(self, other: "BinaryFloat") -> "BinaryFloat":
+        return self + -other
+
+    def __pow__(self, n: int) -> "BinaryFloat":   # n >= 1, by repeated squaring
+        if n == 1:
+            return self
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
+
+
+def _rounded(re: int, im: int, exp: int, wp: int) -> BinaryFloat:
+    s = max(re.bit_length(), im.bit_length(), wp) - wp
+    return BinaryFloat(re >> s, im >> s, exp + s, wp)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,18 @@ def test_forms_eval_diagonal(capsys):
     assert float(payload["g2_re"]) > 0
 
 
+def test_forms_eval_far_into_the_cusp_prints_finite_fields(capsys):
+    """At (1e10i, i) the thetas run from 1 down to 1e-66057 and s15 cancels
+    past every digit; the evaluation still exits 0 with a finite number in
+    every field."""
+    code, out = run_cli(capsys, "forms", "eval", "--z1", "1e10i", "--z2", "1i")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload) == 16
+    assert all(mpmath.isfinite(mpmath.mpf(v)) for v in payload.values())
+    assert mpmath.mpf(payload["g2_re"]) == 1
+
+
 def test_forms_eval_reads_the_point_at_working_precision(capsys):
     """0.3 and 1/3 are not binary: each printed digit must be the exact
     rational point's, not that of the point rounded to 53 bits."""

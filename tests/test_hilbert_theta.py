@@ -4,9 +4,10 @@ import random
 
 import mpmath
 import pytest
+import sympy
 
 from hilbert_k3.elliptic import jacobi_theta
-from hilbert_k3.hilbert_theta import (DIAGONAL_FACTORS, SHIFTS, S15_TABLE,
+from hilbert_k3.hilbert_theta import (FORM_NAMES, S15_TRIPLES, SHIFTS,
                                       THETA_CHARACTERISTICS, SiegelPoint, UHPPair,
                                       lattice_region, mueller_forms, psi, theta_batch,
                                       verify_modularity, verify_mueller_relation)
@@ -234,6 +235,14 @@ def test_tail_bound_covers_dropped_terms(name, bits):
         assert dropped <= math.exp(region.log_tail), a
 
 
+# diagonal factorisation theta_j(z, z) -> product of Jacobi constants
+DIAGONAL_FACTORS: dict[int, tuple[str, str] | None] = {
+    0: ("00", "00"), 1: ("10", "10"), 2: ("01", "01"), 3: None,
+    4: ("00", "10"), 5: ("10", "00"), 6: ("00", "01"), 7: ("10", "01"),
+    8: ("01", "00"), 9: ("01", "10"),
+}
+
+
 def test_diagonal_factorization_all_characteristics(policy):
     with working_precision(policy):
         z = mpmath.mpc(0, "0.9")
@@ -247,12 +256,111 @@ def test_diagonal_factorization_all_characteristics(policy):
                 assert abs(th[j] - jt[fac[0]] * jt[fac[1]]) < policy.verify_tol
 
 
-def test_s15_table_shape():
-    assert len(S15_TABLE) == 30
-    assert sum(sign for sign, *_ in S15_TABLE) == 0
-    for _, p9, p5, p1 in S15_TABLE:
-        assert len(p9) == len(p5) == len(p1) == 2
-        assert set(p9) | set(p5) | set(p1) <= set("0123456789")
+# s15 = -2^-18 * sum sign * theta_{p9}^9 theta_{p5}^5 theta_{p1}, R. Mueller's
+# table (Arch. Math. 45, 1985) transcribed term by term: the oracle for the
+# factored triples that mueller_forms evaluates
+S15_TABLE: tuple[tuple[int, str, str, str], ...] = (
+    (+1, "07", "18", "24"), (-1, "25", "16", "09"), (+1, "58", "03", "46"),
+    (-1, "09", "25", "16"), (+1, "09", "16", "25"), (-1, "67", "23", "89"),
+    (+1, "18", "24", "07"), (-1, "24", "18", "07"), (-1, "46", "03", "58"),
+    (-1, "24", "07", "18"), (-1, "89", "67", "23"), (-1, "07", "24", "18"),
+    (+1, "89", "23", "67"), (-1, "49", "13", "57"), (+1, "16", "09", "25"),
+    (-1, "03", "46", "58"), (+1, "16", "25", "09"), (-1, "46", "58", "03"),
+    (-1, "25", "09", "16"), (-1, "57", "49", "13"), (+1, "67", "89", "23"),
+    (+1, "58", "46", "03"), (+1, "57", "13", "49"), (-1, "23", "89", "67"),
+    (+1, "18", "07", "24"), (+1, "03", "58", "46"), (+1, "23", "67", "89"),
+    (+1, "49", "57", "13"), (-1, "13", "57", "49"), (+1, "13", "49", "57"),
+)
+
+
+def test_factored_s15_equals_the_table():
+    t = sympy.symbols("t0:10")
+
+    def pair(p):
+        return t[int(p[0])] * t[int(p[1])]
+
+    table = sum(sign * pair(p9) ** 9 * pair(p5) ** 5 * pair(p1)
+                for sign, p9, p5, p1 in S15_TABLE)
+    factored = 0
+    for sigma, pm, triple in S15_TRIPLES:
+        a, b, c = map(pair, triple)
+        A, B, C = a ** 4, b ** 4, c ** 4
+        factored += sigma * a * b * c * (A + pm * B) * (A + pm * C) * (B - C)
+    assert len(S15_TABLE) == 30 and len(set(S15_TABLE)) == 30
+    assert sympy.expand(factored - table) == 0
+
+
+def _prod(th: list, indices: str):
+    return math.prod(th[int(j)] for j in indices)
+
+
+def _oracle_monomials(th: list) -> dict[str, list]:
+    """The forms as the mpc formulas wrote them before the factored kernel:
+    name -> [(coefficient, monomial)], the form being the sum of the terms."""
+    all10 = _prod(th, "0123456789")
+    return {
+        "g2": [(+1, _prod(th, "0145")), (-1, _prod(th, "1279")), (-1, _prod(th, "3478")),
+               (+1, _prod(th, "0268")), (+1, _prod(th, "3569"))],
+        "s5": [(mpmath.mpf(2) ** -6, all10)],
+        "s6": [(mpmath.mpf(2) ** -8, _prod(th, q) ** 2)
+               for q in ("012478", "012569", "034568", "236789", "134579")],
+        "s10": [(mpmath.mpf(2) ** -12, all10 ** 2)],
+        "s15": [(-sign * mpmath.mpf(2) ** -18, _prod(th, p9) ** 9 * _prod(th, p5) ** 5
+                 * _prod(th, p1)) for sign, p9, p5, p1 in S15_TABLE],
+    }
+
+
+def _oracle_forms(theta: list, names: tuple[str, ...]) -> dict[str, tuple]:
+    """name -> (the form, the sum of the moduli of its monomials), from the
+    formulas of _oracle_monomials at the current precision.  With Jets, the
+    moduli come from the same products of the thetas' moduli, so each
+    derivative part gets the sum of the moduli of its own expanded terms."""
+    if isinstance(theta[0], Jet):
+        moduli = [Jet(abs(t.value), abs(t.d1), abs(t.d2)) for t in theta]
+    else:
+        moduli = [abs(t) for t in theta]
+    terms, sizes = _oracle_monomials(theta), _oracle_monomials(moduli)
+    out = {}
+    for name in names:
+        form = size = None
+        for (c, m), (_, mm) in zip(terms[name], sizes[name]):
+            form = c * m if form is None else form + c * m
+            size = abs(c) * mm if size is None else size + abs(c) * mm
+        out[name] = form, size
+    return out
+
+
+# the risk points, the diagonal, where theta_3 is exactly 0, and a point far
+# into the cusp, whose thetas run from 1 down to 1e-66057 and whose s15
+# cancels past every digit of either formula
+FORM_POINTS = {**RISK_POINTS, "diagonal_1.3i": (("0", "1.3"), ("0", "1.3")),
+               "cusp_1e10i": (("0", "1e10"), ("0", "1"))}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(FORM_POINTS))
+def test_forms_match_the_doubled_table_oracle(name, bits):
+    """mueller_forms against the table formulas at twice the bits, both fed
+    the thetas of the same pass, plain and as Jets (g2, s6, s10, every part).
+    The tolerance is series_tol times the sum of the moduli of the form's
+    monomials: relative to the form itself it would fail wherever the
+    monomials cancel, as s15's do at cusp_1e10i."""
+    pol, ref = PrecisionPolicy(bits), PrecisionPolicy(2 * bits)
+    (x1, y1), (x2, y2) = FORM_POINTS[name]
+    with working_precision(pol):
+        p = (mpmath.mpc(x1, y1), mpmath.mpc(x2, y2))
+        plain = theta_batch(p, pol)
+        jets = theta_batch(p, pol, derivatives=True)
+        got = mueller_forms(p, pol, theta=plain)
+        got_jets = mueller_forms(p, pol, theta=jets, names=("g2", "s6", "s10"))
+    with working_precision(ref):
+        for form, (want, size) in _oracle_forms(plain, FORM_NAMES).items():
+            assert abs(getattr(got, form) - want) <= pol.series_tol * size, form
+        for form, (want, size) in _oracle_forms(jets, ("g2", "s6", "s10")).items():
+            jet = getattr(got_jets, form)
+            for part in ("value", "d1", "d2"):
+                error = abs(getattr(jet, part) - getattr(want, part))
+                assert error <= pol.series_tol * getattr(size, part), (form, part)
 
 
 def test_g2_boundary_value(policy):
