@@ -1,8 +1,8 @@
 """Command-line front end: evaluation commands, named verification suites with
 pass/fail exit codes, and JSON/CSV output.
 
-Exit codes: 0 all requested checks pass, 1 verification failure or a numeric
-failure (reported as {"error": <type>, "message": <text>}), 2 usage error.
+Exit codes: 0 all checks pass; 1 a failed check, or an exception printed as
+{"error": <type>, "message": <text>}; 2 bad usage or input (ValueError, KeyError).
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import sys
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import mpf_pos
 
 from .elliptic import j_qexpansion
 from .fibrations import classify_fibers
 from .hilbert_theta import mueller_forms
-from .moduli import (JacobianSingular, NearZeroDenominator, NoConvergence, moduli_XYZ,
-                     newton_invert)
-from .numkernel import (PRECISION_ENV_VAR, NonConvergent, PrecisionPolicy, default_policy,
-                        to_mpf, working_precision)
+from .moduli import moduli_XYZ, newton_invert
+from .numkernel import PRECISION_ENV_VAR, PrecisionPolicy, default_policy, to_mpf, working_precision
 from .periods import hypergeom_coefficients
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
@@ -68,7 +67,9 @@ def parse_complex(text: str):
 
 
 def _nstr(x, digits: int = 30) -> str:
-    return mpmath.nstr(x, digits, strip_zeros=False)
+    # far from 1, mpmath prints x via an integer as wide as its mantissa, and Python
+    # prints none past 4300 digits: cut x toward zero to 1024 bits, a no-op to --prec 1008
+    return mpmath.nstr(mpmath.mp.make_mpf(mpf_pos(x._mpf_, 1024, "d")), digits, strip_zeros=False)
 
 
 def _floored(x, scale, policy: PrecisionPolicy, digits: int = 30) -> str:
@@ -239,11 +240,10 @@ def main(argv=None) -> int:
     try:
         policy = PrecisionPolicy(args.prec) if args.prec is not None else default_policy()
         code, payload = handlers[args.command](args, policy)
-    except (NoConvergence, JacobianSingular, NearZeroDenominator, NonConvergent) as exc:
-        code, payload = 1, {"error": type(exc).__name__, "message": str(exc)}
     except (ValueError, KeyError) as exc:
         ap.exit(2, f"error: {exc}\n")
-        return 2  # unreachable; keeps type checkers happy
+    except Exception as exc:
+        code, payload = 1, {"error": type(exc).__name__, "message": str(exc)}
     print(_emit(payload, args.format))
     return code
 

@@ -153,25 +153,10 @@ class DiffOperator:
         return total
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """(self o other) u = self(other(u)), by Leibniz expansion."""
+        """(self o other) u = self(other(u))."""
         if self.var != other.var:
             raise ValueError("operators in different variables")
-        zero = RationalFunction(0)
-        result = [zero] * (self.order + other.order + 1)
-        # D^k applied to other's coefficient row
-        row = list(other.coeffs)
-        for k, p_k in enumerate(self.coeffs):
-            if k > 0:
-                new_row = [zero] * (len(row) + 1)
-                for j, b in enumerate(row):
-                    new_row[j] = new_row[j] + b.derivative()
-                    new_row[j + 1] = new_row[j + 1] + b
-                row = new_row
-            if p_k.is_zero():
-                continue
-            for j, b in enumerate(row):
-                result[j] = result[j] + p_k * b
-        return DiffOperator(self.var, result)
+        return DiffOperator(self.var, _leibniz(self.coeffs, 1, other.coeffs))
 
     # ------------------------------------------------- variable substitutions
 
@@ -183,30 +168,15 @@ class DiffOperator:
 
     def invert_variable(self) -> "DiffOperator":
         """Return the operator in s where t = 1/s (d/dt = -s^2 d/ds)."""
-        zero = RationalFunction(0)
-        minus_s2 = RationalFunction(UniPoly([0, 0, -1]))
 
         def sub_inv(f: RationalFunction) -> RationalFunction:
             num, den = f.num, f.den
             m = max(num.degree(), den.degree())
             return RationalFunction(num.reverse(m), den.reverse(m))
 
-        # (-s^2 D)^k built iteratively as rows of rational coefficients
-        result = [zero] * (self.order + 1)
-        row = [RationalFunction(1)]  # identity operator
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                new_row = [zero] * (len(row) + 1)
-                for j, b in enumerate(row):
-                    new_row[j] = new_row[j] + minus_s2 * b.derivative()
-                    new_row[j + 1] = new_row[j + 1] + minus_s2 * b
-                row = new_row
-            if c.is_zero():
-                continue
-            cc = sub_inv(c)
-            for j, b in enumerate(row):
-                result[j] = result[j] + cc * b
-        return DiffOperator(self.var, result)
+        minus_s2 = RationalFunction(UniPoly([0, 0, -1]))
+        return DiffOperator(self.var, _leibniz([sub_inv(c) for c in self.coeffs], minus_s2,
+                                               [RationalFunction(1)]))
 
     def rename_variable(self, new: str) -> "DiffOperator":
         return DiffOperator(new, self.coeffs)
@@ -227,14 +197,35 @@ class DiffOperator:
         return " + ".join(reversed(bits))
 
 
+def _leibniz(coeffs: Sequence[RationalFunction], m: RationalFunction | int,
+             row: list[RationalFunction]) -> list[RationalFunction]:
+    """The coefficients of sum_k coeffs[k] (m D)^k B, where B = sum_j row[j] D^j
+    and m is a rational function or 1: by Leibniz, (m D) maps b D^j to
+    m b' D^j + m b D^(j+1)."""
+    zero = RationalFunction(0)
+    result = [zero] * (len(coeffs) + len(row) - 1)
+    for k, c in enumerate(coeffs):
+        if k > 0:
+            new_row = [zero] * (len(row) + 1)
+            for j, b in enumerate(row):
+                new_row[j] = new_row[j] + m * b.derivative()
+                new_row[j + 1] = new_row[j + 1] + m * b
+            row = new_row
+        if c.is_zero():
+            continue
+        for j, b in enumerate(row):
+            result[j] = result[j] + c * b
+    return result
+
+
 # ------------------------------------------------------------ indicial theory
 
 
-def _theta_form(op: DiffOperator) -> tuple[list[UniPoly], int]:
+def _theta_form(op: DiffOperator) -> list[UniPoly]:
     """Write the operator as sum_j t^j q_j(theta) (theta = t d/dt).
 
-    Returns (q_0..q_J as polynomials in rho, shift s) where the operator was
-    premultiplied by t^s / (content) to clear Laurent terms.
+    Returns q_0..q_J as polynomials in rho, the operator premultiplied by
+    t^s / (content), with the least shift s that clears Laurent terms.
     """
     polys = op.cleared()
     s = max(k - p.valuation() for k, p in enumerate(polys) if p)
@@ -253,7 +244,7 @@ def _theta_form(op: DiffOperator) -> tuple[list[UniPoly], int]:
                 raise IrregularSingular(
                     f"pole order too high at t=0 (term k={k}, degree {e})")
             q[j] = q[j] + ff[k] * coeff
-    return q, s
+    return q
 
 
 def _divisors(n: int) -> list[int]:
@@ -290,17 +281,24 @@ def _rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     return out
 
 
+def _local_theta_form(op: DiffOperator, point) -> tuple[DiffOperator, list[UniPoly]]:
+    """The operator in the local variable at a finite rational point (t - point)
+    or at 'infinity' (1/t), and its theta form q_0..q_J.  Raises
+    IrregularSingular unless the point is regular singular or ordinary."""
+    local = op.invert_variable() if point == INFINITY else op.shift_variable(point)
+    q = _theta_form(local)
+    if q[0].degree() < local.order:
+        raise IrregularSingular(
+            f"indicial polynomial degenerates at {point} (irregular singularity)")
+    return local, q
+
+
 def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
     """Sorted indicial exponents (with multiplicity) at a finite rational point
     or at the string 'infinity'.  Raises IrregularSingular / NonRationalRoot."""
-    local = op.invert_variable() if point == INFINITY else op.shift_variable(point)
-    q, _ = _theta_form(local)
-    q0 = q[0]
-    if q0.degree() < local.order:
-        raise IrregularSingular(
-            f"indicial polynomial degenerates at {point} (irregular singularity)")
+    _, q = _local_theta_form(op, point)
     roots: list[Fraction] = []
-    for root, mult in _rational_roots(q0):
+    for root, mult in _rational_roots(q[0]):
         roots.extend([root] * mult)
     return sorted(roots)
 
@@ -338,12 +336,8 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     back into the operator gives a residual that vanishes to the truncation
     order.  Solutions at exponent collisions carry explicit log components.
     """
-    local = op.shift_variable(point) if point != 0 else op
-    q, _ = _theta_form(local)
-    q0 = q[0]
-    if q0.degree() < local.order:
-        raise IrregularSingular(f"irregular singular point {point}")
-    roots = _rational_roots(q0)
+    local, q = _local_theta_form(op, point)
+    roots = _rational_roots(q[0])
 
     # group roots into integer-difference classes
     classes: list[list[tuple[Fraction, int]]] = []

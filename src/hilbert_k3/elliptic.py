@@ -60,7 +60,7 @@ def jacobi_theta(kind: str, z, policy: PrecisionPolicy | None = None) -> mpmath.
             ratio = mpmath.exp(-mpmath.pi * y * (2 * m + 1))
             return 4 * lead / (1 - ratio)
 
-        return sum_series(term, tail, pol, min_terms=2).value
+        return sum_series(term, tail, pol).value
 
 
 # --------------------------------------------------------- exact q-expansions
@@ -136,7 +136,7 @@ def _eisenstein_value(weight: int, z, policy: PrecisionPolicy) -> mpmath.mpc:
                 return mpmath.inf
             return lead / (1 - ratio)
 
-        return sum_series(term, tail, pol, min_terms=2).value
+        return sum_series(term, tail, pol).value
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ import mpmath
 from mpmath import mp
 
 from .elliptic import NotInUpperHalfPlane
-from .numkernel import (GUARD_BITS, BinaryFloat, Jet, NonConvergent, PrecisionPolicy,
-                        quadratic_constants, to_mpc, working_precision)
+from .numkernel import (GUARD_BITS, SERIES_CAP, BinaryFloat, Jet, NonConvergent,
+                        PrecisionPolicy, quadratic_constants, to_mpc, working_precision)
 
 
 @dataclass(frozen=True)
@@ -137,10 +137,9 @@ class LatticeRegion:
     log_tail: float     # natural log of the bound on the dropped terms
 
 
-def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int,
-                   cap: float = math.inf) -> LatticeRegion:
+def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegion:
     """The ellipse of terms one theta_batch pass keeps at ``prec`` bits; above
-    ``cap`` terms (its area, pi (R^2 + m) / sqrt(delta r)) it raises NonConvergent."""
+    SERIES_CAP terms (its area, pi (R^2 + m) / sqrt(delta r)) it raises NonConvergent."""
     a1, a2 = a
     p, q, r = Z.s1.imag, Z.s2.imag, Z.s3.imag
     delta, q_r = float((p * r - q * q) / r), float(q / r)
@@ -171,9 +170,9 @@ def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int,
     R2 = 0.0
     while log_tail(R2) > log_cut:
         R2 += (log_tail(R2) - log_cut) / math.pi + 1e-9
-    if (terms := math.pi * (R2 + m) / math.sqrt(delta * r)) > cap:
+    if (terms := math.pi * (R2 + m) / math.sqrt(delta * r)) > SERIES_CAP:
         raise NonConvergent(f"the theta sum needs about {terms:.3g} terms, over the cap of "
-                            f"{cap}; reduce the point toward Im ~ 1 first")
+                            f"{SERIES_CAP}; reduce the point toward Im ~ 1 first")
     # a relative margin keeps points on the boundary inside despite rounding
     reach = (R2 + m) * (1 + 1e-12)
     rows = []
@@ -330,7 +329,7 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
     lattice_region (the mirror g -> -g - a halves it) in fixed-point integers;
     its dropped terms sum to at most 2^-(prec + 4) times its largest term, at
     the working precision prec.  Rows start from recurrences, with no mpmath
-    work per row (_shift_pass); past series_cap terms it raises NonConvergent.
+    work per row (_shift_pass); past SERIES_CAP terms it raises NonConvergent.
 
     With ``derivatives``, each theta_j comes as a Jet (value, d/dz1, d/dz2)
     from the same pass.  With (u2, v2) = 2g + a, d theta / d s1, d s2, d s3
@@ -347,7 +346,7 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
     pair = as_pair(p, policy)
     with working_precision(policy) as pol:
         Z = psi(pair, pol)
-        regions = [lattice_region(Z, a, mp.prec, pol.series_cap) for a in SHIFTS]
+        regions = [lattice_region(Z, a, mp.prec) for a in SHIFTS]
         # fixed-point rounding grows at most like (row length)^3 per row, and
         # a sweep of N steps starts its rows within 256 (N + 2)^2 2^-wp
         longest = max(hi - lo + 1 for reg in regions for _, lo, _, hi in reg.rows)

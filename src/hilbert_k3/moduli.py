@@ -23,6 +23,10 @@ K3 = Fraction(2 ** 26 * 5 ** 10, 9)
 K2_LOCUS = SparsePoly(("X", "Y"), {(5, 0): 1728, (3, 1): -720, (1, 2): 80, (4, 0): -1600,
                                    (2, 1): 640, (0, 2): -64, (0, 3): -1})
 
+# the iterations one Newton solve may take, and the steps of a continuation path
+NEWTON_ITERATIONS = 40
+CONTINUATION_STEPS = 10
+
 
 class NearZeroDenominator(Exception):
     pass
@@ -110,7 +114,6 @@ def _xy(p, policy, derivatives: bool = False):
 
 def newton_invert(target_X, target_Y, guess,
                   policy: PrecisionPolicy | None = None,
-                  max_iter: int = 40,
                   tol=None) -> InversionResult:
     """Damped Newton for (X, Y)(z1, z2) = (X0, Y0) with the exact Jacobian.
 
@@ -121,7 +124,8 @@ def newton_invert(target_X, target_Y, guess,
     Where the Jacobian is rank-deficient (on the diagonal dY vanishes) the
     step is the ridge-regularised least-squares one.  Raises JacobianSingular
     when the iteration stalls on a rank-deficient Jacobian, NoConvergence
-    otherwise.
+    when it stalls otherwise or is still short of tol after NEWTON_ITERATIONS
+    iterations.
     """
     with working_precision(policy) as pol:
         X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
@@ -138,7 +142,7 @@ def newton_invert(target_X, target_Y, guess,
             return abs(f[0]) + abs(f[1])
 
         f, jac = F(pair)
-        for it in range(1, max_iter + 1):
+        for it in range(1, NEWTON_ITERATIONS + 1):
             if norm(f) < tol:
                 return InversionResult(z=pair, residual=norm(f), iterations=it - 1)
             z1, z2 = pair.z1, pair.z2
@@ -183,34 +187,30 @@ def newton_invert(target_X, target_Y, guess,
                 raise NoConvergence(
                     f"damped Newton stalled at residual {norm(f)} (iteration {it})")
         if norm(f) < tol:
-            return InversionResult(z=pair, residual=norm(f), iterations=max_iter)
-        raise NoConvergence(f"no convergence after {max_iter} iterations, "
+            return InversionResult(z=pair, residual=norm(f), iterations=NEWTON_ITERATIONS)
+        raise NoConvergence(f"no convergence after {NEWTON_ITERATIONS} iterations, "
                             f"residual {norm(f)}")
 
 
 def continuation_invert(target_X, target_Y, seed_pair,
-                        policy: PrecisionPolicy | None = None,
-                        steps: int = 8) -> InversionResult:
+                        policy: PrecisionPolicy | None = None) -> InversionResult:
     """Path-following inverse: walk (X, Y) linearly from the seed's image to
-    the target, Newton-polishing at each step with the previous solution.
-    The intermediate steps stop at half the working digits; only the last is
-    polished to newton_invert's default tolerance."""
+    the target in CONTINUATION_STEPS steps, Newton-polishing at each step
+    with the previous solution.  The intermediate steps stop at half the
+    working digits; only the last is polished to newton_invert's default
+    tolerance."""
     with working_precision(policy) as pol:
         pair = as_pair(seed_pair, policy)
         Xs, Ys = _xy(pair, pol)
         X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
         half_digits = mpmath.mpf(2) ** (-(pol.mantissa_bits // 2))
-        result = None
-        k = 1
-        while k <= steps:
-            s = mpmath.mpf(k) / steps
+        for k in range(1, CONTINUATION_STEPS + 1):
+            s = mpmath.mpf(k) / CONTINUATION_STEPS
             Xt = (1 - s) * Xs + s * X0
             Yt = (1 - s) * Ys + s * Y0
-            tol = None if k == steps else (1 + abs(Xt) + abs(Yt)) * half_digits
+            tol = None if k == CONTINUATION_STEPS else (1 + abs(Xt) + abs(Yt)) * half_digits
             result = newton_invert(Xt, Yt, pair, pol, tol=tol)
             pair = result.z
-            k += 1
-        assert result is not None
         return result
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -27,6 +27,9 @@ PRECISION_ENV_VAR = "HILBERT_K3_PREC"
 # extra bits carried internally so that rounding noise stays below series_tol
 GUARD_BITS = 16
 
+# the most terms a series sum, or one theta pass, may take
+SERIES_CAP = 200_000
+
 
 class NonConvergent(Exception):
     """A series summation exceeded its term cap before meeting its tail bound."""
@@ -34,28 +37,25 @@ class NonConvergent(Exception):
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Working mantissa width and the tolerances derived from it.
+    """The working mantissa width; every tolerance is derived from it.
 
     series_tol bounds truncation tails of infinite sums; verify_tol is the
     coarser threshold used when asserting analytic identities numerically.
     """
 
     mantissa_bits: int = DEFAULT_MANTISSA_BITS
-    series_tol: float = field(default=None)  # type: ignore[assignment]
-    verify_tol: float = field(default=None)  # type: ignore[assignment]
-    series_cap: int = 200_000
 
     def __post_init__(self):
         if self.mantissa_bits < 53:
             raise ValueError("mantissa_bits must be at least 53")
-        if self.series_tol is None:
-            object.__setattr__(self, "series_tol", 2.0 ** (-(self.mantissa_bits - 8)))
-        if self.verify_tol is None:
-            object.__setattr__(self, "verify_tol", 10.0 * self.series_tol)
-        if self.series_tol < 2.0 ** (-(self.mantissa_bits - 8)):
-            raise ValueError("series_tol finer than the mantissa supports")
-        if self.verify_tol < 10.0 * self.series_tol:
-            raise ValueError("verify_tol must be >= 10 * series_tol")
+
+    @property
+    def series_tol(self) -> float:
+        return 2.0 ** (8 - self.mantissa_bits)
+
+    @property
+    def verify_tol(self) -> float:
+        return 10.0 * self.series_tol
 
 
 def default_policy() -> PrecisionPolicy:
@@ -74,9 +74,8 @@ _PRECISION_LOCK = threading.RLock()
 
 
 @contextmanager
-def working_precision(policy: PrecisionPolicy | None = None,
-                      guard_bits: int = GUARD_BITS) -> Iterator[PrecisionPolicy]:
-    """Run a block at policy precision (plus guard bits).
+def working_precision(policy: PrecisionPolicy | None = None) -> Iterator[PrecisionPolicy]:
+    """Run a block at policy precision plus GUARD_BITS.
 
     The block holds a process-wide re-entrant lock: blocks nest within one
     thread, and blocks in different threads run one at a time rather than
@@ -84,7 +83,7 @@ def working_precision(policy: PrecisionPolicy | None = None,
     policy = policy or default_policy()
     with _PRECISION_LOCK:
         old = mp.prec
-        mp.prec = policy.mantissa_bits + guard_bits
+        mp.prec = policy.mantissa_bits + GUARD_BITS
         try:
             yield policy
         finally:
@@ -228,22 +227,18 @@ class SeriesSum:
 
 def sum_series(term: Callable[[int], mpmath.mpc],
                tail_bound: Callable[[int], mpmath.mpf],
-               policy: PrecisionPolicy | None = None,
-               min_terms: int = 1) -> SeriesSum:
-    """Sum term(0) + term(1) + ... until tail_bound(N) < series_tol.
+               policy: PrecisionPolicy | None = None) -> SeriesSum:
+    """Sum term(0) + term(1) + ... until tail_bound(N) < series_tol, taking
+    at least two terms.
 
     tail_bound(N) must be an upper bound for |sum_{n > N} term(n)|.  Raises
-    NonConvergent when the policy's term cap is exceeded.
+    NonConvergent past SERIES_CAP terms.
     """
     with working_precision(policy) as pol:
         tol = mpmath.mpf(pol.series_tol)
         total = mpmath.mpc(0)
-        n = 0
-        while True:
+        for n in range(SERIES_CAP + 1):
             total += term(n)
-            if n + 1 >= min_terms and tail_bound(n) < tol:
+            if n >= 1 and tail_bound(n) < tol:
                 return SeriesSum(value=total, terms_used=n + 1)
-            n += 1
-            if n > pol.series_cap:
-                raise NonConvergent(
-                    f"series did not meet tail bound within {pol.series_cap} terms")
+        raise NonConvergent(f"series did not meet tail bound within {SERIES_CAP} terms")

@@ -526,7 +526,7 @@ def developing_map_match(base, samples: int = 14,
         vectors = [[evaluate_grid(g, dx, dy) for g in basis.grids]
                    for dx, dy in offsets]
         seed_pair = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))
-        anchor = continuation_invert(base[0], base[1], seed_pair, pol, steps=10)
+        anchor = continuation_invert(base[0], base[1], seed_pair, pol)
         jvecs = []
         prev = anchor.z
         for dx, dy in offsets:

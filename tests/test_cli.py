@@ -61,6 +61,21 @@ def test_forms_eval_far_into_the_cusp_prints_finite_fields(capsys):
     assert mpmath.mpf(payload["g2_re"]) == 1
 
 
+def test_forms_eval_far_into_the_cusp_prints_at_high_precision(capsys):
+    """At 20,000 bits some fields lie below 1e-500000, where mpmath's decimal
+    conversion of the full mantissa passes Python's 4300-digit limit for
+    printing an integer; valid input still exits 0, with every field printed
+    to 30 digits."""
+    code, out = run_cli(capsys, "--prec", "20000", "forms", "eval",
+                        "--z1", "1e10i", "--z2", "1i")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload) == 16
+    assert mpmath.mpf(payload["Y_re"]) < mpmath.mpf("1e-500000")
+    for value in payload.values():
+        assert value == "0.0" or len(value.split("e")[0].lstrip("-").replace(".", "")) == 30
+
+
 def test_forms_eval_reads_the_point_at_working_precision(capsys):
     """0.3 and 1/3 are not binary: each printed digit must be the exact
     rational point's, not that of the point rounded to 53 bits."""
@@ -195,12 +210,17 @@ def test_stable_output_deterministic(capsys):
      "newton_invert", "JacobianSingular"),
     (("forms", "eval", "--z1", "1.3i", "--z2", "1.3i"),
      "moduli_XYZ", "NearZeroDenominator"),
+    (("invert", "--X", "0.3", "--Y", "0.1", "--guess", "0.2+1.1i,-0.3+1.5i"),
+     "newton_invert", "ZeroDivisionError"),
 ])
 def test_numeric_failure_exits_one_with_json(capsys, monkeypatch, command, target, error):
+    """Any exception but ValueError and KeyError, not only the package's own."""
+    import builtins
+
     from hilbert_k3 import cli, moduli
 
     def fail(*args, **kwargs):
-        raise getattr(moduli, error)("injected failure")
+        raise (getattr(moduli, error, None) or getattr(builtins, error))("injected failure")
 
     monkeypatch.setattr(cli, target, fail)
     code, out = run_cli(capsys, *command)
@@ -209,8 +229,8 @@ def test_numeric_failure_exits_one_with_json(capsys, monkeypatch, command, targe
 
 
 def test_forms_eval_near_the_real_axis_exits_one_at_once(capsys):
-    """Near the real axis the theta ellipse holds far more terms than the
-    policy's series_cap: the estimate stops the call before any row is built."""
+    """Near the real axis the theta ellipse holds far more terms than
+    numkernel.SERIES_CAP: the estimate stops the call before any row is built."""
     start = time.perf_counter()
     code, out = run_cli(capsys, "forms", "eval", "--z1", "1e-30i", "--z2", "1e-30i")
     assert time.perf_counter() - start < 1.0
@@ -262,9 +282,11 @@ STUB_ROWS = [{"name": "stub", "status": "pass", "residual": "exact", "runtime_ms
                                    "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
                                    "EliminationFailed", "InconsistentReduction",
                                    "SingularBasePoint", "NoSchwarzConvergence", "NonMinimal",
-                                   "NoConventionMatches"])
+                                   "NoConventionMatches", "ZeroDivisionError"])
 def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error):
-    """On one CPU and on two, where the fail row comes back from a worker."""
+    """On one CPU and on two, where the fail row comes back from a worker;
+    every other suite still reports.  Any exception type does, not only the
+    package's own."""
     import builtins
 
     from hilbert_k3 import diffops, fibrations, lattice, moduli, numkernel, pde, periods
@@ -288,6 +310,7 @@ def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error
         assert failed == [{"suite": "developing-map", "overall": "fail", "checks": [
             {"name": "error", "status": "fail", "residual": f"{error}: injected failure",
              "runtime_ms": 0}]}]
+        assert all(s["checks"] == STUB_ROWS for s in payload["suites"] if s not in failed)
 
 
 def test_a_dead_worker_gives_fail_rows(capsys, monkeypatch, cpus):

@@ -87,7 +87,7 @@ def test_newton_offdiagonal_target_from_diagonal_guess(policy):
         target = moduli_XYZ((mpmath.mpc(0, "1.2"), mpmath.mpc(0, "0.9")), policy)
         guess = (mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.1"))
         try:
-            res = newton_invert(target[0], target[1], guess, policy, max_iter=25)
+            res = newton_invert(target[0], target[1], guess, policy)
         except JacobianSingular:
             return  # acceptable contract outcome
         # if it converged, the residual must be genuine

@@ -18,9 +18,10 @@ def test_geometric_series(policy):
 
 
 def test_all_zero_generator_stops_after_one_term(policy):
+    """A zero tail bound stops the sum as soon as it may: after two terms."""
     res = sum_series(lambda n: mpmath.mpc(0), lambda n: mpmath.mpf(0), policy)
     assert res.value == 0
-    assert res.terms_used == 1
+    assert res.terms_used == 2
 
 
 def test_arithmetico_geometric_series(policy):
@@ -42,10 +43,14 @@ def test_arithmetico_geometric_series(policy):
         assert abs(res.value - 90) < policy.series_tol * 100
 
 
-def test_nonconvergent_cap():
-    pol = PrecisionPolicy(64, series_cap=50)
-    with pytest.raises(NonConvergent):
-        sum_series(lambda n: mpmath.mpf(1), lambda n: mpmath.mpf(1), pol)
+def test_nonconvergent_cap(monkeypatch):
+    from hilbert_k3 import numkernel
+    monkeypatch.setattr(numkernel, "SERIES_CAP", 50)
+    calls = []
+    with pytest.raises(NonConvergent, match="within 50 terms"):
+        sum_series(lambda n: calls.append(n) or mpmath.mpf(1), lambda n: mpmath.mpf(1),
+                   PrecisionPolicy(64))
+    assert len(calls) == 51
 
 
 def test_quadratic_constants(policy):
@@ -65,15 +70,14 @@ def test_default_policy_reads_environment(monkeypatch):
 
 
 def test_policy_invariants():
-    with pytest.raises(ValueError):
-        PrecisionPolicy(128, series_tol=2.0 ** -125)  # finer than 2^-(m-8)
-    with pytest.raises(ValueError):
-        PrecisionPolicy(128, verify_tol=2.0 ** -121)  # < 10 * series_tol
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 53"):
         PrecisionPolicy(40)
-    pol = PrecisionPolicy(128)
-    assert pol.series_tol >= 2.0 ** -120
-    assert pol.verify_tol >= 10 * pol.series_tol
+    for bits, series_tol in ((53, 2.0 ** -45), (128, 2.0 ** -120), (256, 2.0 ** -248)):
+        pol = PrecisionPolicy(bits)
+        assert pol.series_tol == series_tol
+        assert pol.verify_tol == 10 * series_tol
+    with pytest.raises(AttributeError):
+        PrecisionPolicy(128).series_tol = 1e-10  # derived from the width, not set
 
 
 def test_precision_doubling_consistency(policy):

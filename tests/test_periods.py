@@ -72,12 +72,12 @@ def test_transport_consistency_runs():
 
 
 def test_failed_transport_is_a_fail_row(monkeypatch):
-    """A transport that does not reproduce W4 raises a type the suites turn
-    into the fail row ``error``, not a traceback."""
+    """A transport that does not reproduce W4 raises ValueError, which the
+    suite turns into the fail row ``error``, not a traceback."""
     from hilbert_k3 import periods, verify
     moved = restricted_ode_X().rescale_variable(Fraction(2))
     monkeypatch.setattr(periods, "restricted_ode_X", lambda: moved)
-    with pytest.raises(verify.SUITE_FAILURES, match="does not reproduce W4"):
+    with pytest.raises(ValueError, match="does not reproduce W4"):
         restricted_operators.__wrapped__()
     monkeypatch.setattr(periods, "restricted_operators", restricted_operators.__wrapped__)
     report = verify.run_suite("factorization")
