@@ -85,8 +85,7 @@ def mat_identity(n):
 def mat_inverse_int(a):
     """Exact inverse of an integer matrix with determinant +-1."""
     n = len(a)
-    aug = [[Fraction(a[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     if len(gauss_jordan(aug, n)) < n:
         raise ValueError("singular matrix")
     out = [row[n:] for row in aug]

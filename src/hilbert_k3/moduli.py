@@ -149,7 +149,8 @@ def newton_invert(target_X, target_Y, guess,
             a11, a12, a21, a22 = jac
             det = a11 * a22 - a12 * a21
             jnorm = max(abs(a11), abs(a12), abs(a21), abs(a22))
-            singular = abs(det) < mpmath.mpf(1e-12) * jnorm ** 2
+            # <=: a zero Jacobian (guess (i, i)) takes the ridge step, not det = 0
+            singular = abs(det) <= mpmath.mpf(1e-12) * jnorm ** 2
             if singular:
                 # rank-deficient Jacobian: ridge-regularised least-squares step;
                 # it makes progress only when the residual lies in the range

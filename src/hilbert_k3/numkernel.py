@@ -49,13 +49,14 @@ class PrecisionPolicy:
         if self.mantissa_bits < 53:
             raise ValueError("mantissa_bits must be at least 53")
 
+    # exact mpfs: a float 2.0 ** (8 - bits) underflows to 0.0 above 1,082 bits
     @property
-    def series_tol(self) -> float:
-        return 2.0 ** (8 - self.mantissa_bits)
+    def series_tol(self) -> mpmath.mpf:
+        return mpmath.ldexp(1, 8 - self.mantissa_bits)
 
     @property
-    def verify_tol(self) -> float:
-        return 10.0 * self.series_tol
+    def verify_tol(self) -> mpmath.mpf:
+        return mpmath.ldexp(10, 8 - self.mantissa_bits)
 
 
 def default_policy() -> PrecisionPolicy:

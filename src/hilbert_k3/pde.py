@@ -303,25 +303,32 @@ def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
     generated level by level from the cleared equations.  A level's
     overdetermined system is the same for every solution, so it is solved
     once, exactly, with one right-hand side per solution; any inconsistency
-    raises."""
+    raises.  The levels are built in integers: the shifted triangles scaled
+    by one denominator, and each solution's grid by one of its own."""
     base = (Fraction(base[0]), Fraction(base[1]))
-    equations = [[(_shifted(c, base), jet) for c, jet in eq] for eq in _cleared_equations()]
+    tris = [[(_shifted(c, base), jet) for c, jet in eq] for eq in _cleared_equations()]
+    den = math.lcm(*(c.denominator for eq in tris for tri, _ in eq for c in tri.values()))
+    equations = [[({k: int(c * den) for k, c in tri.items()}, jet) for tri, jet in eq]
+                 for eq in tris]
     if any(not eq[0][0].get((0, 0)) for eq in equations):
         raise SingularBasePoint("a leading coefficient vanishes at the base point")
     grids = [dict(zip(BASIS, map(Fraction, jets))) for jets in jet_values]
 
     for d in range(2, order + 1):
+        # grids[s][jet] == nums[s][jet] / dens[s]
+        dens = [math.lcm(*(v.denominator for v in t.values())) for t in grids]
+        nums = [{jet: int(v * m) for jet, v in t.items()} for t, m in zip(grids, dens)]
         unknowns = [(k, d - k) for k in range(d + 1)]
         index = {jet: k for k, jet in enumerate(unknowns)}
-        rows: list[list[Fraction]] = []
+        rows: list[list[int]] = []
         # the dX^i dY^j coefficient of sum c u_(a, b), i + j = d - 2: the
         # level-d jets go to the row, each known jet, with its coefficient,
         # to every right-hand side
         for eq in equations:
             for i in range(d - 1):
                 j = d - 2 - i
-                row = [Fraction(0)] * (d + 1)
-                known: list[tuple[Fraction, Jet]] = []
+                row = [0] * (d + 1)
+                known: list[tuple[int, Jet]] = []
                 for tri, (a, b) in eq:
                     for (p, q), c in tri.items():
                         if p <= i and q <= j:
@@ -331,12 +338,11 @@ def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
                                 row[index[jet]] += w
                             else:
                                 known.append((w, jet))
-                rows.append(row + [-sum((c * t[jet] for c, jet in known), Fraction(0))
-                                   for t in grids])
+                rows.append(row + [-sum(w * n[jet] for w, jet in known) for n in nums])
         if d == 2:
-            row = [Fraction(0)] * 3
-            row[index[(1, 1)]] = Fraction(1)
-            rows.append(row + [t[(1, 1)] for t in grids])
+            row = [0] * 3
+            row[index[(1, 1)]] = 1
+            rows.append(row + [n[(1, 1)] for n in nums])
 
         n = d + 1
         pivots = gauss_jordan(rows, n)
@@ -346,8 +352,8 @@ def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
         if len(pivots) < n:
             raise InconsistentReduction(f"level {d} system underdetermined")
         for row, c in zip(rows, pivots):
-            for t, value in zip(grids, row[n:]):
-                t[unknowns[c]] = value
+            for t, value, m in zip(grids, row[n:], dens):
+                t[unknowns[c]] = value / m
     return grids
 
 

@@ -13,8 +13,8 @@
   substitution and reversal.
   The exact elimination runs on it with degrees up to about 72.
 * `RationalFunction`: the one rational function in one variable, a UniPoly
-  over a product of powers of primitive UniPolys, cancelled by trial division
-  with no gcd; `reduced` gives the coprime quotient.  It carries the
+  over a product of powers of square-free, pairwise coprime UniPolys, kept in
+  lowest terms; `reduced` gives the coprime quotient.  It carries the
   coefficients of differential operators over Q(t) and the Q(X) coefficients
   of the elimination's series in Y.
 * `series_mul` / `series_divide`: truncated power-series product and
@@ -22,11 +22,12 @@
 * `FormalSeries`: the one truncated Laurent series, built on that pair, with
   tracked precision.  Its coefficients may be Fractions (Frobenius solutions,
   q-expansions) or rational functions of X (the elimination's series in Y).
-* `gauss_jordan`: exact Gauss-Jordan elimination over Q.
+* `gauss_jordan`: exact, fraction-free Gauss-Jordan elimination over Q.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -339,7 +340,8 @@ class UniPoly:
         return self.ints == other.ints and self.scale == other.scale
 
     def __hash__(self):
-        return hash((tuple(self.ints), self.scale))
+        # equal polynomials have equal ints; the Fraction scale is slow to hash
+        return hash(tuple(self.ints))
 
     def __repr__(self) -> str:
         return f"UniPoly({[str(c) for c in self.coefficients()]})"
@@ -491,28 +493,34 @@ class UniPoly:
         return (UniPoly._from_ints(q, self.scale / (m * other.scale)),
                 UniPoly._from_ints(r[:db], self.scale / m))
 
-    def divide_exact(self, other: "UniPoly") -> "UniPoly":
-        """self / other; raises ValueError unless other divides self."""
-        if not other.ints:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self.ints:
-            return self
-        b = other.ints
+    def _quotient(self, other: "UniPoly") -> "UniPoly | None":
+        """self / other for non-zero operands, None unless other divides self."""
+        b, r = other.ints, list(self.ints)
         db, lb = len(b) - 1, b[-1]
-        r = list(self.ints)
-        q = [0] * max(len(r) - db, 0)
+        if len(r) <= db or (r[0] % b[0] if b[0] else r[0]):
+            return None
+        q = [0] * (len(r) - db)
         for k in reversed(range(len(q))):
             t, rem = divmod(r[k + db], lb)
             if rem:
-                raise ValueError("division is not exact")
+                return None
             if t:
                 q[k] = t
                 for j, c in enumerate(b):
                     r[k + j] -= t * c
-        if not q or any(r[:db]):
-            raise ValueError("division is not exact")
+        if any(r[:db]):
+            return None
         # both operands primitive, so the quotient is too (Gauss's lemma)
         return UniPoly._raw(q, self.scale / other.scale)
+
+    def divide_exact(self, other: "UniPoly") -> "UniPoly":
+        """self / other; raises ValueError unless other divides self."""
+        if not other.ints:
+            raise ZeroDivisionError("polynomial division by zero")
+        q = self._quotient(other) if self.ints else self
+        if q is None:
+            raise ValueError("division is not exact")
+        return q
 
     def divide_out(self, factor: "UniPoly", limit: int | None = None) -> tuple["UniPoly", int]:
         """(self / factor^k, k) for the largest k, at most `limit`, such that
@@ -520,11 +528,7 @@ class UniPoly:
         if not self.ints or factor.degree() < 1:
             raise ValueError("dividing a constant out, or a factor out of zero")
         k = 0
-        while limit is None or k < limit:
-            try:
-                q = self.divide_exact(factor)
-            except ValueError:
-                break
+        while k != limit and (q := self._quotient(factor)) is not None:
             self, k = q, k + 1
         return self, k
 
@@ -565,15 +569,41 @@ class UniPoly:
 # --------------------------------------------------------- rational functions
 
 
+@functools.lru_cache(maxsize=4096)
+def _meet(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly] | None:
+    """(h, f / h, g / h) for h = gcd(f, g) non-constant, else None."""
+    h = f.gcd(g)
+    if h.degree() < 1:
+        return None
+    return h, f.divide_exact(h), g.divide_exact(h)
+
+
+def _merged(a: dict[UniPoly, int], b: dict[UniPoly, int]) -> list[tuple[UniPoly, int, int]]:
+    """One coprime base for two coprime factor dicts: (p, e_a, e_b) with
+    prod p^e_a = prod f^e over a, and likewise for b (whose factors meet only a's)."""
+    base = [(f, e, b.get(f, 0)) for f, e in a.items()]
+    for g, eg in b.items():
+        if g in a:
+            continue
+        out = []
+        for p, ea, eb in base:
+            if not eb and g.degree() > 0 and (m := _meet(p, g)):
+                h, p, g = m
+                out.append((h, ea, eg))
+            if p.degree() > 0:
+                out.append((p, ea, eb))
+        base = out + ([(g, 0, eg)] if g.degree() > 0 else [])
+    return base
+
+
 class RationalFunction:
     """num / prod f^e in one variable over Q: a UniPoly numerator over a dict
     `factors` of primitive, non-constant UniPolys f to exponents e > 0.
 
-    Arithmetic takes no gcd.  It cancels only by exact trial division of the
-    numerator by the stored factors, so a result may keep a common factor
-    that two different stored factors share; the form is not canonical.
-    Equality is by cross-multiplication, and `reduced` gives the coprime
-    form."""
+    The factors are square-free and pairwise coprime: a new denominator is
+    split into square-free parts, and two operands' factors are refined into
+    one coprime base.  Cancelling against each (small) factor keeps every
+    result in lowest terms, with no gcd against a whole denominator."""
 
     __slots__ = ("num", "factors")
 
@@ -587,25 +617,28 @@ class RationalFunction:
                 raise ZeroDivisionError("rational function with zero denominator")
             # den = scale * (primitive, positive leading): move the scale up
             num = num * (1 / den.scale)
-            if den.degree() > 0:
-                factors = {den.primitive(): 1}
+            factors = dict(den.squarefree())
         out = RationalFunction._of(num, factors)
         self.num, self.factors = out.num, out.factors
 
     @classmethod
     def _of(cls, num: UniPoly, factors: dict[UniPoly, int],
-            cancel: bool = True) -> "RationalFunction":
-        """num / prod f^e; with `cancel`, each factor is divided out of num as
-        often as it divides, up to its exponent.  `factors` is never mutated,
-        so results may share it."""
+            cancel=True) -> "RationalFunction":
+        """num / prod f^e.  `cancel` is True for lowest terms, False for none,
+        or the factors that alone may share a root with num: each is divided
+        out, and split by a gcd if it divides num only in part.  `factors` is
+        never mutated, so results may share it."""
         out = cls.__new__(cls)
         if cancel and num and factors:
-            kept = {}
-            for f, e in factors.items():
+            tried, factors = factors if cancel is True else cancel, dict(factors)
+            todo = [(f, factors.pop(f)) for f in tried]
+            while todo:
+                f, e = todo.pop()
                 num, k = num.divide_out(f, e)
-                if k < e:
-                    kept[f] = e - k
-            factors = kept
+                if k < e and f.degree() > 1 and (g := num.gcd(f)).degree() > 0:
+                    todo += [(g, e - k), (f.divide_exact(g), e - k)]
+                elif k < e:
+                    factors[f] = factors.get(f, 0) + e - k
         out.num, out.factors = num, factors if num else {}
         return out
 
@@ -620,13 +653,8 @@ class RationalFunction:
     def reduced(self) -> tuple[UniPoly, UniPoly]:
         """(num, den) coprime, den primitive with positive leading coefficient:
         the canonical form, so equal functions give equal pairs."""
-        num, den = self.num, self.den
-        if not num:
-            return num, den
-        g = num.gcd(den)
-        if g.degree() > 0:
-            num, den = num.divide_exact(g), den.divide_exact(g)
-        return num, den
+        out = RationalFunction._of(self.num, self.factors)
+        return out.num, out.den
 
     def is_zero(self) -> bool:
         return not self.num
@@ -647,25 +675,24 @@ class RationalFunction:
 
     # ---------------------------------------------------------- arithmetic
 
-    def _lifted(self, factors: dict[UniPoly, int]) -> UniPoly:
-        """num over prod f^e for `factors`, which contain self's."""
-        n = self.num
-        for f, e in factors.items():
-            missing = e - self.factors.get(f, 0)
-            if missing:
-                n = n * f ** missing
-        return n
-
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
         if not self.num:
             return other
         if not other.num:
             return self
-        union = dict(self.factors)
-        for f, e in other.factors.items():
-            union[f] = max(union.get(f, 0), e)
-        return RationalFunction._of(self._lifted(union) + other._lifted(union), union)
+        # a factor that one operand has to a higher power is coprime to the
+        # sum, so only factors with equal exponents can cancel
+        a, b, factors, tried = self.num, other.num, {}, []
+        for p, ea, eb in _merged(self.factors, other.factors):
+            e = factors[p] = max(ea, eb)
+            if e > ea:
+                a = a * p ** (e - ea)
+            if e > eb:
+                b = b * p ** (e - eb)
+            if ea == eb:
+                tried.append(p)
+        return RationalFunction._of(a + b, factors, tried)
 
     __radd__ = __add__
 
@@ -682,20 +709,19 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return RationalFunction._of(self.num * other, self.factors, cancel=False)
         other = self._coerce(other)
-        factors = dict(self.factors)
-        for f, e in other.factors.items():
-            factors[f] = factors.get(f, 0) + e
-        return RationalFunction._of(self.num * other.num, factors)
+        # a factor of both denominators is coprime to both numerators
+        base = _merged(self.factors, other.factors)
+        return RationalFunction._of(self.num * other.num, {p: ea + eb for p, ea, eb in base},
+                                    [p for p, ea, eb in base if not (ea and eb)])
 
     __rmul__ = __mul__
 
     def _inverse(self) -> "RationalFunction":
-        """1 / self: the denominator over the numerator as one factor."""
+        """1 / self: den over the square-free parts of num, coprime to it."""
         if not self.num:
             raise ZeroDivisionError("division by zero rational function")
-        atom = self.num.primitive()
         return RationalFunction._of(self.den * (1 / self.num.scale),
-                                    {atom: 1} if atom.degree() > 0 else {})
+                                    dict(self.num.squarefree()), cancel=False)
 
     def __truediv__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
@@ -710,17 +736,16 @@ class RationalFunction:
         dn = self.num.derivative()
         if not self.factors:
             return RationalFunction._of(dn, {}, cancel=False)
-        # (n / prod f^e)' = [n' prod f - n sum e_i f_i' prod_{j != i} f_j] / prod f^(e+1)
-        items = list(self.factors.items())
-        total = dn
-        for f, _ in items:
-            total = total * f
-        for i, (f, e) in enumerate(items):
-            rest = UniPoly([1])
-            for g, _ in items[:i] + items[i + 1:]:
-                rest = rest * g
-            total = total - self.num * (e * f.derivative()) * rest
-        return RationalFunction._of(total, {f: e + 1 for f, e in self.factors.items()})
+        # (n / prod f^e)' = [n' prod f - n sum e_i f_i' prod_{j != i} f_j] / prod f^(e+1),
+        # in lowest terms: the bracket is -n e_i f_i' prod_{j != i} f_j mod f_i
+        prod = UniPoly([1])
+        for f in self.factors:
+            prod = prod * f
+        total = dn * prod
+        for f, e in self.factors.items():
+            total = total - self.num * (e * f.derivative()) * prod.divide_exact(f)
+        return RationalFunction._of(total, {f: e + 1 for f, e in self.factors.items()},
+                                    cancel=False)
 
     def affine(self, a, b) -> "RationalFunction":
         """f(a x + b)."""
@@ -899,23 +924,31 @@ class FormalSeries:
 # ------------------------------------------------------------ linear algebra
 
 
-def gauss_jordan(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Reduce `rows` in place to reduced row echelon form, pivoting on the
-    first `ncols` columns; later columns (right-hand sides, an identity block)
-    ride along.  Returns the pivot column of each leading row, so the rank is
-    the length of the result."""
+def gauss_jordan(rows: list[list], ncols: int) -> list[int]:
+    """Reduce `rows` (of ints or Fractions) in place to reduced row echelon
+    form over Q, pivoting on the first `ncols` columns; later columns
+    (right-hand sides, an identity block) ride along.  Returns the pivot
+    column of each leading row, so the rank is the length of the result.
+
+    Fraction-free (Bareiss): rows are scaled to integers, each update divides
+    exactly by the previous pivot, and the last pivot is divided out once."""
+    for k, row in enumerate(rows):
+        den = math.lcm(*(x.denominator for x in row))
+        rows[k] = [x.numerator * (den // x.denominator) for x in row]
     pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        top, p = rows[r], rows[r][c]
         for i, row in enumerate(rows):
-            if i != r and row[c] != 0:
+            if i != r:
                 f = row[c]
-                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
+    rows[:] = [[Fraction(x, prev) for x in row] for row in rows]
     return pivots

@@ -228,6 +228,14 @@ def test_numeric_failure_exits_one_with_json(capsys, monkeypatch, command, targe
     assert json.loads(out) == {"error": error, "message": "injected failure"}
 
 
+def test_invert_from_a_zero_jacobian_ends_in_jacobian_singular(capsys):
+    """At (i, i) all four Jacobian entries vanish, so det is 0: the ridge step
+    runs, makes no progress, and Newton stops with JacobianSingular."""
+    code, out = run_cli(capsys, "invert", "--X", "0.9", "--Y", "0.1", "--guess", "1i,1i")
+    assert code == 1
+    assert json.loads(out)["error"] == "JacobianSingular"
+
+
 def test_forms_eval_near_the_real_axis_exits_one_at_once(capsys):
     """Near the real axis the theta ellipse holds far more terms than
     numkernel.SERIES_CAP: the estimate stops the call before any row is built."""

@@ -6,7 +6,7 @@ import pytest
 
 from hilbert_k3.elliptic import (NotInUpperHalfPlane, eisenstein_and_J, j_qexpansion,
                                  jacobi_theta)
-from hilbert_k3.numkernel import to_mpc, working_precision
+from hilbert_k3.numkernel import PrecisionPolicy, to_mpc, working_precision
 
 
 def test_uhp_validation():
@@ -43,6 +43,16 @@ def test_theta00_at_i_agrees_with_agm(policy):
         oracle = 1 / mpmath.sqrt(mpmath.agm(1, 1 / mpmath.sqrt(2)))
         assert abs(t00 - oracle) < 1e-35
         assert abs(t00 - mpmath.mpf("1.08643481121330801457531612151")) < 1e-28
+
+
+def test_theta00_at_i_converges_above_the_float_range():
+    """At 1,100 bits series_tol is 2^-1092, below the smallest float; the sum
+    still stops, and agrees with the AGM to that tolerance."""
+    policy = PrecisionPolicy(1100)
+    with working_precision(policy):
+        t00 = jacobi_theta("00", 1j, policy)
+        oracle = 1 / mpmath.sqrt(mpmath.agm(1, 1 / mpmath.sqrt(2)))
+        assert abs(t00 - oracle) < policy.verify_tol
 
 
 def test_J_special_values(policy):

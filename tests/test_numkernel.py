@@ -72,10 +72,15 @@ def test_default_policy_reads_environment(monkeypatch):
 def test_policy_invariants():
     with pytest.raises(ValueError, match="at least 53"):
         PrecisionPolicy(40)
-    for bits, series_tol in ((53, 2.0 ** -45), (128, 2.0 ** -120), (256, 2.0 ** -248)):
+    for bits, series_tol in ((53, 2.0 ** -45), (128, 2.0 ** -120), (256, 2.0 ** -248),
+                             (1082, 2.0 ** -1074)):
         pol = PrecisionPolicy(bits)
         assert pol.series_tol == series_tol
         assert pol.verify_tol == 10 * series_tol
+    # exact past the float range, where 2.0 ** -1092 would underflow to 0.0
+    pol = PrecisionPolicy(1100)
+    assert pol.series_tol * 2 ** 1092 == 1
+    assert pol.verify_tol * 2 ** 1092 == 10
     with pytest.raises(AttributeError):
         PrecisionPolicy(128).series_tol = 1e-10  # derived from the width, not set
 

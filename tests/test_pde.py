@@ -9,17 +9,40 @@ import pytest
 from hilbert_k3.moduli import K2_LOCUS, RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy
 from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
-                            _cleared_equations, _eigenvalue_signs, _shifted, _truncated_product,
+                            _cleared_equations, _eigenvalue_signs, _jet_reducer, _shifted, _truncated_product,
                             build_pde, developing_map_match, eliminate_to_restricted_ode,
                             estimate_singular_distance, quadric_from_grids,
                             quadric_image_test, taylor_basis,
                             taylor_solutions, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
-from hilbert_k3.periods import restricted_ode_X
+from hilbert_k3.periods import restricted_ode_X, restricted_operators
 from hilbert_k3.polynomials import SparsePoly
 
 V = ("X", "Y")
 BASE = (Fraction(1, 10), Fraction(1, 10))
+
+
+def _stored_in_lowest_terms(c) -> bool:
+    """The stored denominator has the reduced degree, and its factors are
+    square-free and pairwise coprime."""
+    fs = list(c.factors)
+    return (c.den.degree() == c.reduced()[1].degree()
+            and all(f.gcd(f.derivative()).degree() == 0 for f in fs)
+            and all(f.gcd(g).degree() == 0 for i, f in enumerate(fs) for g in fs[i + 1:]))
+
+
+def test_stored_denominators_have_the_reduced_degrees():
+    """Stored factors that share roots would multiply up: the eliminated
+    equation once stored denominators of degree 9 against a reduced 3 or 4."""
+    eliminated = eliminate_to_restricted_ode()
+    table = _jet_reducer().table
+    assert (4, 0) in table
+    ode = restricted_operators()
+    coefficients = (list(eliminated.coeffs)
+                    + [c for vec in table.values() for s in vec for c in s.coeffs if c]
+                    + list(ode.W1.compose(ode.W3).coeffs))
+    assert len(coefficients) > 100
+    assert all(_stored_in_lowest_terms(c) for c in coefficients)
 
 
 def test_coefficients_exact_transcription():
