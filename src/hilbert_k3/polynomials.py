@@ -27,10 +27,9 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -569,15 +568,6 @@ class UniPoly:
 # --------------------------------------------------------- rational functions
 
 
-@functools.lru_cache(maxsize=4096)
-def _meet(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly] | None:
-    """(h, f / h, g / h) for h = gcd(f, g) non-constant, else None."""
-    h = f.gcd(g)
-    if h.degree() < 1:
-        return None
-    return h, f.divide_exact(h), g.divide_exact(h)
-
-
 def _merged(a: dict[UniPoly, int], b: dict[UniPoly, int]) -> list[tuple[UniPoly, int, int]]:
     """One coprime base for two coprime factor dicts: (p, e_a, e_b) with
     prod p^e_a = prod f^e over a, and likewise for b (whose factors meet only a's)."""
@@ -587,8 +577,8 @@ def _merged(a: dict[UniPoly, int], b: dict[UniPoly, int]) -> list[tuple[UniPoly,
             continue
         out = []
         for p, ea, eb in base:
-            if not eb and g.degree() > 0 and (m := _meet(p, g)):
-                h, p, g = m
+            if not eb and g.degree() > 0 and (h := p.gcd(g)).degree() > 0:
+                p, g = p.divide_exact(h), g.divide_exact(h)
                 out.append((h, ea, eg))
             if p.degree() > 0:
                 out.append((p, ea, eb))
@@ -603,7 +593,8 @@ class RationalFunction:
     The factors are square-free and pairwise coprime: a new denominator is
     split into square-free parts, and two operands' factors are refined into
     one coprime base.  Cancelling against each (small) factor keeps every
-    result in lowest terms, with no gcd against a whole denominator."""
+    result in lowest terms, with no gcd against a whole denominator, so
+    `reduced()` and `==` read the parts as stored."""
 
     __slots__ = ("num", "factors")
 
@@ -618,19 +609,18 @@ class RationalFunction:
             # den = scale * (primitive, positive leading): move the scale up
             num = num * (1 / den.scale)
             factors = dict(den.squarefree())
-        out = RationalFunction._of(num, factors)
+        out = RationalFunction._of(num, factors, factors)
         self.num, self.factors = out.num, out.factors
 
     @classmethod
     def _of(cls, num: UniPoly, factors: dict[UniPoly, int],
-            cancel=True) -> "RationalFunction":
-        """num / prod f^e.  `cancel` is True for lowest terms, False for none,
-        or the factors that alone may share a root with num: each is divided
-        out, and split by a gcd if it divides num only in part.  `factors` is
-        never mutated, so results may share it."""
+            tried: Iterable[UniPoly]) -> "RationalFunction":
+        """num / prod f^e, where only the factors `tried` may share a root
+        with num: each is divided out, and split by a gcd if it divides num
+        only in part.  `factors` is never mutated, so results may share it."""
         out = cls.__new__(cls)
-        if cancel and num and factors:
-            tried, factors = factors if cancel is True else cancel, dict(factors)
+        if tried and num:
+            factors = dict(factors)
             todo = [(f, factors.pop(f)) for f in tried]
             while todo:
                 f, e = todo.pop()
@@ -653,8 +643,7 @@ class RationalFunction:
     def reduced(self) -> tuple[UniPoly, UniPoly]:
         """(num, den) coprime, den primitive with positive leading coefficient:
         the canonical form, so equal functions give equal pairs."""
-        out = RationalFunction._of(self.num, self.factors)
-        return out.num, out.den
+        return self.num, self.den
 
     def is_zero(self) -> bool:
         return not self.num
@@ -667,7 +656,7 @@ class RationalFunction:
             other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     @staticmethod
     def _coerce(other) -> "RationalFunction":
@@ -697,7 +686,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._of(-self.num, self.factors, cancel=False)
+        return RationalFunction._of(-self.num, self.factors, ())
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
@@ -707,7 +696,7 @@ class RationalFunction:
 
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
-            return RationalFunction._of(self.num * other, self.factors, cancel=False)
+            return RationalFunction._of(self.num * other, self.factors, ())
         other = self._coerce(other)
         # a factor of both denominators is coprime to both numerators
         base = _merged(self.factors, other.factors)
@@ -721,7 +710,7 @@ class RationalFunction:
         if not self.num:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction._of(self.den * (1 / self.num.scale),
-                                    dict(self.num.squarefree()), cancel=False)
+                                    dict(self.num.squarefree()), ())
 
     def __truediv__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
@@ -735,7 +724,7 @@ class RationalFunction:
     def derivative(self) -> "RationalFunction":
         dn = self.num.derivative()
         if not self.factors:
-            return RationalFunction._of(dn, {}, cancel=False)
+            return RationalFunction._of(dn, {}, ())
         # (n / prod f^e)' = [n' prod f - n sum e_i f_i' prod_{j != i} f_j] / prod f^(e+1),
         # in lowest terms: the bracket is -n e_i f_i' prod_{j != i} f_j mod f_i
         prod = UniPoly([1])
@@ -744,8 +733,7 @@ class RationalFunction:
         total = dn * prod
         for f, e in self.factors.items():
             total = total - self.num * (e * f.derivative()) * prod.divide_exact(f)
-        return RationalFunction._of(total, {f: e + 1 for f, e in self.factors.items()},
-                                    cancel=False)
+        return RationalFunction._of(total, {f: e + 1 for f, e in self.factors.items()}, ())
 
     def affine(self, a, b) -> "RationalFunction":
         """f(a x + b)."""

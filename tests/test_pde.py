@@ -23,10 +23,11 @@ BASE = (Fraction(1, 10), Fraction(1, 10))
 
 
 def _stored_in_lowest_terms(c) -> bool:
-    """The stored denominator has the reduced degree, and its factors are
-    square-free and pairwise coprime."""
+    """The stored numerator and denominator are coprime, so the denominator
+    has the reduced degree, and its factors are square-free and pairwise
+    coprime."""
     fs = list(c.factors)
-    return (c.den.degree() == c.reduced()[1].degree()
+    return (c.num.gcd(c.den).degree() == 0
             and all(f.gcd(f.derivative()).degree() == 0 for f in fs)
             and all(f.gcd(g).degree() == 0 for i, f in enumerate(fs) for g in fs[i + 1:]))
 
