@@ -311,6 +311,11 @@ def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
 # Dividing by q_0(root + n + eps) loses m leading terms exactly where root + n
 # is a higher root of multiplicity m, so the above + mult terms the log
 # solutions read (eps-derivatives of order k < above + mult) survive.
+# The root's solutions are the eps^k coefficients for above <= k < above + mult
+# (Ince, Ordinary Differential Equations, 1926, section 16): each has
+# t^root log^(k - above) / (k - above)! as its lowest term and the higher
+# roots' solutions have no t^root term, so the basis is independent by
+# construction; the k < above coefficients are dependent or zero.
 
 
 def _taylor(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
@@ -334,32 +339,24 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
 
     Each element is a LogSeries in the local variable t - point; substituting
     back into the operator gives a residual that vanishes to the truncation
-    order.  Solutions at exponent collisions carry explicit log components.
+    order.  Solutions at exponent collisions carry explicit log components;
+    the selection is the Frobenius method's (see the comment above).
     """
     local, q = _local_theta_form(op, point)
-    roots = _rational_roots(q[0])
 
-    # group roots into integer-difference classes
-    classes: list[list[tuple[Fraction, int]]] = []
-    for root, mult in sorted(roots):
-        for cls in classes:
-            if (root - cls[0][0]).denominator == 1:
-                cls.append((root, mult))
-                break
-        else:
-            classes.append([(root, mult)])
+    # integer-difference classes, each in ascending order
+    classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    for root, mult in sorted(_rational_roots(q[0])):
+        classes.setdefault(root % 1, []).append((root, mult))
 
     var = local.var
     solutions: list[LogSeries] = []
-    for cls in classes:
-        cls_sorted = sorted(cls, key=lambda rm: rm[0], reverse=True)
-        collected: list[LogSeries] = []
-        echelon: list[tuple[tuple, dict]] = []  # `collected`, truncated and reduced
-        r_min = cls_sorted[-1][0]
-        for idx, (root, mult) in enumerate(cls_sorted):
-            above = sum(m for r, m in cls_sorted[:idx])
+    for cls in classes.values():
+        top = cls[-1][0]
+        above = 0
+        for root, mult in reversed(cls):
             jet_len = 2 * above + mult
-            n_terms = order + int(max(r for r, _ in cls_sorted) - root) + 1
+            n_terms = order + int(top - root) + 1
             # coefficient jets c_n(root + eps), with c_0 = eps^above
             coeffs_jets = [[Fraction(int(k == above)) for k in range(jet_len)]]
             for n in range(1, n_terms):
@@ -371,55 +368,14 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
                 q0_jet = _taylor(q[0], root + n, len(acc))
                 coeffs_jets.append(_jet_divide([-x for x in acc], q0_jet))
             usable = min(len(j) for j in coeffs_jets)
-            for k in range(min(above + mult, usable)):
-                if len(collected) >= sum(m for _, m in cls_sorted):
-                    break
-                # candidate solution: sum_l log^l / l! * sum_n c_n^{(k-l)}/(k-l)! t^(root+n)
-                parts: dict[int, FormalSeries] = {}
-                for l in range(0, k + 1):
-                    d = k - l
-                    series = [cj[d] if d < len(cj) else Fraction(0)
-                              for cj in coeffs_jets]
-                    comp = FormalSeries(var, root, series) * Fraction(1, math.factorial(l))
-                    parts[l] = comp
-                cand = LogSeries(var, parts)
-                if cand.is_zero_to_precision():
-                    continue
-                if _independent(echelon, _truncated(cand, r_min, order)):
-                    collected.append(cand)
-        solutions.extend(collected)
+            # sum_l log^l / l! * sum_n c_n^{(k-l)}/(k-l)! t^(root+n)
+            for k in range(above, min(above + mult, usable)):
+                solutions.append(LogSeries(var, {
+                    l: FormalSeries(var, root, [cj[k - l] for cj in coeffs_jets])
+                    * Fraction(1, math.factorial(l)) for l in range(k + 1)}))
+            above += mult
 
     if len(solutions) != local.order:
         raise IncompleteBasis(
             f"Frobenius basis incomplete: got {len(solutions)} of {local.order}")
     return solutions
-
-
-def _truncated(cand: LogSeries, r_min: Fraction, order: int) -> dict:
-    """Nonzero coefficients of t^e log^l with e - r_min <= order, keyed (e, l)."""
-    return {(s.expo + n, l): c for l, s in cand.parts.items()
-            for n, c in enumerate(s.coeffs) if c != 0 and (s.expo - r_min + n) <= order}
-
-
-def _independent(echelon: list[tuple[tuple, dict]], vec: dict) -> bool:
-    """Whether `vec` is independent of the rows of `echelon`, and if so add it.
-
-    `echelon` holds (pivot key, row) pairs; each row is 1 at its pivot and 0
-    at the pivots before it.  Reducing `vec` against them in that order clears
-    every pivot, so `vec` is independent iff a nonzero entry remains; the
-    lowest such key becomes its pivot.  `vec` is reduced in place."""
-    for key, row in echelon:
-        f = vec.get(key)
-        if f:
-            for k, c in row.items():
-                x = vec.get(k, 0) - f * c
-                if x:
-                    vec[k] = x
-                else:
-                    vec.pop(k, None)
-    if not vec:
-        return False
-    pivot = min(vec)
-    inv = 1 / vec[pivot]
-    echelon.append((pivot, {k: c * inv for k, c in vec.items()}))
-    return True
