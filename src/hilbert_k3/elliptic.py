@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .numkernel import PrecisionPolicy, sum_series, to_mpc, working_precision
+from .numkernel import NonConvergent, PrecisionPolicy, sum_series, to_mpc, working_precision
 from .polynomials import FormalSeries
 
 
@@ -148,10 +148,21 @@ class EllipticValues:
 
 
 def eisenstein_and_J(z, policy: PrecisionPolicy | None = None) -> EllipticValues:
-    """E4, E6, the weight-12 discriminant G2^3 - 27 G3^2, and J = E4^3/(E4^3-E6^2)."""
+    """E4, E6, the weight-12 discriminant G2^3 - 27 G3^2, and J = E4^3/(E4^3-E6^2).
+
+    E4^3 - E6^2 = 1728 q (1 + O(q)) cancels about log2(1/|1728 q|) bits of the
+    sums' absolute series_tol, so all four are formed with that many more bits
+    and rounded back; a count over the mantissa width raises NonConvergent."""
     with working_precision(policy) as pol:
-        e4 = _eisenstein_value(4, z, pol)
-        e6 = _eisenstein_value(6, z, pol)
-        diff = e4 ** 3 - e6 ** 2
-        delta = (64 * mpmath.pi ** 12 / 27) * diff
-        return EllipticValues(E4=e4, E6=e6, Delta=delta, J=e4 ** 3 / diff)
+        y = as_uhp(z).imag
+        extra = max(0, int(mpmath.ceil((2 * mpmath.pi * y - mpmath.log(1728)) / mpmath.log(2))))
+        if extra > pol.mantissa_bits:
+            raise NonConvergent(f"J at Im z = {mpmath.nstr(y, 5)} cancels {extra} bits, "
+                                f"more than the {pol.mantissa_bits}-bit mantissa")
+        wide = PrecisionPolicy(pol.mantissa_bits + extra)
+        with working_precision(wide):
+            e4 = _eisenstein_value(4, z, wide)
+            e6 = _eisenstein_value(6, z, wide)
+            diff = e4 ** 3 - e6 ** 2
+            values = (e4, e6, (64 * mpmath.pi ** 12 / 27) * diff, e4 ** 3 / diff)
+        return EllipticValues(*(+v for v in values))

@@ -224,7 +224,8 @@ def _walk_moments(tr: int, ti: int, rr: int, ri: int, qr: int, qi: int, n: int,
 
 
 def _fixed(x: BinaryFloat, bits: int) -> tuple[int, int]:   # x 2^bits as integers (re, im)
-    return (x.re << bits) >> -x.exp, (x.im << bits) >> -x.exp
+    s = bits + x.exp   # one shift: bits can be about 4.5 Im z, too many to shift left first
+    return (x.re << s, x.im << s) if s >= 0 else (x.re >> -s, x.im >> -s)
 
 
 def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: int,

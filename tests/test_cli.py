@@ -61,6 +61,17 @@ def test_forms_eval_far_into_the_cusp_prints_finite_fields(capsys):
     assert mpmath.mpf(payload["g2_re"]) == 1
 
 
+def test_forms_eval_at_the_far_diagonal_cusp_exits_zero(capsys):
+    """At (1e20i, 1e20i) a theta pass's fixed-point scale is about 4.5e20
+    bits; the pass shifts by the net count once and never builds an integer
+    of that size."""
+    code, out = run_cli(capsys, "forms", "eval", "--z1", "1e20i", "--z2", "1e20i")
+    assert code == 0
+    payload = json.loads(out)
+    assert mpmath.mpf(payload["g2_re"]) == 1
+    assert mpmath.mpf(payload["g2_im"]) == 0
+
+
 def test_forms_eval_far_into_the_cusp_prints_at_high_precision(capsys):
     """At 20,000 bits some fields lie below 1e-500000, where mpmath's decimal
     conversion of the full mantissa passes Python's 4300-digit limit for

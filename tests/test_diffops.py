@@ -239,6 +239,42 @@ def test_frobenius_basis_at_resonance(qs, exponents, expected):
         assert op.apply(b).is_zero_to_precision()
 
 
+@st.composite
+def _resonant_operators(draw):
+    """(op, mult): q_0 = prod (rho - r - k)^m over up to three integer offsets k
+    of one base r, total order <= 5, and a random q_1 of degree <= the order;
+    mult maps each root r + k to m."""
+    base = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3)]))
+    offsets = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(offsets), max_size=len(offsets))
+                 .filter(lambda ms: sum(ms) <= 5))
+    mult = {base + k: m for k, m in zip(offsets, mults)}
+    q0 = UniPoly([1])
+    for root, m in mult.items():
+        q0 = q0 * (RHO - root) ** m
+    q1 = UniPoly(draw(st.lists(st.integers(-3, 3), max_size=sum(mult.values()) + 1)))
+    return _theta_operator([q0, q1]), mult
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_resonant_operators())
+def test_frobenius_selection_gives_each_root_its_log_ladder(case):
+    """The basis the Frobenius method fixes: a root of multiplicity m gives m
+    solutions whose lowest terms are t^root log^l for l < m, whatever q_1
+    does at the resonances, each annihilated to its truncation order."""
+    op, mult = case
+    basis = series_solve(op, 0, 8)
+    assert len(basis) == op.order
+    lowest = []
+    for b in basis:
+        assert op.apply(b).is_zero_to_precision()
+        expo = min(s.valuation() for s in b.parts.values())
+        logs = [l for l, s in b.parts.items() if s.valuation() == expo]
+        assert len(logs) == 1
+        lowest.append((expo, logs[0]))
+    assert sorted(lowest) == sorted((r, l) for r, m in mult.items() for l in range(m))
+
+
 def _basis_digest(basis) -> str:
     h = hashlib.sha256()
     for b in basis:

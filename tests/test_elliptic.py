@@ -6,7 +6,7 @@ import pytest
 
 from hilbert_k3.elliptic import (NotInUpperHalfPlane, eisenstein_and_J, j_qexpansion,
                                  jacobi_theta)
-from hilbert_k3.numkernel import PrecisionPolicy, to_mpc, working_precision
+from hilbert_k3.numkernel import NonConvergent, PrecisionPolicy, to_mpc, working_precision
 
 
 def test_uhp_validation():
@@ -77,6 +77,30 @@ def test_J_at_2i_against_lattice_sum_oracle(policy):
     with working_precision(policy):
         v = eisenstein_and_J(mpmath.mpc(0, 2), policy)
         assert abs(v.J - mpmath.mpf(1331) / 8) < policy.verify_tol * 200
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("y", ["1.2", "2", "3", "5", "10"])
+def test_J_keeps_the_digits_the_discriminant_cancels(bits, y):
+    """E4^3 - E6^2 = 1728 q (1 + O(q)) cancels about log2(1/|1728 q|) bits, so
+    J from sums to an absolute series_tol would lose them (9% of J at 16.5i,
+    128 bits); with those bits carried, all four values are within verify_tol
+    of a reference at four times the precision."""
+    policy, reference = PrecisionPolicy(bits), PrecisionPolicy(4 * bits)
+    with working_precision(reference):
+        z = mpmath.mpc(0, mpmath.mpf(y))
+        exact = eisenstein_and_J(z, reference)
+        values = eisenstein_and_J(z, policy)
+        for name in ("E4", "E6", "Delta", "J"):
+            ref = getattr(exact, name)
+            assert abs(getattr(values, name) - ref) < policy.verify_tol * abs(ref), name
+
+
+def test_J_past_the_mantissa_raises_non_convergent(policy):
+    """At Im z = 1e20 the discriminant cancels about 9e20 bits: more than the
+    mantissa, so J raises NonConvergent rather than divide by zero."""
+    with pytest.raises(NonConvergent, match="more than the 128-bit mantissa"):
+        eisenstein_and_J(mpmath.mpc(0, "1e20"), policy)
 
 
 def test_theta_delta_identity(policy):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -536,3 +537,20 @@ def test_a_point_past_the_term_cap_raises_before_summing():
     tiny = (mpmath.mpc(0, "1e-30"), mpmath.mpc(0, "1e-30"))
     with pytest.raises(NonConvergent, match="reduce the point"):
         theta_batch(tiny, PrecisionPolicy(128))
+
+
+def test_a_far_cusp_pass_allocates_no_integer_of_im_z_bits():
+    """At (1e9i, 1e9i) the largest term of a shift is about e^(-pi 1e9 / 2),
+    so its fixed-point scale is about 4.5e9 bits.  Scaling a state value
+    by one shift of the net bit count keeps every integer near wp bits;
+    shifting left by the scale first would build integers of hundreds of MB."""
+    policy = PrecisionPolicy(128)
+    with working_precision(policy):
+        z = mpmath.mpc(0, "1e9")
+        tracemalloc.start()
+        try:
+            theta_batch((z, z), policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 ** 20

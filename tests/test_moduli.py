@@ -28,6 +28,19 @@ def test_diagonal_X_times_J(policy):
         assert abs(x * j - mpmath.mpf(25) / 27) < policy.verify_tol
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("y", ["30", "1e6"])
+def test_diagonal_X_far_into_the_cusp(bits, y):
+    """X(iy, iy) = 25 / (27 J(iy)) = 1600 q (1 - 744 q + ...), q = e^(-2 pi y),
+    so X = 1600 e^(-2 pi y) within verify_tol once 744 q is below it."""
+    policy = PrecisionPolicy(bits)
+    with working_precision(policy):
+        z = mpmath.mpc(0, mpmath.mpf(y))
+        x, _, _ = moduli_XYZ((z, z), policy)
+        lead = 1600 * mpmath.exp(-2 * mpmath.pi * z.imag)
+        assert abs(x / lead - 1) < policy.verify_tol
+
+
 def test_quintic_relation_generic(policy):
     with working_precision(policy):
         x, y, z = moduli_XYZ((mpmath.mpc(0, "1.1"), mpmath.mpc(0, "0.8")), policy)

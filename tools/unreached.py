@@ -35,6 +35,8 @@ RUNS = [
     ["forms", "eval", "--z1", "0.5+1.25i", "--z2=-0.25+0.75i"],
     ["--format", "csv", "forms", "eval", "--z1", "0.5+1.25i", "--z2=-0.25+0.75i"],
     ["--prec", "256", "forms", "eval", "--z1", "0.3+1.1i", "--z2", "1/3+0.9i"],
+    ["forms", "eval", "--z1", "1e20i", "--z2", "1e20i"],
+    ["--format", "csv", "verify", "klein"],
     ["fibers", "classify", "--X", "1", "--Y", "1"],
     ["fibers", "classify", "--X", "0", "--Y", "0"],
     ["fibers", "classify", "--X", "0", "--Y=-64"],
