@@ -1,13 +1,16 @@
 """The rank-4 system of partial differential equations in the moduli
-coordinates (X, Y): exact coefficient data, fraction-free elimination down to
-the fourth-order ordinary equation on Y = 0, exact local Taylor solutions from
-the four free jets, the exact quadric of the projectivized solution image, and
-the developing-map match against the theta-side inverse."""
+coordinates (X, Y): exact coefficient data, the jet elimination exact in
+Q(X, Y) over the system's singular locus X Y S K2 = 0, down to the
+fourth-order ordinary equation on Y = 0 and to the integrability relation as
+an identity, exact local Taylor solutions from the four free jets, the exact
+quadric of the projectivized solution image, and the developing-map match
+against the theta-side inverse."""
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -20,7 +23,7 @@ from .lattice import j_map
 from .moduli import K2_LOCUS, RankDeficient, continuation_invert, match_projective_maps, newton_invert
 from .numkernel import PrecisionPolicy, working_precision
 from .periods import restricted_ode_X
-from .polynomials import FormalSeries, RationalFunction, SparsePoly, UniPoly, gauss_jordan
+from .polynomials import RationalFunction, SparsePoly, UniPoly, gauss_jordan
 
 V = ("X", "Y")
 
@@ -62,13 +65,18 @@ class PDESystem:
     Q1: Quotient
 
 
+# the system's singular locus X Y S K2 = 0, with S = 36 X^2 - 32 X - Y and K2
+# the quintic K2_LOCUS: four polynomials irreducible over Q, and the base of
+# every denominator in the system and its elimination
+_X, _Y = SparsePoly.variable(V, "X"), SparsePoly.variable(V, "Y")
+SINGULAR_BASE = (_X, _Y, 36 * _X ** 2 - 32 * _X - _Y, K2_LOCUS)
+
+
 @functools.cache
 def build_pde() -> PDESystem:
     """Exact transcription of the eight coefficients, each in lowest terms;
     the common singular factor 36 X^2 - 32 X - Y sits in every denominator."""
-    X = SparsePoly.variable(V, "X")
-    Y = SparsePoly.variable(V, "Y")
-    S = 36 * X ** 2 - 32 * X - Y
+    X, Y, S, _ = SINGULAR_BASE
     return PDESystem(
         L1=Quotient(-20 * (4 * X ** 2 + 3 * X * Y - 4 * Y), S),
         M1=Quotient(-2 * (54 * X ** 3 - 50 * X ** 2 - 3 * X * Y + 2 * Y), 5 * Y * S),
@@ -86,47 +94,122 @@ def build_pde() -> PDESystem:
 BASIS: tuple[Jet, ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-# tracked Y-order for the elimination; coefficient reads are precision-checked,
-# so an insufficient value fails loudly instead of silently truncating
-_REL_PREC = 8
+def _raised(p: SparsePoly, powers) -> SparsePoly:
+    """p times prod f_i^powers[i] over the singular base."""
+    for f, k in zip(SINGULAR_BASE, powers):
+        p = p * f ** k if k else p
+    return p
 
 
-def _y_series(p: SparsePoly) -> FormalSeries:
-    """p as a Laurent series in Y over Q(X), known to Y-order
-    val + max(_REL_PREC, len - val) for a polynomial of len Y-coefficients."""
-    rows = p.rows("Y")
-    if not rows:
-        return FormalSeries("Y", 0, [], _REL_PREC)
-    val = next(j for j, c in enumerate(rows) if c)
-    coeffs = [RationalFunction(c) for c in rows[val:]]
-    return FormalSeries("Y", val, coeffs, val + max(_REL_PREC, len(rows) - val))
+class _BaseFraction:
+    """scale * num / prod f_i^den[i] over SINGULAR_BASE = (X, Y, S, K2): an
+    element of Q(X, Y) whose denominator has no factor outside the base.
+
+    num is a primitive integer SparsePoly that no f_i with den[i] > 0
+    divides.  The f_i are prime, so an operation tries to cancel only the
+    factors that can divide its result: a sum those with equal exponents in
+    both operands, a product those in exactly one operand's denominator, and
+    a derivative those whose exponent it does not raise.  `divmod_exact` by
+    an f_i, which leads with +-1, keeps num integral."""
+
+    __slots__ = ("scale", "num", "den")
+
+    @classmethod
+    def of(cls, scale, num: SparsePoly, den=(0, 0, 0, 0), tried=()) -> "_BaseFraction":
+        """scale num / prod f_i^den[i], with the content of num moved to the
+        scale and the factors `tried` divided out of num as far as they go."""
+        out = cls.__new__(cls)
+        out.scale, out.num, out.den = Fraction(0), num, (0, 0, 0, 0)
+        if num:
+            content = Fraction(math.gcd(*(c.numerator for c in num.terms.values())),
+                               math.lcm(*(c.denominator for c in num.terms.values())))
+            num, den = num * (1 / content) if content != 1 else num, list(den)
+            for i in tried:
+                while den[i] and not (qr := num.divmod_exact(SINGULAR_BASE[i]))[1]:
+                    num, den[i] = qr[0], den[i] - 1
+            out.scale, out.num, out.den = scale * content, num, tuple(den)
+        return out
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other: "_BaseFraction") -> "_BaseFraction":
+        if not other.num:
+            return self
+        den, a, b = tuple(map(max, self.den, other.den)), self.scale, other.scale
+        num = (_raised(self.num * (a.numerator * b.denominator), map(operator.sub, den, self.den))
+               + _raised(other.num * (b.numerator * a.denominator),
+                         map(operator.sub, den, other.den)))
+        return _BaseFraction.of(Fraction(1, a.denominator * b.denominator), num, den,
+                                [i for i in range(4) if self.den[i] == other.den[i]])
+
+    def __neg__(self) -> "_BaseFraction":
+        return _BaseFraction.of(-self.scale, self.num, self.den)
+
+    def __sub__(self, other: "_BaseFraction") -> "_BaseFraction":
+        return self + (-other)
+
+    def __mul__(self, other: "_BaseFraction") -> "_BaseFraction":
+        return _BaseFraction.of(self.scale * other.scale, self.num * other.num,
+                                tuple(map(operator.add, self.den, other.den)),
+                                [i for i in range(4) if (self.den[i] > 0) != (other.den[i] > 0)])
+
+    def derivative(self, var: str) -> "_BaseFraction":
+        """d/dvar.  With F the factors of the denominator that depend on var,
+        (n / prod f^e)' = (n' prod_F f - n sum_F e_i f_i' prod_(F - i) f)
+        / (prod f^e prod_F f), and no f_i of F divides the new numerator."""
+        fs, dfs = SINGULAR_BASE, _BASE_DERIVATIVES[var]
+        raised = [i for i, e in enumerate(self.den) if e and dfs[i]]
+        # by Horner's rule over F: num = num f_i - n e_i f_i' prod(F before i)
+        num, done = self.num.derivative(var), SparsePoly.const(V, 1)
+        for i in raised:
+            num = num * fs[i] - self.num * done * (self.den[i] * dfs[i])
+            done = done * fs[i]
+        den = [e + (i in raised) for i, e in enumerate(self.den)]
+        return _BaseFraction.of(self.scale, num, den, [i for i in range(4) if i not in raised])
+
+    def inverse(self) -> "_BaseFraction":
+        """1 / self; raises EliminationFailed when num has a factor outside
+        the singular base (or is 0), since the inverse would leave it."""
+        num, powers = self.num, [0] * 4
+        for i, f in enumerate(SINGULAR_BASE):
+            while num and not (qr := num.divmod_exact(f))[1]:
+                num, powers[i] = qr[0], powers[i] + 1
+        if set(num.terms) != {(0, 0)}:
+            raise EliminationFailed(f"the factor {num} lies outside the singular base")
+        return _BaseFraction.of(1 / (self.scale * num.terms[(0, 0)]),
+                                _raised(SparsePoly.const(V, 1), self.den), powers)
+
+    def lowest_y_term(self) -> tuple[float, RationalFunction]:
+        """(v, c) with self = c(X) Y^v + O(Y^(v + 1)), (inf, 0) for zero; X,
+        S and K2 are units at Y = 0, so only num's rows and den[1] count."""
+        rows = self.num.rows("Y")
+        k = next((k for k, row in enumerate(rows) if row), None)
+        if k is None:
+            return math.inf, RationalFunction(0)
+        den = UniPoly([1])
+        for i in (0, 2, 3):
+            den = den * SINGULAR_BASE[i].rows("Y")[0] ** self.den[i]
+        return k - self.den[1], RationalFunction(rows[k] * self.scale, den)
 
 
-def _d_dX(s: FormalSeries) -> FormalSeries:
-    return FormalSeries(s.var, s.expo, [c.derivative() for c in s.coeffs], s.prec)
+_BASE_DERIVATIVES = {var: tuple(f.derivative(var) for f in SINGULAR_BASE) for var in V}
 
-
-Vector = tuple[FormalSeries, FormalSeries, FormalSeries, FormalSeries]
-_ONE = FormalSeries("Y", 0, [RationalFunction(1)], _REL_PREC)
-
-
-def _vec_const(k: int) -> Vector:
-    return tuple(_ONE if i == k else FormalSeries("Y", 0, [], _REL_PREC)
-                 for i in range(4))  # type: ignore[return-value]
+Vector = tuple[_BaseFraction, _BaseFraction, _BaseFraction, _BaseFraction]
 
 
 def _vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))  # type: ignore[return-value]
 
 
-def _vec_scale(c: FormalSeries, a: Vector) -> Vector:
+def _vec_scale(c: _BaseFraction, a: Vector) -> Vector:
     return tuple(c * x for x in a)  # type: ignore[return-value]
 
 
 class _JetReducer:
     """Rewrites every jet of the solution sheaf as a combination of the free
-    jets u, u_X, u_Y, u_XY with coefficients expanded as exact Y-Laurent
-    series over Q(X).
+    jets u, u_X, u_Y, u_XY with coefficients exact in Q(X, Y), each a
+    `_BaseFraction` over the system's singular base.
 
     This realises the jet elimination in substitution form: an exact linear
     elimination, organised so each step inverts a single pivot (or the 2x2
@@ -134,55 +217,42 @@ class _JetReducer:
     """
 
     def __init__(self):
-        pde = build_pde()
-        s = {}
-        for name in ("L1", "M1", "A1", "B1", "C1", "D1", "P1", "Q1"):
-            q = getattr(pde, name)
-            s[name] = _y_series(q.num) * _y_series(q.den).inverse()
-        self.s = s
-        self.table: dict[Jet, Vector] = {jet: _vec_const(i)
-                                         for i, jet in enumerate(BASIS)}
-        self.table[(2, 0)] = (s["P1"], s["A1"], s["B1"], s["L1"])
-        self.table[(0, 2)] = (s["Q1"], s["C1"], s["D1"], s["M1"])
-
-        # u_XXY = known21 + L1 u_XYY ; u_XYY = known12 + M1 u_XXY
-        known21 = _vec_add(
-            _vec_add(_vec_scale(s["L1"].derivative() + s["A1"], _vec_const(3)),
-                     _vec_scale(s["A1"].derivative(), _vec_const(1))),
-            _vec_add(_vec_scale(s["B1"].derivative() + s["P1"], _vec_const(2)),
-                     _vec_add(_vec_scale(s["P1"].derivative(), _vec_const(0)),
-                              _vec_scale(s["B1"], self.table[(0, 2)]))))
-        known12 = _vec_add(
-            _vec_add(_vec_scale(_d_dX(s["M1"]) + s["D1"], _vec_const(3)),
-                     _vec_scale(_d_dX(s["C1"]) + s["Q1"], _vec_const(1))),
-            _vec_add(_vec_scale(_d_dX(s["D1"]), _vec_const(2)),
-                     _vec_add(_vec_scale(_d_dX(s["Q1"]), _vec_const(0)),
-                              _vec_scale(s["C1"], self.table[(2, 0)]))))
-        inv = (_ONE - s["L1"] * s["M1"]).inverse()
-        self.table[(2, 1)] = _vec_scale(inv, _vec_add(known21,
-                                                      _vec_scale(s["L1"], known12)))
-        self.table[(1, 2)] = _vec_add(known12,
-                                      _vec_scale(s["M1"], self.table[(2, 1)]))
+        system = build_pde()
+        L1, M1, A1, B1, C1, D1, P1, Q1 = (
+            _BaseFraction.of(1, q.num) * _BaseFraction.of(1, q.den).inverse()
+            for q in (system.L1, system.M1, system.A1, system.B1,
+                      system.C1, system.D1, system.P1, system.Q1))
+        one = _BaseFraction.of(1, SparsePoly.const(V, 1))
+        zero = _BaseFraction.of(1, SparsePoly.zero(V))
+        self.table: dict[Jet, Vector] = {
+            jet: tuple(one if i == k else zero for i in range(4)) for k, jet in enumerate(BASIS)}
+        self.table[(2, 0)] = (P1, A1, B1, L1)
+        self.table[(0, 2)] = (Q1, C1, D1, M1)
+        # u_XXY = known21 + L1 u_XYY, from d/dY of the first equation, and
+        # u_XYY = known12 + M1 u_XXY, from d/dX of the second
+        P1y, A1y, B1y, L1y = (c.derivative("Y") for c in self.table[(2, 0)])
+        Q1x, C1x, D1x, M1x = (c.derivative("X") for c in self.table[(0, 2)])
+        known21 = _vec_add((P1y, A1y, B1y + P1, L1y + A1), _vec_scale(B1, self.table[(0, 2)]))
+        known12 = _vec_add((Q1x, C1x + Q1, D1x, M1x + D1), _vec_scale(C1, self.table[(2, 0)]))
+        inv = (one - L1 * M1).inverse()
+        self.table[(2, 1)] = _vec_scale(inv, _vec_add(known21, _vec_scale(L1, known12)))
+        self.table[(1, 2)] = _vec_add(known12, _vec_scale(M1, self.table[(2, 1)]))
 
     def reduce(self, jet: Jet) -> Vector:
-        if jet in self.table:
-            return self.table[jet]
-        i, j = jet
-        if i >= 1 and (i - 1, j) in self.table:
-            self.table[jet] = self.derivative(self.table[(i - 1, j)], "X")
-        elif j >= 1 and (i, j - 1) in self.table:
-            self.table[jet] = self.derivative(self.table[(i, j - 1)], "Y")
-        else:
-            raise EliminationFailed(f"no reduction path to jet {jet}")
+        if jet not in self.table:
+            if jet[0] < 1:
+                raise EliminationFailed(f"no reduction path to jet {jet}")
+            self.table[jet] = self.derivative(self.reduce((jet[0] - 1, jet[1])), "X")
         return self.table[jet]
 
     def derivative(self, vec: Vector, var: str) -> Vector:
         """d/dvar of sum c_beta u_beta, re-reduced to the basis."""
         step = (1, 0) if var == "X" else (0, 1)
-        out = tuple(_d_dX(c) if var == "X" else c.derivative() for c in vec)
+        out = tuple(c.derivative(var) for c in vec)
         for c, beta in zip(vec, BASIS):
-            shifted = (beta[0] + step[0], beta[1] + step[1])
-            out = _vec_add(out, _vec_scale(c, self.reduce(shifted)))
+            if c:
+                out = _vec_add(out, _vec_scale(c, self.reduce((beta[0] + step[0],
+                                                               beta[1] + step[1]))))
         return out  # type: ignore[return-value]
 
 
@@ -194,8 +264,9 @@ def _jet_reducer() -> _JetReducer:
 
 def eliminate_to_restricted_ode() -> DiffOperator:
     """Exact elimination of the mixed jets: reduce u_XX, u_XXX, u_XXXX to the
-    free-jet basis, take the unique dependency killing the u_Y and u_XY
-    components, normalise by the leading coefficient, and read off Y = 0."""
+    free-jet basis, take the unique dependency sum a_i d^i/dX^i killing the
+    u_Y and u_XY components, and read off Y = 0: each a_i / a_4 there is the
+    ratio of the lowest Y-terms of a_i and a_4, or 0 past a_4's valuation."""
     red = _jet_reducer()
     red.reduce((3, 0))
     red.reduce((4, 0))
@@ -205,35 +276,26 @@ def eliminate_to_restricted_ode() -> DiffOperator:
     a4 = v2[2] * v3[3] - v3[2] * v2[3]
     a1 = -(a2 * v2[1] + a3 * v3[1] + a4 * v4[1])
     a0 = -(a2 * v2[0] + a3 * v3[0] + a4 * v4[0])
-    inv_lead = a4.inverse()
+    lead_val, lead = a4.lowest_y_term()
     coeffs = []
     for a in (a0, a1, a2, a3):
-        ratio = a * inv_lead
-        if ratio.valuation() < 0:
+        val, c = a.lowest_y_term()
+        if val < lead_val:
             raise EliminationFailed("restricted coefficient has a pole on Y = 0")
-        if ratio.prec <= 0:
-            raise EliminationFailed(f"Y-order 0 beyond tracked precision {ratio.prec}")
-        c = ratio.coefficient(0)
-        coeffs.append(c if c else RationalFunction(0))
+        coeffs.append(c / lead if val == lead_val else RationalFunction(0))
     return DiffOperator("X", coeffs + [RationalFunction(1)])
 
 
 def verify_mixed_jet_compatibility() -> dict:
     """The two reduction routes to the (2, 2) jet (through d/dY of u_XXY and
-    d/dX of u_XYY) must coincide, exactly in X and to the tracked Y-order;
-    this is the integrability relation between the two equations."""
+    d/dX of u_XYY) must coincide exactly in Q(X, Y); this is the
+    integrability relation between the two equations.  `compared_orders`
+    counts the free-jet components compared, each as an identity (4)."""
     red = _jet_reducer()
     via_y = red.derivative(red.reduce((2, 1)), "Y")
     via_x = red.derivative(red.reduce((1, 2)), "X")
-    consistent = True
-    checked = None
-    for a, b in zip(via_y, via_x):
-        diff = a - b
-        span = diff.prec - (diff.expo if diff.is_zero_to_precision() else diff.valuation())
-        checked = span if checked is None else min(checked, span)
-        if not diff.is_zero_to_precision():
-            consistent = False
-    return {"consistent": consistent, "compared_orders": int(checked or 0)}
+    return {"consistent": not any(a - b for a, b in zip(via_y, via_x)),
+            "compared_orders": len(via_y)}
 
 
 def verify_pde_restriction() -> dict:
@@ -258,8 +320,7 @@ def _cleared_equations() -> tuple[tuple[tuple[SparsePoly, Jet], ...], ...]:
     X^2 Y S and E2 times 25 X Y^2 S, with S = 36 X^2 - 32 X - Y.  The first
     term is the lead, minus the multiplier on u_XX or on u_YY."""
     pde = build_pde()
-    X, Y = SparsePoly.variable(V, "X"), SparsePoly.variable(V, "Y")
-    S = 36 * X ** 2 - 32 * X - Y
+    X, Y, S, _ = SINGULAR_BASE
     out = []
     for multiplier, lead, names in ((X ** 2 * Y * S, (2, 0), ("L1", "A1", "B1", "P1")),
                                     (25 * X * Y ** 2 * S, (0, 2), ("M1", "C1", "D1", "Q1"))):
@@ -385,8 +446,7 @@ def estimate_singular_distance(base) -> Fraction:
     a lower bound on the distance, not an estimate; it sets the sampling
     radii."""
     base = (Fraction(base[0]), Fraction(base[1]))
-    X, Y = SparsePoly.variable(V, "X"), SparsePoly.variable(V, "Y")
-    return min(_exclusion_radius(p, base) for p in (X, Y, 36 * X ** 2 - 32 * X - Y, K2_LOCUS))
+    return min(_exclusion_radius(p, base) for p in SINGULAR_BASE)
 
 
 def _exclusion_radius(p: SparsePoly, base: tuple[Fraction, Fraction]) -> Fraction:

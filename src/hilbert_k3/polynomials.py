@@ -1,53 +1,72 @@
 """Exact polynomial arithmetic over Q and the exact primitives built on it.
 
-* `SparsePoly`: multivariate polynomials with Fraction coefficients; exponent
-  vectors are dense tuples keyed in a dict, ordered by graded lex when an
-  order is needed.  They carry the icosahedral invariants (degree 30 in 3
-  variables), the numerators and denominators of the two-variable PDE
-  coefficients, the quintic locus and the lattice forms.  `rows` is the one
-  bridge from two variables to one: a polynomial in (X, Y) as its list of
-  Y-rows, each a UniPoly in X.
+* `SparsePoly`: multivariate polynomials over Q; exponent vectors are dense
+  tuples keyed in a dict, and an integral coefficient is stored as an int.
+  Division (`divmod_exact`) runs in lex order with the last variable most
+  significant.  They carry the icosahedral invariants (degree 30 in 3
+  variables), the PDE coefficients and the elimination's numerators in
+  (X, Y), the quintic locus and the lattice forms.  `rows` is the one bridge
+  from two variables to one: a polynomial in (X, Y) as its list of Y-rows,
+  each a UniPoly in X.
 * `UniPoly`: the one polynomial in one variable, a primitive integer
   coefficient list times a rational scale, with mul, divmod, dividing out
   a factor, gcd, Yun's square-free decomposition, derivative, affine
   substitution and reversal.
-  The exact elimination runs on it with degrees up to about 72.
 * `RationalFunction`: the one rational function in one variable, a UniPoly
   over a product of powers of square-free, pairwise coprime UniPolys, kept in
   lowest terms; `reduced` gives the coprime quotient.  It carries the
-  coefficients of differential operators over Q(t) and the Q(X) coefficients
-  of the elimination's series in Y.
+  coefficients of differential operators over Q(t), among them the restricted
+  equation that the elimination reads off on Y = 0.
 * `series_mul` / `series_divide`: truncated power-series product and
   quotient (`series_inverse` divides 1), over Fractions or exact field elements.
-* `FormalSeries`: the one truncated Laurent series, built on that pair, with
-  tracked precision.  Its coefficients may be Fractions (Frobenius solutions,
-  q-expansions) or rational functions of X (the elimination's series in Y).
+* `FormalSeries`: the one truncated Laurent series over Q, built on that
+  pair, with tracked precision: Frobenius solutions and q-expansions.
 * `gauss_jordan`: exact, fraction-free Gauss-Jordan elimination over Q.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
 
+def _lex_key(expo: Exponent) -> Exponent:
+    """Lex order with the last variable most significant."""
+    return expo[::-1]
+
+
+def _accumulate(terms: dict, expo: Exponent, c) -> None:
+    """terms[expo] += c, dropping a zero sum."""
+    s = terms.get(expo, 0) + c
+    if s:
+        terms[expo] = s
+    else:
+        terms.pop(expo, None)
+
+
+def _stored(c):
+    """A coefficient as stored: an int when it is integral, else a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class SparsePoly:
-    """A polynomial in named variables with Fraction coefficients."""
+    """A polynomial in named variables over Q; an integral coefficient is
+    stored as an int, any other as a Fraction."""
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[Exponent, Fraction] | None = None):
         self.vars: tuple[str, ...] = tuple(variables)
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, int | Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[tuple(expo)] = c
+                if c := Fraction(coeff):
+                    clean[tuple(expo)] = _stored(c)
         self.terms = clean
 
     # ---------------------------------------------------------------- basics
@@ -58,9 +77,6 @@ class SparsePoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value) -> "SparsePoly":
-        value = Fraction(value)
-        if value == 0:
-            return cls.zero(variables)
         return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
@@ -68,7 +84,7 @@ class SparsePoly:
         variables = tuple(variables)
         expo = [0] * len(variables)
         expo[variables.index(name)] = 1
-        return cls(variables, {tuple(expo): Fraction(1)})
+        return cls(variables, {tuple(expo): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -83,9 +99,6 @@ class SparsePoly:
             return self == SparsePoly.const(self.vars, other)
         return NotImplemented
 
-    def copy(self) -> "SparsePoly":
-        return SparsePoly(self.vars, dict(self.terms))
-
     def term_count(self) -> int:
         return len(self.terms)
 
@@ -97,19 +110,6 @@ class SparsePoly:
             return False
         return degree is None or degrees.pop() == degree
 
-    # -------------------------------------------------------------- ordering
-
-    @staticmethod
-    def _grlex_key(expo: Exponent):
-        return (sum(expo), expo)
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        """Leading (exponent, coefficient) in graded lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        expo = max(self.terms, key=self._grlex_key)
-        return expo, self.terms[expo]
-
     # ------------------------------------------------------------ arithmetic
 
     def _coerce(self, other) -> "SparsePoly":
@@ -119,50 +119,39 @@ class SparsePoly:
             return other
         return SparsePoly.const(self.vars, other)
 
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict) -> "SparsePoly":
+        """Wrap nonzero int or Fraction coefficients, stored as `_stored` does."""
+        res = cls.__new__(cls)
+        res.vars, res.terms = variables, {e: _stored(c) for e, c in terms.items()}
+        return res
+
     def __add__(self, other) -> "SparsePoly":
         other = self._coerce(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            s = out.get(expo, Fraction(0)) + coeff
-            if s:
-                out[expo] = s
-            else:
-                out.pop(expo, None)
-        res = SparsePoly.zero(self.vars)
-        res.terms = out
-        return res
+            _accumulate(out, expo, coeff)
+        return SparsePoly._of(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        res = SparsePoly.zero(self.vars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return SparsePoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            if not other:
                 return SparsePoly.zero(self.vars)
-            res = SparsePoly.zero(self.vars)
-            res.terms = {e: coeff * c for e, coeff in self.terms.items()}
-            return res
+            return SparsePoly._of(self.vars, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        res = SparsePoly.zero(self.vars)
-        res.terms = out
-        return res
+                _accumulate(out, tuple(map(operator.add, e1, e2)), c1 * c2)
+        return SparsePoly._of(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -198,21 +187,17 @@ class SparsePoly:
         """Rewrite name**2 -> value (for algebraic elements such as sqrt5)."""
         value = Fraction(value)
         i = self.vars.index(name)
-        acc: dict[Exponent, Fraction] = {}
+        acc: dict[Exponent, int | Fraction] = {}
         for expo, coeff in self.terms.items():
             q, r = divmod(expo[i], 2)
-            new = list(expo)
-            new[i] = r
-            c = coeff * value ** q
-            key = tuple(new)
-            s = acc.get(key, Fraction(0)) + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        res = SparsePoly.zero(self.vars)
-        res.terms = acc
-        return res
+            _accumulate(acc, expo[:i] + (r,) + expo[i + 1:], coeff * value ** q)
+        return SparsePoly._of(self.vars, acc)
+
+    def derivative(self, name: str) -> "SparsePoly":
+        """The partial derivative in the variable `name`."""
+        i = self.vars.index(name)
+        return SparsePoly._of(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                                          for e, c in self.terms.items() if e[i]})
 
     def rows(self, outer: str) -> list["UniPoly"]:
         """The coefficients of outer^0, outer^1, ... as UniPolys in the other
@@ -232,23 +217,30 @@ class SparsePoly:
     # ------------------------------------------------------ exact division
 
     def divmod_exact(self, divisor: "SparsePoly") -> tuple["SparsePoly", "SparsePoly"]:
-        """Multivariate division (graded lex); remainder is whatever is left."""
+        """(q, r) with self == q * divisor + r, by division in lex order with
+        the last variable most significant.  It stops at the first term of r
+        that the leading term of divisor does not divide, so r is zero exactly
+        when divisor divides self.  A divisor that leads with +-1 keeps
+        integer coefficients integer."""
         divisor = self._coerce(divisor)
-        if divisor.is_zero():
+        if not divisor.terms:
             raise ZeroDivisionError("polynomial division by zero")
-        d_expo, d_coeff = divisor.leading()
-        quotient = SparsePoly.zero(self.vars)
-        remainder = self.copy()
-        while remainder.terms:
-            r_expo = max(remainder.terms, key=self._grlex_key)
-            diff = tuple(a - b for a, b in zip(r_expo, d_expo))
-            if any(d < 0 for d in diff):
+        d_expo = max(divisor.terms, key=_lex_key)
+        d_coeff = divisor.terms[d_expo]
+        rest = [(e, c) for e, c in divisor.terms.items() if e != d_expo]
+        q: dict[Exponent, int | Fraction] = {}
+        r = dict(self.terms)
+        while r:
+            r_expo = max(r, key=_lex_key)
+            diff = tuple(map(operator.sub, r_expo, d_expo))
+            if min(diff) < 0:
                 break
-            factor = remainder.terms[r_expo] / d_coeff
-            mono = SparsePoly(self.vars, {diff: factor})
-            quotient = quotient + mono
-            remainder = remainder - mono * divisor
-        return quotient, remainder
+            c = r.pop(r_expo)
+            exact = type(c) is int and not c % d_coeff
+            f = q[diff] = c // d_coeff if exact else Fraction(c) / d_coeff
+            for e, ce in rest:
+                _accumulate(r, tuple(map(operator.add, diff, e)), -f * ce)
+        return SparsePoly._of(self.vars, q), SparsePoly._of(self.vars, r)
 
     # ------------------------------------------------------------------ str
 
@@ -256,7 +248,7 @@ class SparsePoly:
         if not self.terms:
             return "0"
         parts = []
-        for expo in sorted(self.terms, key=self._grlex_key, reverse=True):
+        for expo in sorted(self.terms, key=_lex_key, reverse=True):
             coeff = self.terms[expo]
             factors = [str(coeff)] if coeff != 1 or not any(expo) else []
             if coeff == 1 and any(expo):
@@ -795,10 +787,10 @@ def series_inverse(a: Sequence, n: int) -> list:
 class FormalSeries:
     """var^expo * (c_0 + c_1 var + ...), known modulo var^prec.
 
-    The coefficients are Fractions or any exact field elements with +, -, *,
-    constant / element and a falsy zero, such as `RationalFunction`.  The
-    exponents are ints or Fractions; two series add only when their exponents
-    differ by an integer.  Arithmetic never claims a coefficient at or past
+    The library's coefficients are Fractions; the arithmetic needs only +,
+    -, *, constant / element and a falsy zero of them.  The exponents are
+    ints or Fractions; two series add only when their exponents differ by an
+    integer.  Arithmetic never claims a coefficient at or past
     `prec`: a sum is known to the lower precision, and a product of series
     known to var^p and var^q, of valuations v and w, to var^min(p + w, q + v).
     """
@@ -818,16 +810,6 @@ class FormalSeries:
         """Exponent of the first nonzero coefficient; prec for a series that
         vanishes to its precision."""
         return next((self.expo + n for n, c in enumerate(self.coeffs) if c), self.prec)
-
-    def coefficient(self, exponent):
-        """Coefficient of var^exponent (must be below the precision); a
-        coefficient that is not stored reads as Fraction(0)."""
-        if exponent >= self.prec:
-            raise ValueError("coefficient beyond truncation order")
-        n = exponent - self.expo
-        if n.denominator != 1 or not 0 <= n < len(self.coeffs):
-            return Fraction(0)
-        return self.coeffs[int(n)]
 
     def _aligned(self, other: "FormalSeries") -> tuple:
         """(expo, prec, a, b): both coefficient lists from the lower exponent

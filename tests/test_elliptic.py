@@ -122,17 +122,17 @@ def test_theta_delta_identity(policy):
 def test_j_qexpansion_leading_coefficients():
     qe = j_qexpansion(2)
     assert (qe.expo, qe.prec) == (-1, 3)
-    assert qe.coefficient(-1) == 1
-    assert qe.coefficient(0) == 744
-    assert qe.coefficient(1) == 196884
+    assert qe.coeffs[:3] == [1, 744, 196884]
 
 
 def test_j_qexpansion_next_coefficient_stable_under_higher_order():
     # derived fixture: recompute at higher working order and freeze
     low = j_qexpansion(2)
     high = j_qexpansion(12)
-    assert low.coefficient(2) == high.coefficient(2) == 21493760
-    assert high.coefficient(3) == 864299970
+    # the coefficients of q^2 and q^3; both series start at q^-1
+    assert low.expo == high.expo == -1
+    assert low.coeffs[3] == high.coeffs[3] == 21493760
+    assert high.coeffs[4] == 864299970
 
 
 def test_modularity_smoke(policy):

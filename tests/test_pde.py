@@ -1,14 +1,23 @@
+import dataclasses
+import functools
 import hashlib
+import json
+import math
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hilbert_k3 import cli, pde
 from hilbert_k3.moduli import K2_LOCUS, RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy
-from hilbert_k3.pde import (InconsistentReduction, SingularBasePoint,
+from hilbert_k3.pde import (SINGULAR_BASE, EliminationFailed, InconsistentReduction, Quotient,
+                            SingularBasePoint, _BaseFraction,
                             _cleared_equations, _eigenvalue_signs, _jet_reducer, _shifted, _truncated_product,
                             build_pde, developing_map_match, eliminate_to_restricted_ode,
                             estimate_singular_distance, quadric_from_grids,
@@ -32,17 +41,29 @@ def _stored_in_lowest_terms(c) -> bool:
             and all(f.gcd(g).degree() == 0 for i, f in enumerate(fs) for g in fs[i + 1:]))
 
 
+def _is_normal(f: _BaseFraction) -> bool:
+    """The numerator is a primitive integer polynomial that no base factor of
+    the denominator divides; zero has scale 0 and no denominator."""
+    coeffs = list(f.num.terms.values())
+    if not coeffs:
+        return f.scale == 0 and f.den == (0, 0, 0, 0)
+    return (all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+            and all(f.num.divmod_exact(g)[1] for g, e in zip(SINGULAR_BASE, f.den) if e))
+
+
 def test_stored_denominators_have_the_reduced_degrees():
-    """Stored factors that share roots would multiply up: the eliminated
-    equation once stored denominators of degree 9 against a reduced 3 or 4."""
+    """Every reduced jet is stored in lowest terms over the singular base, and
+    so is every coefficient of the eliminated equation: stored factors that
+    share roots would multiply up, as the eliminated equation once stored
+    denominators of degree 9 against a reduced 3 or 4."""
     eliminated = eliminate_to_restricted_ode()
     table = _jet_reducer().table
     assert (4, 0) in table
+    entries = [c for vec in table.values() for c in vec if c]
+    assert len(entries) > 25
+    assert all(_is_normal(c) for c in entries)
     ode = restricted_operators()
-    coefficients = (list(eliminated.coeffs)
-                    + [c for vec in table.values() for s in vec for c in s.coeffs if c]
-                    + list(ode.W1.compose(ode.W3).coeffs))
-    assert len(coefficients) > 100
+    coefficients = list(eliminated.coeffs) + list(ode.W1.compose(ode.W3).coeffs)
     assert all(_stored_in_lowest_terms(c) for c in coefficients)
 
 
@@ -132,9 +153,113 @@ def test_pde_restriction_report():
 
 
 def test_mixed_jet_compatibility():
+    """Both routes to u_XXYY give the same four coefficients in Q(X, Y): each
+    of the four free-jet components is compared as an identity."""
     rep = verify_mixed_jet_compatibility()
     assert rep["consistent"]
-    assert rep["compared_orders"] >= 1
+    assert rep["compared_orders"] == 4
+
+
+def _bf_expr(f: _BaseFraction, xs, ys):
+    """f as a sympy expression."""
+    import sympy
+    den = sympy.Integer(1)
+    for g, e in zip(SINGULAR_BASE, f.den):
+        den *= _to_sympy(g, xs, ys) ** e
+    return sympy.Rational(f.scale.numerator, f.scale.denominator) * _to_sympy(f.num, xs, ys) / den
+
+
+def _monomial(powers) -> SparsePoly:
+    return functools.reduce(operator.mul, (g ** e for g, e in zip(SINGULAR_BASE, powers)))
+
+
+def _base_fraction(num: SparsePoly, powers, scale: Fraction) -> _BaseFraction:
+    """scale num / prod f_i^powers[i], through the public operations."""
+    return _BaseFraction.of(scale, num) * _BaseFraction.of(1, _monomial(powers)).inverse()
+
+
+base_fractions = st.builds(
+    _base_fraction,
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-6, 6),
+                    max_size=4).map(lambda terms: SparsePoly(V, terms)),
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(base_fractions, base_fractions)
+def test_base_fraction_arithmetic_matches_sympy(a, b):
+    """+, -, x and both partial derivatives agree with sympy's cancel, and
+    every result is stored in lowest terms."""
+    import sympy
+    xs, ys = sympy.symbols("X Y")
+    ea, eb = _bf_expr(a, xs, ys), _bf_expr(b, xs, ys)
+    assert _is_normal(a) and _is_normal(b)
+    for got, want in ((a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb), (a - a, 0),
+                      (a.derivative("X"), sympy.diff(ea, xs)),
+                      (a.derivative("Y"), sympy.diff(ea, ys))):
+        assert sympy.cancel(_bf_expr(got, xs, ys) - want) == 0
+        assert _is_normal(got)
+
+
+def test_derivative_cancels_a_factor_free_of_its_variable():
+    """d/dY of (1 + X Y) / X is 1: the derivative keeps the exponent of X,
+    which does not depend on Y, and X then divides the new numerator."""
+    X, Y = SINGULAR_BASE[:2]
+    f = _BaseFraction.of(1, 1 + X * Y) * _BaseFraction.of(1, X).inverse()
+    d = f.derivative("Y")
+    assert (d.scale, d.num, d.den) == (1, SparsePoly.const(V, 1), (0, 0, 0, 0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+       st.tuples(*[st.integers(0, 3)] * 4))
+def test_base_fraction_inverse_of_a_base_monomial(c, powers):
+    import sympy
+    xs, ys = sympy.symbols("X Y")
+    mono = _BaseFraction.of(c, _monomial(powers))
+    inv = mono.inverse()
+    assert inv.den == powers and set(inv.num.terms) == {(0, 0)}
+    assert sympy.cancel(_bf_expr(inv, xs, ys) * _bf_expr(mono, xs, ys)) == 1
+    assert _is_normal(inv)
+
+
+@pytest.fixture
+def patched_system(monkeypatch):
+    """Installs a replacement for build_pde, with the cached system and
+    reducer cleared before and after."""
+    build_pde.cache_clear()
+    _jet_reducer.cache_clear()
+
+    def install(system):
+        monkeypatch.setattr(pde, "build_pde", lambda: system)
+    yield install
+    build_pde.cache_clear()
+    _jet_reducer.cache_clear()
+
+
+def test_mixed_jet_check_fails_on_a_perturbed_system(patched_system):
+    """P1 + 1 keeps every denominator in the singular base but breaks
+    integrability, and the exact check sees it.  (L1 + 1 would also move
+    1 - L1 M1 out of the base, so the elimination would raise instead.)"""
+    system = build_pde()
+    p1 = system.P1
+    patched_system(dataclasses.replace(system, P1=Quotient(p1.num + p1.den, p1.den)))
+    assert verify_mixed_jet_compatibility()["consistent"] is False
+
+
+def test_denominator_outside_the_base_is_a_fail_row(patched_system, capsys):
+    system = build_pde()
+    q1 = system.Q1
+    X = SparsePoly.variable(V, "X")
+    patched_system(dataclasses.replace(system, Q1=Quotient(q1.num, q1.den * (X + 1))))
+    with pytest.raises(EliminationFailed, match=r"the factor X \+ 1 lies outside"):
+        verify_mixed_jet_compatibility()
+    _jet_reducer.cache_clear()
+    assert cli.main(["verify", "pde-restriction"]) == 1
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert [(r["name"], r["status"]) for r in rows] == [("error", "fail")]
+    assert "EliminationFailed: the factor X + 1" in rows[0]["residual"]
 
 
 def _residual_series(grid, base, order):

@@ -137,6 +137,57 @@ def test_rows_sum_back_to_the_polynomial(p, outer, x, y):
     assert bool(rows) == (not p.is_zero()) and (not rows or rows[-1])
 
 
+integer_two_variable_polys = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)),
+    st.integers(min_value=-30, max_value=30), max_size=8).map(
+        lambda terms: SparsePoly(("X", "Y"), terms))
+
+
+def _lex_leading(p: SparsePoly):
+    """The leading exponent in lex order, Y before X."""
+    return max(p.terms, key=lambda e: e[::-1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(two_variable_polys, two_variable_polys.filter(bool))
+def test_divmod_exact_contract(p, d):
+    """p == q d + r, and the leading term of d does not divide r's (lex,
+    Y before X); so r is zero when d divides p."""
+    q, r = p.divmod_exact(d)
+    assert q * d + r == p
+    if r:
+        assert any(a < b for a, b in zip(_lex_leading(r), _lex_leading(d)))
+    assert (p * d).divmod_exact(d) == (p, SparsePoly.zero(("X", "Y")))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(integer_two_variable_polys, integer_two_variable_polys,
+       integer_two_variable_polys, st.sampled_from([1, -1]))
+def test_division_by_a_unit_lead_keeps_integers(p, low, extra, sign):
+    """A divisor that leads with +-1 in lex order gives int quotient and
+    remainder coefficients for an integer dividend."""
+    Y = SparsePoly.variable(("X", "Y"), "Y")
+    d = sign * Y ** 5 + low
+    for dividend in (p * d, p * d + extra):
+        q, r = dividend.divmod_exact(d)
+        assert all(type(c) is int for c in q.terms.values())
+        assert all(type(c) is int for c in r.terms.values())
+    assert (p * d).divmod_exact(d)[0] == p
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(two_variable_polys, two_variable_polys)
+def test_integral_coefficients_are_stored_as_int(a, b):
+    def stored_right(p: SparsePoly) -> bool:
+        return all(type(c) is (int if c.denominator == 1 else Fraction) for c in p.terms.values())
+
+    results = [a + b, a - b, -a, a * b, a * 6, a * Fraction(1, 2), a.derivative("X"),
+               a.derivative("Y"), SparsePoly(("X", "Y"), {(1, 0): Fraction(4, 2)})]
+    if b:
+        results += a.divmod_exact(b)
+    assert all(stored_right(p) for p in results + [a, b])
+
+
 def test_rows_needs_exactly_two_variables():
     z0, z1, z2 = _vars()
     with pytest.raises(ValueError):
