@@ -124,8 +124,10 @@ def newton_invert(target_X, target_Y, guess,
     Where the Jacobian is rank-deficient (on the diagonal dY vanishes) the
     step is the ridge-regularised least-squares one.  Raises JacobianSingular
     when the iteration stalls on a rank-deficient Jacobian, NoConvergence
-    when it stalls otherwise or is still short of tol after NEWTON_ITERATIONS
-    iterations.
+    when it stalls otherwise, converges linearly (from iteration 5, four
+    consecutive full steps each cut the residual by a ratio in [0.1, 0.9],
+    within a factor 1.25 of each other: a singular root), or is still short
+    of tol after NEWTON_ITERATIONS iterations.
     """
     with working_precision(policy) as pol:
         X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
@@ -142,6 +144,7 @@ def newton_invert(target_X, target_Y, guess,
             return abs(f[0]) + abs(f[1])
 
         f, jac = F(pair)
+        ratios = []  # |F| ratios of the consecutive full steps so far
         for it in range(1, NEWTON_ITERATIONS + 1):
             if norm(f) < tol:
                 return InversionResult(z=pair, residual=norm(f), iterations=it - 1)
@@ -176,6 +179,7 @@ def newton_invert(target_X, target_Y, guess,
                     continue
                 fc, jc = F(cand)
                 if norm(fc) < norm(f):
+                    ratios = ratios + [norm(fc) / norm(f)] if step == 1 else []
                     pair, f, jac = cand, fc, jc
                     improved = True
                     break
@@ -187,6 +191,11 @@ def newton_invert(target_X, target_Y, guess,
                         f"(residual {norm(f)}, iteration {it})")
                 raise NoConvergence(
                     f"damped Newton stalled at residual {norm(f)} (iteration {it})")
+            last = ratios[-4:]
+            if (it >= 5 and len(last) == 4 and min(last) >= 0.1 and norm(f) >= tol
+                    and max(last) <= min(0.9, 1.25 * min(last))):
+                raise NoConvergence(f"linear convergence at a singular root: the residual falls "
+                                    f"by {mpmath.nstr(ratios[-1], 3)} per step (iteration {it})")
         if norm(f) < tol:
             return InversionResult(z=pair, residual=norm(f), iterations=NEWTON_ITERATIONS)
         raise NoConvergence(f"no convergence after {NEWTON_ITERATIONS} iterations, "

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import time
 from fractions import Fraction
 
@@ -245,6 +246,19 @@ def test_invert_from_a_zero_jacobian_ends_in_jacobian_singular(capsys):
     code, out = run_cli(capsys, "invert", "--X", "0.9", "--Y", "0.1", "--guess", "1i,1i")
     assert code == 1
     assert json.loads(out)["error"] == "JacobianSingular"
+
+
+def test_invert_at_a_singular_root_stops_on_linear_convergence(capsys):
+    """At (X, Y) = (0, 0) the full Newton steps cut the residual by about
+    0.35 each, a linear rate at a degenerate root: the solve stops by
+    iteration 10 and says so, instead of running all its iterations."""
+    code, out = run_cli(capsys, "invert", "--X", "0", "--Y", "0",
+                        "--guess", "0.2+1.1i,-0.3+1.5i")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "NoConvergence"
+    assert "linear" in payload["message"]
+    assert int(re.search(r"iteration (\d+)", payload["message"]).group(1)) <= 10
 
 
 def test_forms_eval_near_the_real_axis_exits_one_at_once(capsys):
