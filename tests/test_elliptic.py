@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import mpmath
@@ -133,6 +134,16 @@ def test_j_qexpansion_next_coefficient_stable_under_higher_order():
     assert low.expo == high.expo == -1
     assert low.coeffs[3] == high.coeffs[3] == 21493760
     assert high.coeffs[4] == 864299970
+
+
+# sha256 of the exponent, precision and every coefficient of j_qexpansion(40)
+J_QEXPANSION_40_DIGEST = "039edd36032d61f5cd7d714f1303ec7a5afec7b3e4536769ca2a533c61eb0ae6"
+
+
+def test_j_qexpansion_order_40_is_pinned():
+    qe = j_qexpansion(40)
+    text = f"{qe.expo}|{qe.prec}|{','.join(str(c) for c in qe.coeffs)}"
+    assert hashlib.sha256(text.encode()).hexdigest() == J_QEXPANSION_40_DIGEST
 
 
 def test_modularity_smoke(policy):

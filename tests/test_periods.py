@@ -1,9 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from hilbert_k3.diffops import indicial_exponents
+from hilbert_k3.diffops import DiffOperator, indicial_exponents
 from hilbert_k3.elliptic import eisenstein_and_J
 from hilbert_k3.numkernel import working_precision
 from hilbert_k3.periods import (HypergeomParams, gauss_operator,
@@ -101,6 +102,56 @@ def test_symmetric_square_order_20():
         assert all(rep[name]["log_components_vanish"].values())
         assert rep[name]["checked_order"] >= 20
     assert rep["s2^2 = s1*s3"]
+
+
+def _log_series_digest(series) -> str:
+    """sha256 of the log index, exponent, precision and every coefficient of
+    each part of each LogSeries, in order."""
+    h = hashlib.sha256()
+    for ls in series:
+        for l in sorted(ls.parts):
+            s = ls.parts[l]
+            h.update(f"{l}|{s.expo}|{s.prec}|{','.join(str(c) for c in s.coeffs)};".encode())
+        h.update(b"#")
+    return h.hexdigest()
+
+
+def _applications(monkeypatch, run) -> list[tuple]:
+    """(operator, argument, result) of every DiffOperator.apply that run makes."""
+    calls = []
+    apply = DiffOperator.apply
+
+    def recorded(self, f):
+        out = apply(self, f)
+        calls.append((self, f, out))
+        return out
+
+    monkeypatch.setattr(DiffOperator, "apply", recorded)
+    run()
+    return calls
+
+
+# sha256 of the series that the order-40 clausen checks build: the products
+# t*y1^2, t*y1*y2 and t*y2^2 that W3 is applied to, and restdiff3 applied to S
+CLAUSEN_DIGESTS = {
+    "symmetric_products": "6136a627b285d8bce556a50cad8a06c7692a62bcf2dd9091462bda7252439356",
+    "restdiff3_of_S": "f7aa0886a95d562e91a44450a34c58cdd68be162d8315657e673a2b723831e7b",
+}
+
+
+def test_symmetric_square_products_are_pinned(monkeypatch):
+    calls = _applications(monkeypatch, lambda: verify_symmetric_square(40))
+    w3 = restricted_operators().W3
+    products = [f for op, f, _ in calls if op is w3]
+    assert len(products) == 3
+    assert _log_series_digest(products) == CLAUSEN_DIGESTS["symmetric_products"]
+
+
+def test_restdiff3_of_S_is_pinned(monkeypatch):
+    calls = _applications(monkeypatch, lambda: verify_clausen_and_S(40))
+    restdiff3 = restricted_operators().restdiff3
+    [resid] = [out for op, _, out in calls if op is restdiff3]
+    assert _log_series_digest([resid]) == CLAUSEN_DIGESTS["restdiff3_of_S"]
 
 
 def test_clausen_identities_order_40():
