@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import FormalSeries, RationalFunction, UniPoly, series_divide, series_mul
+from .polynomials import FormalSeries, RationalFunction, UniPoly
 
 
 class IrregularSingular(Exception):
@@ -86,10 +86,6 @@ class LogSeries:
                 lower = s.shift_exponent(-1) * l
                 out[l - 1] = out[l - 1] + lower if l - 1 in out else lower
         return LogSeries(self.var, out)
-
-    def __repr__(self) -> str:
-        bits = [f"log^{l}*({s!r})" for l, s in sorted(self.parts.items())]
-        return " + ".join(bits) if bits else "0"
 
 
 # --------------------------------------------------------------- the operator
@@ -187,14 +183,6 @@ class DiffOperator:
         if c == 0:
             return self
         return DiffOperator(self.var, [coeff.affine(1, c) for coeff in self.coeffs])
-
-    def __repr__(self) -> str:
-        bits = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            bits.append(f"({c.format(self.var)})*D^{k}")
-        return " + ".join(reversed(bits))
 
 
 def _leibniz(coeffs: Sequence[RationalFunction], m: RationalFunction | int,
@@ -304,34 +292,32 @@ def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
 
 
 # ------------------------------------------------------------- Frobenius jets
-# A jet is the list of Taylor coefficients in a formal epsilon, truncated at
-# its length; the recurrence below runs on jets in rho = root + n + epsilon.
-# Below higher roots of total multiplicity `above` in its integer class, a root
-# of multiplicity mult starts from c_0 = eps^above with jets 2 above + mult long.
-# Dividing by q_0(root + n + eps) loses m leading terms exactly where root + n
-# is a higher root of multiplicity m, so the above + mult terms the log
-# solutions read (eps-derivatives of order k < above + mult) survive.
+# A jet is a FormalSeries in a formal epsilon, known to the precision that
+# the series arithmetic tracks; the recurrence below runs on jets in
+# rho = root + n + epsilon.  Below higher roots of total multiplicity `above`
+# in its integer class, a root of multiplicity mult starts from c_0 = eps^above
+# known to eps^(2 above + mult).  Dividing by q_0(root + n + eps) loses m
+# leading terms exactly where root + n is a higher root of multiplicity m, so
+# the above + mult terms the log solutions read (eps-derivatives of order
+# k < above + mult) survive.
 # The root's solutions are the eps^k coefficients for above <= k < above + mult
 # (Ince, Ordinary Differential Equations, 1926, section 16): each has
 # t^root log^(k - above) / (k - above)! as its lowest term and the higher
 # roots' solutions have no t^root term, so the basis is independent by
 # construction; the k < above coefficients are dependent or zero.
 
-
-def _taylor(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
-    """p(x + epsilon) to length n: the first n Taylor coefficients at x."""
-    out = p.affine(1, x).coefficients()[:n]
-    return out + [Fraction(0)] * (n - len(out))
+EPS = "eps"
 
 
-def _jet_divide(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """num / den, allowing a common epsilon valuation v in both jets (v terms are lost)."""
-    v = next((i for i, c in enumerate(den) if c), None)
-    if v is None:
-        raise ZeroDivisionError("division by zero jet")
-    if any(num[:v]):
-        raise ValueError("jet division would produce a pole")
-    return series_divide(num[v:], den[v:], min(len(num), len(den)) - v)
+def _jet(p: UniPoly, x: Fraction, prec: int) -> FormalSeries:
+    """p(x + eps), known to eps^prec."""
+    return FormalSeries(EPS, 0, p.affine(1, x), prec)
+
+
+def _eps_coefficient(jet: FormalSeries, k: int) -> Fraction:
+    """The coefficient of eps^k, for k below the jet's precision."""
+    i, ints = k - jet.expo, jet.poly.ints
+    return jet.poly.scale * ints[i] if 0 <= i < len(ints) else Fraction(0)
 
 
 def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
@@ -355,23 +341,23 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
         top = cls[-1][0]
         above = 0
         for root, mult in reversed(cls):
-            jet_len = 2 * above + mult
             n_terms = order + int(top - root) + 1
             # coefficient jets c_n(root + eps), with c_0 = eps^above
-            coeffs_jets = [[Fraction(int(k == above)) for k in range(jet_len)]]
+            jets = [FormalSeries(EPS, 0, [0] * above + [1], 2 * above + mult)]
             for n in range(1, n_terms):
-                acc = [Fraction(0)] * len(coeffs_jets[n - 1])
+                acc = FormalSeries(EPS, 0, UniPoly(), jets[-1].prec)
                 for j in range(1, min(n, len(q) - 1) + 1):
-                    prev = coeffs_jets[n - j]
-                    qj = _taylor(q[j], root + n - j, len(prev))
-                    acc = [x + y for x, y in zip(acc, series_mul(qj, prev, len(prev)))]
-                q0_jet = _taylor(q[0], root + n, len(acc))
-                coeffs_jets.append(_jet_divide([-x for x in acc], q0_jet))
-            usable = min(len(j) for j in coeffs_jets)
+                    prev = jets[n - j]
+                    acc = acc + _jet(q[j], root + n - j, prev.prec) * prev
+                c = -(acc * _jet(q[0], root + n, acc.prec).inverse())
+                if c.valuation() < 0:
+                    raise ValueError("jet division would produce a pole")
+                jets.append(c)
+            usable = min(c.prec for c in jets)
             # sum_l log^l / l! * sum_n c_n^{(k-l)}/(k-l)! t^(root+n)
             for k in range(above, min(above + mult, usable)):
                 solutions.append(LogSeries(var, {
-                    l: FormalSeries(var, root, [cj[k - l] for cj in coeffs_jets])
+                    l: FormalSeries(var, root, [_eps_coefficient(c, k - l) for c in jets])
                     * Fraction(1, math.factorial(l)) for l in range(k + 1)}))
             above += mult
 

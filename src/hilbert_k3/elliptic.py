@@ -91,7 +91,7 @@ def eisenstein_qexp(weight: int, order: int) -> FormalSeries:
     else:
         raise ValueError("only weights 4 and 6 are implemented")
     sig = _sigma_table(k, order)
-    return FormalSeries("q", 0, [Fraction(1)] + [Fraction(mult * s) for s in sig])
+    return FormalSeries("q", 0, [1] + [mult * s for s in sig])
 
 
 def j_qexpansion(order: int) -> FormalSeries:

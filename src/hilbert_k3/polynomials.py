@@ -17,10 +17,11 @@
   lowest terms; `reduced` gives the coprime quotient.  It carries the
   coefficients of differential operators over Q(t), among them the restricted
   equation that the elimination reads off on Y = 0.
-* `series_mul` / `series_divide`: truncated power-series product and
-  quotient (`series_inverse` divides 1), over Fractions or exact field elements.
-* `FormalSeries`: the one truncated Laurent series over Q, built on that
-  pair, with tracked precision: Frobenius solutions and q-expansions.
+* `FormalSeries`: the one truncated Laurent series over Q, with tracked
+  precision, stored as UniPoly is (a scale times primitive ints, truncated at
+  the precision): Frobenius solutions, their epsilon-jets and q-expansions.
+  Products use UniPoly's integer convolution `_convolve`; `inverse` and
+  `multiply_rational` divide by the fraction-free recurrence `_divide_ints`.
 * `gauss_jordan`: exact, fraction-free Gauss-Jordan elimination over Q.
 """
 
@@ -270,6 +271,17 @@ class SparsePoly:
 # -------------------------------------------------- dense univariate kernel
 
 
+def _convolve(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of the product of the int lists a and b: the
+    one integer convolution, for UniPoly products and truncated series."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for k, y in enumerate(b[:n - i], i):
+                out[k] += x * y
+    return out
+
+
 class UniPoly:
     """Dense univariate polynomial over Q, stored as scale * sum ints[k] x^k.
 
@@ -299,8 +311,9 @@ class UniPoly:
         g = math.gcd(*ints)
         if ints[-1] < 0:
             g = -g
-        self.ints = [x // g for x in ints] if g != 1 else ints
-        self.scale = scale * g
+        if g != 1:
+            ints, scale = [x // g for x in ints], scale * g
+        self.ints, self.scale = ints, scale
 
     @classmethod
     def _from_ints(cls, ints: list[int], scale: Fraction) -> "UniPoly":
@@ -333,9 +346,6 @@ class UniPoly:
     def __hash__(self):
         # equal polynomials have equal ints; the Fraction scale is slow to hash
         return hash(tuple(self.ints))
-
-    def __repr__(self) -> str:
-        return f"UniPoly({[str(c) for c in self.coefficients()]})"
 
     def format(self, var: str) -> str:
         """Terms by descending degree in `var`, such as '2*y^3 - y + 1/2'."""
@@ -391,7 +401,7 @@ class UniPoly:
                 nxt[j + 1] += A * v
             nxt[0] += self.ints[k] * dpow
             acc = nxt
-        return UniPoly._from_ints(acc, self.scale / den ** n)
+        return UniPoly._from_ints(acc, self.scale / den ** n if den != 1 else self.scale)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -433,12 +443,8 @@ class UniPoly:
             return UniPoly._raw(self.ints, self.scale * c) if c and self.ints else UniPoly()
         if not self.ints or not other.ints:
             return UniPoly()
-        out = [0] * (len(self.ints) + len(other.ints) - 1)
-        for i, a in enumerate(self.ints):
-            if a:
-                for j, b in enumerate(other.ints):
-                    out[i + j] += a * b
-        return UniPoly._raw(out, self.scale * other.scale)
+        return UniPoly._raw(_convolve(self.ints, other.ints, len(self.ints) + len(other.ints) - 1),
+                            self.scale * other.scale)
 
     __rmul__ = __mul__
 
@@ -640,9 +646,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num
 
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, UniPoly)):
             other = RationalFunction(other)
@@ -677,15 +680,6 @@ class RationalFunction:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction._of(-self.num, self.factors, ())
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return -self + other
-
     def __mul__(self, other) -> "RationalFunction":
         if isinstance(other, (int, Fraction)):
             return RationalFunction._of(self.num * other, self.factors, ())
@@ -708,10 +702,6 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
         return self * self._coerce(other)._inverse()
-
-    def __rtruediv__(self, c) -> "RationalFunction":
-        """c / self for a rational constant c."""
-        return self._inverse() * c
 
     def derivative(self) -> "RationalFunction":
         dn = self.num.derivative()
@@ -744,114 +734,96 @@ class RationalFunction:
 # ------------------------------------------------------ truncated power series
 
 
-def series_mul(a: Sequence, b: Sequence, n: int) -> list:
-    """Coefficients 0..n-1 of the product of the power series a and b.
+def _divide_ints(a: list[int], b: list[int], n: int) -> list[int]:
+    """R with a / b = R / b[0]^n modulo x^n, for int lists with b[0] nonzero.
 
-    Coefficients are Fractions or any exact field elements with +, -, * and
-    a falsy zero; an empty `a` is the zero series over Q.
-    """
-    if n <= 0:
-        return []
-    zero = a[0] - a[0] if a else Fraction(0)
-    out = [zero] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[:n - i]):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
-
-
-def series_divide(a: Sequence, b: Sequence, n: int) -> list:
-    """Coefficients 0..n-1 of a / b, from b[0] q[k] = a[k] - sum_j b[j] q[k-j]
-    in O(n len b); b[0] must be nonzero."""
-    if not b or not b[0]:
-        raise ZeroDivisionError("division by a power series with zero constant term")
-    first = 1 / b[0]
-    zero = b[0] - b[0]
-    out: list = []
+    Fraction-free: q_k b[0]^(k+1) is an integer for every k (induct on
+    b[0] q_k = a_k - sum_j b_j q_(k-j)), so R_k = q_k b[0]^n is one for k < n,
+    and b[0] R_k = b[0]^n a_k - sum_j b_j R_(k-j) divides exactly."""
+    b0, lift = b[0], b[0] ** n
+    out: list[int] = []
     for k in range(n):
-        acc = a[k] if k < len(a) else zero
-        for j in range(1, min(k, len(b) - 1) + 1):
-            if b[j] and out[k - j]:
-                acc = acc - b[j] * out[k - j]
-        out.append(acc * first)
+        acc = lift * a[k] if k < len(a) else 0
+        for j, y in enumerate(b[1:k + 1], 1):
+            acc -= y * out[k - j]
+        out.append(acc // b0)
     return out
-
-
-def series_inverse(a: Sequence, n: int) -> list:
-    """Coefficients 0..n-1 of 1 / a; a[0] must be nonzero."""
-    return series_divide([1], a, n)
 
 
 class FormalSeries:
-    """var^expo * (c_0 + c_1 var + ...), known modulo var^prec.
+    """var^expo * p(var), known modulo var^prec, with p a UniPoly (a rational
+    scale times primitive ints) of degree below prec - expo.
 
-    The library's coefficients are Fractions; the arithmetic needs only +,
-    -, *, constant / element and a falsy zero of them.  The exponents are
-    ints or Fractions; two series add only when their exponents differ by an
-    integer.  Arithmetic never claims a coefficient at or past
-    `prec`: a sum is known to the lower precision, and a product of series
-    known to var^p and var^q, of valuations v and w, to var^min(p + w, q + v).
+    The exponents are ints or Fractions; two series add only when their
+    exponents differ by an integer.  Arithmetic never claims a coefficient at
+    or past `prec`: a sum is known to the lower precision, and a product of
+    series known to var^p and var^q, of valuations v and w, to
+    var^min(p + w, q + v).  Products are integer convolutions and quotients
+    the fraction-free recurrence `_divide_ints`; a constant multiple changes
+    only the scale.
     """
 
-    __slots__ = ("var", "expo", "coeffs", "prec")
+    __slots__ = ("var", "expo", "poly", "prec")
 
-    def __init__(self, var: str, expo, coeffs: Sequence, prec=None):
-        self.var = var
-        self.expo = expo
-        self.coeffs = list(coeffs)
-        self.prec = expo + len(self.coeffs) if prec is None else prec
+    def __init__(self, var: str, expo, coeffs, prec=None):
+        """From a UniPoly or from rational coefficients of var^expo, var^(expo + 1),
+        ...; prec defaults to the end of a coefficient list.  Nothing is kept
+        at or past prec."""
+        if prec is None:
+            prec = expo + len(coeffs)
+        poly = coeffs if isinstance(coeffs, UniPoly) else UniPoly(coeffs)
+        n = int(prec - expo)
+        if len(poly.ints) > n:
+            poly = UniPoly._from_ints(poly.ints[:max(n, 0)], poly.scale)
+        self.var, self.expo, self.poly, self.prec = var, expo, poly, prec
+
+    @property
+    def coeffs(self) -> list[Fraction]:
+        """The dense rational coefficients of var^expo up to var^(prec - 1)."""
+        out = self.poly.coefficients()
+        return out + [Fraction(0)] * (int(self.prec - self.expo) - len(out))
 
     def is_zero_to_precision(self) -> bool:
-        return not any(self.coeffs)
+        return not self.poly
 
     def valuation(self):
         """Exponent of the first nonzero coefficient; prec for a series that
         vanishes to its precision."""
-        return next((self.expo + n for n, c in enumerate(self.coeffs) if c), self.prec)
-
-    def _aligned(self, other: "FormalSeries") -> tuple:
-        """(expo, prec, a, b): both coefficient lists from the lower exponent
-        up to the lower precision."""
-        if (self.expo - other.expo).denominator != 1:
-            raise ValueError("cannot add series with non-integer exponent offset")
-        expo, prec = min(self.expo, other.expo), min(self.prec, other.prec)
-        ref = (self.coeffs or other.coeffs or [None])[0]
-        if ref is None:
-            return expo, prec, [], []
-        zero, n = ref - ref, int(prec - expo)
-
-        def padded(s: FormalSeries) -> list:
-            out = ([zero] * int(s.expo - expo) + s.coeffs)[:n]
-            return out + [zero] * (n - len(out))
-        return expo, prec, padded(self), padded(other)
+        return self.expo + self.poly.valuation() if self.poly else self.prec
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        expo, prec, a, b = self._aligned(other)
-        return FormalSeries(self.var, expo, [x + y for x, y in zip(a, b)], prec)
+        lo, hi = (self, other) if self.expo <= other.expo else (other, self)
+        shift = hi.expo - lo.expo
+        if shift.denominator != 1:
+            raise ValueError("cannot add series with non-integer exponent offset")
+        p = hi.poly
+        if shift and p:
+            p = UniPoly._raw([0] * int(shift) + p.ints, p.scale)
+        return FormalSeries(self.var, lo.expo, lo.poly + p, min(self.prec, other.prec))
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
         return self + (-other)
 
     def __neg__(self) -> "FormalSeries":
-        return FormalSeries(self.var, self.expo, [-c for c in self.coeffs], self.prec)
+        return FormalSeries(self.var, self.expo, -self.poly, self.prec)
 
     def shift_exponent(self, k) -> "FormalSeries":
         """var^k * self."""
-        return FormalSeries(self.var, self.expo + k, self.coeffs, self.prec + k)
+        return FormalSeries(self.var, self.expo + k, self.poly, self.prec + k)
+
+    def _ints_from(self, v) -> list[int]:
+        """The ints from var^v up."""
+        return self.poly.ints[int(v - self.expo):]
 
     def __mul__(self, other) -> "FormalSeries":
-        """The product with another series, or with a coefficient-field constant."""
+        """The product with another series, or with a rational constant."""
         if not isinstance(other, FormalSeries):
-            return FormalSeries(self.var, self.expo, [c * other for c in self.coeffs], self.prec)
+            return FormalSeries(self.var, self.expo, self.poly * other, self.prec)
         va, vb = self.valuation(), other.valuation()
         prec = min(self.prec + vb, other.prec + va)
-        if va == self.prec or vb == other.prec:
-            return FormalSeries(self.var, va + vb, [], prec)
-        a = self.coeffs[int(va - self.expo):]
-        b = other.coeffs[int(vb - other.expo):]
-        return FormalSeries(self.var, va + vb, series_mul(a, b, int(prec - va - vb)), prec)
+        ints = _convolve(self._ints_from(va), other._ints_from(vb), int(prec - va - vb))
+        return FormalSeries(self.var, va + vb,
+                            UniPoly._from_ints(ints, self.poly.scale * other.poly.scale), prec)
 
     __rmul__ = __mul__
 
@@ -861,34 +833,29 @@ class FormalSeries:
         v = self.valuation()
         if v == self.prec:
             raise ZeroDivisionError("inverting a series that vanishes to its precision")
-        n = int(self.prec - v)
-        return FormalSeries(self.var, -v, series_inverse(self.coeffs[int(v - self.expo):], n),
-                            n - v)
-
-    def __rtruediv__(self, c) -> "FormalSeries":
-        """c / self for a coefficient-field constant c."""
-        return self.inverse() * c
+        n, b = int(self.prec - v), self._ints_from(v)
+        return FormalSeries(self.var, -v, UniPoly._from_ints(
+            _divide_ints([1], b, n), 1 / (self.poly.scale * b[0] ** n)), n - v)
 
     def derivative(self) -> "FormalSeries":
-        coeffs = [(self.expo + n) * c for n, c in enumerate(self.coeffs)]
-        return FormalSeries(self.var, self.expo - 1, coeffs, self.prec - 1)
+        e = Fraction(self.expo)
+        ints = [(e.numerator + k * e.denominator) * a for k, a in enumerate(self.poly.ints)]
+        return FormalSeries(self.var, self.expo - 1,
+                            UniPoly._from_ints(ints, self.poly.scale / e.denominator),
+                            self.prec - 1)
 
     def multiply_rational(self, f: RationalFunction) -> "FormalSeries":
         """self * f, with f expanded in powers of var; a pole of f at 0 lowers
         the exponent by its order."""
         if f.is_zero():
-            return FormalSeries(self.var, self.expo, [], self.prec)
+            return FormalSeries(self.var, self.expo, UniPoly(), self.prec)
         den = f.den
         v = den.valuation()
         expo, prec = self.expo - v, self.prec + f.num.valuation() - v
-        n = int(prec - expo)
-        num = series_mul(self.coeffs, f.num.coefficients(), n)
-        return FormalSeries(self.var, expo, series_divide(num, den.coefficients()[v:], n), prec)
-
-    def __repr__(self) -> str:
-        bits = [f"{c}*{self.var}^{self.expo + n}" for n, c in enumerate(self.coeffs) if c]
-        body = " + ".join(bits) if bits else "0"
-        return f"{body} + O({self.var}^{self.prec})"
+        n, b = int(prec - expo), den.ints[v:]
+        ints = _divide_ints(_convolve(self.poly.ints, f.num.ints, n), b, n)
+        scale = self.poly.scale * f.num.scale / (den.scale * b[0] ** n)
+        return FormalSeries(self.var, expo, UniPoly._from_ints(ints, scale), prec)
 
 
 # ------------------------------------------------------------ linear algebra

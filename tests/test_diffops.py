@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_k3.diffops import (DiffOperator, IrregularSingular, NonRationalRoot,
-                                _rational_roots, _taylor, indicial_exponents, series_solve)
+                                _jet, _rational_roots, indicial_exponents, series_solve)
 from hilbert_k3.periods import (gauss_operator, hypergeom_coefficients,
                                 restricted_ode_X, restricted_operators)
 from hilbert_k3.polynomials import FormalSeries, RationalFunction, UniPoly
@@ -321,8 +321,11 @@ def _taylor_oracle(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
        st.fractions(min_value=-20, max_value=20, max_denominator=12),
        st.integers(min_value=0, max_value=10))
 def test_taylor_matches_derivatives_over_factorials(coeffs, x, n):
+    """The jet p(x + eps) known to eps^n holds the first n Taylor coefficients."""
     p = UniPoly(coeffs)
-    assert _taylor(p, x, n) == _taylor_oracle(p, x, n)
+    jet = _jet(p, x, n)
+    assert (jet.expo, jet.prec) == (0, n)
+    assert jet.coeffs == _taylor_oracle(p, x, n)
 
 
 @pytest.mark.parametrize("p, x, n", [
@@ -333,10 +336,12 @@ def test_taylor_matches_derivatives_over_factorials(coeffs, x, n):
 ])
 def test_taylor_edge_cases(p, x, n):
     """The zero polynomial, a constant, n past the degree, n = 0, and
-    non-integer points."""
-    out = _taylor(p, x, n)
+    non-integer points: the jet stores ints, none at or past eps^n."""
+    jet = _jet(p, x, n)
+    out = jet.coeffs
     assert out == _taylor_oracle(p, x, n)
     assert len(out) == n and all(isinstance(c, Fraction) for c in out)
+    assert all(type(a) is int for a in jet.poly.ints) and len(jet.poly.ints) <= n
 
 
 def test_rational_roots_finds_a_denominator_above_1e9():

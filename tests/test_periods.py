@@ -86,6 +86,20 @@ def test_failed_transport_is_a_fail_row(monkeypatch):
     assert "does not reproduce W4" in report.checks[0].residual
 
 
+def test_truncated_basis_is_a_fail_row(monkeypatch):
+    """A Gauss basis ten terms short still gives W3 residuals that vanish,
+    but only to a precision below the floor: the three W3 checks and the
+    quadratic relation become fail rows, and the other checks still pass."""
+    from hilbert_k3 import periods, verify
+    basis = periods.gauss_frobenius_basis
+    monkeypatch.setattr(periods, "gauss_frobenius_basis", lambda order: basis(order - 10))
+    report = verify.run_suite("clausen")
+    assert len(report.checks) == 8
+    assert {c.name for c in report.checks if not c.passed} == {
+        "W3_annihilates_t*y1^2", "W3_annihilates_t*y1*y2", "W3_annihilates_t*y2^2",
+        "quadratic_relation_s2sq_s1s3"}
+
+
 def test_riemann_scheme_all_four_points():
     eq = restricted_ode_X()
     assert indicial_exponents(eq, 0) == [0, 1, 1, 1]
@@ -101,7 +115,8 @@ def test_symmetric_square_order_20():
         assert rep[name]["annihilated"]
         assert all(rep[name]["log_components_vanish"].values())
         assert rep[name]["checked_order"] >= 20
-    assert rep["s2^2 = s1*s3"]
+    assert rep["s2^2 = s1*s3"]["holds"]
+    assert rep["s2^2 = s1*s3"]["checked_order"] >= 29
 
 
 def _log_series_digest(series) -> str:
