@@ -21,7 +21,7 @@ from .elliptic import j_qexpansion
 from .fibrations import classify_fibers
 from .hilbert_theta import mueller_forms
 from .moduli import moduli_XYZ, newton_invert
-from .numkernel import PRECISION_ENV_VAR, PrecisionPolicy, default_policy, to_mpf, working_precision
+from .numkernel import DEFAULT_MANTISSA_BITS, PrecisionPolicy, to_mpf, working_precision
 from .periods import hypergeom_coefficients
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
@@ -48,7 +48,7 @@ def parse_complex(text: str):
     # split off the imaginary coefficient: last top-level +/- not in position 0
     split = None
     for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "e/":
+        if body[k] in "+-" and body[k - 1] not in "eE/":
             split = k
             break
     if split is None:
@@ -57,13 +57,9 @@ def parse_complex(text: str):
     else:
         re_part = parse_rational(body[:split])
         im_text = body[split:]
-    if im_text in ("", "+"):
-        im_part = Fraction(1)
-    elif im_text == "-":
-        im_part = Fraction(-1)
-    else:
-        im_part = parse_rational(im_text)
-    return mpmath.mpc(to_mpf(re_part), to_mpf(im_part))
+    if im_text in ("", "+", "-"):   # 'i', '+i', '-i'
+        im_text += "1"
+    return mpmath.mpc(to_mpf(re_part), to_mpf(parse_rational(im_text)))
 
 
 def _nstr(x, digits: int = 30) -> str:
@@ -190,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hilbert-k3",
         description="verification and evaluation toolkit for the K3 family "
                     "attached to the Hilbert modular group of Q(sqrt 5)")
-    ap.add_argument("--prec", type=int, default=None,
-                    help=f"mantissa bits (default 128; env {PRECISION_ENV_VAR})")
+    ap.add_argument("--prec", type=int, default=DEFAULT_MANTISSA_BITS,
+                    help=f"mantissa bits (default {DEFAULT_MANTISSA_BITS})")
     ap.add_argument("--format", choices=("json", "csv"), default="json")
     ap.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="seed for the sampled numeric checks")
@@ -238,7 +234,7 @@ def main(argv=None) -> int:
         "series": cmd_series,
     }
     try:
-        policy = PrecisionPolicy(args.prec) if args.prec is not None else default_policy()
+        policy = PrecisionPolicy(args.prec)
         code, payload = handlers[args.command](args, policy)
     except (ValueError, KeyError) as exc:
         ap.exit(2, f"error: {exc}\n")

@@ -98,10 +98,8 @@ class DiffOperator:
 
     def __init__(self, var: str, coeffs: Sequence[RationalFunction]):
         coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs:
-            raise ValueError("zero operator")
+        if not coeffs or coeffs[-1].is_zero():
+            raise ValueError("an operator needs a nonzero leading coefficient")
         self.var = var
         self.coeffs = coeffs
 
@@ -110,10 +108,8 @@ class DiffOperator:
         return len(self.coeffs) - 1
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return (self.var == other.var and len(self.coeffs) == len(other.coeffs)
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
+        return (isinstance(other, DiffOperator) and self.var == other.var
+                and self.coeffs == other.coeffs)
 
     def monic(self) -> "DiffOperator":
         lead = self.coeffs[-1]
@@ -136,16 +132,10 @@ class DiffOperator:
         """Apply to a FormalSeries or LogSeries, exactly."""
         if isinstance(f, FormalSeries):
             f = LogSeries.from_series(f)
-        total: LogSeries | None = None
-        d = f
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                d = d.derivative()
-            if c.is_zero():
-                continue
-            term = d.multiply_rational(c)
-            total = term if total is None else total + term
-        assert total is not None
+        total = f.multiply_rational(self.coeffs[0])
+        for c in self.coeffs[1:]:
+            f = f.derivative()
+            total = total + f.multiply_rational(c)
         return total
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":

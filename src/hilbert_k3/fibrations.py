@@ -24,13 +24,11 @@ EULER_NUMBERS = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
 
 @dataclass(frozen=True)
 class KodairaType:
-    tag: str                 # 'I_n', 'I_n*', 'II', ..., 'smooth'
+    tag: str                 # 'I_n', 'I_n*', 'II', ...
     n: int | None = None
 
     @property
     def euler(self) -> int:
-        if self.tag == "smooth":
-            return 0
         if self.tag == "I_n":
             return self.n
         if self.tag == "I_n*":
@@ -47,11 +45,11 @@ class KodairaType:
 
 def kodaira_type(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
     """Standard Kodaira table keyed on the valuations of g2, g3, disc of a
-    minimal Weierstrass equation z^2 = x^3 - g2 x - g3."""
-    if v_disc < 0:
-        raise ValueError("negative discriminant valuation")
-    if v_disc == 0:
-        return KodairaType("smooth")
+    minimal Weierstrass equation z^2 = x^3 - g2 x - g3 at a singular fiber
+    (the charts of this family have one at y = 0 and at y = infinity, and a
+    finite one at each root of disc)."""
+    if v_disc < 1:
+        raise ValueError(f"no singular fiber has discriminant valuation {v_disc}")
     if v_g2 >= 4 and v_g3 >= 6 and v_disc >= 12:
         raise NonMinimal(f"(v_g2, v_g3, v_disc) = ({v_g2}, {v_g3}, {v_disc})")
     if v_g2 == 0 and v_g3 == 0:
@@ -76,11 +74,10 @@ def kodaira_type(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
 
 
 def _minimalized(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
-    while v_g2 >= 4 and v_g3 >= 6 and v_disc >= 12:
-        v_g2 -= 4
-        v_g3 -= 6
-        v_disc -= 12
-    return kodaira_type(v_g2, v_g3, v_disc)
+    """The type after x -> t^2 x, z -> t^3 z, which lowers the valuations by
+    (4, 6, 12), as often as the equation stays integral."""
+    k = min(v_g2 // 4, v_g3 // 6, v_disc // 12)
+    return kodaira_type(v_g2 - 4 * k, v_g3 - 6 * k, v_disc - 12 * k)
 
 
 # ------------------------------------------------------------ chart building
@@ -90,7 +87,9 @@ def _minimalized(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
 class WeierstrassChart:
     """Depressed cubic data z^2 = x^3 - g2 x - g3 over one affine chart of the
     base line, as polynomials in its fiber coordinate (y at 0, 1/y at
-    infinity); disc = 4 g2^3 - 27 g3^2."""
+    infinity); disc = 4 g2^3 - 27 g3^2.  In both families here g2 and g3
+    are nonzero: g2 has a y^4 term at 0, a y^2 term at infinity (y^3 and
+    y^5 in the boundary family), and g3 a y^9, y^3 (y^4, y^8) term."""
 
     g2: UniPoly
     g3: UniPoly
@@ -128,10 +127,6 @@ class FiberPlacement:
     type: KodairaType
     count: int = 1
 
-    def __str__(self) -> str:
-        prefix = f"{self.count} x " if self.count > 1 else ""
-        return f"{prefix}{self.type} at {self.location}"
-
 
 @dataclass(frozen=True)
 class FiberConfiguration:
@@ -153,57 +148,38 @@ class FiberConfiguration:
             return "degenerate (discriminant vanishes identically)"
         names: list[str] = []
         for p in self.placements:
-            if p.type.tag == "smooth":
-                continue
             names.append(f"{p.count}{p.type}" if p.count > 1 else str(p.type))
         return " + ".join(names)
 
     def multiset(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for p in self.placements:
-            if p.type.tag == "smooth":
-                continue
             out[str(p.type)] = out.get(str(p.type), 0) + p.count
         return out
 
 
 def _classify_chart_origin(chart: WeierstrassChart, location: str) -> FiberPlacement:
-    v2 = chart.g2.valuation() if chart.g2 else 10 ** 9
-    v3 = chart.g3.valuation() if chart.g3 else 10 ** 9
-    return FiberPlacement(location=location,
-                          type=_minimalized(v2, v3, chart.disc.valuation()))
+    return FiberPlacement(location=location, type=_minimalized(
+        chart.g2.valuation(), chart.g3.valuation(), chart.disc.valuation()))
 
 
 def _classify_finite_nonzero(chart: WeierstrassChart) -> list[FiberPlacement]:
     """Fibers at the nonzero roots of the discriminant in this chart, handled
-    through exact squarefree decomposition; each squarefree factor is split
-    against g2/g3 so every root in a piece shares its valuation triple."""
+    through exact squarefree decomposition.  At a root of disc = 4 g2^3 -
+    27 g3^2, g2 vanishes exactly when g3 does, so a gcd with g2 splits each
+    squarefree factor into its additive and its multiplicative roots."""
     rest = chart.disc.divide_exact(UniPoly([0, 1]) ** chart.disc.valuation())
     placements: list[FiberPlacement] = []
-    if rest.degree() == 0:
-        return placements
     for factor, mult in rest.squarefree():
-        pieces = [factor]
-        for other in (chart.g2, chart.g3):
-            refined = []
-            for piece in pieces:
-                g = piece.gcd(other) if other else piece
-                if 0 < g.degree() < piece.degree():
-                    refined.extend([g, piece.divide_exact(g)])
-                else:
-                    refined.append(piece)
-            pieces = refined
-        for piece in pieces:
-            deg = piece.degree()
-            if deg == 0:
-                continue
-            v2 = chart.g2.divide_out(piece)[1] if chart.g2 else 10 ** 9
-            v3 = chart.g3.divide_out(piece)[1] if chart.g3 else 10 ** 9
-            placements.append(FiberPlacement(
-                location=f"roots of {piece.format('y')}",
-                type=_minimalized(v2, v3, mult),
-                count=deg,
-            ))
+        additive = factor.gcd(chart.g2)
+        for piece in (additive, factor.divide_exact(additive)):
+            if piece.degree() > 0:
+                placements.append(FiberPlacement(
+                    location=f"roots of {piece.format('y')}",
+                    type=_minimalized(chart.g2.divide_out(piece)[1],
+                                      chart.g3.divide_out(piece)[1], mult),
+                    count=piece.degree(),
+                ))
     return placements
 
 
@@ -215,7 +191,6 @@ def classify_charts(chart0: WeierstrassChart,
                   _classify_chart_origin(chart_inf, "y=infinity")]
     placements.extend(_classify_finite_nonzero(chart0))
     euler = sum(p.type.euler * p.count for p in placements)
-    placements = [p for p in placements if p.type.tag != "smooth"]
     return FiberConfiguration(placements=tuple(placements), euler_total=euler)
 
 

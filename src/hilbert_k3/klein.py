@@ -61,10 +61,9 @@ def build_invariants() -> IcosahedralInvariants:
     return IcosahedralInvariants(A=A, B=B, C=C, D=D)
 
 
-def klein_relation_poly(A: SparsePoly, B: SparsePoly, C: SparsePoly,
-                        D: SparsePoly) -> SparsePoly:
+def klein_relation_poly(A, B, C, D):
     """R = 144 D^2 - (-1728 B^5 + 720 A C B^3 - 80 A^2 C^2 B
-    + 64 A^3 (5 B^2 - A C)^2 + C^3)."""
+    + 64 A^3 (5 B^2 - A C)^2 + C^3), for polynomials or numbers."""
     five_b2_ac = 5 * B ** 2 - A * C
     bracket = (-1728 * B ** 5
                + 720 * A * C * B ** 3

@@ -145,9 +145,12 @@ def newton_invert(target_X, target_Y, guess,
 
         f, jac = F(pair)
         ratios = []  # |F| ratios of the consecutive full steps so far
-        for it in range(1, NEWTON_ITERATIONS + 1):
+        for it in range(1, NEWTON_ITERATIONS + 2):
             if norm(f) < tol:
                 return InversionResult(z=pair, residual=norm(f), iterations=it - 1)
+            if it > NEWTON_ITERATIONS:
+                raise NoConvergence(f"no convergence after {NEWTON_ITERATIONS} iterations, "
+                                    f"residual {norm(f)}")
             z1, z2 = pair.z1, pair.z2
             a11, a12, a21, a22 = jac
             det = a11 * a22 - a12 * a21
@@ -196,10 +199,6 @@ def newton_invert(target_X, target_Y, guess,
                     and max(last) <= min(0.9, 1.25 * min(last))):
                 raise NoConvergence(f"linear convergence at a singular root: the residual falls "
                                     f"by {mpmath.nstr(ratios[-1], 3)} per step (iteration {it})")
-        if norm(f) < tol:
-            return InversionResult(z=pair, residual=norm(f), iterations=NEWTON_ITERATIONS)
-        raise NoConvergence(f"no convergence after {NEWTON_ITERATIONS} iterations, "
-                            f"residual {norm(f)}")
 
 
 def continuation_invert(target_X, target_Y, seed_pair,

@@ -10,7 +10,6 @@ by precision-doubling consistency tests.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 DEFAULT_MANTISSA_BITS = 128
-PRECISION_ENV_VAR = "HILBERT_K3_PREC"
 
 # extra bits carried internally so that rounding noise stays below series_tol
 GUARD_BITS = 16
@@ -59,29 +57,19 @@ class PrecisionPolicy:
         return mpmath.ldexp(10, 8 - self.mantissa_bits)
 
 
-def default_policy() -> PrecisionPolicy:
-    """Policy from the environment (HILBERT_K3_PREC, in bits) or 128 bits."""
-    bits = os.environ.get(PRECISION_ENV_VAR)
-    if not bits:
-        return PrecisionPolicy()
-    try:
-        return PrecisionPolicy(mantissa_bits=int(bits))
-    except ValueError as exc:
-        raise ValueError(f"{PRECISION_ENV_VAR}={bits!r}: {exc}") from None
-
-
 # mp.prec is one process-wide setting; blocks that set it take turns
 _PRECISION_LOCK = threading.RLock()
 
 
 @contextmanager
 def working_precision(policy: PrecisionPolicy | None = None) -> Iterator[PrecisionPolicy]:
-    """Run a block at policy precision plus GUARD_BITS.
+    """Run a block at policy precision plus GUARD_BITS; no policy means
+    PrecisionPolicy(), 128 bits.
 
     The block holds a process-wide re-entrant lock: blocks nest within one
     thread, and blocks in different threads run one at a time rather than
     change each other's precision mid-computation."""
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     with _PRECISION_LOCK:
         old = mp.prec
         mp.prec = policy.mantissa_bits + GUARD_BITS
@@ -97,17 +85,15 @@ def to_mpc(value) -> mpmath.mpc:
     return mpmath.mpc(value)
 
 
-def to_mpf(value) -> mpmath.mpf:
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    return mpmath.mpf(value)
+def to_mpf(value: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(value.numerator) / value.denominator
 
 
 class Jet:
     """A value with its partial derivatives d/dz1 and d/dz2.
 
-    Sums, differences and products of jets, a number times a jet, integer
-    powers, and quotients by a jet or a number follow the chain rule
+    Sums, differences, products and quotients of jets, a number times a
+    jet, and integer powers follow the chain rule
     (forward-mode differentiation), so a formula written for plain numbers
     also yields its gradient.  The value part is computed by the same
     operation a plain number would see, so it is bit-for-bit the plain
@@ -136,12 +122,10 @@ class Jet:
     def __rmul__(self, other) -> "Jet":
         return Jet(other * self.value, other * self.d1, other * self.d2)
 
-    def __truediv__(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            q = self.value / other.value
-            return Jet(q, (self.d1 - q * other.d1) / other.value,
-                       (self.d2 - q * other.d2) / other.value)
-        return Jet(self.value / other, self.d1 / other, self.d2 / other)
+    def __truediv__(self, other: "Jet") -> "Jet":
+        q = self.value / other.value
+        return Jet(q, (self.d1 - q * other.d1) / other.value,
+                   (self.d2 - q * other.d2) / other.value)
 
     def __pow__(self, n: int) -> "Jet":
         slope = n * self.value ** (n - 1)

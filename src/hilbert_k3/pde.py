@@ -176,17 +176,15 @@ class _BaseFraction:
             while num and not (qr := num.divmod_exact(f))[1]:
                 num, powers[i] = qr[0], powers[i] + 1
         if set(num.terms) != {(0, 0)}:
-            raise EliminationFailed(f"the factor {num} lies outside the singular base")
+            raise EliminationFailed(f"the factor {num.terms} lies outside the singular base")
         return _BaseFraction.of(1 / (self.scale * num.terms[(0, 0)]),
                                 _raised(SparsePoly.const(V, 1), self.den), powers)
 
-    def lowest_y_term(self) -> tuple[float, RationalFunction]:
-        """(v, c) with self = c(X) Y^v + O(Y^(v + 1)), (inf, 0) for zero; X,
+    def lowest_y_term(self) -> tuple[int, RationalFunction]:
+        """(v, c) with self = c(X) Y^v + O(Y^(v + 1)), for nonzero self; X,
         S and K2 are units at Y = 0, so only num's rows and den[1] count."""
         rows = self.num.rows("Y")
-        k = next((k for k, row in enumerate(rows) if row), None)
-        if k is None:
-            return math.inf, RationalFunction(0)
+        k = min(k for k, row in enumerate(rows) if row)
         den = UniPoly([1])
         for i in (0, 2, 3):
             den = den * SINGULAR_BASE[i].rows("Y")[0] ** self.den[i]
@@ -440,7 +438,7 @@ def evaluate_grid(grid: Mapping[Jet, Fraction], dx: Fraction, dy: Fraction) -> F
 
 
 def estimate_singular_distance(base) -> Fraction:
-    """A certified radius r: no singular locus of the system (the axes X = 0
+    """A certified radius r <= 1: no singular locus of the system (the axes X = 0
     and Y = 0, 36X^2 - 32X - Y = 0 and the quintic K2_LOCUS) meets the
     polydisc |dX|, |dY| <= r around the base point.  Despite the name it is
     a lower bound on the distance, not an estimate; it sets the sampling
@@ -450,7 +448,7 @@ def estimate_singular_distance(base) -> Fraction:
 
 
 def _exclusion_radius(p: SparsePoly, base: tuple[Fraction, Fraction]) -> Fraction:
-    """A dyadic r, within 2^-24 of the largest, with |c_00| > sum |c_ij|
+    """A dyadic r <= 1, within 2^-24 of the largest, with |c_00| > sum |c_ij|
     r^(i + j) over (i, j) != (0, 0), where c_ij are the coefficients of p
     shifted to the base; then p has no zero on the polydisc of radius r.
     0 when p vanishes at the base."""
@@ -460,11 +458,7 @@ def _exclusion_radius(p: SparsePoly, base: tuple[Fraction, Fraction]) -> Fractio
     def excludes(r: Fraction) -> bool:
         return c00 > sum(abs(c) * r ** (i + j) for (i, j), c in coeffs.items())
 
-    if not c00:
-        return Fraction(0)
     lo, hi = Fraction(0), Fraction(1)
-    while excludes(hi):
-        lo, hi = hi, 2 * hi
     for _ in range(24):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if excludes(mid) else (lo, mid)

@@ -21,10 +21,6 @@ from .polynomials import RationalFunction as RF
 from .polynomials import FormalSeries, UniPoly
 
 
-class NoSchwarzConvergence(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class HypergeomParams:
     upper: tuple[Fraction, ...]
@@ -211,43 +207,20 @@ def verify_clausen_and_S(order: int) -> dict:
 
 
 def schwarz_map(t, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
-    """The branch of the inverse-J coordinate on (0, 1): purely imaginary z0
-    with 1/J(z0) = t, Im z0 > 1, seeded from the leading q-expansion term."""
-    with working_precision(policy) as pol:
+    """The branch of the inverse-J coordinate on (0, 1): the purely imaginary
+    z0 with 1/J(z0) = t and Im z0 > 1, as the period ratio of signature 6
+    (Berndt, Bhargava and Garvan, Trans. AMS 347 (1995)),
+    z0 = i F(1/6, 5/6; 1; 1 - x) / F(1/6, 5/6; 1; x) with t = 4x(1 - x) and
+    x < 1/2; by the quadratic transformation the denominator is the Gauss
+    solution F(1/12, 5/12; 1; t)."""
+    with working_precision(policy):
         tf = mpmath.mpf(to_mpc(t).real)
         if not (0 < tf < 1):
             raise ValueError("the single-valued branch needs t in (0, 1)")
-        target = 1 / tf
-        y = mpmath.log(1728 / tf) / (2 * mpmath.pi)
-        y = max(y, mpmath.mpf("1.0000001"))
-        tol = mpmath.mpf(pol.verify_tol) * target
-
-        def residual(yy):
-            """J(i yy) - target and its exact y-derivative: with q = e^(-2 pi yy),
-            q dJ/dq = -(E6 / E4) J gives dJ/dy = 2 pi (E6 / E4) J."""
-            ev = eisenstein_and_J(mpmath.mpc(0, yy), pol)
-            return ev.J.real - target, (2 * mpmath.pi * ev.E6 / ev.E4 * ev.J).real
-
-        # near t = 1 the target sits at a critical point of J (double root),
-        # so Newton degrades to linear convergence; allow a generous budget
-        f, df = residual(y)
-        for _ in range(240):
-            if abs(f) < tol:
-                z0 = mpmath.mpc(0, y)
-                if not (z0.imag > 1):
-                    raise NoSchwarzConvergence(f"branch left Im > 1 at t = {tf}")
-                return z0
-            step = f / df
-            ynew = y - step
-            fnew, dfnew = residual(ynew)
-            halvings = 0
-            while abs(fnew) >= abs(f) and halvings < 8:
-                step /= 2
-                ynew = y - step
-                fnew, dfnew = residual(ynew)
-                halvings += 1
-            y, f, df = ynew, fnew, dfnew
-        raise NoSchwarzConvergence(f"no convergence at t = {tf}, residual {f}")
+        x = tf / (2 * (1 + mpmath.sqrt(1 - tf)))   # (1 - sqrt(1 - t)) / 2, without cancellation
+        one = mpmath.mpf(1)
+        return mpmath.mpc(0, mpmath.hyp2f1(one / 6, 5 * one / 6, 1, 1 - x)
+                          / mpmath.hyp2f1(one / 12, 5 * one / 12, 1, tf))
 
 
 def verify_diagonal_inverse_identity(samples, policy: PrecisionPolicy | None = None) -> dict:

@@ -94,22 +94,14 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, SparsePoly):
-            return self.vars == other.vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == SparsePoly.const(self.vars, other)
-        return NotImplemented
+        return (isinstance(other, SparsePoly) and self.vars == other.vars
+                and self.terms == other.terms)
 
     def term_count(self) -> int:
         return len(self.terms)
 
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
-            return True
-        degrees = {sum(e) for e in self.terms}
-        if len(degrees) != 1:
-            return False
-        return degree is None or degrees.pop() == degree
+    def is_homogeneous(self, degree: int) -> bool:
+        return all(sum(e) == degree for e in self.terms)
 
     # ------------------------------------------------------------ arithmetic
 
@@ -143,11 +135,9 @@ class SparsePoly:
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "SparsePoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return SparsePoly.zero(self.vars)
+        if isinstance(other, (int, Fraction)) and other:
             return SparsePoly._of(self.vars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
+        other = self._coerce(other)   # a zero constant has no terms
         out: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -243,30 +233,6 @@ class SparsePoly:
                 _accumulate(r, tuple(map(operator.add, diff, e)), -f * ce)
         return SparsePoly._of(self.vars, q), SparsePoly._of(self.vars, r)
 
-    # ------------------------------------------------------------------ str
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for expo in sorted(self.terms, key=_lex_key, reverse=True):
-            coeff = self.terms[expo]
-            factors = [str(coeff)] if coeff != 1 or not any(expo) else []
-            if coeff == 1 and any(expo):
-                factors = []
-            elif coeff == -1 and any(expo):
-                factors = ["-"]
-            for name, power in zip(self.vars, expo):
-                if power == 1:
-                    factors.append(name)
-                elif power > 1:
-                    factors.append(f"{name}^{power}")
-            text = "*".join(f for f in factors if f != "-")
-            if factors and factors[0] == "-":
-                text = "-" + text
-            parts.append(text if text else str(coeff))
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 # -------------------------------------------------- dense univariate kernel
 
@@ -339,9 +305,7 @@ class UniPoly:
         return bool(self.ints)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.ints == other.ints and self.scale == other.scale
+        return isinstance(other, UniPoly) and self.ints == other.ints and self.scale == other.scale
 
     def __hash__(self):
         # equal polynomials have equal ints; the Fraction scale is slow to hash
@@ -647,11 +611,8 @@ class RationalFunction:
         return not self.num
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = RationalFunction(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (isinstance(other, RationalFunction) and self.num == other.num
+                and self.den == other.den)
 
     @staticmethod
     def _coerce(other) -> "RationalFunction":
@@ -699,8 +660,6 @@ class RationalFunction:
                                     dict(self.num.squarefree()), ())
 
     def __truediv__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
         return self * self._coerce(other)._inverse()
 
     def derivative(self) -> "RationalFunction":
@@ -720,15 +679,6 @@ class RationalFunction:
     def affine(self, a, b) -> "RationalFunction":
         """f(a x + b)."""
         return RationalFunction(self.num.affine(a, b), self.den.affine(a, b))
-
-    def format(self, var: str) -> str:
-        num, den = self.reduced()
-        if den.degree() == 0:
-            return num.format(var)
-        return f"({num.format(var)}) / ({den.format(var)})"
-
-    def __repr__(self) -> str:
-        return self.format("x")
 
 
 # ------------------------------------------------------ truncated power series
@@ -846,12 +796,10 @@ class FormalSeries:
 
     def multiply_rational(self, f: RationalFunction) -> "FormalSeries":
         """self * f, with f expanded in powers of var; a pole of f at 0 lowers
-        the exponent by its order."""
-        if f.is_zero():
-            return FormalSeries(self.var, self.expo, UniPoly(), self.prec)
+        the exponent by its order; a zero f gives zero, known as far as self is."""
         den = f.den
         v = den.valuation()
-        expo, prec = self.expo - v, self.prec + f.num.valuation() - v
+        expo, prec = self.expo - v, self.prec + (f.num.valuation() if f.num else 0) - v
         n, b = int(prec - expo), den.ints[v:]
         ints = _divide_ints(_convolve(self.poly.ints, f.num.ints, n), b, n)
         scale = self.poly.scale * f.num.scale / (den.scale * b[0] ** n)

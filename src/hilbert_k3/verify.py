@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from . import diffops, elliptic, fibrations, hilbert_theta, klein, lattice, moduli, pde, periods
-from .numkernel import PrecisionPolicy, default_policy, working_precision
+from .numkernel import PrecisionPolicy, working_precision
 from .polynomials import SparsePoly
 
 DEFAULT_SEED = 20250811
@@ -113,9 +113,10 @@ def suite_klein(policy: PrecisionPolicy, seed: int) -> VerificationReport:
                and klein.swap_z1_z2(inv.C) == inv.C
                and klein.swap_z1_z2(inv.D) == -inv.D)
         c.add("swap_symmetry_ABC_even_D_odd", sym)
+        # the invariants' values at a rational point satisfy the relation as numbers
         zeta = {"z0": Fraction(1), "z1": Fraction(2), "z2": Fraction(3)}
-        val = klein.klein_relation_poly(inv.A, inv.B, inv.C, inv.D).evaluate(zeta)
-        c.add("relation_at_rational_point", val == 0)
+        values = [getattr(inv, k).evaluate(zeta) for k in "ABCD"]
+        c.add("relation_at_rational_point", klein.klein_relation_poly(*values) == 0)
         perturbed = klein.klein_relation_poly(
             inv.A, inv.B, inv.C,
             inv.D + SparsePoly.variable(klein.ZETA_VARS, "z0") ** 15)
@@ -346,7 +347,7 @@ def run_suite(name: str, policy: PrecisionPolicy | None = None,
     <message>"."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     t0 = time.perf_counter()
     try:
         return SUITES[name](policy, seed)

@@ -29,6 +29,8 @@ def test_parse_complex_forms():
     v = parse_complex("-1/3+7/5i")
     assert abs(v.real + mpmath.mpf(1) / 3) < 1e-30
     assert abs(v.imag - mpmath.mpf(7) / 5) < 1e-30
+    # the sign after an exponent marker, in either case, does not split the literal
+    assert parse_complex("0.1+12E-1i") == parse_complex("0.1+12e-1i") == parse_complex("0.1+1.2i")
     assert parse_rational("3/4") == Fraction(3, 4)
 
 
@@ -156,18 +158,12 @@ def test_usage_error_exit_two(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (["--prec", "20"], None, "at least 53"),
-    (["--prec", "-3"], None, "at least 53"),
-    (["--prec", "0"], None, "at least 53"),
-    ([], "abc", "HILBERT_K3_PREC='abc'"),
-    ([], "20", "HILBERT_K3_PREC='20'"),
+@pytest.mark.parametrize("argv, message", [
+    (["--prec", "20"], "at least 53"),
+    (["--prec", "-3"], "at least 53"),
+    (["--prec", "0"], "at least 53"),
 ])
-def test_bad_precision_exits_two_with_message(capsys, monkeypatch, argv, env, message):
-    if env is None:
-        monkeypatch.delenv("HILBERT_K3_PREC", raising=False)
-    else:
-        monkeypatch.setenv("HILBERT_K3_PREC", env)
+def test_bad_precision_exits_two_with_message(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["series", "jfunction", "--order", "1"])
     assert exc.value.code == 2
@@ -314,7 +310,7 @@ STUB_ROWS = [{"name": "stub", "status": "pass", "residual": "exact", "runtime_ms
                                    "RankDeficient", "NonConvergent", "ValueError",
                                    "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
                                    "EliminationFailed", "InconsistentReduction",
-                                   "SingularBasePoint", "NoSchwarzConvergence", "NonMinimal",
+                                   "SingularBasePoint", "NonMinimal",
                                    "NoConventionMatches", "ZeroDivisionError"])
 def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error):
     """On one CPU and on two, where the fail row comes back from a worker;

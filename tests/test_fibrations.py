@@ -122,7 +122,6 @@ def test_euler_numbers():
     assert KodairaType("I_n", 5).euler == 5
     assert KodairaType("I_n*", 6).euler == 12
     assert KodairaType("II*").euler == 10
-    assert KodairaType("smooth").euler == 0
 
 
 def test_classification_fixture_generic():
@@ -188,8 +187,14 @@ def test_finite_fiber_degree_bookkeeping():
     assert finite_counts == quintic.degree() == 5
 
 
+def _placement_text(p) -> str:
+    """'2 x I1 at roots of ...', or 'IV* at y=0' for a single fiber."""
+    prefix = f"{p.count} x " if p.count > 1 else ""
+    return f"{prefix}{p.type} at {p.location}"
+
+
 def _configuration_digest(cfg) -> str:
-    text = ";".join(str(p) for p in cfg.placements)
+    text = ";".join(_placement_text(p) for p in cfg.placements)
     return hashlib.sha256(f"{text}|{cfg.euler_total}|{cfg.degenerate}".encode()).hexdigest()
 
 

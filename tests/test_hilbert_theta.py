@@ -12,8 +12,7 @@ from hilbert_k3.hilbert_theta import (FORM_NAMES, S15_TRIPLES, SHIFTS,
                                       THETA_CHARACTERISTICS, SiegelPoint, UHPPair,
                                       lattice_region, mueller_forms, psi, theta_batch,
                                       verify_modularity, verify_mueller_relation)
-from hilbert_k3.numkernel import (Jet, NonConvergent, PrecisionPolicy, default_policy,
-                                  working_precision)
+from hilbert_k3.numkernel import Jet, NonConvergent, PrecisionPolicy, working_precision
 
 # ------------------------------------------------------- brute-force oracle
 
@@ -66,7 +65,7 @@ def siegel_theta(Z: SiegelPoint, ch, policy: PrecisionPolicy | None = None,
     """theta(Z; a, b) = sum over g in Z^2 of
     exp(i pi (t(g + a/2) Z (g + a/2) + tg b)), summed over a square box."""
     a, (b1, b2) = ch
-    policy = policy or default_policy()
+    policy = policy or PrecisionPolicy()
     with working_precision(policy):
         total = mpmath.mpc(0)
         for g1, g2, term in _shift_terms(Z, a, policy, radius_multiplier):

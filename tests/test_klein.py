@@ -92,3 +92,7 @@ def test_relation_rational_spot_check():
     inv = build_invariants()
     r = klein_relation_poly(inv.A, inv.B, inv.C, inv.D)
     assert r.evaluate({"z0": Fraction(1), "z1": Fraction(2), "z2": Fraction(3)}) == 0
+    # the relation applied to the four values there, as `relation_at_rational_point` does
+    values = (7, -83, 8409, Fraction(-4389011, 12))
+    assert klein_relation_poly(*values) == 0
+    assert klein_relation_poly(*values[:3], values[3] + 1) == -105336120

@@ -61,14 +61,6 @@ def test_quadratic_constants(policy):
         assert abs(qc.sqrt5 ** 2 - 5) < 1e-36
 
 
-def test_default_policy_reads_environment(monkeypatch):
-    from hilbert_k3.numkernel import PRECISION_ENV_VAR, default_policy
-    monkeypatch.setenv(PRECISION_ENV_VAR, "192")
-    assert default_policy().mantissa_bits == 192
-    monkeypatch.delenv(PRECISION_ENV_VAR)
-    assert default_policy().mantissa_bits == 128
-
-
 def test_policy_invariants():
     with pytest.raises(ValueError, match="at least 53"):
         PrecisionPolicy(40)
