@@ -51,21 +51,23 @@ def as_pair(p, policy: PrecisionPolicy | None = None) -> UHPPair:
 @dataclass(frozen=True)
 class SiegelPoint:
     """Symmetric 2x2 matrix [[s1, s2], [s2, s3]] with positive definite
-    imaginary part."""
+    imaginary part, whose determinant is det.  det comes from the caller,
+    who may know it exactly where p r - q^2 would cancel."""
 
     s1: mpmath.mpc
     s2: mpmath.mpc
     s3: mpmath.mpc
+    det: mpmath.mpf
 
     def __post_init__(self):
-        p, q, r = self.s1.imag, self.s2.imag, self.s3.imag
-        if not (p > 0 and p * r - q * q > 0):
+        if not (self.s1.imag > 0 and self.det > 0):
             raise ValueError("imaginary part is not positive definite")
 
 
 def psi(p, policy: PrecisionPolicy | None = None) -> SiegelPoint:
     """The embedding (z1, z2) -> (1/(2 sqrt5)) [[(1+sqrt5)z1 - (1-sqrt5)z2,
-    2(z1-z2)], [2(z1-z2), (-1+sqrt5)z1 + (1+sqrt5)z2]]."""
+    2(z1-z2)], [2(z1-z2), (-1+sqrt5)z1 + (1+sqrt5)z2]].  The determinant of
+    its imaginary part is Im z1 Im z2 exactly."""
     pair = as_pair(p, policy)
     with working_precision(policy):
         s5 = quadratic_constants(policy).sqrt5
@@ -75,6 +77,7 @@ def psi(p, policy: PrecisionPolicy | None = None) -> SiegelPoint:
             s1=((1 + s5) * z1 - (1 - s5) * z2) / d,
             s2=2 * (z1 - z2) / d,
             s3=((-1 + s5) * z1 + (1 + s5) * z2) / d,
+            det=z1.imag * z2.imag,
         )
 
 
@@ -138,11 +141,13 @@ class LatticeRegion:
 
 
 def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegion:
-    """The ellipse of terms one theta_batch pass keeps at ``prec`` bits; above
-    SERIES_CAP terms (its area, pi (R^2 + m) / sqrt(delta r)) it raises NonConvergent."""
+    """The ellipse of terms one theta_batch pass keeps at ``prec`` bits.  It
+    raises NonConvergent when the search for the largest term passes
+    SERIES_CAP rows, or the ellipse holds over SERIES_CAP terms (its area,
+    pi (R^2 + m) / sqrt(delta r))."""
     a1, a2 = a
-    p, q, r = Z.s1.imag, Z.s2.imag, Z.s3.imag
-    delta, q_r = float((p * r - q * q) / r), float(q / r)
+    q, r = Z.s2.imag, Z.s3.imag
+    delta, q_r = float(Z.det / r), float(q / r)
     r = float(r)
 
     def row(g1: int) -> tuple[float, int, float]:
@@ -153,6 +158,10 @@ def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegi
 
     m, peak, g1 = math.inf, (0, 0), 0
     while delta * (g1 + a1 / 2) ** 2 < m:
+        if g1 > SERIES_CAP:
+            raise NonConvergent(f"the theta sum's largest term lies past row {SERIES_CAP}, "
+                                f"over the cap of {SERIES_CAP}; reduce the point toward "
+                                f"Im ~ 1 first")
         _, g2, least = row(g1)
         if least < m:
             m, peak = least, (g1, g2)

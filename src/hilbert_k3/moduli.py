@@ -23,9 +23,11 @@ K3 = Fraction(2 ** 26 * 5 ** 10, 9)
 K2_LOCUS = SparsePoly(("X", "Y"), {(5, 0): 1728, (3, 1): -720, (1, 2): 80, (4, 0): -1600,
                                    (2, 1): 640, (0, 2): -64, (0, 3): -1})
 
-# the iterations one Newton solve may take, and the steps of a continuation path
+# the iterations one Newton solve may take, the steps of a continuation path,
+# and the relative residual, in bits, at which its intermediate steps stop
 NEWTON_ITERATIONS = 40
 CONTINUATION_STEPS = 10
+INTERMEDIATE_BITS = 10
 
 
 class NearZeroDenominator(Exception):
@@ -101,9 +103,10 @@ class InversionResult:
     z: UHPPair
     residual: mpmath.mpf
     iterations: int
+    jacobian: tuple  # (dX/dz1, dX/dz2, dY/dz1, dY/dz2) at z
 
 
-def _xy(p, policy, derivatives: bool = False):
+def moduli_XY(p, policy, derivatives: bool = False):
     """X and Y at p from one theta pass, without s5 and s15; with
     ``derivatives`` each is a Jet carrying d/dz1 and d/dz2."""
     theta = theta_batch(p, policy, derivatives=derivatives)
@@ -119,7 +122,8 @@ def newton_invert(target_X, target_Y, guess,
 
     Each trial point costs one theta pass, which yields X, Y and their
     derivatives in z1 and z2 together.  Returns any preimage reproducing the
-    target; the modular group ambiguity is accepted.  Success means
+    target, with the Jacobian of that last pass; the modular group ambiguity
+    is accepted.  Success means
     |X - X0| + |Y - Y0| < tol, by default (1 + |X0| + |Y0|) verify_tol.
     Where the Jacobian is rank-deficient (on the diagonal dY vanishes) the
     step is the ridge-regularised least-squares one.  Raises JacobianSingular
@@ -137,7 +141,7 @@ def newton_invert(target_X, target_Y, guess,
 
         def F(pr: UHPPair):
             """The residual (X - X0, Y - Y0) at pr and its Jacobian."""
-            x, y = _xy(pr, pol, derivatives=True)
+            x, y = moduli_XY(pr, pol, derivatives=True)
             return (x.value - X0, y.value - Y0), (x.d1, x.d2, y.d1, y.d2)
 
         def norm(f):
@@ -147,7 +151,8 @@ def newton_invert(target_X, target_Y, guess,
         ratios = []  # |F| ratios of the consecutive full steps so far
         for it in range(1, NEWTON_ITERATIONS + 2):
             if norm(f) < tol:
-                return InversionResult(z=pair, residual=norm(f), iterations=it - 1)
+                return InversionResult(z=pair, residual=norm(f), iterations=it - 1,
+                                       jacobian=jac)
             if it > NEWTON_ITERATIONS:
                 raise NoConvergence(f"no convergence after {NEWTON_ITERATIONS} iterations, "
                                     f"residual {norm(f)}")
@@ -204,20 +209,22 @@ def newton_invert(target_X, target_Y, guess,
 def continuation_invert(target_X, target_Y, seed_pair,
                         policy: PrecisionPolicy | None = None) -> InversionResult:
     """Path-following inverse: walk (X, Y) linearly from the seed's image to
-    the target in CONTINUATION_STEPS steps, Newton-polishing at each step
-    with the previous solution.  The intermediate steps stop at half the
-    working digits; only the last is polished to newton_invert's default
-    tolerance."""
+    the target in CONTINUATION_STEPS steps, Newton-correcting at each step
+    from the previous solution (Allgower and Georg, Introduction to Numerical
+    Continuation Methods, SIAM 2003).  An intermediate corrector only has to
+    stay on the path's branch, so it stops at a relative residual of
+    2^-INTERMEDIATE_BITS; only the last step is polished to newton_invert's
+    default tolerance, and its result carries the Jacobian at the target."""
     with working_precision(policy) as pol:
         pair = as_pair(seed_pair, policy)
-        Xs, Ys = _xy(pair, pol)
+        Xs, Ys = moduli_XY(pair, pol)
         X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
-        half_digits = mpmath.mpf(2) ** (-(pol.mantissa_bits // 2))
+        loose = mpmath.mpf(2) ** -INTERMEDIATE_BITS
         for k in range(1, CONTINUATION_STEPS + 1):
             s = mpmath.mpf(k) / CONTINUATION_STEPS
             Xt = (1 - s) * Xs + s * X0
             Yt = (1 - s) * Ys + s * Y0
-            tol = None if k == CONTINUATION_STEPS else (1 + abs(Xt) + abs(Yt)) * half_digits
+            tol = None if k == CONTINUATION_STEPS else (1 + abs(Xt) + abs(Yt)) * loose
             result = newton_invert(Xt, Yt, pair, pol, tol=tol)
             pair = result.z
         return result

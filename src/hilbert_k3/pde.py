@@ -19,9 +19,14 @@ from typing import Mapping, NamedTuple
 import mpmath
 
 from .diffops import DiffOperator
+from .hilbert_theta import UHPPair
 from .lattice import j_map
-from .moduli import K2_LOCUS, RankDeficient, continuation_invert, match_projective_maps, newton_invert
-from .numkernel import PrecisionPolicy, working_precision
+from .moduli import K2_LOCUS, RankDeficient, continuation_invert, match_projective_maps, moduli_XY
+# not called here since the developing map samples forward; kept bound because
+# perfbench/test_perfbench.py checks that its tracer rebinds every module's
+# newton_invert, pde's included
+from .moduli import newton_invert  # noqa: F401
+from .numkernel import PrecisionPolicy, to_mpf, working_precision
 from .periods import restricted_ode_X
 from .polynomials import RationalFunction, SparsePoly, UniPoly, gauss_jordan
 
@@ -427,22 +432,34 @@ def taylor_basis(base, order: int) -> JetBasisSolution:
                             grids=tuple(MappingProxyType(g) for g in grids))
 
 
-def evaluate_grid(grid: Mapping[Jet, Fraction], dx: Fraction, dy: Fraction) -> Fraction:
-    total = Fraction(0)
-    for (i, j), c in grid.items():
-        total += c * dx ** i * dy ** j
-    return total
+def evaluate_grid(basis: JetBasisSolution, dx, dy) -> list:
+    """The four basis solutions at base + (dx, dy), each the sum of its
+    grid's terms c dX^i dY^j at the working precision; the offsets may be
+    complex (mpc).  The monomials are formed once, for all four grids.
+    Raises ValueError when the offset leaves the certified polydisc of
+    estimate_singular_distance, outside which the series need not converge."""
+    r = to_mpf(estimate_singular_distance(basis.base))
+    if max(abs(dx), abs(dy)) > r:
+        raise ValueError(f"offset ({dx}, {dy}) leaves the certified polydisc of radius {r}")
+    px, py = [mpmath.mpf(1)], [mpmath.mpf(1)]
+    for _ in range(basis.order):
+        px.append(px[-1] * dx)
+        py.append(py[-1] * dy)
+    monomials = {jet: px[jet[0]] * py[jet[1]] for jet in basis.grids[0]}
+    return [mpmath.fsum(c.numerator * monomials[jet] / c.denominator for jet, c in g.items())
+            for g in basis.grids]
 
 
 # --------------------------------------------------- geometry of the solution
 
 
+@functools.cache
 def estimate_singular_distance(base) -> Fraction:
     """A certified radius r <= 1: no singular locus of the system (the axes X = 0
     and Y = 0, 36X^2 - 32X - Y = 0 and the quintic K2_LOCUS) meets the
     polydisc |dX|, |dY| <= r around the base point.  Despite the name it is
     a lower bound on the distance, not an estimate; it sets the sampling
-    radii."""
+    radii and bounds evaluate_grid's offsets.  Cached."""
     base = (Fraction(base[0]), Fraction(base[1]))
     return min(_exclusion_radius(p, base) for p in SINGULAR_BASE)
 
@@ -574,6 +591,13 @@ def developing_map_match(base, samples: int = 14,
     at `samples` points around the base: the first five fix the map and
     every other one is checked against it.
 
+    The graph of the period map is sampled forward from one inverse.
+    continuation_invert proves the anchor z_a over the base and returns the
+    Jacobian J there; each sample takes z = z_a + J^-1 (dx, dy) for an
+    offset of sampling_offsets, reads (X, Y)(z) off one theta pass without
+    jets, and pairs the Taylor grids evaluated at the complex offset
+    (X - X0, Y - Y0) with the lattice embedding of z.
+
     This is the desk-scale machine check that the projectivized solutions
     develop the parameter space into the period domain.
     """
@@ -582,17 +606,19 @@ def developing_map_match(base, samples: int = 14,
         raise SingularBasePoint("the system is singular along Y = 0")
     with working_precision(policy) as pol:
         basis = taylor_basis(base, order)
-        offsets = sampling_offsets(base, samples)
-        vectors = [[evaluate_grid(g, dx, dy) for g in basis.grids]
-                   for dx, dy in offsets]
         seed_pair = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))
         anchor = continuation_invert(base[0], base[1], seed_pair, pol)
-        jvecs = []
-        prev = anchor.z
-        for dx, dy in offsets:
-            res = newton_invert(base[0] + dx, base[1] + dy, prev, pol)
-            prev = res.z
-            jvecs.append(j_map(prev, pol).xi)
+        a11, a12, a21, a22 = anchor.jacobian
+        det = a11 * a22 - a12 * a21
+        x0, y0 = to_mpf(base[0]), to_mpf(base[1])
+        vectors, jvecs = [], []
+        for dx, dy in sampling_offsets(base, samples):
+            dx, dy = to_mpf(dx), to_mpf(dy)
+            z = UHPPair(anchor.z.z1 + (dx * a22 - a12 * dy) / det,
+                        anchor.z.z2 + (a11 * dy - dx * a21) / det)
+            x, y = moduli_XY(z, pol)
+            vectors.append(evaluate_grid(basis, x - x0, y - y0))
+            jvecs.append(j_map(z, pol).xi)
         g, residual = match_projective_maps(vectors, jvecs)
         return {"transform": g, "holdout_residual": residual,
-                "anchor": anchor, "samples": len(offsets)}
+                "anchor": anchor, "samples": samples}

@@ -323,19 +323,22 @@ def suite_fibers(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     return c.report
 
 
+# longest first, by the suite spans of a traced verify all at 128 bits pinned
+# to one CPU; run_suites hands them to its workers in this order, so that no
+# long suite starts last
 SUITES = {
-    "klein": suite_klein,
-    "mueller": suite_mueller,
-    "main-theorem": suite_main_theorem,
-    "transformations": suite_transformations,
-    "factorization": suite_factorization,
-    "riemann-scheme": suite_riemann_scheme,
-    "clausen": suite_clausen,
-    "j-theorem": suite_j_theorem,
-    "pde-restriction": suite_pde_restriction,
-    "quadric": suite_quadric,
     "developing-map": suite_developing_map,
+    "pde-restriction": suite_pde_restriction,
+    "main-theorem": suite_main_theorem,
+    "quadric": suite_quadric,
+    "transformations": suite_transformations,
     "monodromy": suite_monodromy,
+    "j-theorem": suite_j_theorem,
+    "clausen": suite_clausen,
+    "mueller": suite_mueller,
+    "klein": suite_klein,
+    "riemann-scheme": suite_riemann_scheme,
+    "factorization": suite_factorization,
     "fibers": suite_fibers,
 }
 
@@ -378,11 +381,11 @@ def run_suites(names: list[str], policy: PrecisionPolicy | None = None,
     """The named suites' reports, in the order of ``names``.
 
     With more than one suite and more than one usable CPU, the suites run in
-    forked worker processes, one per CPU; otherwise they run one after
-    another in this process, where in-process profilers and tracers see
-    them.  A suite whose worker dies before it reports (``os._exit``, the
-    OOM killer) gets the single failed check ``error`` with residual
-    "BrokenProcessPool: <message>"."""
+    forked worker processes, one per CPU, submitted in the order of SUITES,
+    longest first; otherwise they run one after another in this process,
+    where in-process profilers and tracers see them.  A suite whose worker
+    dies before it reports (``os._exit``, the OOM killer) gets the single
+    failed check ``error`` with residual "BrokenProcessPool: <message>"."""
     workers = worker_count(len(names), usable_cpus())
     if workers == 1:
         return [run_suite(name, policy, seed) for name in names]
@@ -395,11 +398,12 @@ def run_suites(names: list[str], policy: PrecisionPolicy | None = None,
     # forked workers start with this process's modules and patches, with no
     # re-import; the pool forks them all before it starts its own threads
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(run_suite, name, policy, seed) for name in names]
+        futures = {name: pool.submit(run_suite, name, policy, seed)
+                   for name in sorted(names, key=list(SUITES).index)}
         reports = []
-        for name, future in zip(names, futures):
+        for name in names:
             try:
-                reports.append(future.result())
+                reports.append(futures[name].result())
             except BrokenProcessPool as exc:
                 report = VerificationReport(name)
                 report.checks.append(CheckResult(

@@ -269,6 +269,22 @@ def test_forms_eval_near_the_real_axis_exits_one_at_once(capsys):
     assert "reduce the point" in payload["message"]
 
 
+@pytest.mark.parametrize("z1", ["1e30i", "1e60i"])
+def test_forms_eval_far_up_the_cusp_exits_one_at_once(capsys, z1):
+    """Far up one cusp the largest theta term lies past numkernel.SERIES_CAP
+    rows: the search for it stops at the cap.  At 1e60i, p r - q^2 of Im Z
+    cancels at the working precision; the determinant is Im z1 Im z2, so the
+    point is still valid input."""
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "forms", "eval", "--z1", z1, "--z2", "1i")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["error"] == "NonConvergent"
+    assert "over the cap of 200000" in payload["message"]
+    assert "reduce the point" in payload["message"]
+
+
 def test_invert_prints_no_noise_digits(capsys):
     """The target is real, so the preimage lies on the imaginary axes and the
     real parts are zero to the working precision: they print as zero, and a
@@ -388,6 +404,30 @@ def test_verify_all_report_is_the_same_on_one_cpu_and_on_two(capsys, monkeypatch
     assert counts == [1, 2]
     assert outs[0] == outs[1]
     assert outs[0][0] == 0
+
+
+def test_run_suites_submits_longest_first_and_reports_in_name_order(monkeypatch):
+    """Two workers take the suites in the order of SUITES, developing-map
+    first; the reports still come back in the order of the names asked for."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from hilbert_k3 import verify
+
+    names = stub_suites(monkeypatch, lambda: None)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording(self, fn, name, *args):
+        submitted.append(name)
+        return submit(self, fn, name, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    reports = verify.run_suites(names)
+    assert submitted[0] == "developing-map" != names[0]
+    assert submitted == list(verify.SUITES)
+    assert [r.suite_name for r in reports] == names
+    assert [r.suite_name for r in verify.run_suites(names[::-1])] == names[::-1]
 
 
 def test_worker_count_is_suites_capped_by_usable_cpus(monkeypatch, cpus):

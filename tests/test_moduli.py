@@ -8,7 +8,8 @@ from hilbert_k3.elliptic import eisenstein_and_J
 from hilbert_k3.moduli import (GENERATORS, JacobianSingular, K2_LOCUS,
                                NearZeroDenominator, RankDeficient, apply_generator,
                                continuation_invert, match_projective_maps,
-                               moduli_XYZ, modular_invariance, newton_invert)
+                               moduli_XY, moduli_XYZ, modular_invariance,
+                               newton_invert)
 from hilbert_k3.hilbert_theta import mueller_forms, theta_batch
 from hilbert_k3.numkernel import PrecisionPolicy, working_precision
 
@@ -109,11 +110,23 @@ def test_newton_offdiagonal_target_from_diagonal_guess(policy):
 
 
 def test_continuation_reaches_target(policy):
+    """The intermediate steps stop at a relative residual of 2^-10; the last
+    is still polished to newton_invert's default tolerance."""
     with working_precision(policy):
         seed = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))
-        res = continuation_invert(mpmath.mpf(1) / 10, mpmath.mpf(1) / 10, seed, policy)
+        X0 = Y0 = mpmath.mpf(1) / 10
+        res = continuation_invert(X0, Y0, seed, policy)
         xr, yr, _ = moduli_XYZ(res.z, policy)
-        assert abs(xr - mpmath.mpf(1) / 10) + abs(yr - mpmath.mpf(1) / 10) < 1e-10
+        assert abs(xr - X0) + abs(yr - Y0) < (1 + abs(X0) + abs(Y0)) * policy.verify_tol
+
+
+def test_inversion_result_carries_the_jacobian_of_its_last_pass(policy):
+    with working_precision(policy):
+        target = moduli_XYZ((mpmath.mpc("0.1", "1.3"), mpmath.mpc("-0.2", "1.6")), policy)
+        res = newton_invert(target[0], target[1],
+                            (mpmath.mpc("0.12", "1.28"), mpmath.mpc("-0.21", "1.62")), policy)
+        x, y = moduli_XY(res.z, policy, derivatives=True)
+        assert res.jacobian == (x.d1, x.d2, y.d1, y.d2)
 
 
 def _vector(rng):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hilbert_k3 import cli, pde
 from hilbert_k3.moduli import K2_LOCUS, RankDeficient
-from hilbert_k3.numkernel import PrecisionPolicy
+from hilbert_k3.numkernel import PrecisionPolicy, to_mpf, working_precision
 from hilbert_k3.pde import (SINGULAR_BASE, EliminationFailed, InconsistentReduction, Quotient,
                             SingularBasePoint, _BaseFraction,
                             _cleared_equations, _eigenvalue_signs, _jet_reducer, _shifted, _truncated_product,
@@ -380,6 +380,56 @@ def test_developing_map_pipeline(policy):
 def test_developing_map_rejects_diagonal_base(policy):
     with pytest.raises(SingularBasePoint):
         developing_map_match((Fraction(1, 10), Fraction(0)), policy=policy)
+
+
+# the anchor over BASE that the 10-step continuation reached when its
+# intermediate steps stopped at half the working digits, at 256 bits
+TEN_STEP_ANCHOR = (
+    ("0.30901699437494742410229341718281905886015458990288143106772431135263023140945122",
+     "1.2202328793298079203743895795001556368464833006953644776985789518462297915378494"),
+    ("-0.80901699437494742410229341718281905886015458990288143106772431135263023140945122",
+     "1.8491085797554824171740738073487023672488141554244200811506784454450949305106727"),
+)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_forward_samples_stay_near_the_base_and_match(monkeypatch, bits):
+    """Each sample's complex offset (X - X0, Y - Y0) lies within r/32 of the
+    base, with r the certified radius; the holdout is the truncation of the
+    order-10 grids, below 1e-24 at either precision; the anchor is the
+    10-step anchor to verify_tol."""
+    pol = PrecisionPolicy(bits)
+    offsets = []
+    evaluate = pde.evaluate_grid
+
+    def recording(basis, dx, dy):
+        offsets.append((dx, dy))
+        return evaluate(basis, dx, dy)
+
+    monkeypatch.setattr(pde, "evaluate_grid", recording)
+    rep = developing_map_match(BASE, samples=14, policy=pol, order=10)
+    assert rep["holdout_residual"] < 1e-24
+    assert len(offsets) == rep["samples"] == 14
+    r = estimate_singular_distance(BASE)
+    with working_precision(pol):
+        assert all(isinstance(d, mpmath.mpc) for o in offsets for d in o)
+        assert max(max(abs(dx), abs(dy)) for dx, dy in offsets) <= to_mpf(r) / 32
+        z = rep["anchor"].z
+        want = [mpmath.mpc(*w) for w in TEN_STEP_ANCHOR]
+        assert abs(z.z1 - want[0]) + abs(z.z2 - want[1]) < pol.verify_tol
+
+
+def test_evaluate_grid_sums_the_exact_grid_and_stays_in_the_polydisc(policy):
+    basis = taylor_basis(BASE, 6)
+    r = estimate_singular_distance(BASE)
+    dx, dy = r / 3, -r / 5
+    with working_precision(policy):
+        got = pde.evaluate_grid(basis, to_mpf(dx), to_mpf(dy))
+        for g, v in zip(basis.grids, got):
+            exact = sum(c * dx ** i * dy ** j for (i, j), c in g.items())
+            assert abs(v - to_mpf(exact)) < policy.verify_tol
+        with pytest.raises(ValueError, match="polydisc"):
+            pde.evaluate_grid(basis, mpmath.mpc(0, to_mpf(r * Fraction(101, 100))), mpmath.mpf(0))
 
 
 def test_transform_constant_across_sample_sets(policy):
