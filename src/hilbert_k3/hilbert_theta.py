@@ -11,10 +11,13 @@ fixed-point integers (after Deconinck, Heil, Bobenko, van Hoeij and Schmies,
 "Computing Riemann theta functions", Math. Comp. 73 (2004)); each row starts
 from integer recurrences out of the largest term, with no mpmath work per row.
 
-mueller_forms evaluates the forms in integer binary floats (BinaryFloat).  The
-numerically risky one, the weight-15 form s15, R. Mueller's 30-monomial sum, is
-evaluated as five factored triples; the tests expand them against the table,
-and the checks in verify_modularity / verify_mueller_relation pin s15 down too.
+mueller_forms reduces a point by g1, g2 and g3 toward Im ~ 1 before it sums
+(after Goetzky, Math. Ann. 100 (1928), on the fundamental domain for
+Q(sqrt 5), and Deconinck et al., section 3), and evaluates the forms in
+integer binary floats (BinaryFloat).  The numerically risky one, the weight-15
+form s15, R. Mueller's 30-monomial sum, is evaluated as five factored triples;
+the tests expand them against the table, and the checks in verify_modularity /
+verify_mueller_relation pin s15 down too.
 """
 
 from __future__ import annotations
@@ -410,6 +413,44 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
 
 FORM_NAMES = ("g2", "s5", "s6", "s10", "s15")
 
+# f(-1/z1, -1/z2) = (z1 z2)^k f(z1, z2), with no sign, for each form's weight k
+WEIGHTS = {"g2": 2, "s5": 5, "s6": 6, "s10": 10, "s15": 15}
+
+# the inversions one reduction may take before it gives up
+REDUCTION_CAP = 100
+
+
+def _reduce(pair: UHPPair,
+            policy: PrecisionPolicy | None = None) -> tuple[UHPPair, mpmath.mpc | int]:
+    """An equivalent point w of pair under g1, g2 and g3, and the product N
+    of the z1 z2 taken before each inversion, so that f(pair) = f(w) / N^k
+    for a form f of weight k (N is 1 when nothing was inverted).
+
+    Translate (Re z1, Re z2) by the nearest m + n eps of O_K, (m + n eps,
+    m + n eps'), by g1 and g2; while |z1 z2| < 1, apply g3, z -> -1/z, which
+    multiplies Im z1 Im z2 by 1/|z1 z2|^2, and translate again.  The values
+    of Im z1 Im z2 over an orbit that exceed a given one are finitely many,
+    so the loop ends; a factor within 2^-20 of 1 gains nothing and stops it,
+    where rounding could cycle it at an elliptic point (rho, rho).  Raises
+    NonConvergent past REDUCTION_CAP inversions.  The unit action, which
+    would balance Im z1 against Im z2, is not applied: (1e-30i, i) reduces
+    to (1e30i, i), still far up one cusp."""
+    with working_precision(policy):
+        qc = quadratic_constants(policy)
+        z1, z2, N = pair.z1, pair.z2, 1
+        for _ in range(REDUCTION_CAP):
+            # eps - eps' = sqrt5 and eps + eps' = 1: n from the difference, m from the mean
+            n = int(mpmath.nint((z1.real - z2.real) / qc.sqrt5))
+            m = int(mpmath.nint((z1.real + z2.real - n) / 2))
+            if m or n:
+                z1, z2 = z1 - (m + n * qc.eps), z2 - (m + n * qc.eps_conj)
+            w = z1 * z2
+            if abs(w) >= 1 - 2 ** -20:
+                return UHPPair(z1, z2), N
+            N *= w
+            z1, z2 = -1 / z1, -1 / z2
+        raise NonConvergent(f"the point is not reduced after {REDUCTION_CAP} inversions")
+
 
 @dataclass(frozen=True)
 class MuellerForms:
@@ -445,8 +486,19 @@ def mueller_forms(p, policy: PrecisionPolicy | None = None,
                   names: tuple[str, ...] = FORM_NAMES) -> MuellerForms:
     """Evaluate the forms in ``names`` (g2 always) at (z1, z2).
 
-    ``theta`` may be the thetas as Jets (theta_batch with derivatives); the
-    same products then carry d/dz1 and d/dz2 along, for every form but s15.
+    Without ``theta``, the point is reduced first (_reduce): translated by
+    O_K with g1 and g2 and inverted by g3 toward Im ~ 1, to w with
+    Im z1 Im z2 at least that of the point, so a group image near the cusp
+    sums as few terms as a point of the box and loses no digits to
+    cancellation.  One theta_batch call at w gives the forms there, and each
+    form of weight k (WEIGHTS) is divided by N^k, N the product of the z1 z2
+    taken before each inversion; translations leave every form unchanged.
+
+    ``theta`` is the thetas at (z1, z2) itself, which are summed where they
+    lie: a caller that compares a point with its image under the group, or
+    that differentiates, passes theta_batch at the point.  They may be Jets
+    (theta_batch with derivatives); the same products then carry d/dz1 and
+    d/dz2 along, for every form but s15.
 
     The products run on BinaryFloat at wp = mp.prec + 16 bits, each rounding by
     less than 2^(2 - wp) of itself; each form is then rounded to mp.prec.  Its
@@ -454,8 +506,11 @@ def mueller_forms(p, policy: PrecisionPolicy | None = None,
     sum |abc| (|A|+|B|) (|A|+|C|) (|B|+|C|) over the triples, <= 4/3 the table's.
     """
     with working_precision(policy):
-        th = theta if theta is not None else theta_batch(p, policy)
-        th = [_each(lambda t: BinaryFloat.from_mpc(t, mp.prec + GUARD_BITS), t) for t in th]
+        N = 1
+        if theta is None:
+            w, N = _reduce(as_pair(p, policy), policy)
+            theta = theta_batch(w, policy)
+        th = [_each(lambda t: BinaryFloat.from_mpc(t, mp.prec + GUARD_BITS), t) for t in theta]
         # each form as a BinaryFloat (or Jet) and the power of two it is scaled by
         out = {"g2": (_prod(th, "0145") - _prod(th, "1279") - _prod(th, "3478")
                       + _prod(th, "0268") + _prod(th, "3569"), 0)}
@@ -477,8 +532,17 @@ def mueller_forms(p, policy: PrecisionPolicy | None = None,
                 ab, ac = (A + B, A + C) if pm > 0 else (A - B, A - C)
                 terms.append(a * b * c * ab * ac * (B - C if sigma > 0 else C - B))
             out["s15"] = -sum(terms[1:], terms[0]), -18
-        return MuellerForms(**{name: _each(lambda v, e=e: v.to_mpc(e), x)
-                               for name, (x, e) in out.items()})
+        forms = {name: _each(lambda v, e=e: v.to_mpc(e), x) for name, (x, e) in out.items()}
+        if N != 1:
+            forms = {name: v / N ** WEIGHTS[name] for name, v in forms.items()}
+        return MuellerForms(**forms)
+
+
+def unreduced_forms(p, policy: PrecisionPolicy | None = None) -> MuellerForms:
+    """The forms from theta_batch at p itself.  A check that compares p with
+    its image under the group needs these: reduced first, both would be
+    summed at the same point."""
+    return mueller_forms(p, policy, theta=theta_batch(p, policy))
 
 
 def verify_mueller_relation(p, policy: PrecisionPolicy | None = None,
@@ -506,30 +570,31 @@ def verify_mueller_relation(p, policy: PrecisionPolicy | None = None,
 def verify_modularity(p, policy: PrecisionPolicy | None = None) -> dict[str, mpmath.mpf]:
     """Transformation laws for g2 (weight 2), s6 (weight 6), s5 (alternating):
     translations by 1 and by the fundamental unit, the inversion
-    z -> -1/z in both slots, and the slot swap."""
+    z -> -1/z in both slots, and the slot swap, each between unreduced_forms
+    at the point and at its image."""
     pair = as_pair(p, policy)
     with working_precision(policy):
         qc = quadratic_constants(policy)
         z1, z2 = pair.z1, pair.z2
-        base = mueller_forms(pair, policy)
+        base = unreduced_forms(pair, policy)
 
         def rel(x, y):
             return abs(x - y) / max(abs(x), abs(y))
 
         out: dict[str, mpmath.mpf] = {}
-        shift1 = mueller_forms((z1 + 1, z2 + 1), policy)
+        shift1 = unreduced_forms((z1 + 1, z2 + 1), policy)
         out["g2_translation_1"] = rel(shift1.g2, base.g2)
         out["s6_translation_1"] = rel(shift1.s6, base.s6)
 
-        shift_eps = mueller_forms((z1 + qc.eps, z2 + qc.eps_conj), policy)
+        shift_eps = unreduced_forms((z1 + qc.eps, z2 + qc.eps_conj), policy)
         out["g2_translation_eps"] = rel(shift_eps.g2, base.g2)
         out["s6_translation_eps"] = rel(shift_eps.s6, base.s6)
 
-        inv = mueller_forms((-1 / z1, -1 / z2), policy)
+        inv = unreduced_forms((-1 / z1, -1 / z2), policy)
         out["g2_inversion_weight2"] = rel(inv.g2, (z1 * z2) ** 2 * base.g2)
         out["s6_inversion_weight6"] = rel(inv.s6, (z1 * z2) ** 6 * base.s6)
 
-        swap = mueller_forms((z2, z1), policy)
+        swap = unreduced_forms((z2, z1), policy)
         out["g2_swap_symmetric"] = rel(swap.g2, base.g2)
         out["s6_swap_symmetric"] = rel(swap.s6, base.s6)
         out["s15_swap_symmetric"] = rel(swap.s15, base.s15)

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .hilbert_theta import MuellerForms, UHPPair, as_pair, mueller_forms, theta_batch
+from .hilbert_theta import (MuellerForms, UHPPair, as_pair, mueller_forms, theta_batch,
+                            unreduced_forms)
 from .numkernel import GUARD_BITS, PrecisionPolicy, quadratic_constants, to_mpc, working_precision
 from .polynomials import SparsePoly
 
@@ -51,7 +52,8 @@ def moduli_XYZ(p, policy: PrecisionPolicy | None = None,
     """(X, Y, Z) = (800 s6/g2^3, 3200000 s10/g2^5, (2^26 5^10/9) s15^2/g2^15).
 
     Z is None when ``forms`` lacks s15; with forms of Jets, X, Y and Z are
-    Jets too."""
+    Jets too.  Each is a quotient of weight 0, so the weight factors of
+    mueller_forms' reduction cancel in it."""
     with working_precision(policy) as pol:
         f = forms if forms is not None else mueller_forms(p, policy)
         if abs(f.g2) < mpmath.mpf(2) ** (-pol.mantissa_bits // 2):
@@ -86,12 +88,14 @@ def apply_generator(p, name: str, policy: PrecisionPolicy | None = None) -> UHPP
 
 def modular_invariance(p, generator: str, policy: PrecisionPolicy | None = None,
                        forms: MuellerForms | None = None) -> mpmath.mpf:
-    """|X(g p) - X(p)| + |Y(g p) - Y(p)|, relative to 1 + |X| + |Y|; ``forms``
-    are the forms at p, if already known."""
+    """|X(g p) - X(p)| + |Y(g p) - Y(p)|, relative to 1 + |X| + |Y|, from
+    unreduced_forms at p and at g p; ``forms`` are those at p, if already
+    known."""
     with working_precision(policy):
-        x0, y0, _ = moduli_XYZ(p, policy, forms=forms)
+        x0, y0, _ = moduli_XYZ(p, policy, forms=forms if forms is not None
+                               else unreduced_forms(p, policy))
         q = apply_generator(p, generator, policy)
-        x1, y1, _ = moduli_XYZ(q, policy)
+        x1, y1, _ = moduli_XYZ(q, policy, forms=unreduced_forms(q, policy))
         return (abs(x1 - x0) + abs(y1 - y0)) / (1 + abs(x0) + abs(y0))
 
 

@@ -10,6 +10,7 @@ by precision-doubling consistency tests.
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -198,6 +199,7 @@ class QuadraticConstants:
     eps_conj: mpmath.mpf
 
 
+@functools.cache   # every psi and every reduction asks for them
 def quadratic_constants(policy: PrecisionPolicy | None = None) -> QuadraticConstants:
     with working_precision(policy):
         s = mpmath.sqrt(mpmath.mpf(5))

@@ -179,7 +179,7 @@ def suite_main_theorem(policy: PrecisionPolicy, seed: int) -> VerificationReport
 def suite_transformations(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("transformations") as c, working_precision(policy):
         pts = sample_points(3, seed)
-        forms = [hilbert_theta.mueller_forms(p, policy) for p in pts]
+        forms = [hilbert_theta.unreduced_forms(p, policy) for p in pts]
         for gen in moduli.GENERATORS:
             worst = mpmath.mpf(0)
             for p, f in zip(pts, forms):

@@ -258,10 +258,20 @@ def test_invert_at_a_singular_root_stops_on_linear_convergence(capsys):
 
 
 def test_forms_eval_near_the_real_axis_exits_one_at_once(capsys):
-    """Near the real axis the theta ellipse holds far more terms than
-    numkernel.SERIES_CAP: the estimate stops the call before any row is built."""
+    """(1e-30i, 1e-30i) reduces by g3 to (1e30i, 1e30i) and exits 0 at once,
+    with the X of that point to 15 digits: at that height the kernel keeps
+    only about 20.  (1e-30i, i) reduces to (1e30i, i), far up one cusp, as
+    no unit action balances the two heights: the search for the largest
+    term stops at numkernel.SERIES_CAP rows, and the call exits 1."""
     start = time.perf_counter()
     code, out = run_cli(capsys, "forms", "eval", "--z1", "1e-30i", "--z2", "1e-30i")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    _, far = run_cli(capsys, "forms", "eval", "--z1", "1e30i", "--z2", "1e30i")
+    low, high = (mpmath.mpf(json.loads(text)["X_re"]) for text in (out, far))
+    assert abs(low - high) < 1e-15 * abs(high)
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "forms", "eval", "--z1", "1e-30i", "--z2", "1i")
     assert time.perf_counter() - start < 1.0
     assert code == 1
     payload = json.loads(out)

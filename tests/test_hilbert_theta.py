@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 import tracemalloc
@@ -7,12 +8,15 @@ import mpmath
 import pytest
 import sympy
 
+from hilbert_k3 import hilbert_theta
 from hilbert_k3.elliptic import jacobi_theta
 from hilbert_k3.hilbert_theta import (FORM_NAMES, S15_TRIPLES, SHIFTS,
                                       THETA_CHARACTERISTICS, SiegelPoint, UHPPair,
                                       lattice_region, mueller_forms, psi, theta_batch,
-                                      verify_modularity, verify_mueller_relation)
-from hilbert_k3.numkernel import Jet, NonConvergent, PrecisionPolicy, working_precision
+                                      unreduced_forms, verify_modularity,
+                                      verify_mueller_relation)
+from hilbert_k3.numkernel import (Jet, NonConvergent, PrecisionPolicy, quadratic_constants,
+                                  working_precision)
 
 # ------------------------------------------------------- brute-force oracle
 
@@ -422,21 +426,37 @@ def test_s10_is_s5_squared(policy):
             assert abs(f.s10 - f.s5 ** 2) < policy.verify_tol * max(1, abs(f.s10))
 
 
-def test_modularity_laws(policy):
+def _record_theta_points(monkeypatch) -> list:
+    """Make hilbert_theta.theta_batch record each point it is called at."""
+    seen = []
+
+    def recording(p, *args, **kwargs):
+        seen.append((p.z1, p.z2) if isinstance(p, UHPPair) else tuple(p))
+        return theta_batch(p, *args, **kwargs)
+
+    monkeypatch.setattr(hilbert_theta, "theta_batch", recording)
+    return seen
+
+
+def test_modularity_laws(policy, monkeypatch):
+    """The laws sum the forms at the point and at each of its four images, so
+    no law compares a point with itself."""
+    seen = _record_theta_points(monkeypatch)
     with working_precision(policy):
-        rep = verify_modularity((mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.4")), policy)
-        for name, residual in rep.items():
-            assert residual < policy.verify_tol * 100, name
-        rep = verify_modularity((mpmath.mpc("0.3", "1.2"), mpmath.mpc("-0.2", "0.8")), policy)
-        for name, residual in rep.items():
-            assert residual < policy.verify_tol * 100, name
+        for p in ((mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.4")),
+                  (mpmath.mpc("0.3", "1.2"), mpmath.mpc("-0.2", "0.8"))):
+            seen.clear()
+            rep = verify_modularity(p, policy)
+            for name, residual in rep.items():
+                assert residual < policy.verify_tol * 100, name
+            assert len(set(seen)) == len(seen) == 5
 
 
 def test_inversion_law_at_fixed_point(policy):
     with working_precision(policy):
         z1, z2 = mpmath.mpc(0, "1.2"), mpmath.mpc(0, "0.8")
-        base = mueller_forms((z1, z2), policy)
-        inv = mueller_forms((-1 / z1, -1 / z2), policy)
+        base = unreduced_forms((z1, z2), policy)
+        inv = unreduced_forms((-1 / z1, -1 / z2), policy)
         r = abs(inv.g2 - (z1 * z2) ** 2 * base.g2) / abs(inv.g2)
         assert r < policy.verify_tol * 10
 
@@ -444,9 +464,80 @@ def test_inversion_law_at_fixed_point(policy):
 def test_s5_antisymmetry_at_fixed_point(policy):
     with working_precision(policy):
         p = (mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.7"))
-        a = mueller_forms(p, policy)
-        b = mueller_forms((p[1], p[0]), policy)
+        a = unreduced_forms(p, policy)
+        b = unreduced_forms((p[1], p[0]), policy)
         assert abs(a.s5 + b.s5) < policy.verify_tol * max(1, abs(a.s5))
+
+
+# ------------------------------------------------------------ the reduction
+
+def _reduction_point(name, policy):
+    """A point near the real axis, or a group image as the benchmark builds
+    them: g1 g3 g1^-3 g2^2 of a point high in the cusp, at Im 0.0217 and 0.0207."""
+    if name == "cusp":
+        return (mpmath.mpc("0.013", "0.02"), mpmath.mpc("-0.01", "0.021"))
+    qc = quadratic_constants(policy)
+    z1, z2 = mpmath.mpc("0.1", "46"), mpmath.mpc("-0.2", "48")
+    return (1 - 1 / (z1 - 3 + 2 * qc.eps), 1 - 1 / (z2 - 3 + 2 * qc.eps_conj))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", ["cusp", "image"])
+def test_reduced_forms_match_the_raw_sum_at_four_times_the_bits(name, bits):
+    """Every form, evaluated at the reduced point and divided by N^k, against
+    the thetas summed where the point lies at 4x the bits, relative to the
+    form itself.  Summed where it lies at the working precision, s15 at the
+    cusp point is good only to about 1e-23 at 128 bits."""
+    pol, ref = PrecisionPolicy(bits), PrecisionPolicy(4 * bits)
+    with working_precision(pol):
+        p = _reduction_point(name, pol)
+        got = mueller_forms(p, pol)
+    with working_precision(ref):
+        want = unreduced_forms(p, ref)
+        for form in FORM_NAMES:
+            w = getattr(want, form)
+            assert abs(getattr(got, form) - w) < pol.verify_tol * abs(w), form
+
+
+@pytest.mark.parametrize("name", ["cusp", "image"])
+def test_a_cusp_point_is_summed_once_at_a_reduced_point(name, monkeypatch):
+    """One theta_batch call, at a point whose Im z1 Im z2 is at least that
+    of the lowest point of the verify box, 0.8 * 0.8."""
+    seen = _record_theta_points(monkeypatch)
+    pol = PrecisionPolicy(128)
+    with working_precision(pol):
+        mueller_forms(_reduction_point(name, pol), pol)
+    assert len(seen) == 1
+    assert seen[0][0].imag * seen[0][1].imag >= 0.64
+
+
+# sha256 of the five forms' parts at the risk points, with the thetas summed
+# where each point lies, as mueller_forms summed every point before it reduced
+RAW_FORMS_DIGEST = {
+    128: "d6b8402c4f565f44728042116d77a14619d9d252eb05ee609be7be33df677153",
+    256: "fb78ac5ed79a661ae60529c1006415b6fb6655ac39e587d3b378819b31b4c842",
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_forms_from_given_thetas_are_unchanged(bits):
+    """mueller_forms with ``theta`` sums where it is told, bit for bit as
+    before the reduction; Newton's Jacobian and the orbit checks rely on it."""
+    pol = PrecisionPolicy(bits)
+    h = hashlib.sha256()
+    with working_precision(pol):
+        for name in sorted(RISK_POINTS):
+            f = unreduced_forms(_risk_point(name), pol)
+            for form in FORM_NAMES:
+                v = getattr(f, form)
+                h.update(f"{v.real._mpf_}|{v.imag._mpf_}|".encode())
+    assert h.hexdigest() == RAW_FORMS_DIGEST[bits]
+
+
+def test_a_point_past_the_reduction_cap_raises(monkeypatch):
+    monkeypatch.setattr(hilbert_theta, "REDUCTION_CAP", 0)
+    with pytest.raises(NonConvergent, match="not reduced"):
+        mueller_forms((mpmath.mpc(0, "0.5"), mpmath.mpc(0, "0.5")), PrecisionPolicy(128))
 
 
 # ------------------------------------------------------------ derivatives

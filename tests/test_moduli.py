@@ -10,7 +10,7 @@ from hilbert_k3.moduli import (GENERATORS, JacobianSingular, K2_LOCUS,
                                continuation_invert, match_projective_maps,
                                moduli_XY, moduli_XYZ, modular_invariance,
                                newton_invert)
-from hilbert_k3.hilbert_theta import mueller_forms, theta_batch
+from hilbert_k3.hilbert_theta import mueller_forms, theta_batch, unreduced_forms
 from hilbert_k3.numkernel import PrecisionPolicy, working_precision
 
 
@@ -42,6 +42,17 @@ def test_diagonal_X_far_into_the_cusp(bits, y):
         assert abs(x / lead - 1) < policy.verify_tol
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_X_near_the_real_axis_equals_X_at_its_inverse(bits):
+    """(0.02i, 0.02i) is summed at its g3 image (50i, 50i), so X keeps every
+    digit there; summed where it lies, X kept about 15 at 128 bits."""
+    policy = PrecisionPolicy(bits)
+    with working_precision(policy):
+        low, _, _ = moduli_XYZ((mpmath.mpc(0, "0.02"), mpmath.mpc(0, "0.02")), policy)
+        high, _, _ = moduli_XYZ((mpmath.mpc(0, 50), mpmath.mpc(0, 50)), policy)
+        assert abs(low - high) < policy.verify_tol * abs(high)
+
+
 def test_quintic_relation_generic(policy):
     with working_precision(policy):
         x, y, z = moduli_XYZ((mpmath.mpc(0, "1.1"), mpmath.mpc(0, "0.8")), policy)
@@ -57,10 +68,13 @@ def test_XYZ_invariant_under_all_generators_at_ten_points(policy):
         pts = [(mpmath.mpc(round(rng.uniform(-0.5, 0.5), 6), round(rng.uniform(0.8, 2.0), 6)),
                 mpmath.mpc(round(rng.uniform(-0.5, 0.5), 6), round(rng.uniform(0.8, 2.0), 6)))
                for _ in range(10)]
-        values = [moduli_XYZ(p, policy) for p in pts]
+        # summed where each point lies: reduced first, p and g p would be
+        # summed at the same point
+        values = [moduli_XYZ(p, policy, forms=unreduced_forms(p, policy)) for p in pts]
         for gen in GENERATORS:
             for p, (x0, y0, z0) in zip(pts, values):
-                x1, y1, z1 = moduli_XYZ(apply_generator(p, gen, policy), policy)
+                q = apply_generator(p, gen, policy)
+                x1, y1, z1 = moduli_XYZ(q, policy, forms=unreduced_forms(q, policy))
                 scale = 1 + abs(x0) + abs(y0) + abs(z0)
                 assert abs(x1 - x0) + abs(y1 - y0) + abs(z1 - z0) \
                     < policy.verify_tol * 10 * scale, gen

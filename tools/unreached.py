@@ -47,6 +47,8 @@ RUNS = [
     (["--format", "csv", "forms", "eval", "--z1", "0.5+1.25i", "--z2=-0.25+i"], 0),
     (["--prec", "256", "forms", "eval", "--z1", "0.3+1.1i", "--z2", "1/3+0.9i"], 0),
     (["forms", "eval", "--z1", "1e20i", "--z2", "1e20i"], 0),
+    # near the real axis: mueller_forms inverts and translates before it sums
+    (["forms", "eval", "--z1", "0.013+0.02i", "--z2=-0.01+0.021i"], 0),
     (["--format", "csv", "verify", "klein"], 0),
     (["fibers", "classify", "--X", "1", "--Y", "1"], 0),
     (["fibers", "classify", "--X", "0", "--Y", "0"], 0),
