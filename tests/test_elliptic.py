@@ -5,9 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from hilbert_k3.elliptic import (NotInUpperHalfPlane, eisenstein_and_J, j_qexpansion,
-                                 jacobi_theta)
-from hilbert_k3.numkernel import NonConvergent, PrecisionPolicy, to_mpc, working_precision
+from hilbert_k3.elliptic import (NotInUpperHalfPlane, eisenstein_and_J, eisenstein_qexp,
+                                 j_qexpansion, jacobi_theta)
+from hilbert_k3.numkernel import PrecisionPolicy, to_mpc, working_precision
 
 
 def test_uhp_validation():
@@ -58,9 +58,9 @@ def test_theta00_at_i_converges_above_the_float_range():
 
 def test_J_special_values(policy):
     with working_precision(policy):
-        assert abs(eisenstein_and_J(mpmath.mpc(0, 1), policy).J - 1) < policy.verify_tol
+        assert abs(eisenstein_and_J(mpmath.mpc(0, 1), policy) - 1) < policy.verify_tol
         rho = mpmath.mpc(mpmath.mpf(1) / 2, mpmath.sqrt(3) / 2)
-        assert abs(eisenstein_and_J(rho, policy).J) < 1e-30
+        assert abs(eisenstein_and_J(rho, policy)) < 1e-30
 
 
 def test_J_at_2i_against_lattice_sum_oracle(policy):
@@ -76,40 +76,54 @@ def test_J_at_2i_against_lattice_sum_oracle(policy):
     j_oracle = g2 ** 3 / (g2 ** 3 - 27 * g3 ** 2)
     assert abs(j_oracle - 166.375) < 0.02
     with working_precision(policy):
-        v = eisenstein_and_J(mpmath.mpc(0, 2), policy)
-        assert abs(v.J - mpmath.mpf(1331) / 8) < policy.verify_tol * 200
+        j = eisenstein_and_J(mpmath.mpc(0, 2), policy)
+        assert abs(j - mpmath.mpf(1331) / 8) < policy.verify_tol * 200
 
 
 @pytest.mark.parametrize("bits", [128, 256])
-@pytest.mark.parametrize("y", ["1.2", "2", "3", "5", "10"])
-def test_J_keeps_the_digits_the_discriminant_cancels(bits, y):
-    """E4^3 - E6^2 = 1728 q (1 + O(q)) cancels about log2(1/|1728 q|) bits, so
-    J from sums to an absolute series_tol would lose them (9% of J at 16.5i,
-    128 bits); with those bits carried, all four values are within verify_tol
-    of a reference at four times the precision."""
+@pytest.mark.parametrize("x, y", [("-0.45", "0.8"), ("0.5", "0.867"), ("0.3", "0.9"), ("0", "2"),
+                                  ("0", "3"), ("0.25", "5"), ("0", "15"), ("0", "20"),
+                                  ("0.2", "30"), ("0", "60")])
+def test_J_matches_kleinj_at_four_times_the_bits(bits, x, y):
+    """J from the lambda function is within verify_tol of mpmath's kleinj at
+    four times the precision, relative once |J| > 1: from Im z = 0.8, through
+    a point near rho where J nearly vanishes, up to Im z = 60, where
+    J ~ 1 / (1728 q) is about 10^160 and nothing cancels."""
     policy, reference = PrecisionPolicy(bits), PrecisionPolicy(4 * bits)
     with working_precision(reference):
-        z = mpmath.mpc(0, mpmath.mpf(y))
-        exact = eisenstein_and_J(z, reference)
-        values = eisenstein_and_J(z, policy)
-        for name in ("E4", "E6", "Delta", "J"):
-            ref = getattr(exact, name)
-            assert abs(getattr(values, name) - ref) < policy.verify_tol * abs(ref), name
+        zc = mpmath.mpc(x, y)
+        j = eisenstein_and_J(zc, policy)
+        exact = mpmath.kleinj(zc)
+        assert abs(j - exact) < policy.verify_tol * max(1, abs(exact))
 
 
-def test_J_past_the_mantissa_raises_non_convergent(policy):
-    """At Im z = 1e20 the discriminant cancels about 9e20 bits: more than the
-    mantissa, so J raises NonConvergent rather than divide by zero."""
-    with pytest.raises(NonConvergent, match="more than the 128-bit mantissa"):
-        eisenstein_and_J(mpmath.mpc(0, "1e20"), policy)
+@pytest.mark.parametrize("bits", [128, 256])
+def test_J_at_1e20i_is_its_leading_q_terms(bits):
+    """At Im z = 1e20, q = e^(2 pi i z) is about 10^(-2.7e20): J = 1/(1728 q)
+    + 744/1728 + O(q) to every digit, and the lambda route reaches it.  q is
+    taken at four times the bits: its exponent, -2 pi 1e20, has 67 integer
+    bits, so rounding it at the working precision would move q by about
+    2^(67 - bits) of itself."""
+    policy, reference = PrecisionPolicy(bits), PrecisionPolicy(4 * bits)
+    with working_precision(reference):
+        z = mpmath.mpc(0, "1e20")
+        q = mpmath.exp(2j * mpmath.pi * z)
+        expected = 1 / (1728 * q) + mpmath.mpf(744) / 1728
+        assert abs(eisenstein_and_J(z, policy) - expected) < policy.verify_tol * abs(expected)
 
 
 def test_theta_delta_identity(policy):
-    """(1/1728) (3/(4 pi^4))^3 Delta = 2^-8 (theta00 theta01 theta10)^8."""
+    """(E4^3 - E6^2) / 1728 = 2^-8 (theta00 theta01 theta10)^8, the left side
+    from the exact divisor-sum series: its q^n coefficient is the Ramanujan
+    tau(n), |tau(n)| <= d(n) n^(11/2), so summing to where |q|^order is below
+    verify_tol^2 leaves a tail far below verify_tol of the q-sized value."""
     with working_precision(policy):
         for z in (mpmath.mpc(0, "1.1"), mpmath.mpc("0.8", "1.7"), mpmath.mpc(0, 1)):
-            delta = eisenstein_and_J(z, policy).Delta
-            lhs = (mpmath.mpf(3) / (4 * mpmath.pi ** 4)) ** 3 * delta / 1728
+            q = mpmath.exp(2j * mpmath.pi * z)
+            order = int(mpmath.ceil(2 * mpmath.log(policy.verify_tol) / mpmath.log(abs(q))))
+            e4, e6 = eisenstein_qexp(4, order), eisenstein_qexp(6, order)
+            delta = (e4 * e4 * e4 - e6 * e6).coeffs
+            lhs = sum(to_mpc(c) * q ** n for n, c in enumerate(delta)) / 1728
             prod = (jacobi_theta("00", z, policy) * jacobi_theta("01", z, policy)
                     * jacobi_theta("10", z, policy))
             rhs = prod ** 8 / 256
@@ -152,15 +166,15 @@ def test_modularity_smoke(policy):
         for _ in range(5):
             z = mpmath.mpc(round(rng.uniform(-0.5, 0.5), 6),
                            round(rng.uniform(0.9, 2.0), 6))
-            j0 = eisenstein_and_J(z, policy).J
-            j1 = eisenstein_and_J(z + 1, policy).J
-            j2 = eisenstein_and_J(-1 / z, policy).J
+            j0 = eisenstein_and_J(z, policy)
+            j1 = eisenstein_and_J(z + 1, policy)
+            j2 = eisenstein_and_J(-1 / z, policy)
             scale = max(1, abs(j0))
             assert abs(j1 - j0) < policy.verify_tol * scale
             assert abs(j2 - j0) < policy.verify_tol * scale * 10
 
 
-def test_qexpansion_evaluation_matches_eisenstein_path(policy):
+def test_qexpansion_evaluation_matches_theta_path(policy):
     rng = random.Random(37)
     qe = j_qexpansion(48)
     with working_precision(policy):
@@ -171,5 +185,5 @@ def test_qexpansion_evaluation_matches_eisenstein_path(policy):
             lhs = mpmath.mpc(0)
             for k, c in enumerate(qe.coeffs):
                 lhs += to_mpc(c) * q ** (qe.expo + k)
-            rhs = 1728 * eisenstein_and_J(z, policy).J
+            rhs = 1728 * eisenstein_and_J(z, policy)
             assert abs(lhs - rhs) < policy.verify_tol * max(1, abs(rhs))

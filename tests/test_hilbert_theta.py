@@ -625,7 +625,7 @@ def test_a_pass_makes_the_same_exponentials_whatever_its_row_count(monkeypatch):
 
 def test_a_point_past_the_term_cap_raises_before_summing():
     tiny = (mpmath.mpc(0, "1e-30"), mpmath.mpc(0, "1e-30"))
-    with pytest.raises(NonConvergent, match="reduce the point"):
+    with pytest.raises(NonConvergent, match="over the cap of 200000 terms"):
         theta_batch(tiny, PrecisionPolicy(128))
 
 

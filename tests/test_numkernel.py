@@ -91,11 +91,11 @@ def test_precision_doubling_consistency(policy):
             a = jacobi_theta("00", z, policy)
             b = jacobi_theta("00", z, double)
             assert abs(a - b) < policy.series_tol
-            ja = eisenstein_and_J(z, policy).J
-            jb = eisenstein_and_J(z, double).J
-            # J divides nearly-cancelling Eisenstein combinations; its
-            # condition number w.r.t. the series tails is ~ 3 |J| (1 + |J|)
-            assert abs(ja - jb) < policy.series_tol * 12 * (1 + abs(jb)) ** 2
+            ja = eisenstein_and_J(z, policy)
+            jb = eisenstein_and_J(z, double)
+            # J is a rational function of (theta10 / theta00)^4 and cancels
+            # nothing, so it moves by a few series_tol relative to 1 + |J|
+            assert abs(ja - jb) < policy.series_tol * 12 * (1 + abs(jb))
 
 
 def test_threads_at_different_precisions_keep_their_digits():

@@ -70,9 +70,6 @@ ALLOWED = {
     "fibrations.kodaira_type":
         "the standard table; the rows III, IV, I0* and II* type no fiber of a "
         "`fibers classify` point in RUNS",
-    "elliptic._eisenstein_value.<locals>.tail":
-        "the ratio bound holds once |q| (1 + 1/m)^(k+1) < 1, from the first tail (m = 2) "
-        "on wherever Im z >= 0.39; every command evaluates E4 and E6 at Im z >= 0.8",
     "polynomials.RationalFunction._of":
         "the gcd split of a square-free factor that divides the numerator only in part "
         "keeps every result in lowest terms; no command's arithmetic meets such a factor",
