@@ -24,11 +24,8 @@ K3 = Fraction(2 ** 26 * 5 ** 10, 9)
 K2_LOCUS = SparsePoly(("X", "Y"), {(5, 0): 1728, (3, 1): -720, (1, 2): 80, (4, 0): -1600,
                                    (2, 1): 640, (0, 2): -64, (0, 3): -1})
 
-# the iterations one Newton solve may take, the steps of a continuation path,
-# and the relative residual, in bits, at which its intermediate steps stop
+# the iterations one Newton solve may take
 NEWTON_ITERATIONS = 40
-CONTINUATION_STEPS = 10
-INTERMEDIATE_BITS = 10
 
 
 class NearZeroDenominator(Exception):
@@ -210,28 +207,12 @@ def newton_invert(target_X, target_Y, guess,
                                     f"by {mpmath.nstr(ratios[-1], 3)} per step (iteration {it})")
 
 
-def continuation_invert(target_X, target_Y, seed_pair,
+def continuation_invert(target_X, target_Y, start,
                         policy: PrecisionPolicy | None = None) -> InversionResult:
-    """Path-following inverse: walk (X, Y) linearly from the seed's image to
-    the target in CONTINUATION_STEPS steps, Newton-correcting at each step
-    from the previous solution (Allgower and Georg, Introduction to Numerical
-    Continuation Methods, SIAM 2003).  An intermediate corrector only has to
-    stay on the path's branch, so it stops at a relative residual of
-    2^-INTERMEDIATE_BITS; only the last step is polished to newton_invert's
-    default tolerance, and its result carries the Jacobian at the target."""
-    with working_precision(policy) as pol:
-        pair = as_pair(seed_pair, policy)
-        Xs, Ys = moduli_XY(pair, pol)
-        X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
-        loose = mpmath.mpf(2) ** -INTERMEDIATE_BITS
-        for k in range(1, CONTINUATION_STEPS + 1):
-            s = mpmath.mpf(k) / CONTINUATION_STEPS
-            Xt = (1 - s) * Xs + s * X0
-            Yt = (1 - s) * Ys + s * Y0
-            tol = None if k == CONTINUATION_STEPS else (1 + abs(Xt) + abs(Yt)) * loose
-            result = newton_invert(Xt, Yt, pair, pol, tol=tol)
-            pair = result.z
-        return result
+    """newton_invert from a start in the target's Newton basin.  The name is
+    that of the benchmark's traced span (perfbench/spans.py), which times the
+    developing-map anchor; it goes with the next benchmark change."""
+    return newton_invert(target_X, target_Y, start, policy)
 
 
 # ------------------------------------------------- projective map estimation

@@ -26,7 +26,7 @@ from .moduli import K2_LOCUS, RankDeficient, continuation_invert, match_projecti
 # perfbench/test_perfbench.py checks that its tracer rebinds every module's
 # newton_invert, pde's included
 from .moduli import newton_invert  # noqa: F401
-from .numkernel import PrecisionPolicy, to_mpf, working_precision
+from .numkernel import PrecisionPolicy, quadratic_constants, to_mpf, working_precision
 from .periods import restricted_ode_X
 from .polynomials import RationalFunction, SparsePoly, UniPoly, gauss_jordan
 
@@ -583,6 +583,12 @@ def quadric_image_test(base, order: int = 10) -> QuadricFit:
     return quadric_from_grids(taylor_basis(base, order).grids, order)
 
 
+# the anchor over (1/10, 1/10) lies on the fixed locus of the real structure
+# (z1, z2) -> (nu - conj(z1), nu' - conj(z2)), nu = eps - 1, so its real parts
+# are -eps'/2 and -eps/2 exactly; its imaginary parts, to 12 digits
+ANCHOR_IMAG = ("1.22023287932", "1.84910857975")
+
+
 def developing_map_match(base, samples: int = 14,
                          policy: PrecisionPolicy | None = None,
                          order: int = 10) -> dict:
@@ -591,12 +597,14 @@ def developing_map_match(base, samples: int = 14,
     at `samples` points around the base: the first five fix the map and
     every other one is checked against it.
 
-    The graph of the period map is sampled forward from one inverse.
-    continuation_invert proves the anchor z_a over the base and returns the
-    Jacobian J there; each sample takes z = z_a + J^-1 (dx, dy) for an
-    offset of sampling_offsets, reads (X, Y)(z) off one theta pass without
-    jets, and pairs the Taylor grids evaluated at the complex offset
-    (X - X0, Y - Y0) with the lattice embedding of z.
+    The graph of the period map is sampled forward from one inverse.  One
+    Newton solve from the anchor over (1/10, 1/10), the one base the CLI, the
+    benchmark and the tests use, proves the anchor z_a over the base (else
+    moduli.NoConvergence) and returns the Jacobian J there; each sample takes
+    z = z_a + J^-1 (dx, dy) for an offset of sampling_offsets, reads
+    (X, Y)(z) off one theta pass without jets, and pairs the Taylor grids
+    evaluated at the complex offset (X - X0, Y - Y0) with the lattice
+    embedding of z.
 
     This is the desk-scale machine check that the projectivized solutions
     develop the parameter space into the period domain.
@@ -606,8 +614,10 @@ def developing_map_match(base, samples: int = 14,
         raise SingularBasePoint("the system is singular along Y = 0")
     with working_precision(policy) as pol:
         basis = taylor_basis(base, order)
-        seed_pair = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))
-        anchor = continuation_invert(base[0], base[1], seed_pair, pol)
+        q = quadratic_constants(pol)
+        start = (mpmath.mpc(-q.eps_conj / 2, ANCHOR_IMAG[0]),
+                 mpmath.mpc(-q.eps / 2, ANCHOR_IMAG[1]))
+        anchor = continuation_invert(base[0], base[1], start, pol)
         a11, a12, a21, a22 = anchor.jacobian
         det = a11 * a22 - a12 * a21
         x0, y0 = to_mpf(base[0]), to_mpf(base[1])

@@ -64,10 +64,17 @@ class _Collector:
         self.report = VerificationReport(suite)
 
     def add(self, name: str, passed, residual="exact"):
-        t = int((time.perf_counter() - self._t0) * 1000)
-        if not isinstance(residual, str):
-            residual = mpmath.nstr(mpmath.mpmathify(residual), 6)
-        self.report.checks.append(CheckResult(name, bool(passed), residual, t))
+        self.add_shared((name, passed, residual))
+
+    def add_shared(self, *rows):
+        """Adds checks (name, passed[, residual]) that read one shared
+        computation, splitting its time since the previous add evenly."""
+        t = int((time.perf_counter() - self._t0) * 1000 / len(rows))
+        for name, passed, *residual in rows:
+            residual = residual[0] if residual else "exact"
+            if not isinstance(residual, str):
+                residual = mpmath.nstr(mpmath.mpmathify(residual), 6)
+            self.report.checks.append(CheckResult(name, bool(passed), residual, t))
         self._t0 = time.perf_counter()
 
     def __enter__(self):
@@ -102,10 +109,10 @@ def suite_klein(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     inv = klein.build_invariants()
     with _Collector("klein") as c:
         rep = klein.verify_klein_relation(inv)
-        c.add("relation_expands_to_zero", rep["exact_zero"])
         counts = rep["term_counts"]
-        c.add("term_counts", counts == {"A": 2, "B": 5, "C": 12, "D": 20},
-              "A={A} B={B} C={C} D={D}".format(**counts))
+        c.add_shared(("relation_expands_to_zero", rep["exact_zero"]),
+                     ("term_counts", counts == {"A": 2, "B": 5, "C": 12, "D": 20},
+                      "A={A} B={B} C={C} D={D}".format(**counts)))
         degrees = {"A": 2, "B": 6, "C": 10, "D": 15}
         ok = all(getattr(inv, k).is_homogeneous(d) for k, d in degrees.items())
         c.add("homogeneous_degrees_2_6_10_15", ok)
@@ -225,18 +232,18 @@ def suite_clausen(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     order = 40
     with _Collector("clausen") as c:
         rep = periods.verify_clausen_and_S(order)
-        c.add(f"clausen_square_identity_order_{order}", rep["clausen"])
-        c.add("antiderivative_identity", rep["antiderivative_identity"])
-        c.add("S_annihilated_by_third_order_eq",
-              rep["S_annihilated"] and rep["S_checked_order"] >= order - 2)
-        c.add("derivative_consistency", rep["derivative_consistency"])
+        c.add_shared((f"clausen_square_identity_order_{order}", rep["clausen"]),
+                     ("antiderivative_identity", rep["antiderivative_identity"]),
+                     ("S_annihilated_by_third_order_eq",
+                      rep["S_annihilated"] and rep["S_checked_order"] >= order - 2),
+                     ("derivative_consistency", rep["derivative_consistency"]))
         sym = periods.verify_symmetric_square(order)
-        for name in ("t*y1^2", "t*y1*y2", "t*y2^2"):
-            c.add(f"W3_annihilates_{name}",
-                  sym[name]["annihilated"] and sym[name]["checked_order"] >= order + 5)
         quadratic = sym["s2^2 = s1*s3"]
-        c.add("quadratic_relation_s2sq_s1s3",
-              quadratic["holds"] and quadratic["checked_order"] >= order + 9)
+        c.add_shared(*[(f"W3_annihilates_{name}",
+                        sym[name]["annihilated"] and sym[name]["checked_order"] >= order + 5)
+                       for name in ("t*y1^2", "t*y1*y2", "t*y2^2")],
+                     ("quadratic_relation_s2sq_s1s3",
+                      quadratic["holds"] and quadratic["checked_order"] >= order + 9))
     return c.report
 
 
@@ -260,8 +267,8 @@ def suite_j_theorem(policy: PrecisionPolicy, seed: int) -> VerificationReport:
 def suite_pde_restriction(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("pde-restriction") as c:
         rep = pde.verify_pde_restriction()
-        c.add("elimination_reproduces_restricted_ode", rep["matches_restricted_ode"])
-        c.add("no_zeroth_order_term_on_Y0", rep["no_zeroth_order_term"])
+        c.add_shared(("elimination_reproduces_restricted_ode", rep["matches_restricted_ode"]),
+                     ("no_zeroth_order_term_on_Y0", rep["no_zeroth_order_term"]))
         compat = pde.verify_mixed_jet_compatibility()
         c.add("mixed_jet_reductions_agree", compat["consistent"]
               and compat["compared_orders"] >= 1)
@@ -271,9 +278,9 @@ def suite_pde_restriction(policy: PrecisionPolicy, seed: int) -> VerificationRep
 def suite_quadric(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("quadric") as c:
         fit = pde.quadric_image_test((Fraction(1, 10), Fraction(1, 10)), order=10)
-        c.add("holdout_residual", fit.holdout_residual < 1e-6, fit.holdout_residual)
-        c.add("rank_exactly_4", fit.rank == 4)
-        c.add("signature_2_2", sorted(fit.eigenvalue_signs) == [-1, -1, 1, 1])
+        c.add_shared(("holdout_residual", fit.holdout_residual < 1e-6, fit.holdout_residual),
+                     ("rank_exactly_4", fit.rank == 4),
+                     ("signature_2_2", sorted(fit.eigenvalue_signs) == [-1, -1, 1, 1]))
     return c.report
 
 

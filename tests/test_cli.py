@@ -451,3 +451,22 @@ def test_worker_count_is_suites_capped_by_usable_cpus(monkeypatch, cpus):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert verify.usable_cpus() == 1
+
+
+def test_checks_that_read_one_computation_share_its_time(monkeypatch):
+    """verify_symmetric_square's time is split evenly among the three W3 rows
+    and the quadratic relation, not given to the first of them."""
+    from hilbert_k3 import periods, verify
+
+    symmetric_square = periods.verify_symmetric_square
+
+    def slow(order):
+        time.sleep(0.2)
+        return symmetric_square(order)
+
+    monkeypatch.setattr(periods, "verify_symmetric_square", slow)
+    rows = {c.name: c.runtime_ms for c in verify.run_suite("clausen").checks}
+    shared = [rows.pop(f"W3_annihilates_{n}") for n in ("t*y1^2", "t*y1*y2", "t*y2^2")]
+    shared.append(rows.pop("quadratic_relation_s2sq_s1s3"))
+    assert min(shared) >= 50 and max(shared) - min(shared) <= 1
+    assert all(t < 50 for t in rows.values())

@@ -7,7 +7,7 @@ import pytest
 from hilbert_k3.elliptic import eisenstein_and_J
 from hilbert_k3.moduli import (GENERATORS, JacobianSingular, K2_LOCUS,
                                NearZeroDenominator, RankDeficient, apply_generator,
-                               continuation_invert, match_projective_maps,
+                               match_projective_maps,
                                moduli_XY, moduli_XYZ, modular_invariance,
                                newton_invert)
 from hilbert_k3.hilbert_theta import mueller_forms, theta_batch, unreduced_forms
@@ -121,17 +121,6 @@ def test_newton_offdiagonal_target_from_diagonal_guess(policy):
         # if it converged, the residual must be genuine
         xr, yr, _ = moduli_XYZ(res.z, policy)
         assert abs(xr - target[0]) + abs(yr - target[1]) < 1e-8
-
-
-def test_continuation_reaches_target(policy):
-    """The intermediate steps stop at a relative residual of 2^-10; the last
-    is still polished to newton_invert's default tolerance."""
-    with working_precision(policy):
-        seed = (mpmath.mpc("0.21", "1.05"), mpmath.mpc("-0.33", "1.48"))
-        X0 = Y0 = mpmath.mpf(1) / 10
-        res = continuation_invert(X0, Y0, seed, policy)
-        xr, yr, _ = moduli_XYZ(res.z, policy)
-        assert abs(xr - X0) + abs(yr - Y0) < (1 + abs(X0) + abs(Y0)) * policy.verify_tol
 
 
 def test_inversion_result_carries_the_jacobian_of_its_last_pass(policy):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbert_k3 import cli, pde
+from hilbert_k3 import cli, moduli, pde
 from hilbert_k3.moduli import K2_LOCUS, RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy, to_mpf, working_precision
 from hilbert_k3.pde import (SINGULAR_BASE, EliminationFailed, InconsistentReduction, Quotient,
@@ -390,6 +390,42 @@ TEN_STEP_ANCHOR = (
     ("-0.80901699437494742410229341718281905886015458990288143106772431135263023140945122",
      "1.8491085797554824171740738073487023672488141554244200811506784454450949305106727"),
 )
+
+
+@pytest.mark.parametrize("digits", [12, 6])
+@pytest.mark.parametrize("bits", [128, 256])
+def test_stored_start_solves_to_the_ten_step_anchor(monkeypatch, bits, digits):
+    """One Newton solve from the exact real parts and the stored imaginary
+    parts, or their 6-digit rounding, reaches the 10-step anchor; its real
+    parts stay on the fixed locus of the real structure; the 12-digit start
+    takes at most 3 theta passes at 128 bits and 4 at 256."""
+    pol = PrecisionPolicy(bits)
+    passes = []
+    theta_batch = moduli.theta_batch
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return theta_batch(*args, **kwargs)
+
+    monkeypatch.setattr(moduli, "theta_batch", counting)
+    with working_precision(pol):
+        r5 = mpmath.sqrt(5)
+        imag = [mpmath.nstr(mpmath.mpf(v), digits) for v in pde.ANCHOR_IMAG]
+        start = (mpmath.mpc((r5 - 1) / 4, imag[0]), mpmath.mpc(-(r5 + 1) / 4, imag[1]))
+        z = moduli.continuation_invert(BASE[0], BASE[1], start, pol).z
+        want = [mpmath.mpc(*w) for w in TEN_STEP_ANCHOR]
+        assert abs(z.z1 - want[0]) + abs(z.z2 - want[1]) < pol.verify_tol
+        assert abs(z.z1.real - (r5 - 1) / 4) < pol.verify_tol
+        assert abs(z.z2.real + (r5 + 1) / 4) < pol.verify_tol
+    if digits == 12:
+        assert len(passes) <= {128: 3, 256: 4}[bits]
+
+
+def test_developing_map_anchor_start_is_local_to_its_base(policy):
+    """The stored start serves only its base, (1/10, 1/10): from it, Newton
+    stalls over (1/5, 1/10)."""
+    with pytest.raises(moduli.NoConvergence):
+        developing_map_match((Fraction(1, 5), Fraction(1, 10)), policy=policy)
 
 
 @pytest.mark.parametrize("bits", [128, 256])
