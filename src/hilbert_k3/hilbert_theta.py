@@ -16,8 +16,8 @@ mueller_forms reduces a point by g1, g2 and g3 toward Im ~ 1 before it sums
 Q(sqrt 5), and Deconinck et al., section 3), and evaluates the forms in
 integer binary floats (BinaryFloat).  The numerically risky one, the weight-15
 form s15, R. Mueller's 30-monomial sum, is evaluated as five factored triples;
-the tests expand them against the table, and the checks in verify_modularity /
-verify_mueller_relation pin s15 down too.
+the tests expand them against the table, and verify_mueller_relation and the
+form laws over an orbit (moduli.verify_modularity) pin s15 down too.
 """
 
 from __future__ import annotations
@@ -564,38 +564,3 @@ def verify_mueller_relation(p, policy: PrecisionPolicy | None = None,
         total = sum(monomials)
         scale = max(abs(m) for m in monomials)
         return abs(total) / scale
-
-
-def verify_modularity(p, policy: PrecisionPolicy | None = None) -> dict[str, mpmath.mpf]:
-    """Transformation laws for g2 (weight 2), s6 (weight 6), s5 (alternating):
-    translations by 1 and by the fundamental unit, the inversion
-    z -> -1/z in both slots, and the slot swap, each between unreduced_forms
-    at the point and at its image."""
-    pair = as_pair(p, policy)
-    with working_precision(policy):
-        qc = quadratic_constants(policy)
-        z1, z2 = pair.z1, pair.z2
-        base = unreduced_forms(pair, policy)
-
-        def rel(x, y):
-            return abs(x - y) / max(abs(x), abs(y))
-
-        out: dict[str, mpmath.mpf] = {}
-        shift1 = unreduced_forms((z1 + 1, z2 + 1), policy)
-        out["g2_translation_1"] = rel(shift1.g2, base.g2)
-        out["s6_translation_1"] = rel(shift1.s6, base.s6)
-
-        shift_eps = unreduced_forms((z1 + qc.eps, z2 + qc.eps_conj), policy)
-        out["g2_translation_eps"] = rel(shift_eps.g2, base.g2)
-        out["s6_translation_eps"] = rel(shift_eps.s6, base.s6)
-
-        inv = unreduced_forms((-1 / z1, -1 / z2), policy)
-        out["g2_inversion_weight2"] = rel(inv.g2, (z1 * z2) ** 2 * base.g2)
-        out["s6_inversion_weight6"] = rel(inv.s6, (z1 * z2) ** 6 * base.s6)
-
-        swap = unreduced_forms((z2, z1), policy)
-        out["g2_swap_symmetric"] = rel(swap.g2, base.g2)
-        out["s6_swap_symmetric"] = rel(swap.s6, base.s6)
-        out["s15_swap_symmetric"] = rel(swap.s15, base.s15)
-        out["s5_swap_alternating"] = rel(swap.s5, -base.s5)
-        return out

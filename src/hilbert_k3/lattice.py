@@ -1,11 +1,12 @@
 """Constant lattice data of the period domain: the intersection form, the
 embedding of H x H as a projective quadric, the images of the group generators
-as integral matrices, and their orthogonality/intertwining checks.
+as integral matrices, and their orthogonality and intertwining checks.
 
 The matrices are exact integer data; every algebraic check here is exact.  The
-only numerics are the intertwining spot checks, which detect empirically
-whether a generator acts as written or as its transpose/inverse (the source
-text mixes row- and column-vector conventions)."""
+only numerics are the intertwining spot checks, j(g p) = GTILDE[g] j(p)
+projectively at sample points, with each matrix acting as written on column
+vectors (the source text mixes row- and column-vector conventions; GTILDE
+holds each matrix in the column-vector one)."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import mpmath
 from .hilbert_theta import as_pair
 from .moduli import apply_generator, projective_distance
 from .numkernel import PrecisionPolicy, quadratic_constants, working_precision
-from .polynomials import SparsePoly, gauss_jordan
+from .polynomials import SparsePoly
 
 # intersection form of the transcendental lattice: U + [[2, 1], [1, -2]]
 FORM_A = ((0, 1, 0, 0),
@@ -61,10 +62,6 @@ MX_GENERATORS = (((1, -1, 2),
                   (0, 0, -1)))
 
 
-class NoConventionMatches(Exception):
-    pass
-
-
 # ------------------------------------------------------- small matrix helpers
 
 
@@ -80,18 +77,6 @@ def mat_transpose(a):
 
 def mat_identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_inverse_int(a):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(a)
-    aug = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    if len(gauss_jordan(aug, n)) < n:
-        raise ValueError("singular matrix")
-    out = [row[n:] for row in aug]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("matrix is not unimodular: its inverse is not integral")
-    return tuple(tuple(int(x) for x in row) for row in out)
 
 
 def preserves_form(g, form) -> bool:
@@ -175,62 +160,24 @@ def j_map_symbolic_identities() -> dict:
     }
 
 
-# ------------------------------------------------------- intertwining checks
+# ------------------------------------------------------- the generators' action
 
 
-CONVENTIONS = ("direct", "transpose", "inverse", "inverse_transpose")
-
-
-def _convention_matrix(g, tag):
-    if tag == "direct":
-        return g
-    if tag == "transpose":
-        return mat_transpose(g)
-    if tag == "inverse":
-        return mat_inverse_int(g)
-    return mat_transpose(mat_inverse_int(g))
-
-
-def intertwine_check(generator: str, samples,
-                     policy: PrecisionPolicy | None = None) -> dict:
-    """Which of {g, tg, g^-1, tg^-1} realises j(g p) = M j(p) projectively.
-
-    Returns every convention that matches across all samples, with residuals.
-    """
+def action_residuals(samples, policy: PrecisionPolicy | None = None) -> dict[str, mpmath.mpf]:
+    """For each generator g, the worst projective_distance(j(g p), G j(p))
+    over the samples, with G = GTILDE[g] acting on j(p) as written, as a
+    matrix on column vectors.  Raises ValueError when one reaches
+    verify_tol: G does not realise g."""
     with working_precision(policy) as pol:
-        g = GTILDE[generator]
-        residuals = {tag: mpmath.mpf(0) for tag in CONVENTIONS}
+        residuals = {name: mpmath.mpf(0) for name in GTILDE}
         for p in samples:
-            src = j_map(p, policy)
-            dst = j_map(apply_generator(p, generator, policy), policy)
-            for tag in CONVENTIONS:
-                m = _convention_matrix(g, tag)
-                mapped = tuple(sum(m[i][j] * src.xi[j] for j in range(4))
-                               for i in range(4))
-                residuals[tag] = max(residuals[tag],
-                                     projective_distance(dst.xi, mapped))
-        tol = mpmath.mpf(pol.verify_tol)
-        passing = [tag for tag in CONVENTIONS if residuals[tag] < tol]
-        if not passing:
-            raise NoConventionMatches(
-                f"{generator}: no action convention matches "
-                f"(best {min(residuals.items(), key=lambda kv: kv[1])})")
-        return {"passing": passing, "residuals": residuals}
-
-
-def detect_common_convention(samples, policy: PrecisionPolicy | None = None) -> dict:
-    """Intersect the per-generator passing conventions; a single tag must
-    explain all four intertwinings."""
-    per_gen = {}
-    common = set(CONVENTIONS)
-    for name in GTILDE:
-        rep = intertwine_check(name, samples, policy)
-        per_gen[name] = rep
-        common &= set(rep["passing"])
-    if not common:
-        raise NoConventionMatches(f"no single convention: "
-                                  f"{ {k: v['passing'] for k, v in per_gen.items()} }")
-    order = {tag: i for i, tag in enumerate(CONVENTIONS)}
-    tag = sorted(common, key=order.get)[0]
-    worst = max(per_gen[name]["residuals"][tag] for name in GTILDE)
-    return {"convention": tag, "per_generator": per_gen, "residual": worst}
+            src = j_map(p, policy).xi
+            for name, g in GTILDE.items():
+                dst = j_map(apply_generator(p, name, policy), policy).xi
+                mapped = tuple(sum(g[i][j] * src[j] for j in range(4)) for i in range(4))
+                residuals[name] = max(residuals[name], projective_distance(dst, mapped))
+        failing = {name: mpmath.nstr(r, 3) for name, r in residuals.items()
+                   if r >= pol.verify_tol}
+        if failing:
+            raise ValueError(f"GTILDE does not act as written: residuals {failing}")
+        return residuals

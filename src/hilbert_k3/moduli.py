@@ -1,6 +1,8 @@
-"""The moduli-side functions X, Y, Z expressed through the theta forms, their
-invariance under the modular group, local Newton inversion of (z1, z2) from
-(X, Y), and projective matching of point clouds in P^3."""
+"""The moduli-side functions X, Y, Z expressed through the theta forms, the
+action of the modular group's generators on H x H and the checks over one
+orbit (X and Y invariant, the forms' transformation laws), local Newton
+inversion of (z1, z2) from (X, Y), and projective matching of point clouds in
+P^3."""
 
 from __future__ import annotations
 
@@ -9,8 +11,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .hilbert_theta import (MuellerForms, UHPPair, as_pair, mueller_forms, theta_batch,
-                            unreduced_forms)
+from .hilbert_theta import (WEIGHTS, MuellerForms, UHPPair, as_pair, mueller_forms,
+                            theta_batch, unreduced_forms)
 from .numkernel import GUARD_BITS, PrecisionPolicy, quadratic_constants, to_mpc, working_precision
 from .polynomials import SparsePoly
 
@@ -83,17 +85,54 @@ def apply_generator(p, name: str, policy: PrecisionPolicy | None = None) -> UHPP
     raise ValueError(f"unknown generator {name}")
 
 
-def modular_invariance(p, generator: str, policy: PrecisionPolicy | None = None,
-                       forms: MuellerForms | None = None) -> mpmath.mpf:
-    """|X(g p) - X(p)| + |Y(g p) - Y(p)|, relative to 1 + |X| + |Y|, from
-    unreduced_forms at p and at g p; ``forms`` are those at p, if already
-    known."""
+@dataclass(frozen=True)
+class Orbit:
+    """unreduced_forms at p and at its image under each generator, summed
+    where each lies: reduced first, p and g p would be summed at one point."""
+    p: UHPPair
+    forms: MuellerForms
+    images: dict[str, MuellerForms]
+
+
+def orbit(p, policy: PrecisionPolicy | None = None) -> Orbit:
+    pair = as_pair(p, policy)
+    return Orbit(pair, unreduced_forms(pair, policy),
+                 {g: unreduced_forms(apply_generator(pair, g, policy), policy)
+                  for g in GENERATORS})
+
+
+def modular_invariance(o: Orbit, generator: str,
+                       policy: PrecisionPolicy | None = None) -> mpmath.mpf:
+    """|X(g p) - X(p)| + |Y(g p) - Y(p)|, relative to 1 + |X| + |Y|."""
     with working_precision(policy):
-        x0, y0, _ = moduli_XYZ(p, policy, forms=forms if forms is not None
-                               else unreduced_forms(p, policy))
-        q = apply_generator(p, generator, policy)
-        x1, y1, _ = moduli_XYZ(q, policy, forms=unreduced_forms(q, policy))
+        x0, y0, _ = moduli_XYZ(None, policy, forms=o.forms)
+        x1, y1, _ = moduli_XYZ(None, policy, forms=o.images[generator])
         return (abs(x1 - x0) + abs(y1 - y0)) / (1 + abs(x0) + abs(y0))
+
+
+def verify_modularity(o: Orbit, policy: PrecisionPolicy | None = None) -> dict[str, mpmath.mpf]:
+    """Relative residuals of the form laws over the orbit: g1, g2 (the
+    translations by 1 and by the fundamental unit) and tau (the slot swap)
+    leave g2, s6 and s15 unchanged and tau changes the sign of s5; g3
+    multiplies a form of weight k (WEIGHTS) by (z1 z2)^k."""
+    with working_precision(policy):
+        base, im = o.forms, o.images
+        w = o.p.z1 * o.p.z2
+
+        def rel(x, y):
+            return abs(x - y) / max(abs(x), abs(y))
+
+        out = {}
+        for form in ("g2", "s6"):
+            f = getattr(base, form)
+            out[f"{form}_translation_1"] = rel(getattr(im["g1"], form), f)
+            out[f"{form}_translation_eps"] = rel(getattr(im["g2"], form), f)
+            k = WEIGHTS[form]
+            out[f"{form}_inversion_weight{k}"] = rel(getattr(im["g3"], form), w ** k * f)
+        for form in ("g2", "s6", "s15"):
+            out[f"{form}_swap_symmetric"] = rel(getattr(im["tau"], form), getattr(base, form))
+        out["s5_swap_alternating"] = rel(im["tau"].s5, -base.s5)
+        return out
 
 
 # ------------------------------------------------------------ Newton inverse
@@ -117,15 +156,14 @@ def moduli_XY(p, policy, derivatives: bool = False):
 
 
 def newton_invert(target_X, target_Y, guess,
-                  policy: PrecisionPolicy | None = None,
-                  tol=None) -> InversionResult:
+                  policy: PrecisionPolicy | None = None) -> InversionResult:
     """Damped Newton for (X, Y)(z1, z2) = (X0, Y0) with the exact Jacobian.
 
     Each trial point costs one theta pass, which yields X, Y and their
     derivatives in z1 and z2 together.  Returns any preimage reproducing the
     target, with the Jacobian of that last pass; the modular group ambiguity
     is accepted.  Success means
-    |X - X0| + |Y - Y0| < tol, by default (1 + |X0| + |Y0|) verify_tol.
+    |X - X0| + |Y - Y0| < tol = (1 + |X0| + |Y0|) verify_tol.
     Where the Jacobian is rank-deficient (on the diagonal dY vanishes) the
     step is the ridge-regularised least-squares one.  Raises JacobianSingular
     when the iteration stalls on a rank-deficient Jacobian, NoConvergence
@@ -137,8 +175,7 @@ def newton_invert(target_X, target_Y, guess,
     with working_precision(policy) as pol:
         X0, Y0 = to_mpc(target_X), to_mpc(target_Y)
         pair = as_pair(guess, policy)
-        scale = 1 + abs(X0) + abs(Y0)
-        tol = scale * mpmath.mpf(pol.verify_tol) if tol is None else mpmath.mpf(tol)
+        tol = (1 + abs(X0) + abs(Y0)) * mpmath.mpf(pol.verify_tol)
 
         def F(pr: UHPPair):
             """The residual (X - X0, Y - Y0) at pr and its Jacobian."""

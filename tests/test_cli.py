@@ -335,18 +335,17 @@ STUB_ROWS = [{"name": "stub", "status": "pass", "residual": "exact", "runtime_ms
                                    "RankDeficient", "NonConvergent", "ValueError",
                                    "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
                                    "EliminationFailed", "InconsistentReduction",
-                                   "SingularBasePoint", "NonMinimal",
-                                   "NoConventionMatches", "ZeroDivisionError"])
+                                   "SingularBasePoint", "NonMinimal", "ZeroDivisionError"])
 def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error):
     """On one CPU and on two, where the fail row comes back from a worker;
     every other suite still reports.  Any exception type does, not only the
     package's own."""
     import builtins
 
-    from hilbert_k3 import diffops, fibrations, lattice, moduli, numkernel, pde, periods
+    from hilbert_k3 import diffops, fibrations, moduli, numkernel, pde, periods
 
     exc_type = next(getattr(m, error) for m in (moduli, numkernel, diffops, pde, periods,
-                                                 fibrations, lattice, builtins)
+                                                 fibrations, builtins)
                     if hasattr(m, error))
 
     def fail():

@@ -8,13 +8,12 @@ import mpmath
 import pytest
 import sympy
 
-from hilbert_k3 import hilbert_theta
+from hilbert_k3 import hilbert_theta, moduli, verify
 from hilbert_k3.elliptic import jacobi_theta
 from hilbert_k3.hilbert_theta import (FORM_NAMES, S15_TRIPLES, SHIFTS,
                                       THETA_CHARACTERISTICS, SiegelPoint, UHPPair,
                                       lattice_region, mueller_forms, psi, theta_batch,
-                                      unreduced_forms, verify_modularity,
-                                      verify_mueller_relation)
+                                      unreduced_forms, verify_mueller_relation)
 from hilbert_k3.numkernel import (Jet, NonConvergent, PrecisionPolicy, quadratic_constants,
                                   working_precision)
 
@@ -446,10 +445,19 @@ def test_modularity_laws(policy, monkeypatch):
         for p in ((mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.4")),
                   (mpmath.mpc("0.3", "1.2"), mpmath.mpc("-0.2", "0.8"))):
             seen.clear()
-            rep = verify_modularity(p, policy)
+            rep = moduli.verify_modularity(moduli.orbit(p, policy), policy)
             for name, residual in rep.items():
                 assert residual < policy.verify_tol * 100, name
             assert len(set(seen)) == len(seen) == 5
+
+
+def test_transformations_suite_sums_each_orbit_once(policy, monkeypatch):
+    """Three sample points and their four images each: the invariance of X
+    and Y and the form laws read the same 15 theta passes."""
+    seen = _record_theta_points(monkeypatch)
+    report = verify.suite_transformations(policy, verify.DEFAULT_SEED)
+    assert report.overall_pass
+    assert len(set(seen)) == len(seen) == 15
 
 
 def test_inversion_law_at_fixed_point(policy):

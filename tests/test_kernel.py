@@ -1,7 +1,7 @@
 """Property tests for the exact primitives in `polynomials`: the dense
 univariate kernel and the one-variable rational functions against sympy,
 `FormalSeries` (scale times primitive ints) against sympy, and Gauss-Jordan
-through both of its callers."""
+directly and through `taylor_solutions`."""
 
 import math
 from fractions import Fraction
@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_k3 import pde
-from hilbert_k3.lattice import mat_identity, mat_inverse_int, mat_mul
+from hilbert_k3.lattice import mat_identity, mat_mul
 from hilbert_k3.pde import InconsistentReduction, taylor_solutions
-from hilbert_k3.polynomials import FormalSeries, RationalFunction, SparsePoly, UniPoly
+from hilbert_k3.polynomials import (FormalSeries, RationalFunction, SparsePoly, UniPoly,
+                                    gauss_jordan)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -370,19 +371,29 @@ def unimodular_matrices(draw):
     return tuple(tuple(row) for row in m)
 
 
+def _gauss_jordan_inverse(g):
+    """The pivots of [g | I] reduced by gauss_jordan, and its right block."""
+    n = len(g)
+    aug = [list(g[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    return gauss_jordan(aug, n), [row[n:] for row in aug]
+
+
 @PROPERTY
 @given(unimodular_matrices())
 def test_gauss_jordan_inverts_unimodular_matrices(g):
-    inv = mat_inverse_int(g)
-    assert [list(row) for row in inv] == sympy.Matrix(g).inv().tolist()
-    assert mat_mul(g, inv) == mat_identity(len(g))
+    pivots, inv = _gauss_jordan_inverse(g)
+    assert pivots == list(range(len(g)))
+    assert inv == sympy.Matrix(g).inv().tolist()
+    assert all(x.denominator == 1 for row in inv for x in row)
+    assert mat_mul(g, tuple(tuple(int(x) for x in row) for row in inv)) == mat_identity(len(g))
 
 
-def test_mat_inverse_int_rejects_singular_and_non_unimodular():
-    with pytest.raises(ValueError):
-        mat_inverse_int(((1, 2), (2, 4)))
-    with pytest.raises(ValueError):
-        mat_inverse_int(((2, 0), (0, 1)))
+def test_gauss_jordan_ranks_singular_and_non_unimodular_matrices():
+    pivots, _ = _gauss_jordan_inverse(((1, 2), (2, 4)))
+    assert pivots == [0]
+    pivots, inv = _gauss_jordan_inverse(((2, 0), (0, 1)))
+    assert pivots == [0, 1]
+    assert inv == [[Fraction(1, 2), 0], [0, 1]]
 
 
 def _toy_system(monkeypatch, e1, e2):

@@ -1,11 +1,11 @@
 import mpmath
+import sympy
 
-from hilbert_k3.lattice import (CONVENTIONS, FORM_A, FORM_A_X, GTILDE,
-                                MX_GENERATORS, check_orthogonality,
-                                detect_common_convention, intertwine_check,
-                                j_map, j_map_symbolic_identities, mat_identity,
-                                mat_inverse_int, mat_mul, mat_transpose,
-                                preserves_form)
+from hilbert_k3 import lattice, verify
+from hilbert_k3.lattice import (FORM_A, FORM_A_X, GTILDE, MX_GENERATORS,
+                                action_residuals, check_orthogonality, j_map,
+                                j_map_symbolic_identities, mat_identity, mat_mul,
+                                mat_transpose, preserves_form)
 from hilbert_k3.moduli import projective_distance
 from hilbert_k3.numkernel import working_precision
 from hilbert_k3.verify import sample_points
@@ -40,7 +40,9 @@ def test_displayed_unit_translation_row_fails_orthogonality():
 
 def test_matrix_inverse_exact():
     for g in GTILDE.values():
-        assert mat_mul(g, mat_inverse_int(g)) == mat_identity(4)
+        inv = sympy.Matrix(g).inv()
+        assert all(x.is_integer for x in inv)
+        assert mat_mul(g, tuple(map(tuple, inv.tolist()))) == mat_identity(4)
 
 
 def test_symbolic_quadric_and_hermitian_identities():
@@ -73,27 +75,35 @@ def test_identity_transform_has_zero_residual(policy):
 
 def test_intertwine_tau(policy):
     with working_precision(policy):
-        rep = intertwine_check("tau", [(mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.6"))],
-                               policy)
-        assert "direct" in rep["passing"]
-        assert rep["residuals"]["direct"] < policy.verify_tol
+        rep = action_residuals([(mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.6"))], policy)
+        assert rep["tau"] < policy.verify_tol
 
 
 def test_intertwine_g1(policy):
     with working_precision(policy):
-        rep = intertwine_check("g1", [(mpmath.mpc(0, "0.9"), mpmath.mpc(0, "1.3"))],
-                               policy)
-        assert "direct" in rep["passing"]
+        rep = action_residuals([(mpmath.mpc(0, "0.9"), mpmath.mpc(0, "1.3"))], policy)
+        assert rep["g1"] < policy.verify_tol
 
 
 def test_single_common_convention(policy):
+    """Each generator's matrix acts as written, on column vectors."""
     with working_precision(policy):
-        rep = detect_common_convention(sample_points(5), policy)
-        assert rep["convention"] == "direct"
-        assert rep["residual"] < 1e-8
-        for gen, data in rep["per_generator"].items():
-            assert "direct" in data["passing"], gen
+        rep = action_residuals(sample_points(5), policy)
+        assert sorted(rep) == sorted(GTILDE)
+        assert max(rep.values()) < 1e-8
+        for gen, residual in rep.items():
+            assert residual < policy.verify_tol, gen
 
 
-def test_convention_tags_complete():
-    assert CONVENTIONS == ("direct", "transpose", "inverse", "inverse_transpose")
+def test_a_transposed_generator_fails_the_monodromy_suite(policy, monkeypatch):
+    """The action check is not vacuous: g1's transpose does not realise g1,
+    and the suite ends in a fail row that names it."""
+    monkeypatch.setitem(lattice.GTILDE, "g1", mat_transpose(GTILDE["g1"]))
+    report = verify.run_suite("monodromy", policy)
+    assert not report.overall_pass
+    (row,) = report.checks
+    assert row.name == "error"
+    assert row.residual.startswith("ValueError: GTILDE does not act as written")
+    assert "'g1'" in row.residual
+    for gen in ("g2", "g3", "tau"):
+        assert f"'{gen}'" not in row.residual

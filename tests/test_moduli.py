@@ -6,11 +6,10 @@ import pytest
 
 from hilbert_k3.elliptic import eisenstein_and_J
 from hilbert_k3.moduli import (GENERATORS, JacobianSingular, K2_LOCUS,
-                               NearZeroDenominator, RankDeficient, apply_generator,
-                               match_projective_maps,
+                               NearZeroDenominator, RankDeficient, match_projective_maps,
                                moduli_XY, moduli_XYZ, modular_invariance,
-                               newton_invert)
-from hilbert_k3.hilbert_theta import mueller_forms, theta_batch, unreduced_forms
+                               newton_invert, orbit)
+from hilbert_k3.hilbert_theta import mueller_forms, theta_batch
 from hilbert_k3.numkernel import PrecisionPolicy, working_precision
 
 
@@ -68,13 +67,11 @@ def test_XYZ_invariant_under_all_generators_at_ten_points(policy):
         pts = [(mpmath.mpc(round(rng.uniform(-0.5, 0.5), 6), round(rng.uniform(0.8, 2.0), 6)),
                 mpmath.mpc(round(rng.uniform(-0.5, 0.5), 6), round(rng.uniform(0.8, 2.0), 6)))
                for _ in range(10)]
-        # summed where each point lies: reduced first, p and g p would be
-        # summed at the same point
-        values = [moduli_XYZ(p, policy, forms=unreduced_forms(p, policy)) for p in pts]
+        orbits = [orbit(p, policy) for p in pts]
         for gen in GENERATORS:
-            for p, (x0, y0, z0) in zip(pts, values):
-                q = apply_generator(p, gen, policy)
-                x1, y1, z1 = moduli_XYZ(q, policy, forms=unreduced_forms(q, policy))
+            for o in orbits:
+                x0, y0, z0 = moduli_XYZ(o.p, policy, forms=o.forms)
+                x1, y1, z1 = moduli_XYZ(o.p, policy, forms=o.images[gen])
                 scale = 1 + abs(x0) + abs(y0) + abs(z0)
                 assert abs(x1 - x0) + abs(y1 - y0) + abs(z1 - z0) \
                     < policy.verify_tol * 10 * scale, gen
@@ -83,7 +80,7 @@ def test_XYZ_invariant_under_all_generators_at_ten_points(policy):
 def test_tau_swap_specific(policy):
     with working_precision(policy):
         p = (mpmath.mpc(0, "1.1"), mpmath.mpc(0, "1.6"))
-        assert modular_invariance(p, "tau", policy) < policy.verify_tol
+        assert modular_invariance(orbit(p, policy), "tau", policy) < policy.verify_tol
 
 
 def test_newton_round_trip(policy):
