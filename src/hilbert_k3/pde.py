@@ -26,7 +26,8 @@ from .moduli import K2_LOCUS, RankDeficient, continuation_invert, match_projecti
 # perfbench/test_perfbench.py checks that its tracer rebinds every module's
 # newton_invert, pde's included
 from .moduli import newton_invert  # noqa: F401
-from .numkernel import PrecisionPolicy, quadratic_constants, to_mpf, working_precision
+from .numkernel import (GUARD_BITS, BinaryFloat, PrecisionPolicy, quadratic_constants, to_mpf,
+                        working_precision)
 from .periods import restricted_ode_X
 from .polynomials import RationalFunction, SparsePoly, UniPoly, gauss_jordan
 
@@ -361,6 +362,12 @@ class JetBasisSolution:
     grids: tuple[Mapping[Jet, Fraction], ...]  # one grid per free jet
 
 
+def _integral(grid: Mapping[Jet, Fraction]) -> tuple[dict[Jet, int], int]:
+    """A grid as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in grid.values()))
+    return {jet: c.numerator * (den // c.denominator) for jet, c in grid.items()}, den
+
+
 def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
     """Taylor coefficients to total order `order` of the solutions with
     prescribed (u, u_X, u_Y, u_XY)(base), one grid per entry of `jet_values`,
@@ -380,8 +387,7 @@ def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
 
     for d in range(2, order + 1):
         # grids[s][jet] == nums[s][jet] / dens[s]
-        dens = [math.lcm(*(v.denominator for v in t.values())) for t in grids]
-        nums = [{jet: int(v * m) for jet, v in t.items()} for t, m in zip(grids, dens)]
+        nums, dens = zip(*map(_integral, grids))
         unknowns = [(k, d - k) for k in range(d + 1)]
         index = {jet: k for k, jet in enumerate(unknowns)}
         rows: list[list[int]] = []
@@ -434,20 +440,27 @@ def taylor_basis(base, order: int) -> JetBasisSolution:
 
 def evaluate_grid(basis: JetBasisSolution, dx, dy) -> list:
     """The four basis solutions at base + (dx, dy), each the sum of its
-    grid's terms c dX^i dY^j at the working precision; the offsets may be
-    complex (mpc).  The monomials are formed once, for all four grids.
+    grid's terms c dX^i dY^j, as an mpc; the offsets are mpf or mpc.  The
+    monomials are formed once, for all four grids, as BinaryFloats at wp =
+    mp.prec + GUARD_BITS bits, each product rounding by less than 2^(2 - wp)
+    of itself; each grid's integer numerators times the monomials are summed
+    exactly, then rounded once to mp.prec and divided by its denominator.
     Raises ValueError when the offset leaves the certified polydisc of
     estimate_singular_distance, outside which the series need not converge."""
     r = to_mpf(estimate_singular_distance(basis.base))
     if max(abs(dx), abs(dy)) > r:
         raise ValueError(f"offset ({dx}, {dy}) leaves the certified polydisc of radius {r}")
-    px, py = [mpmath.mpf(1)], [mpmath.mpf(1)]
+    wp = mpmath.mp.prec + GUARD_BITS
+    x, y = BinaryFloat.from_mpc(dx, wp), BinaryFloat.from_mpc(dy, wp)
+    px = py = [BinaryFloat(1, 0, 0, wp)]
     for _ in range(basis.order):
-        px.append(px[-1] * dx)
-        py.append(py[-1] * dy)
+        px, py = px + [px[-1] * x], py + [py[-1] * y]
     monomials = {jet: px[jet[0]] * py[jet[1]] for jet in basis.grids[0]}
-    return [mpmath.fsum(c.numerator * monomials[jet] / c.denominator for jet, c in g.items())
-            for g in basis.grids]
+    e = min(m.exp for m in monomials.values())
+    aligned = {jet: (m.re << (m.exp - e), m.im << (m.exp - e)) for jet, m in monomials.items()}
+    return [BinaryFloat(sum(n * aligned[jet][0] for jet, n in num.items()),
+                        sum(n * aligned[jet][1] for jet, n in num.items()), e, wp).to_mpc() / den
+            for num, den in map(_integral, basis.grids)]
 
 
 # --------------------------------------------------- geometry of the solution
@@ -510,13 +523,16 @@ class QuadricFit:
 
 def _truncated_product(g: Mapping[Jet, Fraction], h: Mapping[Jet, Fraction],
                        order: int) -> dict[Jet, Fraction]:
-    """The coefficients of g h to total order `order`, for two Taylor grids."""
-    out: dict[Jet, Fraction] = {}
-    for (a, b), x in g.items():
-        for (c, d), y in h.items():
+    """The coefficients of g h to total order `order`, for two Taylor grids,
+    exactly: both grids scaled to integer numerators over one denominator
+    each, convolved in int, and one Fraction built per coefficient."""
+    (gn, gd), (hn, hd) = _integral(g), _integral(h)
+    out: dict[Jet, int] = {}
+    for (a, b), x in gn.items():
+        for (c, d), y in hn.items():
             if a + b + c + d <= order:
                 out[(a + c, b + d)] = out.get((a + c, b + d), 0) + x * y
-    return out
+    return {jet: Fraction(v, gd * hd) for jet, v in out.items()}
 
 
 def _eigenvalue_signs(matrix) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ suites side by side in forked worker processes, one per usable CPU.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import time
@@ -329,17 +330,17 @@ def suite_fibers(policy: PrecisionPolicy, seed: int) -> VerificationReport:
 
 
 # longest first, by the suite spans of a traced verify all at 128 bits pinned
-# to one CPU (58 ms down to 2 ms on a 2-vCPU VM); run_suites hands them to its
-# workers in this order, so that no long suite starts last
+# to one CPU (44 ms down to 2 ms on a 2-vCPU VM); run_suites's workers claim
+# them in this order, so that no long suite starts last
 SUITES = {
-    "developing-map": suite_developing_map,
     "pde-restriction": suite_pde_restriction,
+    "developing-map": suite_developing_map,
     "main-theorem": suite_main_theorem,
-    "quadric": suite_quadric,
     "transformations": suite_transformations,
     "j-theorem": suite_j_theorem,
     "clausen": suite_clausen,
     "mueller": suite_mueller,
+    "quadric": suite_quadric,
     "monodromy": suite_monodromy,
     "klein": suite_klein,
     "riemann-scheme": suite_riemann_scheme,
@@ -381,38 +382,61 @@ def worker_count(suites: int, cpus: int) -> int:
     return max(1, min(suites, cpus))
 
 
+def _claim_suites(queue: int, out: int, names: list[str], policy, seed: int):
+    """A forked worker, which never returns: claims indices into ``names``
+    one byte at a time from the ``queue`` pipe, pickles (index, report) to the
+    ``out`` pipe as each suite ends, and leaves by ``os._exit``."""
+    import pickle
+
+    status = 1
+    try:
+        with open(out, "wb") as f:
+            while claimed := os.read(queue, 1):
+                pickle.dump((claimed[0], run_suite(names[claimed[0]], policy, seed)), f)
+                f.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_suites(names: list[str], policy: PrecisionPolicy | None = None,
                seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """The named suites' reports, in the order of ``names``.
 
-    With more than one suite and more than one usable CPU, the suites run in
-    forked worker processes, one per CPU, submitted in the order of SUITES,
-    longest first; otherwise they run one after another in this process,
-    where in-process profilers and tracers see them.  A suite whose worker
-    dies before it reports (``os._exit``, the OOM killer) gets the single
-    failed check ``error`` with residual "BrokenProcessPool: <message>"."""
+    With more than one suite and more than one usable CPU, one forked worker
+    per CPU claims the suites one at a time from a pipe, longest first (the
+    order of SUITES), and this process runs none; otherwise they run here,
+    where in-process profilers and tracers see them.  A worker that dies
+    (``os._exit``, the OOM killer) loses only the suite it was running, or,
+    if every worker dies, also those none claimed: each gets the failed check
+    ``error`` with residual "WorkerDied: <exit status>", negative for a signal."""
     workers = worker_count(len(names), usable_cpus())
     if workers == 1:
         return [run_suite(name, policy, seed) for name in names]
-    # imported only here: they cost every other command about 20 ms
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle   # only here: the serial path does not pay for its import
 
     t0 = time.perf_counter()
-    # forked workers start with this process's modules and patches, with no
-    # re-import; the pool forks them all before it starts its own threads
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {name: pool.submit(run_suite, name, policy, seed)
-                   for name in sorted(names, key=list(SUITES).index)}
-        reports = []
-        for name in names:
-            try:
-                reports.append(futures[name].result())
-            except BrokenProcessPool as exc:
-                report = VerificationReport(name)
-                report.checks.append(CheckResult(
-                    "error", False, f"{type(exc).__name__}: {exc}",
-                    int((time.perf_counter() - t0) * 1000)))
-                reports.append(report)
-    return reports
+    queue, claims = os.pipe()
+    os.write(claims, bytes(sorted(range(len(names)), key=lambda k: list(SUITES).index(names[k]))))
+    os.close(claims)
+    children, reports = [], {}
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            # fork returns 0 in the child, where _claim_suites never returns
+            pid = os.fork() or _claim_suites(queue, w, names, policy, seed)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        for _, out in children:
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:
+                    reports.update([pickle.load(out)])   # one (index, report) pair
+    finally:
+        os.close(queue)
+        for _, out in children:
+            out.close()
+        status = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    residual = f"WorkerDied: {next((s for s in status if s), 0)}"
+    ms = int((time.perf_counter() - t0) * 1000)
+    return [reports.get(k) or VerificationReport(name, [CheckResult("error", False, residual, ms)])
+            for k, name in enumerate(names)]

@@ -367,8 +367,9 @@ def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error
 
 
 def test_a_dead_worker_gives_fail_rows(capsys, monkeypatch, cpus):
-    """A worker that dies leaves its suite, and any suite the broken pool had
-    not finished, with a fail row; every suite is still listed, in order."""
+    """A worker that dies loses only the suite it was running: that suite gets
+    the fail row ``WorkerDied: <exit status>``, the other worker claims every
+    other suite, and they all pass.  No child outlives the run."""
     parent = os.getpid()
 
     def die_in_worker():
@@ -383,15 +384,78 @@ def test_a_dead_worker_gives_fail_rows(capsys, monkeypatch, cpus):
     assert payload["overall"] == "fail"
     assert [s["suite"] for s in payload["suites"]] == names
     rows = {s["suite"]: s["checks"] for s in payload["suites"]}
-    [dead] = rows["developing-map"]
-    assert dead["name"] == "error" and dead["status"] == "fail"
-    assert dead["residual"].startswith("BrokenProcessPool: ")
-    for checks in rows.values():
-        assert checks == STUB_ROWS or checks == [dead]
+    assert rows.pop("developing-map") == [{"name": "error", "status": "fail",
+                                           "residual": "WorkerDied: 3", "runtime_ms": 0}]
+    assert all(checks == STUB_ROWS for checks in rows.values())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     # a single named suite runs in this process, so the stub does not exit
     code, out = run_cli(capsys, "--stable-output", "verify", "developing-map")
     assert code == 0
     assert json.loads(out)["checks"] == STUB_ROWS
+
+
+def test_when_every_worker_dies_every_suite_gets_a_fail_row(monkeypatch, cpus):
+    """Both workers are killed in the first suite each claims (SIGKILL, as the
+    OOM killer sends), so the suites that no worker claimed get the same row,
+    with the signal as a negative status."""
+    import signal
+
+    from hilbert_k3 import verify
+
+    parent = os.getpid()
+
+    def killed(name, policy, seed):
+        assert os.getpid() != parent, "the parent runs no suite"
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(verify, "run_suite", killed)
+    cpus(2)
+    names = sorted(verify.SUITES)
+    reports = verify.run_suites(names)
+    assert [r.suite_name for r in reports] == names
+    assert all([(c.name, c.passed, c.residual) for c in r.checks]
+               == [("error", False, "WorkerDied: -9")] for r in reports)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_claim_the_suites_in_the_order_of_SUITES_each_once(monkeypatch, tmp_path):
+    """Each worker runs the suites it claims in the order of SUITES, and one of
+    them starts with the first, the longest; together they run every suite
+    exactly once, this process runs none, and the reports come back in the
+    order of the names asked for."""
+    from hilbert_k3 import verify
+
+    names = stub_suites(monkeypatch, lambda: None)
+    log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    run_suite = verify.run_suite
+
+    def logged(name, *args):
+        os.write(log, f"{os.getpid()} {name}\n".encode())
+        time.sleep(0.01)   # long enough that both workers claim
+        return run_suite(name, *args)
+
+    monkeypatch.setattr(verify, "run_suite", logged)
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    try:
+        reports = verify.run_suites(names)
+    finally:
+        os.close(log)
+    runs = [line.split() for line in (tmp_path / "runs").read_text().splitlines()]
+    order = list(verify.SUITES)
+    assert sorted(name for _, name in runs) == sorted(order)
+    by_worker = {}
+    for pid, name in runs:
+        by_worker.setdefault(int(pid), []).append(order.index(name))
+    assert os.getpid() not in by_worker
+    assert all(claims == sorted(claims) for claims in by_worker.values())
+    assert order[0] != names[0]
+    assert 0 in {claims[0] for claims in by_worker.values()}
+    assert [r.suite_name for r in reports] == names
+    assert [r.suite_name for r in verify.run_suites(names[::-1])] == names[::-1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_all_report_is_the_same_on_one_cpu_and_on_two(capsys, monkeypatch, cpus):
@@ -412,30 +476,6 @@ def test_verify_all_report_is_the_same_on_one_cpu_and_on_two(capsys, monkeypatch
     assert counts == [1, 2]
     assert outs[0] == outs[1]
     assert outs[0][0] == 0
-
-
-def test_run_suites_submits_longest_first_and_reports_in_name_order(monkeypatch):
-    """Two workers take the suites in the order of SUITES, developing-map
-    first; the reports still come back in the order of the names asked for."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from hilbert_k3 import verify
-
-    names = stub_suites(monkeypatch, lambda: None)
-    submitted = []
-    submit = ProcessPoolExecutor.submit
-
-    def recording(self, fn, name, *args):
-        submitted.append(name)
-        return submit(self, fn, name, *args)
-
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
-    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
-    reports = verify.run_suites(names)
-    assert submitted[0] == "developing-map" != names[0]
-    assert submitted == list(verify.SUITES)
-    assert [r.suite_name for r in reports] == names
-    assert [r.suite_name for r in verify.run_suites(names[::-1])] == names[::-1]
 
 
 def test_worker_count_is_suites_capped_by_usable_cpus(monkeypatch, cpus):

@@ -455,17 +455,51 @@ def test_forward_samples_stay_near_the_base_and_match(monkeypatch, bits):
         assert abs(z.z1 - want[0]) + abs(z.z2 - want[1]) < pol.verify_tol
 
 
-def test_evaluate_grid_sums_the_exact_grid_and_stays_in_the_polydisc(policy):
-    basis = taylor_basis(BASE, 6)
+def test_evaluate_grid_sums_the_exact_grid_and_stays_in_the_polydisc(policy, policy256):
+    """At complex rational offsets on the edge of the certified polydisc, each
+    basis solution is within 2^-mantissa_bits of the sum of its terms' moduli
+    of the exact rational sum, at 128 and at 256 bits."""
+    basis = taylor_basis(BASE, 10)
     r = estimate_singular_distance(BASE)
-    dx, dy = r / 3, -r / 5
-    with working_precision(policy):
-        got = pde.evaluate_grid(basis, to_mpf(dx), to_mpf(dy))
+    # |dx| = |dy| = r exactly: (3, 4, 5) and (5, 12, 13)
+    dx, dy = (r * 3 / 5, r * 4 / 5), (-r * 5 / 13, r * 12 / 13)
+
+    def times(u, v):
+        return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+    px, py = [(Fraction(1), Fraction(0))], [(Fraction(1), Fraction(0))]
+    for _ in range(basis.order):
+        px.append(times(px[-1], dx))
+        py.append(times(py[-1], dy))
+    for pol in (policy, policy256):
+        with working_precision(pol):
+            offsets = [mpmath.mpc(to_mpf(re), to_mpf(im)) for re, im in (dx, dy)]
+            got = pde.evaluate_grid(basis, *offsets)
         for g, v in zip(basis.grids, got):
-            exact = sum(c * dx ** i * dy ** j for (i, j), c in g.items())
-            assert abs(v - to_mpf(exact)) < policy.verify_tol
-        with pytest.raises(ValueError, match="polydisc"):
+            terms = {jet: times(px[jet[0]], py[jet[1]]) for jet in g}
+            exact = [sum(c * terms[jet][k] for jet, c in g.items()) for k in (0, 1)]
+            size = sum(abs(c) * r ** sum(jet) for jet, c in g.items())
+            with mpmath.workprec(2 * pol.mantissa_bits):
+                err = abs(v - mpmath.mpc(*map(to_mpf, exact)))
+                assert err <= to_mpf(size) * mpmath.mpf(2) ** -pol.mantissa_bits
+        with working_precision(pol), pytest.raises(ValueError, match="polydisc"):
             pde.evaluate_grid(basis, mpmath.mpc(0, to_mpf(r * Fraction(101, 100))), mpmath.mpf(0))
+
+
+@pytest.mark.parametrize("base", [BASE, (Fraction(7, 27), Fraction(1, 15))])
+def test_truncated_product_is_the_fraction_convolution(base):
+    """The integer convolution equals the term-by-term Fraction double loop,
+    at the quadric's base and at a base of the exact benchmark."""
+    grids = taylor_basis(base, 10).grids
+    for i, j in [(0, 0), (0, 3), (1, 2), (3, 3)]:
+        want = {}
+        for (a, b), x in grids[i].items():
+            for (c, d), y in grids[j].items():
+                if a + b + c + d <= 10:
+                    want[(a + c, b + d)] = want.get((a + c, b + d), 0) + x * y
+        got = _truncated_product(grids[i], grids[j], 10)
+        assert got == want
+        assert all(isinstance(c, Fraction) for c in got.values())
 
 
 def test_transform_constant_across_sample_sets(policy):

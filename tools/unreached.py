@@ -17,8 +17,10 @@ sees only this process, and ``verify all`` forks one worker process per CPU
 it may use, so the script pins itself to one allowed CPU for every run but
 the last, whose suites then run here, under the tracer.  The last run keeps
 the CPU affinity the script started with, so that on two or more CPUs it
-reaches the worker pool; on one CPU the pool's statements are listed.
-Pinning needs ``os.sched_setaffinity`` (Linux).
+reaches the parent's side of ``run_suites``: the queue pipe, the forks, the
+reading of the reports and the reaping of the workers.  The workers' own
+loop is allowlisted; on one CPU the parent's side is listed too.  Pinning
+needs ``os.sched_setaffinity`` (Linux).
 
     python tools/unreached.py
 
@@ -73,6 +75,7 @@ ALLOWED = {
     "polynomials.RationalFunction._of":
         "the gcd split of a square-free factor that divides the numerator only in part "
         "keeps every result in lowest terms; no command's arithmetic meets such a factor",
+    "verify._claim_suites": "runs only in forked workers; `sys.settrace` does not follow `fork`",
 }
 
 
