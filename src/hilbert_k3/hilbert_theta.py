@@ -239,7 +239,7 @@ def _fixed(x: BinaryFloat, bits: int) -> tuple[int, int]:   # x 2^bits as intege
     return (x.re << s, x.im << s) if s >= 0 else (x.re >> -s, x.im >> -s)
 
 
-def _shift_pass(Z: SiegelPoint, region: LatticeRegion, powers: list[dict], wp: int,
+def _shift_pass(region: LatticeRegion, powers: list[dict], wp: int,
                 moments: bool) -> tuple[int, dict[tuple[int, int], list[int]]]:
     """The shift's four parity-class sums S[g mod 2], run at wp bits, as bits
     and per class the fixed-point integers (re, im) that 2^-bits multiplies.
@@ -381,7 +381,7 @@ def theta_batch(p, policy: PrecisionPolicy | None = None,
                 for n in (2, -2, 4, -4, 8, -8):
                     x[n] = x[n // 2] * x[n // 2]
                 powers.append(x)
-            passes = {reg.shift: _shift_pass(Z, reg, powers, wp, derivatives) for reg in regions}
+            passes = {reg.shift: _shift_pass(reg, powers, wp, derivatives) for reg in regions}
             # combine the characteristics exactly, in the integers, into theta
             # and, with derivatives, the sums P = uu + vv and D = uu - vv + 4 uv
             parts = []

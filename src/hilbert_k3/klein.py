@@ -61,16 +61,17 @@ def build_invariants() -> IcosahedralInvariants:
     return IcosahedralInvariants(A=A, B=B, C=C, D=D)
 
 
+def quintic(A, B, C):
+    """Klein's quintic -1728 B^5 + 720 A B^3 C - 80 A^2 B C^2 + 64 A^3 (5 B^2 - A C)^2
+    + C^3, for polynomials or numbers: 144 D^2 on the invariants, 144 Z at
+    (1, X, Y) on the moduli side, and minus the locus K2 in (X, Y)."""
+    return (-1728 * B ** 5 + 720 * A * B ** 3 * C - 80 * A ** 2 * B * C ** 2
+            + 64 * A ** 3 * (5 * B ** 2 - A * C) ** 2 + C ** 3)
+
+
 def klein_relation_poly(A, B, C, D):
-    """R = 144 D^2 - (-1728 B^5 + 720 A C B^3 - 80 A^2 C^2 B
-    + 64 A^3 (5 B^2 - A C)^2 + C^3), for polynomials or numbers."""
-    five_b2_ac = 5 * B ** 2 - A * C
-    bracket = (-1728 * B ** 5
-               + 720 * A * C * B ** 3
-               - 80 * A ** 2 * C ** 2 * B
-               + 64 * A ** 3 * five_b2_ac ** 2
-               + C ** 3)
-    return 144 * D ** 2 - bracket
+    """R = 144 D^2 - quintic(A, B, C), for polynomials or numbers."""
+    return 144 * D ** 2 - quintic(A, B, C)
 
 
 def verify_klein_relation(inv: IcosahedralInvariants | None = None) -> dict:

@@ -1,6 +1,7 @@
-"""Constant lattice data of the period domain: the intersection form, the
-embedding of H x H as a projective quadric, the images of the group generators
-as integral matrices, and their orthogonality and intertwining checks.
+"""Constant lattice data of the period domain: the intersection form FORM_A
+and its one evaluation form_value, the embedding of H x H onto the projective
+quadric form_value(xi, xi) = 0, the images of the group generators as
+integral matrices, and their orthogonality and intertwining checks.
 
 The matrices are exact integer data; every algebraic check here is exact.  The
 only numerics are the intertwining spot checks, j(g p) = GTILDE[g] j(p)
@@ -10,7 +11,6 @@ holds each matrix in the column-vector one)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -97,16 +97,15 @@ def check_orthogonality() -> dict:
 # ------------------------------------------------------------------ the j map
 
 
-@dataclass(frozen=True)
-class JMapPoint:
-    xi: tuple[mpmath.mpc, mpmath.mpc, mpmath.mpc, mpmath.mpc]
-    quadric_value: mpmath.mpc      # xi A txi (identically zero)
-    hermitian_value: mpmath.mpf    # xi A conj(txi) (= 4 Im z1 Im z2)
+def form_value(a, b):
+    """a FORM_A tb, for vectors of numbers or of polynomials."""
+    return sum(a[i] * c * b[j] for i, row in enumerate(FORM_A) for j, c in enumerate(row) if c)
 
 
-def j_map(p, policy: PrecisionPolicy | None = None) -> JMapPoint:
-    """(z1, z2) -> (z1 z2 : -1 : z1 : z2) (I_2 + W^-1) as a row vector, with
-    the quadratic and Hermitian form values attached."""
+def j_map(p, policy: PrecisionPolicy | None = None) -> tuple[mpmath.mpc, ...]:
+    """(z1, z2) -> xi = (z1 z2 : -1 : z1 : z2) (I_2 + W^-1) as a row vector,
+    a point of the quadric form_value(xi, xi) = 0 with form_value(xi,
+    conj(xi)) = 4 Im z1 Im z2."""
     pair = as_pair(p, policy)
     with working_precision(policy):
         qc = quadratic_constants(policy)
@@ -115,48 +114,28 @@ def j_map(p, policy: PrecisionPolicy | None = None) -> JMapPoint:
         # W^-1 = (1/sqrt5) [[eps, -1], [-eps', 1]]
         w3 = (z1 * qc.eps - z2 * qc.eps_conj) / s5
         w4 = (-z1 + z2) / s5
-        xi = (z1 * z2, mpmath.mpc(-1), w3, w4)
-
-        def form_value(u, v):
-            return (u[0] * v[1] + u[1] * v[0]
-                    + 2 * u[2] * v[2] + u[2] * v[3] + u[3] * v[2] - 2 * u[3] * v[3])
-
-        quadric = form_value(xi, xi)
-        xibar = tuple(mpmath.conj(x) for x in xi)
-        hermitian = form_value(xi, xibar).real
-        return JMapPoint(xi=xi, quadric_value=quadric, hermitian_value=hermitian)
+        return (z1 * z2, mpmath.mpc(-1), w3, w4)
 
 
 def j_map_symbolic_identities() -> dict:
-    """Exact polynomial proofs (with s a formal square root of 5):
-    the image satisfies xi A txi = 0 identically, and
-    xi A conj(txi) = -(z1 - z1bar)(z2 - z2bar)."""
-    V = ("z1", "z2", "w1", "w2", "s")  # w's play the conjugated variables
+    """Exact polynomial proofs, with s a formal square root of 5 and the w's
+    the conjugated variables, that the image satisfies form_value(xi, xi) = 0
+    identically and form_value(xi, conj(xi)) = -(z1 - z1bar)(z2 - z2bar),
+    which is 4 Im z1 Im z2.  xi is scaled by s, which scales both values by
+    s^2 = 5."""
+    V = ("z1", "z2", "w1", "w2", "s")
     z1, z2, w1, w2, s = (SparsePoly.variable(V, n) for n in V)
-    five = SparsePoly.const(V, 5)
+    eps, eps_c = (s + 1) * Fraction(1, 2), (-s + 1) * Fraction(1, 2)
 
-    def xi(u, v):
-        # entries scaled by sqrt5 where needed; the form value is scaled
-        # consistently, so identities are unaffected by the projective factor
-        eps = (SparsePoly.const(V, 1) + s) * Fraction(1, 2)
-        eps_c = (SparsePoly.const(V, 1) - s) * Fraction(1, 2)
-        # components: (z1 z2, -1, (u eps - v eps_c)/s, (-u + v)/s); multiply the
-        # last two by s and divide the form contributions by s^2 = 5 instead
-        return (u * v, SparsePoly.const(V, -1), u * eps - v * eps_c, v - u)
+    def xi(u, v):   # s (u v, -1, (u eps - v eps')/s, (v - u)/s)
+        return (s * u * v, -s, u * eps - v * eps_c, v - u)
 
-    def form_value(a, b):
-        main = a[0] * b[1] + a[1] * b[0]
-        tail = 2 * a[2] * b[2] + a[2] * b[3] + a[3] * b[2] - 2 * a[3] * b[3]
-        return (main * five + tail).reduce_square("s", 5)
-
-    xi_z = xi(z1, z2)
-    xi_w = xi(w1, w2)
-    quadric = form_value(xi_z, xi_z)
-    hermitian = form_value(xi_z, xi_w)
-    expected = -five * (z1 - w1) * (z2 - w2)
+    xi_z, xi_w = xi(z1, z2), xi(w1, w2)
+    quadric = form_value(xi_z, xi_z).reduce_square("s", 5)
+    hermitian = form_value(xi_z, xi_w).reduce_square("s", 5)
     return {
         "quadric_identically_zero": quadric.is_zero(),
-        "hermitian_matches_4ImIm": (hermitian - expected).is_zero(),
+        "hermitian_matches_4ImIm": hermitian == -5 * (z1 - w1) * (z2 - w2),
     }
 
 
@@ -171,9 +150,9 @@ def action_residuals(samples, policy: PrecisionPolicy | None = None) -> dict[str
     with working_precision(policy) as pol:
         residuals = {name: mpmath.mpf(0) for name in GTILDE}
         for p in samples:
-            src = j_map(p, policy).xi
+            src = j_map(p, policy)
             for name, g in GTILDE.items():
-                dst = j_map(apply_generator(p, name, policy), policy).xi
+                dst = j_map(apply_generator(p, name, policy), policy)
                 mapped = tuple(sum(g[i][j] * src[j] for j in range(4)) for i in range(4))
                 residuals[name] = max(residuals[name], projective_distance(dst, mapped))
         failing = {name: mpmath.nstr(r, 3) for name, r in residuals.items()

@@ -13,6 +13,7 @@ import mpmath
 
 from .hilbert_theta import (WEIGHTS, MuellerForms, UHPPair, as_pair, mueller_forms,
                             theta_batch, unreduced_forms)
+from .klein import quintic
 from .numkernel import GUARD_BITS, PrecisionPolicy, quadratic_constants, to_mpc, working_precision
 from .polynomials import SparsePoly
 
@@ -21,10 +22,9 @@ K1 = 2 ** 5 * 5 ** 2
 K2 = 2 ** 10 * 5 ** 5
 K3 = Fraction(2 ** 26 * 5 ** 10, 9)
 
-# 1728 X^5 - 720 X^3 Y + 80 X Y^2 - 64 (5 X^2 - Y)^2 - Y^3, whose zero set
-# (together with Y = 0) bounds the good parameter region
-K2_LOCUS = SparsePoly(("X", "Y"), {(5, 0): 1728, (3, 1): -720, (1, 2): 80, (4, 0): -1600,
-                                   (2, 1): 640, (0, 2): -64, (0, 3): -1})
+# minus Klein's quintic at (1, X, Y), whose zero set (together with Y = 0)
+# bounds the good parameter region
+K2_LOCUS = -quintic(1, *(SparsePoly.variable(("X", "Y"), v) for v in ("X", "Y")))
 
 # the iterations one Newton solve may take
 NEWTON_ITERATIONS = 40

@@ -3,8 +3,8 @@ coordinates (X, Y): exact coefficient data, the jet elimination exact in
 Q(X, Y) over the system's singular locus X Y S K2 = 0, down to the
 fourth-order ordinary equation on Y = 0 and to the integrability relation as
 an identity, exact local Taylor solutions from the four free jets, the exact
-quadric of the projectivized solution image, and the developing-map match
-against the theta-side inverse."""
+quadric of the projectivized solution image, and the developing-map match at
+BASE against the theta-side inverse."""
 
 from __future__ import annotations
 
@@ -368,14 +368,15 @@ def _integral(grid: Mapping[Jet, Fraction]) -> tuple[dict[Jet, int], int]:
     return {jet: c.numerator * (den // c.denominator) for jet, c in grid.items()}, den
 
 
-def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
-    """Taylor coefficients to total order `order` of the solutions with
-    prescribed (u, u_X, u_Y, u_XY)(base), one grid per entry of `jet_values`,
-    generated level by level from the cleared equations.  A level's
-    overdetermined system is the same for every solution, so it is solved
-    once, exactly, with one right-hand side per solution; any inconsistency
-    raises.  The levels are built in integers: the shifted triangles scaled
-    by one denominator, and each solution's grid by one of its own."""
+@functools.cache
+def taylor_basis(base, order: int) -> JetBasisSolution:
+    """The four solutions whose free jets (u, u_X, u_Y, u_XY) at the base are
+    the unit vectors, to total order `order`, generated level by level from
+    the cleared equations.  A level's overdetermined system is the same for
+    every solution, so it is solved once, exactly, with one right-hand side
+    per solution; any inconsistency raises.  The levels are built in
+    integers: the shifted triangles scaled by one denominator, and each
+    solution's grid by one of its own.  Cached, so its grids are read-only."""
     base = (Fraction(base[0]), Fraction(base[1]))
     tris = [[(_shifted(c, base), jet) for c, jet in eq] for eq in _cleared_equations()]
     den = math.lcm(*(c.denominator for eq in tris for tri, _ in eq for c in tri.values()))
@@ -383,7 +384,7 @@ def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
                  for eq in tris]
     if any(not eq[0][0].get((0, 0)) for eq in equations):
         raise SingularBasePoint("a leading coefficient vanishes at the base point")
-    grids = [dict(zip(BASIS, map(Fraction, jets))) for jets in jet_values]
+    grids = [{jet: Fraction(int(jet == unit)) for jet in BASIS} for unit in BASIS]
 
     for d in range(2, order + 1):
         # grids[s][jet] == nums[s][jet] / dens[s]
@@ -424,16 +425,6 @@ def taylor_solutions(base, jet_values, order: int) -> list[dict[Jet, Fraction]]:
         for row, c in zip(rows, pivots):
             for t, value, m in zip(grids, row[n:], dens):
                 t[unknowns[c]] = value / m
-    return grids
-
-
-@functools.cache
-def taylor_basis(base, order: int) -> JetBasisSolution:
-    """The four solutions whose free jets at the base are the unit vectors,
-    to total order `order`.  Cached, so its grids are read-only."""
-    base = (Fraction(base[0]), Fraction(base[1]))
-    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    grids = taylor_solutions(base, units, order)
     return JetBasisSolution(base=base, order=order,
                             grids=tuple(MappingProxyType(g) for g in grids))
 
@@ -593,58 +584,50 @@ def quadric_from_grids(grids, order: int) -> QuadricFit:
                       rank=sum(1 for s in signs if s), eigenvalue_signs=signs)
 
 
-def quadric_image_test(base, order: int = 10) -> QuadricFit:
-    """The quadric on which the projective image of the four basis solutions
-    at the base point lies, from their order-`order` Taylor grids."""
-    return quadric_from_grids(taylor_basis(base, order).grids, order)
+# the base point of the quadric and developing-map checks, and the Taylor
+# order of their basis grids
+BASE = (Fraction(1, 10), Fraction(1, 10))
+ORDER = 10
 
-
-# the anchor over (1/10, 1/10) lies on the fixed locus of the real structure
+# the anchor over BASE lies on the fixed locus of the real structure
 # (z1, z2) -> (nu - conj(z1), nu' - conj(z2)), nu = eps - 1, so its real parts
 # are -eps'/2 and -eps/2 exactly; its imaginary parts, to 12 digits
 ANCHOR_IMAG = ("1.22023287932", "1.84910857975")
 
 
-def developing_map_match(base, samples: int = 14,
-                         policy: PrecisionPolicy | None = None,
-                         order: int = 10) -> dict:
-    """Match the PDE basis-solution ratios against the lattice embedding of
-    the theta-side inverse (z1, z2)(X, Y) by one projective transformation,
-    at `samples` points around the base: the first five fix the map and
-    every other one is checked against it.
+def developing_map_match(samples: int = 14, policy: PrecisionPolicy | None = None) -> dict:
+    """Match the PDE basis-solution ratios at BASE against the lattice
+    embedding of the theta-side inverse (z1, z2)(X, Y) by one projective
+    transformation, at `samples` points around BASE: the first five fix the
+    map and every other one is checked against it.
 
     The graph of the period map is sampled forward from one inverse.  One
-    Newton solve from the anchor over (1/10, 1/10), the one base the CLI, the
-    benchmark and the tests use, proves the anchor z_a over the base (else
-    moduli.NoConvergence) and returns the Jacobian J there; each sample takes
-    z = z_a + J^-1 (dx, dy) for an offset of sampling_offsets, reads
-    (X, Y)(z) off one theta pass without jets, and pairs the Taylor grids
-    evaluated at the complex offset (X - X0, Y - Y0) with the lattice
-    embedding of z.
+    Newton solve from the stored anchor over BASE proves the anchor z_a
+    (else moduli.NoConvergence) and returns the Jacobian J there; each sample
+    takes z = z_a + J^-1 (dx, dy) for an offset of sampling_offsets, reads
+    (X, Y)(z) off one theta pass without jets, and pairs the order-ORDER
+    Taylor grids evaluated at the complex offset (X - X0, Y - Y0) with the
+    lattice embedding of z.
 
     This is the desk-scale machine check that the projectivized solutions
     develop the parameter space into the period domain.
     """
-    base = (Fraction(base[0]), Fraction(base[1]))
-    if base[1] == 0:
-        raise SingularBasePoint("the system is singular along Y = 0")
     with working_precision(policy) as pol:
-        basis = taylor_basis(base, order)
+        basis = taylor_basis(BASE, ORDER)
         q = quadratic_constants(pol)
         start = (mpmath.mpc(-q.eps_conj / 2, ANCHOR_IMAG[0]),
                  mpmath.mpc(-q.eps / 2, ANCHOR_IMAG[1]))
-        anchor = continuation_invert(base[0], base[1], start, pol)
+        anchor = continuation_invert(*BASE, start, pol)
         a11, a12, a21, a22 = anchor.jacobian
         det = a11 * a22 - a12 * a21
-        x0, y0 = to_mpf(base[0]), to_mpf(base[1])
+        x0, y0 = map(to_mpf, BASE)
         vectors, jvecs = [], []
-        for dx, dy in sampling_offsets(base, samples):
+        for dx, dy in sampling_offsets(BASE, samples):
             dx, dy = to_mpf(dx), to_mpf(dy)
             z = UHPPair(anchor.z.z1 + (dx * a22 - a12 * dy) / det,
                         anchor.z.z2 + (a11 * dy - dx * a21) / det)
             x, y = moduli_XY(z, pol)
             vectors.append(evaluate_grid(basis, x - x0, y - y0))
-            jvecs.append(j_map(z, pol).xi)
+            jvecs.append(j_map(z, pol))
         g, residual = match_projective_maps(vectors, jvecs)
-        return {"transform": g, "holdout_residual": residual,
-                "anchor": anchor, "samples": samples}
+        return {"transform": g, "holdout_residual": residual, "anchor": anchor}

@@ -163,18 +163,14 @@ def suite_mueller(policy: PrecisionPolicy, seed: int) -> VerificationReport:
 
 def suite_main_theorem(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("main-theorem") as c, working_precision(policy):
-        diag = diagonal_points(10, seed)
-        rep = periods.verify_diagonal_inverse_identity(diag, policy)
-        c.add("diagonal_X_times_J_is_25_27", rep["max_residual"] < 1e-8,
-              rep["max_residual"])
+        r = periods.verify_diagonal_inverse_identity(diagonal_points(10, seed), policy)
+        c.add("diagonal_X_times_J_is_25_27", r < 1e-8, r)
         pts = sample_points(10, seed)
         forms = [hilbert_theta.mueller_forms(p, policy) for p in pts]
         worst = mpmath.mpf(0)
         for p, f in zip(pts, forms):
             X, Y, Z = moduli.moduli_XYZ(p, policy, forms=f)
-            lhs = 144 * Z
-            rhs = (-1728 * X ** 5 + 720 * X ** 3 * Y - 80 * X * Y ** 2
-                   + 64 * (5 * X ** 2 - Y) ** 2 + Y ** 3)
+            lhs, rhs = 144 * Z, klein.quintic(1, X, Y)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         c.add("quintic_relation_144Z", worst < 1e-8, worst)
         worst = mpmath.mpf(0)
@@ -249,9 +245,8 @@ def suite_clausen(policy: PrecisionPolicy, seed: int) -> VerificationReport:
 
 def suite_j_theorem(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("j-theorem") as c, working_precision(policy):
-        rep = periods.verify_diagonal_inverse_identity(diagonal_points(5, seed), policy)
-        c.add("X_times_J_at_seeded_diagonal", rep["max_residual"] < 1e-8,
-              rep["max_residual"])
+        r = periods.verify_diagonal_inverse_identity(diagonal_points(5, seed), policy)
+        c.add("X_times_J_at_seeded_diagonal", r < 1e-8, r)
         X, _, _ = moduli.moduli_XYZ((mpmath.mpc(0, 1), mpmath.mpc(0, 1)), policy)
         r = abs(X - mpmath.mpf(25) / 27)
         c.add("X_at_i_i_equals_25_27", r < 1e-8, r)
@@ -277,7 +272,7 @@ def suite_pde_restriction(policy: PrecisionPolicy, seed: int) -> VerificationRep
 
 def suite_quadric(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("quadric") as c:
-        fit = pde.quadric_image_test((Fraction(1, 10), Fraction(1, 10)), order=10)
+        fit = pde.quadric_from_grids(pde.taylor_basis(pde.BASE, pde.ORDER).grids, pde.ORDER)
         c.add_shared(("holdout_residual", fit.holdout_residual < 1e-6, fit.holdout_residual),
                      ("rank_exactly_4", fit.rank == 4),
                      ("signature_2_2", sorted(fit.eigenvalue_signs) == [-1, -1, 1, 1]))
@@ -286,8 +281,7 @@ def suite_quadric(policy: PrecisionPolicy, seed: int) -> VerificationReport:
 
 def suite_developing_map(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("developing-map") as c:
-        rep = pde.developing_map_match((Fraction(1, 10), Fraction(1, 10)),
-                                       samples=14, policy=policy, order=10)
+        rep = pde.developing_map_match(samples=14, policy=policy)
         c.add("projective_match_holdout", rep["holdout_residual"] < 1e-5,
               rep["holdout_residual"])
     return c.report
@@ -304,7 +298,7 @@ def suite_monodromy(policy: PrecisionPolicy, seed: int) -> VerificationReport:
         c.add("single_action_convention", worst < 1e-8, worst)
         ji = lattice.j_map((mpmath.mpc(0, 1), mpmath.mpc(0, 1)), policy)
         anchor = (mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(0, -1), mpmath.mpc(0))
-        r = moduli.projective_distance(ji.xi, anchor)
+        r = moduli.projective_distance(ji, anchor)
         c.add("anchor_point_at_i_i", r < 1e-8, r)
     return c.report
 

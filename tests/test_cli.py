@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -476,6 +477,21 @@ def test_verify_all_report_is_the_same_on_one_cpu_and_on_two(capsys, monkeypatch
     assert counts == [1, 2]
     assert outs[0] == outs[1]
     assert outs[0][0] == 0
+
+
+# sha256 of `verify all --stable-output` at the default seed; a change that
+# moves a printed residual or a row must update these and record the move
+REPORT_DIGESTS = {
+    128: "daabf00e0495beff388b78cd8f9b243c543bdcd849e2547914c8bcdc001e5929",
+    256: "f09993e74f64483d11268fcadc26f76c68f4131a3d13408b7e92a9e54bf7d161",
+}
+
+
+@pytest.mark.parametrize("bits", sorted(REPORT_DIGESTS))
+def test_verify_all_report_is_pinned(capsys, bits):
+    code, out = run_cli(capsys, "--prec", str(bits), "--stable-output", "verify", "all")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[bits]
 
 
 def test_worker_count_is_suites_capped_by_usable_cpus(monkeypatch, cpus):

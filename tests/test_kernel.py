@@ -1,7 +1,7 @@
 """Property tests for the exact primitives in `polynomials`: the dense
 univariate kernel and the one-variable rational functions against sympy,
 `FormalSeries` (scale times primitive ints) against sympy, and Gauss-Jordan
-directly and through `taylor_solutions`."""
+directly and through `taylor_basis`."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hilbert_k3 import pde
 from hilbert_k3.lattice import mat_identity, mat_mul
-from hilbert_k3.pde import InconsistentReduction, taylor_solutions
+from hilbert_k3.pde import InconsistentReduction, taylor_basis
 from hilbert_k3.polynomials import (FormalSeries, RationalFunction, SparsePoly, UniPoly,
                                     gauss_jordan)
 
@@ -411,11 +411,11 @@ def test_level_system_underdetermined_raises(monkeypatch):
     one = SparsePoly.const(("X", "Y"), 1)
     _toy_system(monkeypatch, {(1, 1): one}, {(1, 1): one})
     with pytest.raises(InconsistentReduction, match="underdetermined"):
-        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6)
+        taylor_basis((0, 0), 6)
 
 
 def test_level_system_inconsistent_raises(monkeypatch):
     # u_XX = Y u and u_YY = 0 give u_XXYY = 2 u_Y = 0 at fourth order
     _toy_system(monkeypatch, {(0, 0): SparsePoly.variable(("X", "Y"), "Y")}, {})
     with pytest.raises(InconsistentReduction, match="inconsistent"):
-        taylor_solutions((0, 0), [(1, 1, 1, 1)], 6)
+        taylor_basis((0, 0), 6)

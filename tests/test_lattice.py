@@ -3,7 +3,7 @@ import sympy
 
 from hilbert_k3 import lattice, verify
 from hilbert_k3.lattice import (FORM_A, FORM_A_X, GTILDE, MX_GENERATORS,
-                                action_residuals, check_orthogonality, j_map,
+                                action_residuals, check_orthogonality, form_value, j_map,
                                 j_map_symbolic_identities, mat_identity, mat_mul,
                                 mat_transpose, preserves_form)
 from hilbert_k3.moduli import projective_distance
@@ -51,25 +51,38 @@ def test_symbolic_quadric_and_hermitian_identities():
     assert rep["hermitian_matches_4ImIm"]
 
 
-def test_j_map_numeric_invariants(policy):
-    with working_precision(policy):
-        jp = j_map((mpmath.mpc(0, "1.2"), mpmath.mpc(0, "0.7")), policy)
-        assert abs(jp.quadric_value) < policy.verify_tol
-        assert abs(jp.hermitian_value - 4 * mpmath.mpf("1.2") * mpmath.mpf("0.7")) < 1e-30
-        assert jp.hermitian_value > 0
+def test_symbolic_identities_read_FORM_A(monkeypatch):
+    """Zeroing the off-diagonal entries of the <2, 1; 1, -2> block breaks
+    both identities, so they are proved for FORM_A as stored."""
+    broken = tuple(tuple(0 if {i, j} == {2, 3} else c for j, c in enumerate(row))
+                   for i, row in enumerate(FORM_A))
+    monkeypatch.setattr(lattice, "FORM_A", broken)
+    assert j_map_symbolic_identities() == {"quadric_identically_zero": False,
+                                           "hermitian_matches_4ImIm": False}
+
+
+def test_form_values_of_xi_at_128_and_256_bits(policy, policy256):
+    """xi lies on the quadric, and its Hermitian value is 4 Im z1 Im z2."""
+    for pol in (policy, policy256):
+        with working_precision(pol):
+            xi = j_map((mpmath.mpc("0.3", "1.2"), mpmath.mpc("-0.1", "0.7")), pol)
+            assert abs(form_value(xi, xi)) < pol.verify_tol
+            hermitian = form_value(xi, tuple(map(mpmath.conj, xi)))
+            want = 4 * mpmath.mpf("1.2") * mpmath.mpf("0.7")
+            assert abs(hermitian - want) < mpmath.mpf(2) ** (8 - pol.mantissa_bits)
 
 
 def test_j_map_anchor_point(policy):
     with working_precision(policy):
         ji = j_map((mpmath.mpc(0, 1), mpmath.mpc(0, 1)), policy)
         anchor = (mpmath.mpc(1), mpmath.mpc(1), mpmath.mpc(0, -1), mpmath.mpc(0))
-        assert projective_distance(ji.xi, anchor) < policy.verify_tol
+        assert projective_distance(ji, anchor) < policy.verify_tol
 
 
 def test_identity_transform_has_zero_residual(policy):
     with working_precision(policy):
         p = (mpmath.mpc("0.1", "1.2"), mpmath.mpc("-0.2", "0.9"))
-        xi = j_map(p, policy).xi
+        xi = j_map(p, policy)
         assert projective_distance(xi, xi) < policy.series_tol
 
 

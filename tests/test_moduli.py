@@ -11,6 +11,7 @@ from hilbert_k3.moduli import (GENERATORS, JacobianSingular, K2_LOCUS,
                                newton_invert, orbit)
 from hilbert_k3.hilbert_theta import mueller_forms, theta_batch
 from hilbert_k3.numkernel import PrecisionPolicy, working_precision
+from hilbert_k3.polynomials import SparsePoly
 
 
 def test_diagonal_Y_vanishes(policy):
@@ -183,6 +184,15 @@ def test_near_zero_denominator_guard(policy):
                         s10=mpmath.mpc(1), s15=mpmath.mpc(1))
     with pytest.raises(NearZeroDenominator):
         moduli_XYZ((mpmath.mpc(0, 1), mpmath.mpc(0, 1)), policy, forms=fake)
+
+
+def test_K2_locus_is_the_transcribed_quintic():
+    """The locus derived from klein.quintic equals its seven transcribed
+    coefficients, 1728 X^5 - 720 X^3 Y + 80 X Y^2 - 64 (5 X^2 - Y)^2 - Y^3."""
+    transcribed = {(5, 0): 1728, (3, 1): -720, (1, 2): 80, (4, 0): -1600,
+                   (2, 1): 640, (0, 2): -64, (0, 3): -1}
+    assert K2_LOCUS == SparsePoly(("X", "Y"), transcribed)
+    assert all(type(c) is int for c in K2_LOCUS.terms.values())
 
 
 def test_moduli_point_flags():

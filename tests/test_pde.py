@@ -23,8 +23,7 @@ from hilbert_k3.pde import (SINGULAR_BASE, EliminationFailed, InconsistentReduct
                             _cleared_equations, _eigenvalue_signs, _jet_reducer, _shifted, _truncated_product,
                             build_pde, developing_map_match, eliminate_to_restricted_ode,
                             estimate_singular_distance, quadric_from_grids,
-                            quadric_image_test, taylor_basis,
-                            taylor_solutions, verify_mixed_jet_compatibility,
+                            taylor_basis, verify_mixed_jet_compatibility,
                             verify_pde_restriction)
 from hilbert_k3.periods import restricted_ode_X, restricted_operators
 from hilbert_k3.polynomials import SparsePoly
@@ -296,9 +295,8 @@ def _residual_series(grid, base, order):
     return e1, e2, order - 2
 
 
-def test_taylor_solution_substitute_back():
-    grid = taylor_solutions(BASE, [(1, 0, 0, 0)], 8)[0]
-    e1, e2, cut = _residual_series(grid, BASE, 8)
+def _assert_substitutes_back(grid, order):
+    e1, e2, cut = _residual_series(grid, BASE, order)
     for res in (e1, e2):
         assert any(i + j > cut for i, j in res)
         for (i, j), c in res.items():
@@ -306,11 +304,17 @@ def test_taylor_solution_substitute_back():
                 assert c == 0, ((i, j), c)
 
 
-def test_taylor_solution_linearity():
-    a = taylor_solutions(BASE, [(1, 2, 3, 4)], 6)[0]
-    b = taylor_solutions(BASE, [(5, -1, 2, 0)], 6)[0]
-    ab = taylor_solutions(BASE, [(6, 1, 5, 4)], 6)[0]
-    assert all(ab[k] == a[k] + b[k] for k in ab)
+def test_taylor_solution_substitute_back():
+    _assert_substitutes_back(taylor_basis(BASE, 8).grids[0], 8)
+
+
+def test_a_combination_of_the_basis_grids_substitutes_back():
+    """The solution with free jets (6, 1, 5, 4), as the combination of the
+    four unit-jet grids, solves the system to the cut."""
+    grids = taylor_basis(BASE, 6).grids
+    combo = {jet: sum(w * g[jet] for w, g in zip((6, 1, 5, 4), grids)) for jet in grids[0]}
+    assert [combo[jet] for jet in pde.BASIS] == [6, 1, 5, 4]
+    _assert_substitutes_back(combo, 6)
 
 
 def test_basis_jet_matrix_full_rank():
@@ -327,14 +331,14 @@ def test_integrability_at_random_bases():
         base = (Fraction(rng.randint(1, 9), rng.randint(10, 20)),
                 Fraction(rng.randint(1, 9), rng.randint(10, 20)))
         try:
-            taylor_solutions(base, [(1, 1, 1, 1)], 8)
+            taylor_basis(base, 8)
         except InconsistentReduction:
             pytest.fail(f"integrability violated at {base}")
         checked += 1
 
 
 def test_quadric_image_fit():
-    fit = quadric_image_test(BASE, order=10)
+    fit = quadric_from_grids(taylor_basis(BASE, 10).grids, 10)
     assert fit.rank == 4
     assert fit.holdout_residual == 0
     assert sorted(fit.eigenvalue_signs) == [-1, -1, 1, 1]
@@ -372,14 +376,16 @@ def test_taylor_basis_is_cached_and_read_only():
 
 
 def test_developing_map_pipeline(policy):
-    rep = developing_map_match(BASE, samples=14, policy=policy, order=10)
+    assert pde.BASE == BASE
+    rep = developing_map_match(samples=14, policy=policy)
     assert rep["holdout_residual"] < 1e-5
-    assert rep["samples"] == 14
 
 
-def test_developing_map_rejects_diagonal_base(policy):
+def test_taylor_basis_rejects_a_diagonal_base():
+    """Both cleared equations lead with a multiple of Y, so the system is
+    singular along Y = 0."""
     with pytest.raises(SingularBasePoint):
-        developing_map_match((Fraction(1, 10), Fraction(0)), policy=policy)
+        taylor_basis((Fraction(1, 10), Fraction(0)), 4)
 
 
 # the anchor over BASE that the 10-step continuation reached when its
@@ -421,13 +427,6 @@ def test_stored_start_solves_to_the_ten_step_anchor(monkeypatch, bits, digits):
         assert len(passes) <= {128: 3, 256: 4}[bits]
 
 
-def test_developing_map_anchor_start_is_local_to_its_base(policy):
-    """The stored start serves only its base, (1/10, 1/10): from it, Newton
-    stalls over (1/5, 1/10)."""
-    with pytest.raises(moduli.NoConvergence):
-        developing_map_match((Fraction(1, 5), Fraction(1, 10)), policy=policy)
-
-
 @pytest.mark.parametrize("bits", [128, 256])
 def test_forward_samples_stay_near_the_base_and_match(monkeypatch, bits):
     """Each sample's complex offset (X - X0, Y - Y0) lies within r/32 of the
@@ -443,9 +442,9 @@ def test_forward_samples_stay_near_the_base_and_match(monkeypatch, bits):
         return evaluate(basis, dx, dy)
 
     monkeypatch.setattr(pde, "evaluate_grid", recording)
-    rep = developing_map_match(BASE, samples=14, policy=pol, order=10)
+    rep = developing_map_match(samples=14, policy=pol)
     assert rep["holdout_residual"] < 1e-24
-    assert len(offsets) == rep["samples"] == 14
+    assert len(offsets) == 14
     r = estimate_singular_distance(BASE)
     with working_precision(pol):
         assert all(isinstance(d, mpmath.mpc) for o in offsets for d in o)
@@ -504,8 +503,8 @@ def test_truncated_product_is_the_fraction_convolution(base):
 
 def test_transform_constant_across_sample_sets(policy):
     pol = PrecisionPolicy(96)
-    rep1 = developing_map_match(BASE, samples=10, policy=pol, order=10)
-    rep2 = developing_map_match(BASE, samples=18, policy=pol, order=10)
+    rep1 = developing_map_match(samples=10, policy=pol)
+    rep2 = developing_map_match(samples=18, policy=pol)
     g1, g2 = rep1["transform"], rep2["transform"]
     k = max(((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(g1[ij]))
     lam = g2[k] / g1[k]
