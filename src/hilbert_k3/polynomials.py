@@ -12,9 +12,9 @@
   coefficient list times a rational scale, with mul, divmod, dividing out
   a factor, gcd, Yun's square-free decomposition, derivative, affine
   substitution and reversal.
-* `RationalFunction`: the one rational function in one variable, a UniPoly
-  over a product of powers of square-free, pairwise coprime UniPolys, kept in
-  lowest terms; `reduced` gives the coprime quotient.  It carries the
+* `RationalFunction`: the one rational function in one variable, a pair of
+  UniPolys in lowest terms, the denominator primitive with a positive leading
+  coefficient; `reduced` gives that pair.  It carries the
   coefficients of differential operators over Q(t), among them the restricted
   equation that the elimination reads off on Y = 0.
 * `FormalSeries`: the one truncated Laurent series over Q, with tracked
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -307,10 +307,6 @@ class UniPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.ints == other.ints and self.scale == other.scale
 
-    def __hash__(self):
-        # equal polynomials have equal ints; the Fraction scale is slow to hash
-        return hash(tuple(self.ints))
-
     def format(self, var: str) -> str:
         """Terms by descending degree in `var`, such as '2*y^3 - y + 1/2'."""
         parts = []
@@ -458,9 +454,7 @@ class UniPoly:
         """self / other for non-zero operands, None unless other divides self."""
         b, r = other.ints, list(self.ints)
         db, lb = len(b) - 1, b[-1]
-        if len(r) <= db or (r[0] % b[0] if b[0] else r[0]):
-            return None
-        q = [0] * (len(r) - db)
+        q = [0] * max(len(r) - db, 0)
         for k in reversed(range(len(q))):
             t, rem = divmod(r[k + db], lb)
             if rem:
@@ -483,13 +477,13 @@ class UniPoly:
             raise ValueError("division is not exact")
         return q
 
-    def divide_out(self, factor: "UniPoly", limit: int | None = None) -> tuple["UniPoly", int]:
-        """(self / factor^k, k) for the largest k, at most `limit`, such that
-        factor^k divides self; factor must be non-constant."""
+    def divide_out(self, factor: "UniPoly") -> tuple["UniPoly", int]:
+        """(self / factor^k, k) for the largest k such that factor^k divides
+        self; factor must be non-constant."""
         if not self.ints or factor.degree() < 1:
             raise ValueError("dividing a constant out, or a factor out of zero")
         k = 0
-        while k != limit and (q := self._quotient(factor)) is not None:
+        while (q := self._quotient(factor)) is not None:
             self, k = q, k + 1
         return self, k
 
@@ -530,76 +524,30 @@ class UniPoly:
 # --------------------------------------------------------- rational functions
 
 
-def _merged(a: dict[UniPoly, int], b: dict[UniPoly, int]) -> list[tuple[UniPoly, int, int]]:
-    """One coprime base for two coprime factor dicts: (p, e_a, e_b) with
-    prod p^e_a = prod f^e over a, and likewise for b (whose factors meet only a's)."""
-    base = [(f, e, b.get(f, 0)) for f, e in a.items()]
-    for g, eg in b.items():
-        if g in a:
-            continue
-        out = []
-        for p, ea, eb in base:
-            if not eb and g.degree() > 0 and (h := p.gcd(g)).degree() > 0:
-                p, g = p.divide_exact(h), g.divide_exact(h)
-                out.append((h, ea, eg))
-            if p.degree() > 0:
-                out.append((p, ea, eb))
-        base = out + ([(g, 0, eg)] if g.degree() > 0 else [])
-    return base
-
-
 class RationalFunction:
-    """num / prod f^e in one variable over Q: a UniPoly numerator over a dict
-    `factors` of primitive, non-constant UniPolys f to exponents e > 0.
+    """num / den in one variable over Q, two UniPolys stored in lowest terms:
+    den is primitive with a positive leading coefficient (1 for zero) and
+    coprime to num, so `reduced()` and `==` read the parts as stored."""
 
-    The factors are square-free and pairwise coprime: a new denominator is
-    split into square-free parts, and two operands' factors are refined into
-    one coprime base.  Cancelling against each (small) factor keeps every
-    result in lowest terms, with no gcd against a whole denominator, so
-    `reduced()` and `==` read the parts as stored."""
-
-    __slots__ = ("num", "factors")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den: UniPoly | None = None):
         """num / den; num may be a UniPoly or a rational constant, den a
         nonzero UniPoly."""
         num = num if isinstance(num, UniPoly) else UniPoly([num])
-        factors = {}
-        if den is not None:
-            if not den:
-                raise ZeroDivisionError("rational function with zero denominator")
-            # den = scale * (primitive, positive leading): move the scale up
-            num = num * (1 / den.scale)
-            factors = dict(den.squarefree())
-        out = RationalFunction._of(num, factors, factors)
-        self.num, self.factors = out.num, out.factors
+        if den is not None and not den:
+            raise ZeroDivisionError("rational function with zero denominator")
+        out = RationalFunction._of(num, UniPoly([1]) if den is None else den)
+        self.num, self.den = out.num, out.den
 
     @classmethod
-    def _of(cls, num: UniPoly, factors: dict[UniPoly, int],
-            tried: Iterable[UniPoly]) -> "RationalFunction":
-        """num / prod f^e, where only the factors `tried` may share a root
-        with num: each is divided out, and split by a gcd if it divides num
-        only in part.  `factors` is never mutated, so results may share it."""
+    def _of(cls, num: UniPoly, den: UniPoly) -> "RationalFunction":
+        """num / den for a nonzero den: both divided by their gcd, and den's
+        scale moved into num."""
         out = cls.__new__(cls)
-        if tried and num:
-            factors = dict(factors)
-            todo = [(f, factors.pop(f)) for f in tried]
-            while todo:
-                f, e = todo.pop()
-                num, k = num.divide_out(f, e)
-                if k < e and f.degree() > 1 and (g := num.gcd(f)).degree() > 0:
-                    todo += [(g, e - k), (f.divide_exact(g), e - k)]
-                elif k < e:
-                    factors[f] = factors.get(f, 0) + e - k
-        out.num, out.factors = num, factors if num else {}
-        return out
-
-    @property
-    def den(self) -> UniPoly:
-        """prod f^e: primitive, with positive leading coefficient."""
-        out = UniPoly([1])
-        for f, e in self.factors.items():
-            out = out * f ** e
+        if den.degree() > 0 and (g := num.gcd(den)).degree() > 0:
+            num, den = num.divide_exact(g), den.divide_exact(g)
+        out.num, out.den = num * (1 / den.scale), den.primitive()
         return out
 
     def reduced(self) -> tuple[UniPoly, UniPoly]:
@@ -622,59 +570,29 @@ class RationalFunction:
 
     def __add__(self, other) -> "RationalFunction":
         other = self._coerce(other)
-        if not self.num:
-            return other
-        if not other.num:
-            return self
-        # a factor that one operand has to a higher power is coprime to the
-        # sum, so only factors with equal exponents can cancel
-        a, b, factors, tried = self.num, other.num, {}, []
-        for p, ea, eb in _merged(self.factors, other.factors):
-            e = factors[p] = max(ea, eb)
-            if e > ea:
-                a = a * p ** (e - ea)
-            if e > eb:
-                b = b * p ** (e - eb)
-            if ea == eb:
-                tried.append(p)
-        return RationalFunction._of(a + b, factors, tried)
+        if self.den == other.den:
+            return RationalFunction._of(self.num + other.num, self.den)
+        return RationalFunction._of(self.num * other.den + other.num * self.den,
+                                    self.den * other.den)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "RationalFunction":
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction._of(self.num * other, self.factors, ())
         other = self._coerce(other)
-        # a factor of both denominators is coprime to both numerators
-        base = _merged(self.factors, other.factors)
-        return RationalFunction._of(self.num * other.num, {p: ea + eb for p, ea, eb in base},
-                                    [p for p, ea, eb in base if not (ea and eb)])
+        return RationalFunction._of(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "RationalFunction":
-        """1 / self: den over the square-free parts of num, coprime to it."""
-        if not self.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction._of(self.den * (1 / self.num.scale),
-                                    dict(self.num.squarefree()), ())
-
     def __truediv__(self, other) -> "RationalFunction":
-        return self * self._coerce(other)._inverse()
+        other = self._coerce(other)
+        if not other.num:
+            raise ZeroDivisionError("division by zero rational function")
+        return RationalFunction._of(self.num * other.den, self.den * other.num)
 
     def derivative(self) -> "RationalFunction":
-        dn = self.num.derivative()
-        if not self.factors:
-            return RationalFunction._of(dn, {}, ())
-        # (n / prod f^e)' = [n' prod f - n sum e_i f_i' prod_{j != i} f_j] / prod f^(e+1),
-        # in lowest terms: the bracket is -n e_i f_i' prod_{j != i} f_j mod f_i
-        prod = UniPoly([1])
-        for f in self.factors:
-            prod = prod * f
-        total = dn * prod
-        for f, e in self.factors.items():
-            total = total - self.num * (e * f.derivative()) * prod.divide_exact(f)
-        return RationalFunction._of(total, {f: e + 1 for f, e in self.factors.items()}, ())
+        """(num' den - num den') / den^2."""
+        n, d = self.num, self.den
+        return RationalFunction._of(n.derivative() * d - n * d.derivative(), d * d)
 
     def affine(self, a, b) -> "RationalFunction":
         """f(a x + b)."""

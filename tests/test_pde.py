@@ -34,12 +34,8 @@ BASE = (Fraction(1, 10), Fraction(1, 10))
 
 def _stored_in_lowest_terms(c) -> bool:
     """The stored numerator and denominator are coprime, so the denominator
-    has the reduced degree, and its factors are square-free and pairwise
-    coprime."""
-    fs = list(c.factors)
-    return (c.num.gcd(c.den).degree() == 0
-            and all(f.gcd(f.derivative()).degree() == 0 for f in fs)
-            and all(f.gcd(g).degree() == 0 for i, f in enumerate(fs) for g in fs[i + 1:]))
+    has the reduced degree."""
+    return c.num.gcd(c.den).degree() == 0
 
 
 def _is_normal(f: _BaseFraction) -> bool:
@@ -54,9 +50,10 @@ def _is_normal(f: _BaseFraction) -> bool:
 
 def test_stored_denominators_have_the_reduced_degrees():
     """Every reduced jet is stored in lowest terms over the singular base, and
-    so is every coefficient of the eliminated equation: stored factors that
-    share roots would multiply up, as the eliminated equation once stored
-    denominators of degree 9 against a reduced 3 or 4."""
+    so is every coefficient of the eliminated equation: a stored numerator
+    and denominator that shared a root would leave the denominator above its
+    reduced degree, as the eliminated equation once stored denominators of
+    degree 9 against a reduced 3 or 4."""
     eliminated = eliminate_to_restricted_ode()
     table = _jet_reducer().table
     assert (4, 0) in table

@@ -72,9 +72,6 @@ ALLOWED = {
     "fibrations.kodaira_type":
         "the standard table; the rows III, IV, I0* and II* type no fiber of a "
         "`fibers classify` point in RUNS",
-    "polynomials.RationalFunction._of":
-        "the gcd split of a square-free factor that divides the numerator only in part "
-        "keeps every result in lowest terms; no command's arithmetic meets such a factor",
     "verify._claim_suites": "runs only in forked workers; `sys.settrace` does not follow `fork`",
 }
 
