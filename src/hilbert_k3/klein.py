@@ -92,7 +92,4 @@ def verify_klein_relation(inv: IcosahedralInvariants | None = None) -> dict:
 
 def swap_z1_z2(p: SparsePoly) -> SparsePoly:
     """Apply the coordinate swap z1 <-> z2 to the sparse representation."""
-    out = {}
-    for (e0, e1, e2), coeff in p.terms.items():
-        out[(e0, e2, e1)] = coeff
-    return SparsePoly(p.vars, out)
+    return SparsePoly(p.vars, {(e0, e2, e1): c for (e0, e1, e2), c in p.terms.items()})

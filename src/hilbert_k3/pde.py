@@ -127,9 +127,7 @@ class _BaseFraction:
         out = cls.__new__(cls)
         out.scale, out.num, out.den = Fraction(0), num, (0, 0, 0, 0)
         if num:
-            content = Fraction(math.gcd(*(c.numerator for c in num.terms.values())),
-                               math.lcm(*(c.denominator for c in num.terms.values())))
-            num, den = num * (1 / content) if content != 1 else num, list(den)
+            (content, num), den = num.split_content(), list(den)
             for i in tried:
                 while den[i] and not (qr := num.divmod_exact(SINGULAR_BASE[i]))[1]:
                     num, den[i] = qr[0], den[i] - 1
@@ -181,9 +179,9 @@ class _BaseFraction:
         for i, f in enumerate(SINGULAR_BASE):
             while num and not (qr := num.divmod_exact(f))[1]:
                 num, powers[i] = qr[0], powers[i] + 1
-        if set(num.terms) != {(0, 0)}:
-            raise EliminationFailed(f"the factor {num.terms} lies outside the singular base")
-        return _BaseFraction.of(1 / (self.scale * num.terms[(0, 0)]),
+        if list(num.packed) != [0]:
+            raise EliminationFailed(f"the factor {dict(num.terms)} lies outside the singular base")
+        return _BaseFraction.of(1 / (self.scale * num.packed[0]),
                                 _raised(SparsePoly.const(V, 1), self.den), powers)
 
     def lowest_y_term(self) -> tuple[int, RationalFunction]:
@@ -360,6 +358,7 @@ class JetBasisSolution:
     base: tuple[Fraction, Fraction]
     order: int
     grids: tuple[Mapping[Jet, Fraction], ...]  # one grid per free jet
+    scaled: tuple[tuple[Mapping[Jet, int], int], ...]  # _integral of each grid
 
 
 def _integral(grid: Mapping[Jet, Fraction]) -> tuple[dict[Jet, int], int]:
@@ -376,7 +375,7 @@ def taylor_basis(base, order: int) -> JetBasisSolution:
     every solution, so it is solved once, exactly, with one right-hand side
     per solution; any inconsistency raises.  The levels are built in
     integers: the shifted triangles scaled by one denominator, and each
-    solution's grid by one of its own.  Cached, so its grids are read-only."""
+    solution's grid by one of its own (`scaled`).  Cached, so it is read-only."""
     base = (Fraction(base[0]), Fraction(base[1]))
     tris = [[(_shifted(c, base), jet) for c, jet in eq] for eq in _cleared_equations()]
     den = math.lcm(*(c.denominator for eq in tris for tri, _ in eq for c in tri.values()))
@@ -425,8 +424,8 @@ def taylor_basis(base, order: int) -> JetBasisSolution:
         for row, c in zip(rows, pivots):
             for t, value, m in zip(grids, row[n:], dens):
                 t[unknowns[c]] = value / m
-    return JetBasisSolution(base=base, order=order,
-                            grids=tuple(MappingProxyType(g) for g in grids))
+    return JetBasisSolution(base, order, tuple(MappingProxyType(g) for g in grids),
+                            tuple((MappingProxyType(n), m) for n, m in map(_integral, grids)))
 
 
 def evaluate_grid(basis: JetBasisSolution, dx, dy) -> list:
@@ -435,9 +434,9 @@ def evaluate_grid(basis: JetBasisSolution, dx, dy) -> list:
     monomials are formed once, for all four grids, as BinaryFloats at wp =
     mp.prec + GUARD_BITS bits, each product rounding by less than 2^(2 - wp)
     of itself; each grid's integer numerators times the monomials are summed
-    exactly, then rounded once to mp.prec and divided by its denominator.
-    Raises ValueError when the offset leaves the certified polydisc of
-    estimate_singular_distance, outside which the series need not converge."""
+    exactly, then rounded once to mp.prec and divided by its denominator
+    (`basis.scaled`).  Raises ValueError when the offset leaves the certified
+    polydisc of estimate_singular_distance, where the series may diverge."""
     r = to_mpf(estimate_singular_distance(basis.base))
     if max(abs(dx), abs(dy)) > r:
         raise ValueError(f"offset ({dx}, {dy}) leaves the certified polydisc of radius {r}")
@@ -451,7 +450,7 @@ def evaluate_grid(basis: JetBasisSolution, dx, dy) -> list:
     aligned = {jet: (m.re << (m.exp - e), m.im << (m.exp - e)) for jet, m in monomials.items()}
     return [BinaryFloat(sum(n * aligned[jet][0] for jet, n in num.items()),
                         sum(n * aligned[jet][1] for jet, n in num.items()), e, wp).to_mpc() / den
-            for num, den in map(_integral, basis.grids)]
+            for num, den in basis.scaled]
 
 
 # --------------------------------------------------- geometry of the solution
@@ -629,5 +628,4 @@ def developing_map_match(samples: int = 14, policy: PrecisionPolicy | None = Non
             x, y = moduli_XY(z, pol)
             vectors.append(evaluate_grid(basis, x - x0, y - y0))
             jvecs.append(j_map(z, pol))
-        g, residual = match_projective_maps(vectors, jvecs)
-        return {"transform": g, "holdout_residual": residual, "anchor": anchor}
+        return {"holdout_residual": match_projective_maps(vectors, jvecs)[1]}

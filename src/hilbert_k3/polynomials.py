@@ -1,13 +1,14 @@
 """Exact polynomial arithmetic over Q and the exact primitives built on it.
 
-* `SparsePoly`: multivariate polynomials over Q; exponent vectors are dense
-  tuples keyed in a dict, and an integral coefficient is stored as an int.
-  Division (`divmod_exact`) runs in lex order with the last variable most
-  significant.  They carry the icosahedral invariants (degree 30 in 3
-  variables), the PDE coefficients and the elimination's numerators in
-  (X, Y), the quintic locus and the lattice forms.  `rows` is the one bridge
-  from two variables to one: a polynomial in (X, Y) as its list of Y-rows,
-  each a UniPoly in X.
+* `SparsePoly`: multivariate polynomials over Q, each exponent vector packed
+  into one int key, FIELD bits per variable with the last most significant,
+  and an integral coefficient stored as an int.  Key order is lex order, so
+  a leading term is a `max`, a product adds keys and division
+  (`divmod_exact`) tests divisibility with one mask; the top bit of each
+  field is a guard bit, and an exponent that would reach it raises
+  OverflowError.  They carry the icosahedral invariants (degree 30 in 3
+  variables), the PDE's elimination in (X, Y), the quintic locus and the
+  lattice forms.  `rows` is the one bridge from two variables to one.
 * `UniPoly`: the one polynomial in one variable, a primitive integer
   coefficient list times a rational scale, with mul, divmod, dividing out
   a factor, gcd, Yun's square-free decomposition, derivative, affine
@@ -27,26 +28,25 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
+# bits per variable in a packed key; the top bit of each field is a guard bit,
+# so an exponent is at most _MASK, and two variables fit one 30-bit int digit
+FIELD = 15
+_MASK = (1 << FIELD - 1) - 1
 
-def _lex_key(expo: Exponent) -> Exponent:
-    """Lex order with the last variable most significant."""
-    return expo[::-1]
 
-
-def _accumulate(terms: dict, expo: Exponent, c) -> None:
-    """terms[expo] += c, dropping a zero sum."""
-    s = terms.get(expo, 0) + c
-    if s:
-        terms[expo] = s
-    else:
-        terms.pop(expo, None)
+@functools.cache
+def _guards(n: int) -> int:
+    """The guard bits of n packed fields."""
+    return sum(_MASK + 1 << FIELD * i for i in range(n))
 
 
 def _stored(c):
@@ -55,20 +55,28 @@ def _stored(c):
 
 
 class SparsePoly:
-    """A polynomial in named variables over Q; an integral coefficient is
-    stored as an int, any other as a Fraction."""
+    """A polynomial in named variables over Q: `packed` maps each exponent
+    vector, packed into one int, to its coefficient, an int when it is
+    integral and else a Fraction.  `terms` reads it keyed by exponent tuples."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "packed")
 
     def __init__(self, variables: Sequence[str],
                  terms: Mapping[Exponent, Fraction] | None = None):
         self.vars: tuple[str, ...] = tuple(variables)
-        clean: dict[Exponent, int | Fraction] = {}
-        if terms:
-            for expo, coeff in terms.items():
-                if c := Fraction(coeff):
-                    clean[tuple(expo)] = _stored(c)
-        self.terms = clean
+        self.packed: dict[int, int | Fraction] = {}
+        for expo, coeff in (terms or {}).items():
+            if not all(0 <= e <= _MASK for e in expo):
+                raise OverflowError(f"exponent {tuple(expo)} outside the {FIELD}-bit fields")
+            if c := Fraction(coeff):
+                self.packed[sum(e << FIELD * i for i, e in enumerate(expo))] = _stored(c)
+
+    @property
+    def terms(self) -> Mapping[Exponent, int | Fraction]:
+        """A read-only view of the terms keyed by exponent tuples."""
+        shifts = range(0, FIELD * len(self.vars), FIELD)
+        return MappingProxyType({tuple(k >> s & _MASK for s in shifts): c
+                                 for k, c in self.packed.items()})
 
     # ---------------------------------------------------------------- basics
 
@@ -82,26 +90,32 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "SparsePoly":
-        variables = tuple(variables)
-        expo = [0] * len(variables)
-        expo[variables.index(name)] = 1
-        return cls(variables, {tuple(expo): 1})
+        return cls._of(tuple(variables), {1 << FIELD * variables.index(name): 1})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparsePoly) and self.vars == other.vars
-                and self.terms == other.terms)
+                and self.packed == other.packed)
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.packed)
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)
+
+    def split_content(self) -> tuple[Fraction, "SparsePoly"]:
+        """(c, p) with self == c p, c >= 0 and p's coefficients coprime ints."""
+        den = math.lcm(*(c.denominator for c in self.packed.values()))
+        g = math.gcd(*(c.numerator * (den // c.denominator) for c in self.packed.values()))
+        if g == den == 1:
+            return Fraction(1), self
+        return Fraction(g, den), SparsePoly._of(self.vars, {k: c * den // g
+                                                            for k, c in self.packed.items()})
 
     # ------------------------------------------------------------ arithmetic
 
@@ -114,34 +128,40 @@ class SparsePoly:
 
     @classmethod
     def _of(cls, variables: tuple[str, ...], terms: dict) -> "SparsePoly":
-        """Wrap nonzero int or Fraction coefficients, stored as `_stored` does."""
+        """Wrap packed terms, zeros dropped and the rest stored as `_stored` does."""
         res = cls.__new__(cls)
-        res.vars, res.terms = variables, {e: _stored(c) for e, c in terms.items()}
+        res.vars, res.packed = variables, terms
+        if not {int}.issuperset(map(type, terms.values())) or 0 in terms.values():
+            res.packed = {k: _stored(c) for k, c in terms.items() if c}
         return res
 
     def __add__(self, other) -> "SparsePoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            _accumulate(out, expo, coeff)
+        out = dict(self.packed)
+        for k, c in self._coerce(other).packed.items():
+            out[k] = out.get(k, 0) + c
         return SparsePoly._of(self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly._of(self.vars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._of(self.vars, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-self._coerce(other))
 
     def __mul__(self, other) -> "SparsePoly":
         if isinstance(other, (int, Fraction)) and other:
-            return SparsePoly._of(self.vars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)   # a zero constant has no terms
-        out: dict[Exponent, int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _accumulate(out, tuple(map(operator.add, e1, e2)), c1 * c2)
+            return SparsePoly._of(self.vars, {k: c * other for k, c in self.packed.items()})
+        out: dict[int, int | Fraction] = {}
+        pairs = self._coerce(other).packed.items()   # a zero constant has no terms
+        for k1, c1 in self.packed.items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        # in lex order led by any one field the product of the leads never
+        # cancels, so a field that overflows leaves its guard bit in some key
+        if functools.reduce(operator.or_, out, 0) & _guards(len(self.vars)):
+            raise OverflowError(f"a product exponent passes its {FIELD}-bit field")
         return SparsePoly._of(self.vars, out)
 
     __rmul__ = __mul__
@@ -149,46 +169,33 @@ class SparsePoly:
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = SparsePoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return functools.reduce(operator.mul, [self] * n, SparsePoly.const(self.vars, 1))
 
     # ----------------------------------------------------------- evaluation
 
     def evaluate(self, values: Mapping[str, object]):
         """Full evaluation; values may be Fractions, ints, or mpmath numbers."""
-        missing = [v for v in self.vars if v not in values]
-        if missing:
+        if missing := [v for v in self.vars if v not in values]:
             raise ValueError(f"missing values for {missing}")
-        total = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for name, power in zip(self.vars, expo):
-                if power:
-                    term = term * values[name] ** power
-            total = total + term
-        return total
+        return sum(math.prod((values[name] ** power for name, power in zip(self.vars, expo)
+                              if power), start=coeff)
+                   for expo, coeff in self.terms.items())
 
     def reduce_square(self, name: str, value) -> "SparsePoly":
         """Rewrite name**2 -> value (for algebraic elements such as sqrt5)."""
-        value = Fraction(value)
-        i = self.vars.index(name)
-        acc: dict[Exponent, int | Fraction] = {}
-        for expo, coeff in self.terms.items():
-            q, r = divmod(expo[i], 2)
-            _accumulate(acc, expo[:i] + (r,) + expo[i + 1:], coeff * value ** q)
+        value, shift = Fraction(value), FIELD * self.vars.index(name)
+        acc: dict[int, int | Fraction] = {}
+        for k, coeff in self.packed.items():
+            q = (k >> shift & _MASK) // 2
+            key = k - (2 * q << shift)
+            acc[key] = acc.get(key, 0) + coeff * value ** q
         return SparsePoly._of(self.vars, acc)
 
     def derivative(self, name: str) -> "SparsePoly":
         """The partial derivative in the variable `name`."""
-        i = self.vars.index(name)
-        return SparsePoly._of(self.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
-                                          for e, c in self.terms.items() if e[i]})
+        shift = FIELD * self.vars.index(name)
+        return SparsePoly._of(self.vars, {k - (1 << shift): c * e for k, c in self.packed.items()
+                                          if (e := k >> shift & _MASK)})
 
     def rows(self, outer: str) -> list["UniPoly"]:
         """The coefficients of outer^0, outer^1, ... as UniPolys in the other
@@ -199,38 +206,43 @@ class SparsePoly:
         dense: dict[int, dict[int, Fraction]] = {}
         for expo, coeff in self.terms.items():
             dense.setdefault(expo[i], {})[expo[1 - i]] = coeff
-        out = []
-        for j in range(max(dense, default=-1) + 1):
-            row = dense.get(j, {})
-            out.append(UniPoly([row.get(k, 0) for k in range(max(row, default=-1) + 1)]))
-        return out
+        rows = [dense.get(j, {}) for j in range(max(dense, default=-1) + 1)]
+        return [UniPoly([row.get(k, 0) for k in range(max(row, default=-1) + 1)]) for row in rows]
 
     # ------------------------------------------------------ exact division
 
     def divmod_exact(self, divisor: "SparsePoly") -> tuple["SparsePoly", "SparsePoly"]:
-        """(q, r) with self == q * divisor + r, by division in lex order with
-        the last variable most significant.  It stops at the first term of r
-        that the leading term of divisor does not divide, so r is zero exactly
-        when divisor divides self.  A divisor that leads with +-1 keeps
-        integer coefficients integer."""
+        """(q, r) with self == q * divisor + r, by division in the order of the
+        packed keys, lex with the last variable most significant.  It stops at
+        the first term of r that the leading term of divisor does not divide,
+        so r is zero exactly when divisor divides self.  A divisor that leads
+        with +-1 keeps integer coefficients integer."""
         divisor = self._coerce(divisor)
-        if not divisor.terms:
+        if not divisor.packed:
             raise ZeroDivisionError("polynomial division by zero")
-        d_expo = max(divisor.terms, key=_lex_key)
-        d_coeff = divisor.terms[d_expo]
-        rest = [(e, c) for e, c in divisor.terms.items() if e != d_expo]
-        q: dict[Exponent, int | Fraction] = {}
-        r = dict(self.terms)
+        guards = _guards(len(self.vars))
+        d = max(divisor.packed)
+        d_coeff = divisor.packed[d]
+        rest = [(k, c) for k, c in divisor.packed.items() if k != d]
+        q: dict[int, int | Fraction] = {}
+        r = dict(self.packed)
         while r:
-            r_expo = max(r, key=_lex_key)
-            diff = tuple(map(operator.sub, r_expo, d_expo))
-            if min(diff) < 0:
+            lead = max(r)
+            # d divides lead when no field borrows past its guard bit
+            if ((lead | guards) - d) & guards != guards:
                 break
-            c = r.pop(r_expo)
+            diff = lead - d
+            c = r.pop(lead)
             exact = type(c) is int and not c % d_coeff
             f = q[diff] = c // d_coeff if exact else Fraction(c) / d_coeff
-            for e, ce in rest:
-                _accumulate(r, tuple(map(operator.add, diff, e)), -f * ce)
+            for k, ck in rest:
+                k += diff
+                if k & guards:
+                    raise OverflowError(f"a remainder exponent passes the {FIELD}-bit field")
+                if s := r.get(k, 0) - f * ck:
+                    r[k] = s
+                else:
+                    del r[k]
         return SparsePoly._of(self.vars, q), SparsePoly._of(self.vars, r)
 
 
@@ -411,14 +423,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result, base = UniPoly([1]), self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return functools.reduce(operator.mul, [self] * n, UniPoly([1]))
 
     def derivative(self) -> "UniPoly":
         return UniPoly._from_ints([k * a for k, a in enumerate(self.ints)][1:], self.scale)

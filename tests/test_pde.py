@@ -424,6 +424,27 @@ def test_stored_start_solves_to_the_ten_step_anchor(monkeypatch, bits, digits):
         assert len(passes) <= {128: 3, 256: 4}[bits]
 
 
+def _match_with_transform_and_anchor(monkeypatch, samples, pol):
+    """developing_map_match's report, with the projective transform that it
+    fitted and the anchor that it solved, recorded from its calls to
+    match_projective_maps and continuation_invert."""
+    seen = {}
+
+    def recording(name):
+        call = getattr(pde, name)
+
+        def record(*args):
+            seen[name] = out = call(*args)
+            return out
+        monkeypatch.setattr(pde, name, record)
+
+    recording("match_projective_maps")
+    recording("continuation_invert")
+    rep = developing_map_match(samples=samples, policy=pol)
+    assert seen["match_projective_maps"][1] == rep["holdout_residual"]
+    return rep, seen["match_projective_maps"][0], seen["continuation_invert"]
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_forward_samples_stay_near_the_base_and_match(monkeypatch, bits):
     """Each sample's complex offset (X - X0, Y - Y0) lies within r/32 of the
@@ -439,14 +460,14 @@ def test_forward_samples_stay_near_the_base_and_match(monkeypatch, bits):
         return evaluate(basis, dx, dy)
 
     monkeypatch.setattr(pde, "evaluate_grid", recording)
-    rep = developing_map_match(samples=14, policy=pol)
+    rep, _, anchor = _match_with_transform_and_anchor(monkeypatch, 14, pol)
     assert rep["holdout_residual"] < 1e-24
     assert len(offsets) == 14
     r = estimate_singular_distance(BASE)
     with working_precision(pol):
         assert all(isinstance(d, mpmath.mpc) for o in offsets for d in o)
         assert max(max(abs(dx), abs(dy)) for dx, dy in offsets) <= to_mpf(r) / 32
-        z = rep["anchor"].z
+        z = anchor.z
         want = [mpmath.mpc(*w) for w in TEN_STEP_ANCHOR]
         assert abs(z.z1 - want[0]) + abs(z.z2 - want[1]) < pol.verify_tol
 
@@ -498,11 +519,10 @@ def test_truncated_product_is_the_fraction_convolution(base):
         assert all(isinstance(c, Fraction) for c in got.values())
 
 
-def test_transform_constant_across_sample_sets(policy):
+def test_transform_constant_across_sample_sets(monkeypatch):
     pol = PrecisionPolicy(96)
-    rep1 = developing_map_match(samples=10, policy=pol)
-    rep2 = developing_map_match(samples=18, policy=pol)
-    g1, g2 = rep1["transform"], rep2["transform"]
+    g1 = _match_with_transform_and_anchor(monkeypatch, 10, pol)[1]
+    g2 = _match_with_transform_and_anchor(monkeypatch, 18, pol)[1]
     k = max(((i, j) for i in range(4) for j in range(4)), key=lambda ij: abs(g1[ij]))
     lam = g2[k] / g1[k]
     assert mpmath.mnorm(g2 - lam * g1, 1) < 1e-15 * mpmath.mnorm(g2, 1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbert_k3.klein import build_invariants
-from hilbert_k3.polynomials import RationalFunction, SparsePoly, UniPoly
+from hilbert_k3.polynomials import FIELD, RationalFunction, SparsePoly, UniPoly
 
 V = ("z0", "z1", "z2")
 T = UniPoly([0, 1])
@@ -158,6 +158,55 @@ def test_divmod_exact_contract(p, d):
     if r:
         assert any(a < b for a, b in zip(_lex_leading(r), _lex_leading(d)))
     assert (p * d).divmod_exact(d) == (p, SparsePoly.zero(("X", "Y")))
+
+
+# Klein's three variables and the five of the lattice's symbolic proof
+MANY_VARIABLES = (V, ("z1", "z2", "w1", "w2", "s"))
+
+
+def _polys_in(variables):
+    return st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * len(variables)),
+                           rationals, max_size=6).map(lambda terms: SparsePoly(variables, terms))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(MANY_VARIABLES).flatmap(
+    lambda v: st.tuples(_polys_in(v), _polys_in(v).filter(bool))))
+def test_packed_products_and_division_beyond_two_variables(pair):
+    """The packed product is the term-by-term expansion, and the division
+    contract holds as in two variables (lex, the last variable first)."""
+    p, d = pair
+    assert (p * d).terms == _naive_product_terms(p, d)
+    q, r = p.divmod_exact(d)
+    assert q * d + r == p
+    if r:
+        assert any(a < b for a, b in zip(_lex_leading(r), _lex_leading(d)))
+    assert (p * d).divmod_exact(d) == (p, SparsePoly.zero(p.vars))
+
+
+@pytest.mark.parametrize("variables", [("X", "Y")] + list(MANY_VARIABLES))
+def test_an_exponent_past_its_field_raises_and_never_wraps(variables):
+    """An exponent of 2^(FIELD - 1) in the constructor, and a product or a
+    division step whose exponents sum past a field, each raise OverflowError
+    in every variable, instead of carrying into the next one."""
+    top = 1 << (FIELD - 1)
+    n = len(variables)
+    for i in range(n):
+        def power(e, j=i):
+            return SparsePoly(variables, {tuple(e if k == j else 0 for k in range(n)): 1})
+
+        with pytest.raises(OverflowError):
+            power(top)
+        assert power(top // 2) * power(top // 2 - 1) == power(top - 1)
+        with pytest.raises(OverflowError):
+            power(top // 2) * power(top // 2)
+        with pytest.raises(OverflowError):
+            power(top - 1) * power(1)
+    # lead Y of Y + X^(top - 1) divides X Y, and the step adds X^top to the
+    # remainder
+    X, Y = (SparsePoly.variable(("X", "Y"), v) for v in ("X", "Y"))
+    with pytest.raises(OverflowError):
+        (X * Y).divmod_exact(Y + X ** (top - 1))
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
