@@ -52,11 +52,16 @@ class LogSeries:
     def is_zero_to_precision(self) -> bool:
         return all(s.is_zero_to_precision() for s in self.parts.values())
 
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        out = dict(self.parts)
-        for l, s in other.parts.items():
+    @classmethod
+    def _sum(cls, var: str, terms) -> "LogSeries":
+        """The sum of s log(t)^l over the pairs (l, s) of ``terms``."""
+        out: dict[int, FormalSeries] = {}
+        for l, s in terms:
             out[l] = out[l] + s if l in out else s
-        return LogSeries(self.var, out)
+        return cls(var, out)
+
+    def __add__(self, other: "LogSeries") -> "LogSeries":
+        return LogSeries._sum(self.var, [*self.parts.items(), *other.parts.items()])
 
     def __sub__(self, other: "LogSeries") -> "LogSeries":
         return self + other.scale(-1)
@@ -65,27 +70,17 @@ class LogSeries:
         return LogSeries(self.var, {l: s * c for l, s in self.parts.items()})
 
     def __mul__(self, other: "LogSeries") -> "LogSeries":
-        out: dict[int, FormalSeries] = {}
-        for l1, s1 in self.parts.items():
-            for l2, s2 in other.parts.items():
-                prod = s1 * s2
-                key = l1 + l2
-                out[key] = out[key] + prod if key in out else prod
-        return LogSeries(self.var, out)
+        return LogSeries._sum(self.var, ((l1 + l2, s1 * s2) for l1, s1 in self.parts.items()
+                                         for l2, s2 in other.parts.items()))
 
     def multiply_rational(self, f: RationalFunction) -> "LogSeries":
         return LogSeries(self.var, {l: s.multiply_rational(f) for l, s in self.parts.items()})
 
     def derivative(self) -> "LogSeries":
         # d/dt (f log^l) = f' log^l + l f t^-1 log^(l-1)
-        out: dict[int, FormalSeries] = {}
-        for l, s in self.parts.items():
-            d = s.derivative()
-            out[l] = out[l] + d if l in out else d
-            if l >= 1:
-                lower = s.shift_exponent(-1) * l
-                out[l - 1] = out[l - 1] + lower if l - 1 in out else lower
-        return LogSeries(self.var, out)
+        return LogSeries._sum(self.var, [(l, s.derivative()) for l, s in self.parts.items()]
+                              + [(l - 1, s.shift_exponent(-1) * l)
+                                 for l, s in self.parts.items() if l >= 1])
 
 
 # --------------------------------------------------------------- the operator

@@ -19,28 +19,19 @@ class NonMinimal(Exception):
 
 # ------------------------------------------------------------- Kodaira types
 
-EULER_NUMBERS = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
-
-
 @dataclass(frozen=True)
 class KodairaType:
-    tag: str                 # 'I_n', 'I_n*', 'II', ...
-    n: int | None = None
-
-    @property
-    def euler(self) -> int:
-        if self.tag == "I_n":
-            return self.n
-        if self.tag == "I_n*":
-            return self.n + 6
-        return EULER_NUMBERS[self.tag]
+    """A Kodaira fiber type and its Euler number, which is the valuation of
+    the minimal discriminant (Ogg's formula in characteristic 0)."""
+    name: str                # 'I5', 'I0*', 'II', ...
+    euler: int
 
     def __str__(self) -> str:
-        if self.tag == "I_n":
-            return f"I{self.n}"
-        if self.tag == "I_n*":
-            return f"I{self.n}*"
-        return self.tag
+        return self.name
+
+
+# v_disc -> the type of an additive fiber that is not I_n*, n >= 1
+_ADDITIVE = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*"}
 
 
 def kodaira_type(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
@@ -53,24 +44,12 @@ def kodaira_type(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
     if v_g2 >= 4 and v_g3 >= 6 and v_disc >= 12:
         raise NonMinimal(f"(v_g2, v_g3, v_disc) = ({v_g2}, {v_g3}, {v_disc})")
     if v_g2 == 0 and v_g3 == 0:
-        return KodairaType("I_n", v_disc)
+        return KodairaType(f"I{v_disc}", v_disc)
     if v_g2 == 2 and v_g3 == 3 and v_disc >= 7:
-        return KodairaType("I_n*", v_disc - 6)
-    if v_disc == 2:
-        return KodairaType("II")
-    if v_disc == 3:
-        return KodairaType("III")
-    if v_disc == 4:
-        return KodairaType("IV")
-    if v_disc == 6:
-        return KodairaType("I_n*", 0)
-    if v_disc == 8:
-        return KodairaType("IV*")
-    if v_disc == 9:
-        return KodairaType("III*")
-    if v_disc == 10:
-        return KodairaType("II*")
-    raise ValueError(f"no Kodaira row matches ({v_g2}, {v_g3}, {v_disc})")
+        return KodairaType(f"I{v_disc - 6}*", v_disc)
+    if v_disc not in _ADDITIVE:
+        raise ValueError(f"no Kodaira row matches ({v_g2}, {v_g3}, {v_disc})")
+    return KodairaType(_ADDITIVE[v_disc], v_disc)
 
 
 def _minimalized(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:

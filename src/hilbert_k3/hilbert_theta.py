@@ -544,13 +544,12 @@ def unreduced_forms(p, policy: PrecisionPolicy | None = None) -> MuellerForms:
     return mueller_forms(p, policy, theta=theta_batch(p, policy))
 
 
-def verify_mueller_relation(p, policy: PrecisionPolicy | None = None,
-                            forms: MuellerForms | None = None) -> mpmath.mpf:
+def verify_mueller_relation(forms: MuellerForms,
+                            policy: PrecisionPolicy | None = None) -> mpmath.mpf:
     """Residual of the ring relation among (g2, s6, s10, s15), relative to the
     largest monomial magnitude."""
     with working_precision(policy):
-        f = forms if forms is not None else mueller_forms(p, policy)
-        g2, s6, s10, s15 = f.g2, f.s6, f.s10, f.s15
+        g2, s6, s10, s15 = forms.g2, forms.s6, forms.s10, forms.s15
         monomials = [
             s15 ** 2,
             -(5 ** 5) * s10 ** 3,

@@ -74,9 +74,9 @@ def klein_relation_poly(A, B, C, D):
     return 144 * D ** 2 - quintic(A, B, C)
 
 
-def verify_klein_relation(inv: IcosahedralInvariants | None = None) -> dict:
+def verify_klein_relation() -> dict:
     """Expand the relation in the projective coordinates; exact zero expected."""
-    inv = inv or build_invariants()
+    inv = build_invariants()
     residual = klein_relation_poly(inv.A, inv.B, inv.C, inv.D)
     return {
         "exact_zero": residual.is_zero(),

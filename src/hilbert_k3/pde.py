@@ -511,12 +511,12 @@ class QuadricFit:
     eigenvalue_signs: tuple[int, ...]         # ascending, 0 for a zero eigenvalue
 
 
-def _truncated_product(g: Mapping[Jet, Fraction], h: Mapping[Jet, Fraction],
+def _truncated_product(g: tuple[Mapping[Jet, int], int], h: tuple[Mapping[Jet, int], int],
                        order: int) -> dict[Jet, Fraction]:
-    """The coefficients of g h to total order `order`, for two Taylor grids,
-    exactly: both grids scaled to integer numerators over one denominator
-    each, convolved in int, and one Fraction built per coefficient."""
-    (gn, gd), (hn, hd) = _integral(g), _integral(h)
+    """The coefficients of g h to total order `order`, for two Taylor grids
+    as integer numerators over one denominator each (`_integral`), exactly:
+    convolved in int, and one Fraction built per coefficient."""
+    (gn, gd), (hn, hd) = g, h
     out: dict[Jet, int] = {}
     for (a, b), x in gn.items():
         for (c, d), y in hn.items():
@@ -552,7 +552,9 @@ def _eigenvalue_signs(matrix) -> tuple[int, ...]:
 
 
 def quadric_from_grids(grids, order: int) -> QuadricFit:
-    """The quadric sum q_ij u_i u_j = 0 through four Taylor grids, exactly.
+    """The quadric sum q_ij u_i u_j = 0 through four Taylor grids, given as
+    integer numerators over one denominator each (`JetBasisSolution.scaled`),
+    exactly.
 
     Each monomial dX^a dY^b of the truncated products gives one linear
     equation in the ten q_ij.  Those of total order at most order - 2 fix q;

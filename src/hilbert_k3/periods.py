@@ -21,27 +21,18 @@ from .polynomials import RationalFunction as RF
 from .polynomials import FormalSeries, UniPoly
 
 
-@dataclass(frozen=True)
-class HypergeomParams:
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        for b in self.lower:
-            if b.denominator == 1 and b <= 0:
-                raise ValueError(f"lower parameter {b} is a nonpositive integer")
-
-
 def hypergeom_coefficients(upper: Sequence, lower: Sequence, order: int) -> list[Fraction]:
     """Exact Taylor coefficients of pFq through t^order (inclusive)."""
-    params = HypergeomParams(tuple(Fraction(a) for a in upper),
-                             tuple(Fraction(b) for b in lower))
+    upper, lower = [Fraction(a) for a in upper], [Fraction(b) for b in lower]
+    for b in lower:
+        if b.denominator == 1 and b <= 0:
+            raise ValueError(f"lower parameter {b} is a nonpositive integer")
     out = [Fraction(1)]
     for n in range(order):
         c = out[-1]
-        for a in params.upper:
+        for a in upper:
             c *= a + n
-        for b in params.lower:
+        for b in lower:
             c /= b + n
         c /= n + 1
         out.append(c)

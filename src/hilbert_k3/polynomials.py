@@ -10,7 +10,7 @@
   variables), the PDE's elimination in (X, Y), the quintic locus and the
   lattice forms.  `rows` is the one bridge from two variables to one.
 * `UniPoly`: the one polynomial in one variable, a primitive integer
-  coefficient list times a rational scale, with mul, divmod, dividing out
+  coefficient list times a rational scale, with mul, remainder, dividing out
   a factor, gcd, Yun's square-free decomposition, derivative, affine
   substitution and reversal.
 * `RationalFunction`: the one rational function in one variable, a pair of
@@ -430,30 +430,26 @@ class UniPoly:
 
     # -------------------------------------------------------------- division
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        """(q, r) with self = q * other + r and deg r < deg other."""
+    def __mod__(self, other: "UniPoly") -> "UniPoly":
+        """The r with self = q * other + r and deg r < deg other."""
         if not other.ints:
             raise ZeroDivisionError("polynomial division by zero")
         b = other.ints
         db, lb = len(b) - 1, b[-1]
         r = list(self.ints)
-        q = [0] * max(len(r) - db, 0)
         m = 1  # integer long division of self.ints * m by other.ints
-        for k in reversed(range(len(q))):
+        for k in reversed(range(len(r) - db)):
             top = r[k + db]
             if not top:
                 continue
             f = lb // math.gcd(top, lb)
             if f != 1:
                 r = [f * x for x in r]
-                q = [f * x for x in q]
                 m *= f
             t = r[k + db] // lb
-            q[k] = t
             for j, c in enumerate(b):
                 r[k + j] -= t * c
-        return (UniPoly._from_ints(q, self.scale / (m * other.scale)),
-                UniPoly._from_ints(r[:db], self.scale / m))
+        return UniPoly._from_ints(r[:db], self.scale / m)
 
     def _quotient(self, other: "UniPoly") -> "UniPoly | None":
         """self / other for non-zero operands, None unless other divides self."""
@@ -502,7 +498,7 @@ class UniPoly:
         """Primitive gcd with positive leading coefficient (primitive PRS)."""
         a, b = self.primitive(), other.primitive()
         while b.ints:
-            a, b = b, a.divmod(b)[1].primitive()
+            a, b = b, (a % b).primitive()
         return a
 
     def squarefree(self) -> list[tuple["UniPoly", int]]:

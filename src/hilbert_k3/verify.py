@@ -109,7 +109,7 @@ def diagonal_points(count: int, seed: int = DEFAULT_SEED) -> list:
 def suite_klein(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     inv = klein.build_invariants()
     with _Collector("klein") as c:
-        rep = klein.verify_klein_relation(inv)
+        rep = klein.verify_klein_relation()
         counts = rep["term_counts"]
         c.add_shared(("relation_expands_to_zero", rep["exact_zero"]),
                      ("term_counts", counts == {"A": 2, "B": 5, "C": 12, "D": 20},
@@ -137,8 +137,8 @@ def suite_mueller(policy: PrecisionPolicy, seed: int) -> VerificationReport:
         pts = sample_points(5, seed)
         forms = [hilbert_theta.mueller_forms(p, policy) for p in pts]
         worst = mpmath.mpf(0)
-        for p, f in zip(pts, forms):
-            worst = max(worst, hilbert_theta.verify_mueller_relation(p, policy, forms=f))
+        for f in forms:
+            worst = max(worst, hilbert_theta.verify_mueller_relation(f, policy))
         c.add("ring_relation_at_sample_points", worst < 1e-8, worst)
         worst = mpmath.mpf(0)
         for f in forms:
@@ -174,8 +174,8 @@ def suite_main_theorem(policy: PrecisionPolicy, seed: int) -> VerificationReport
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
         c.add("quintic_relation_144Z", worst < 1e-8, worst)
         worst = mpmath.mpf(0)
-        for p, f in zip(pts, forms):
-            worst = max(worst, hilbert_theta.verify_mueller_relation(p, policy, forms=f))
+        for f in forms:
+            worst = max(worst, hilbert_theta.verify_mueller_relation(f, policy))
         c.add("mueller_relation_along_samples", worst < 1e-8, worst)
     return c.report
 
@@ -272,7 +272,7 @@ def suite_pde_restriction(policy: PrecisionPolicy, seed: int) -> VerificationRep
 
 def suite_quadric(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     with _Collector("quadric") as c:
-        fit = pde.quadric_from_grids(pde.taylor_basis(pde.BASE, pde.ORDER).grids, pde.ORDER)
+        fit = pde.quadric_from_grids(pde.taylor_basis(pde.BASE, pde.ORDER).scaled, pde.ORDER)
         c.add_shared(("holdout_residual", fit.holdout_residual < 1e-6, fit.holdout_residual),
                      ("rank_exactly_4", fit.rank == 4),
                      ("signature_2_2", sorted(fit.eigenvalue_signs) == [-1, -1, 1, 1]))
@@ -343,14 +343,13 @@ SUITES = {
 }
 
 
-def run_suite(name: str, policy: PrecisionPolicy | None = None,
+def run_suite(name: str, policy: PrecisionPolicy,
               seed: int = DEFAULT_SEED) -> VerificationReport:
     """The named suite's report.  A suite that raises yields a report with
     the single failed check ``error``, whose residual is "<exception type>:
     <message>"."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
-    policy = policy or PrecisionPolicy()
     t0 = time.perf_counter()
     try:
         return SUITES[name](policy, seed)

@@ -13,7 +13,7 @@ from hilbert_k3.diffops import indicial_exponents
 from hilbert_k3.elliptic import jacobi_theta
 from hilbert_k3.fibrations import classify_fibers
 from hilbert_k3.hilbert_theta import mueller_forms, verify_mueller_relation
-from hilbert_k3.klein import build_invariants, verify_klein_relation
+from hilbert_k3.klein import verify_klein_relation
 from hilbert_k3.lattice import action_residuals, check_orthogonality, j_map
 from hilbert_k3.moduli import moduli_XYZ, projective_distance
 from hilbert_k3.numkernel import PrecisionPolicy, working_precision
@@ -36,7 +36,7 @@ def _report(cid: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_klein_relation_exact():
     t0 = time.time()
-    rep = verify_klein_relation(build_invariants())
+    rep = verify_klein_relation()
     dt = time.time() - t0
     _report("1 (icosahedral relation)", rep["exact_zero"] and dt < 10,
             f"exact zero in {dt:.2f}s")
@@ -93,7 +93,7 @@ def _criterion_6(policy) -> tuple[bool, str]:
             rhs = (-1728 * X ** 5 + 720 * X ** 3 * Y - 80 * X * Y ** 2
                    + 64 * (5 * X ** 2 - Y) ** 2 + Y ** 3)
             worst_q = max(worst_q, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
-            worst_m = max(worst_m, verify_mueller_relation(p, policy))
+            worst_m = max(worst_m, verify_mueller_relation(mueller_forms(p, policy), policy))
         dt = time.time() - t0
         ok = diag < 1e-8 and worst_q < 1e-8 and worst_m < 1e-8
         detail = (f"diag {mpmath.nstr(diag, 3)}, quintic {mpmath.nstr(worst_q, 3)}, "
@@ -166,7 +166,7 @@ def test_criterion_09_monodromy_constants():
 
 def _criterion_10(policy) -> tuple[bool, str]:
     t0 = time.time()
-    fit = quadric_from_grids(taylor_basis(BASE, 10).grids, 10)
+    fit = quadric_from_grids(taylor_basis(BASE, 10).scaled, 10)
     match = developing_map_match(samples=14, policy=policy)
     dt = time.time() - t0
     ok = (fit.rank == 4 and fit.holdout_residual < 1e-6

@@ -520,7 +520,7 @@ def test_checks_that_read_one_computation_share_its_time(monkeypatch):
         return symmetric_square(order)
 
     monkeypatch.setattr(periods, "verify_symmetric_square", slow)
-    rows = {c.name: c.runtime_ms for c in verify.run_suite("clausen").checks}
+    rows = {c.name: c.runtime_ms for c in verify.run_suite("clausen", PrecisionPolicy()).checks}
     shared = [rows.pop(f"W3_annihilates_{n}") for n in ("t*y1^2", "t*y1*y2", "t*y2^2")]
     shared.append(rows.pop("quadratic_relation_s2sq_s1s3"))
     assert min(shared) >= 50 and max(shared) - min(shared) <= 1

@@ -119,9 +119,14 @@ def test_kodaira_table_rows():
 
 
 def test_euler_numbers():
-    assert KodairaType("I_n", 5).euler == 5
-    assert KodairaType("I_n*", 6).euler == 12
-    assert KodairaType("II*").euler == 10
+    """The Euler numbers of the classical table: n for I_n, n + 6 for I_n*,
+    and 2, 3, 4, 6, 8, 9, 10 for II, III, IV, I0*, IV*, III*, II*."""
+    assert kodaira_type(0, 0, 5) == KodairaType("I5", 5)
+    assert kodaira_type(2, 3, 12) == KodairaType("I6*", 12)
+    additive = {(1, 1, 2): 2, (1, 2, 3): 3, (2, 2, 4): 4, (2, 3, 6): 6,
+                (3, 4, 8): 8, (3, 5, 9): 9, (4, 5, 10): 10}
+    for valuations, euler in additive.items():
+        assert kodaira_type(*valuations).euler == euler
 
 
 def test_classification_fixture_generic():
@@ -182,8 +187,9 @@ def test_finite_fiber_degree_bookkeeping():
     v = chart0.disc.valuation()
     quintic = chart0.disc.divide_exact(UniPoly([0, 1]) ** v)
     cfg = classify_fibers(Fraction(1), Fraction(1))
-    finite_counts = sum(p.count * p.type.n for p in cfg.placements
-                        if p.type.tag == "I_n")
+    # the Euler number of I_n is n
+    finite_counts = sum(p.count * p.type.euler for p in cfg.placements
+                        if p.type.name[1:].isdigit())
     assert finite_counts == quintic.degree() == 5
 
 

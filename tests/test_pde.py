@@ -20,7 +20,8 @@ from hilbert_k3.moduli import K2_LOCUS, RankDeficient
 from hilbert_k3.numkernel import PrecisionPolicy, to_mpf, working_precision
 from hilbert_k3.pde import (SINGULAR_BASE, EliminationFailed, InconsistentReduction, Quotient,
                             SingularBasePoint, _BaseFraction,
-                            _cleared_equations, _eigenvalue_signs, _jet_reducer, _shifted, _truncated_product,
+                            _cleared_equations, _eigenvalue_signs, _integral, _jet_reducer, _shifted,
+                            _truncated_product,
                             build_pde, developing_map_match, eliminate_to_restricted_ode,
                             estimate_singular_distance, quadric_from_grids,
                             taylor_basis, verify_mixed_jet_compatibility,
@@ -335,7 +336,7 @@ def test_integrability_at_random_bases():
 
 
 def test_quadric_image_fit():
-    fit = quadric_from_grids(taylor_basis(BASE, 10).grids, 10)
+    fit = quadric_from_grids(taylor_basis(BASE, 10).scaled, 10)
     assert fit.rank == 4
     assert fit.holdout_residual == 0
     assert sorted(fit.eigenvalue_signs) == [-1, -1, 1, 1]
@@ -343,8 +344,8 @@ def test_quadric_image_fit():
 
 
 def test_quadric_negative_control():
-    grids = list(taylor_basis(BASE, 10).grids)
-    grids[3] = _truncated_product(grids[3], grids[3], 10)
+    grids = list(taylor_basis(BASE, 10).scaled)
+    grids[3] = _integral(_truncated_product(grids[3], grids[3], 10))
     with pytest.raises(RankDeficient):
         quadric_from_grids(grids, 10)
 
@@ -507,14 +508,15 @@ def test_evaluate_grid_sums_the_exact_grid_and_stays_in_the_polydisc(policy, pol
 def test_truncated_product_is_the_fraction_convolution(base):
     """The integer convolution equals the term-by-term Fraction double loop,
     at the quadric's base and at a base of the exact benchmark."""
-    grids = taylor_basis(base, 10).grids
+    basis = taylor_basis(base, 10)
+    grids = basis.grids
     for i, j in [(0, 0), (0, 3), (1, 2), (3, 3)]:
         want = {}
         for (a, b), x in grids[i].items():
             for (c, d), y in grids[j].items():
                 if a + b + c + d <= 10:
                     want[(a + c, b + d)] = want.get((a + c, b + d), 0) + x * y
-        got = _truncated_product(grids[i], grids[j], 10)
+        got = _truncated_product(basis.scaled[i], basis.scaled[j], 10)
         assert got == want
         assert all(isinstance(c, Fraction) for c in got.values())
 

@@ -6,10 +6,10 @@ import pytest
 
 from hilbert_k3.diffops import DiffOperator, indicial_exponents
 from hilbert_k3.elliptic import eisenstein_and_J
-from hilbert_k3.numkernel import working_precision
+from hilbert_k3.numkernel import PrecisionPolicy, working_precision
 from hilbert_k3.polynomials import RationalFunction as RF
 from hilbert_k3.polynomials import UniPoly
-from hilbert_k3.periods import (HypergeomParams, gauss_operator,
+from hilbert_k3.periods import (gauss_operator,
                                 hypergeom_coefficients,
                                 restricted_ode_X, restricted_operators,
                                 schwarz_map, verify_clausen_and_S,
@@ -17,10 +17,9 @@ from hilbert_k3.periods import (HypergeomParams, gauss_operator,
 
 
 def test_hypergeom_params_validation():
-    with pytest.raises(ValueError):
-        HypergeomParams((Fraction(1, 2),), (Fraction(0),))
-    with pytest.raises(ValueError):
-        HypergeomParams((Fraction(1, 2),), (Fraction(-3),))
+    for b in (0, -3):
+        with pytest.raises(ValueError, match=f"lower parameter {b} is a nonpositive integer"):
+            hypergeom_coefficients([Fraction(1, 2)], [Fraction(b)], 3)
 
 
 def test_2f1_at_zero_and_first_coefficient():
@@ -83,7 +82,7 @@ def test_failed_transport_is_a_fail_row(monkeypatch):
     with pytest.raises(ValueError, match="does not reproduce W4"):
         restricted_operators.__wrapped__()
     monkeypatch.setattr(periods, "restricted_operators", restricted_operators.__wrapped__)
-    report = verify.run_suite("factorization")
+    report = verify.run_suite("factorization", PrecisionPolicy())
     assert [(c.name, c.passed) for c in report.checks] == [("error", False)]
     assert "does not reproduce W4" in report.checks[0].residual
 
@@ -95,7 +94,7 @@ def test_truncated_basis_is_a_fail_row(monkeypatch):
     from hilbert_k3 import periods, verify
     basis = periods.gauss_frobenius_basis
     monkeypatch.setattr(periods, "gauss_frobenius_basis", lambda order: basis(order - 10))
-    report = verify.run_suite("clausen")
+    report = verify.run_suite("clausen", PrecisionPolicy())
     assert len(report.checks) == 8
     assert {c.name for c in report.checks if not c.passed} == {
         "W3_annihilates_t*y1^2", "W3_annihilates_t*y1*y2", "W3_annihilates_t*y2^2",

@@ -37,9 +37,49 @@ def test_lists_the_unreached_plain_statement_only(tmp_path, monkeypatch):
     path.write_text(SYNTHETIC)
     monkeypatch.syspath_prepend(str(root))
     module = importlib.import_module("synthetic")
-    stmts = tool.statements(path, "synthetic")
+    stmts = tool.sites(path, "synthetic")[0]
     assert [s.text for s in stmts] == ["try:", "y = 1 / x", "if x < 0:", "if x > 10:",
                                        "y = -y", "return y"]
     hits = tool.traced_lines(lambda: module.f(2), str(root))
     assert [(s.function, s.line, s.text) for s in tool.unreached(stmts, hits)] == [
         ("synthetic.f", 11, "y = -y")]
+
+
+ARMS = '''
+def g(x, xs):
+    a = 1 if x > 0 else -1
+    b = x or len(xs)
+    c = [y for y in xs if y > 100]
+    e = {k:
+         k * 2 for k in xs if k > 1}
+    try:
+        d = 1 / x
+    except ZeroDivisionError:
+        d = 0 if x == 0 else 1
+    if x < 0 and not xs:
+        raise ValueError("negative")
+    return a, b, c, d, e
+'''
+
+
+def test_lists_the_untaken_arms_only(tmp_path, monkeypatch):
+    """g(2, [1, 2]) takes neither the else of a conditional expression, nor
+    the second operand of an or, nor the element of a comprehension whose
+    filter never passes: those three are listed.  The arms in an except body
+    and in the test of an if whose body only raises are not arms a run is
+    expected to reach; the taken body and the two-line element of a dict
+    comprehension are reached."""
+    tool = _tool()
+    root = tmp_path.resolve()
+    path = root / "synthetic_arms.py"
+    path.write_text(ARMS)
+    monkeypatch.syspath_prepend(str(root))
+    module = importlib.import_module("synthetic_arms")
+    arms = tool.sites(path, "synthetic_arms")[1]
+    assert [(a.function, a.text) for a in arms] == [
+        ("synthetic_arms.g", "1"), ("synthetic_arms.g", "-1"),
+        ("synthetic_arms.g", "len(xs)"), ("synthetic_arms.g", "y"),
+        ("synthetic_arms.g", "k: k * 2")]
+    hits = tool.traced_lines(lambda: module.g(2, [1, 2]), str(root), arms)
+    assert [(a.line, a.text) for a in tool.unreached(arms, hits)] == [
+        (3, "-1"), (4, "len(xs)"), (5, "y")]
