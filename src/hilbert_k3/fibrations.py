@@ -13,10 +13,6 @@ from fractions import Fraction
 from .polynomials import UniPoly
 
 
-class NonMinimal(Exception):
-    """(v_g2, v_g3, v_disc) >= (4, 6, 12): caller must minimalize first."""
-
-
 # ------------------------------------------------------------- Kodaira types
 
 @dataclass(frozen=True)
@@ -36,13 +32,15 @@ _ADDITIVE = {2: "II", 3: "III", 4: "IV", 6: "I0*", 8: "IV*", 9: "III*", 10: "II*
 
 def kodaira_type(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
     """Standard Kodaira table keyed on the valuations of g2, g3, disc of a
-    minimal Weierstrass equation z^2 = x^3 - g2 x - g3 at a singular fiber
-    (the charts of this family have one at y = 0 and at y = infinity, and a
-    finite one at each root of disc)."""
+    Weierstrass equation z^2 = x^3 - g2 x - g3 at a singular fiber (the
+    charts of this family have one at y = 0 and at y = infinity, and a
+    finite one at each root of disc), made minimal first: x -> t^2 x,
+    z -> t^3 z lowers the valuations by (4, 6, 12), as often as the equation
+    stays integral."""
+    k = min(v_g2 // 4, v_g3 // 6, v_disc // 12)
+    v_g2, v_g3, v_disc = v_g2 - 4 * k, v_g3 - 6 * k, v_disc - 12 * k
     if v_disc < 1:
         raise ValueError(f"no singular fiber has discriminant valuation {v_disc}")
-    if v_g2 >= 4 and v_g3 >= 6 and v_disc >= 12:
-        raise NonMinimal(f"(v_g2, v_g3, v_disc) = ({v_g2}, {v_g3}, {v_disc})")
     if v_g2 == 0 and v_g3 == 0:
         return KodairaType(f"I{v_disc}", v_disc)
     if v_g2 == 2 and v_g3 == 3 and v_disc >= 7:
@@ -50,13 +48,6 @@ def kodaira_type(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
     if v_disc not in _ADDITIVE:
         raise ValueError(f"no Kodaira row matches ({v_g2}, {v_g3}, {v_disc})")
     return KodairaType(_ADDITIVE[v_disc], v_disc)
-
-
-def _minimalized(v_g2: int, v_g3: int, v_disc: int) -> KodairaType:
-    """The type after x -> t^2 x, z -> t^3 z, which lowers the valuations by
-    (4, 6, 12), as often as the equation stays integral."""
-    k = min(v_g2 // 4, v_g3 // 6, v_disc // 12)
-    return kodaira_type(v_g2 - 4 * k, v_g3 - 6 * k, v_disc - 12 * k)
 
 
 # ------------------------------------------------------------ chart building
@@ -138,7 +129,7 @@ class FiberConfiguration:
 
 
 def _classify_chart_origin(chart: WeierstrassChart, location: str) -> FiberPlacement:
-    return FiberPlacement(location=location, type=_minimalized(
+    return FiberPlacement(location=location, type=kodaira_type(
         chart.g2.valuation(), chart.g3.valuation(), chart.disc.valuation()))
 
 
@@ -155,7 +146,7 @@ def _classify_finite_nonzero(chart: WeierstrassChart) -> list[FiberPlacement]:
             if piece.degree() > 0:
                 placements.append(FiberPlacement(
                     location=f"roots of {piece.format('y')}",
-                    type=_minimalized(chart.g2.divide_out(piece)[1],
+                    type=kodaira_type(chart.g2.divide_out(piece)[1],
                                       chart.g3.divide_out(piece)[1], mult),
                     count=piece.degree(),
                 ))

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import mpmath
 
@@ -49,55 +49,11 @@ class SingularBasePoint(Exception):
     pass
 
 
-class Quotient(NamedTuple):
-    """num / den, two polynomials in (X, Y)."""
-
-    num: SparsePoly
-    den: SparsePoly
-
-    def evaluate(self, values):
-        return self.num.evaluate(values) / self.den.evaluate(values)
-
-
-@dataclass(frozen=True)
-class PDESystem:
-    L1: Quotient
-    M1: Quotient
-    A1: Quotient
-    B1: Quotient
-    C1: Quotient
-    D1: Quotient
-    P1: Quotient
-    Q1: Quotient
-
-
 # the system's singular locus X Y S K2 = 0, with S = 36 X^2 - 32 X - Y and K2
 # the quintic K2_LOCUS: four polynomials irreducible over Q, and the base of
 # every denominator in the system and its elimination
 _X, _Y = SparsePoly.variable(V, "X"), SparsePoly.variable(V, "Y")
 SINGULAR_BASE = (_X, _Y, 36 * _X ** 2 - 32 * _X - _Y, K2_LOCUS)
-
-
-@functools.cache
-def build_pde() -> PDESystem:
-    """Exact transcription of the eight coefficients, each in lowest terms;
-    the common singular factor 36 X^2 - 32 X - Y sits in every denominator."""
-    X, Y, S, _ = SINGULAR_BASE
-    return PDESystem(
-        L1=Quotient(-20 * (4 * X ** 2 + 3 * X * Y - 4 * Y), S),
-        M1=Quotient(-2 * (54 * X ** 3 - 50 * X ** 2 - 3 * X * Y + 2 * Y), 5 * Y * S),
-        A1=Quotient(-2 * (20 * X ** 3 - 8 * X * Y + 9 * X ** 2 * Y + Y ** 2), X * Y * S),
-        B1=Quotient(10 * Y * (3 * X - 8), X * S),
-        C1=Quotient(-2 * (-25 * X ** 2 + 27 * X ** 3 + 2 * Y - 3 * X * Y), 5 * Y ** 2 * S),
-        D1=Quotient(-2 * (-120 * X ** 2 + 135 * X ** 3 - 2 * Y - 3 * X * Y), 5 * X * Y * S),
-        P1=Quotient(-2 * (8 * X - Y), X ** 2 * S),
-        Q1=Quotient(-2 * (9 * X - 10), 25 * X * Y * S),
-    )
-
-
-# ------------------------------------------------------------- elimination
-
-BASIS: tuple[Jet, ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def _raised(p: SparsePoly, powers) -> SparsePoly:
@@ -194,8 +150,53 @@ class _BaseFraction:
             den = den * SINGULAR_BASE[i].rows("Y")[0] ** self.den[i]
         return k - self.den[1], RationalFunction(rows[k] * self.scale, den)
 
+    def evaluate(self, values):
+        """The value at {"X": x, "Y": y}; exact for rational x and y."""
+        return self.scale * self.num.evaluate(values) / math.prod(
+            f.evaluate(values) ** e for f, e in zip(SINGULAR_BASE, self.den))
+
 
 _BASE_DERIVATIVES = {var: tuple(f.derivative(var) for f in SINGULAR_BASE) for var in V}
+
+
+@dataclass(frozen=True)
+class PDESystem:
+    L1: _BaseFraction
+    M1: _BaseFraction
+    A1: _BaseFraction
+    B1: _BaseFraction
+    C1: _BaseFraction
+    D1: _BaseFraction
+    P1: _BaseFraction
+    Q1: _BaseFraction
+
+
+@functools.cache
+def build_pde() -> PDESystem:
+    """Exact transcription of the eight coefficients, each num / (c X^a Y^b S)
+    in lowest terms; the common singular factor S = 36 X^2 - 32 X - Y sits in
+    every denominator."""
+    X, Y, _, _ = SINGULAR_BASE
+
+    def over(num: SparsePoly, c: int = 1, a: int = 0, b: int = 0) -> _BaseFraction:
+        return _BaseFraction.of(Fraction(1, c), num, (a, b, 1, 0))
+
+    return PDESystem(
+        L1=over(-20 * (4 * X ** 2 + 3 * X * Y - 4 * Y)),
+        M1=over(-2 * (54 * X ** 3 - 50 * X ** 2 - 3 * X * Y + 2 * Y), 5, 0, 1),
+        A1=over(-2 * (20 * X ** 3 - 8 * X * Y + 9 * X ** 2 * Y + Y ** 2), 1, 1, 1),
+        B1=over(10 * Y * (3 * X - 8), 1, 1),
+        C1=over(-2 * (-25 * X ** 2 + 27 * X ** 3 + 2 * Y - 3 * X * Y), 5, 0, 2),
+        D1=over(-2 * (-120 * X ** 2 + 135 * X ** 3 - 2 * Y - 3 * X * Y), 5, 1, 1),
+        P1=over(-2 * (8 * X - Y), 1, 2),
+        Q1=over(-2 * (9 * X - 10), 25, 1, 1),
+    )
+
+
+# ------------------------------------------------------------- elimination
+
+BASIS: tuple[Jet, ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
+
 
 Vector = tuple[_BaseFraction, _BaseFraction, _BaseFraction, _BaseFraction]
 
@@ -219,11 +220,8 @@ class _JetReducer:
     """
 
     def __init__(self):
-        system = build_pde()
-        L1, M1, A1, B1, C1, D1, P1, Q1 = (
-            _BaseFraction.of(1, q.num) * _BaseFraction.of(1, q.den).inverse()
-            for q in (system.L1, system.M1, system.A1, system.B1,
-                      system.C1, system.D1, system.P1, system.Q1))
+        s = build_pde()
+        L1, M1, A1, B1, C1, D1, P1, Q1 = s.L1, s.M1, s.A1, s.B1, s.C1, s.D1, s.P1, s.Q1
         one = _BaseFraction.of(1, SparsePoly.const(V, 1))
         zero = _BaseFraction.of(1, SparsePoly.zero(V))
         self.table: dict[Jet, Vector] = {
@@ -318,21 +316,19 @@ def verify_pde_restriction() -> dict:
 @functools.cache
 def _cleared_equations() -> tuple[tuple[tuple[SparsePoly, Jet], ...], ...]:
     """The two equations of the system with their denominators cleared, each
-    a tuple of (polynomial c, jet) terms with sum c u_jet = 0: E1 times
-    X^2 Y S and E2 times 25 X Y^2 S, with S = 36 X^2 - 32 X - Y.  The first
-    term is the lead, minus the multiplier on u_XX or on u_YY."""
+    a tuple of (polynomial c, jet) terms with sum c u_jet = 0: each equation
+    times the least common multiple m of its four denominators, X^2 Y S for
+    E1 and 25 X Y^2 S for E2, with S = 36 X^2 - 32 X - Y.  The first term is
+    the lead, minus m on u_XX or on u_YY."""
     pde = build_pde()
-    X, Y, S, _ = SINGULAR_BASE
     out = []
-    for multiplier, lead, names in ((X ** 2 * Y * S, (2, 0), ("L1", "A1", "B1", "P1")),
-                                    (25 * X * Y ** 2 * S, (0, 2), ("M1", "C1", "D1", "Q1"))):
-        terms = [(-multiplier, lead)]
-        for name, jet in zip(names, ((1, 1), (1, 0), (0, 1), (0, 0))):
-            q: Quotient = getattr(pde, name)
-            cofactor, rem = multiplier.divmod_exact(q.den)
-            if rem:
-                raise ValueError(f"the denominator of {name} does not divide {multiplier}")
-            terms.append((q.num * cofactor, jet))
+    for lead, names in (((2, 0), ("L1", "A1", "B1", "P1")), ((0, 2), ("M1", "C1", "D1", "Q1"))):
+        fs = [getattr(pde, name) for name in names]
+        den = tuple(map(max, *(f.den for f in fs)))
+        m = math.lcm(*(f.scale.denominator for f in fs))
+        terms = [(_raised(SparsePoly.const(V, -m), den), lead)]
+        for f, jet in zip(fs, ((1, 1), (1, 0), (0, 1), (0, 0))):
+            terms.append((_raised(f.num * (f.scale * m), map(operator.sub, den, f.den)), jet))
         out.append(tuple(terms))
     return tuple(out)
 

@@ -175,8 +175,8 @@ class SparsePoly:
 
     def evaluate(self, values: Mapping[str, object]):
         """Full evaluation; values may be Fractions, ints, or mpmath numbers."""
-        if missing := [v for v in self.vars if v not in values]:
-            raise ValueError(f"missing values for {missing}")
+        if not all(v in values for v in self.vars):
+            raise ValueError(f"missing values for {[v for v in self.vars if v not in values]}")
         return sum(math.prod((values[name] ** power for name, power in zip(self.vars, expo)
                               if power), start=coeff)
                    for expo, coeff in self.terms.items())

@@ -336,7 +336,7 @@ STUB_ROWS = [{"name": "stub", "status": "pass", "residual": "exact", "runtime_ms
                                    "RankDeficient", "NonConvergent", "ValueError",
                                    "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
                                    "EliminationFailed", "InconsistentReduction",
-                                   "SingularBasePoint", "NonMinimal", "ZeroDivisionError"])
+                                   "SingularBasePoint", "ZeroDivisionError"])
 def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error):
     """On one CPU and on two, where the fail row comes back from a worker;
     every other suite still reports.  Any exception type does, not only the

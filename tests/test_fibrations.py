@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hilbert_k3.fibrations import (KodairaType, NonMinimal, classify_boundary_family,
+from hilbert_k3.fibrations import (KodairaType, classify_boundary_family,
                                    classify_fibers, kodaira_type, weierstrass_data)
 from hilbert_k3.moduli import K2_LOCUS
 from hilbert_k3.polynomials import SparsePoly, UniPoly
@@ -114,7 +114,9 @@ def test_kodaira_table_rows():
     assert str(kodaira_type(4, 5, 10)) == "II*"
     assert kodaira_type(0, 0, 3).euler == 3
     assert kodaira_type(2, 3, 9).euler == 9  # I3*
-    with pytest.raises(NonMinimal):
+    # a non-minimal equation is classified after x -> t^2 x, z -> t^3 z
+    assert str(kodaira_type(4, 6, 13)) == "I1"
+    with pytest.raises(ValueError):
         kodaira_type(4, 6, 12)
 
 

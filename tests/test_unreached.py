@@ -65,10 +65,10 @@ def g(x, xs):
 def test_lists_the_untaken_arms_only(tmp_path, monkeypatch):
     """g(2, [1, 2]) takes neither the else of a conditional expression, nor
     the second operand of an or, nor the element of a comprehension whose
-    filter never passes: those three are listed.  The arms in an except body
-    and in the test of an if whose body only raises are not arms a run is
-    expected to reach; the taken body and the two-line element of a dict
-    comprehension are reached."""
+    filter never passes, nor the second operand of the and in the test of an
+    if whose body only raises: those four are listed.  The arm in an except
+    body is not an arm a run is expected to reach; the taken body and the
+    two-line element of a dict comprehension are reached."""
     tool = _tool()
     root = tmp_path.resolve()
     path = root / "synthetic_arms.py"
@@ -79,7 +79,7 @@ def test_lists_the_untaken_arms_only(tmp_path, monkeypatch):
     assert [(a.function, a.text) for a in arms] == [
         ("synthetic_arms.g", "1"), ("synthetic_arms.g", "-1"),
         ("synthetic_arms.g", "len(xs)"), ("synthetic_arms.g", "y"),
-        ("synthetic_arms.g", "k: k * 2")]
+        ("synthetic_arms.g", "k: k * 2"), ("synthetic_arms.g", "not xs")]
     hits = tool.traced_lines(lambda: module.g(2, [1, 2]), str(root), arms)
     assert [(a.line, a.text) for a in tool.unreached(arms, hits)] == [
-        (3, "-1"), (4, "len(xs)"), (5, "y")]
+        (3, "-1"), (4, "len(xs)"), (5, "y"), (12, "not xs")]

@@ -14,8 +14,9 @@ the ``for`` target and iterable, the ``with`` items).
 It also prints every arm, the body or ``else`` of a conditional expression,
 an ``and``/``or`` operand after the first or the element of a filtered
 comprehension, in whose source span no executed instruction (``opcode``
-event, ``co_positions``) lay.  Arms are exempt where statements are, in the
-test of an ``if`` whose body only raises, and in ``ALLOWED_ARMS``.
+event, ``co_positions``) lay.  Arms are exempt where statements are and in
+``ALLOWED_ARMS``; an arm in the test of an ``if`` whose body only raises is
+listed like any other, since that test runs on the normal path.
 
 Each run names the exit code it must end with: 0 for a passing command, 1
 for a command that prints a JSON error, 2 for a usage error.  ``sys.settrace``
@@ -76,7 +77,7 @@ RUNS = [
 
 # module.qualname -> why its statements may stay unreached
 ALLOWED = {
-    "pde.Quotient.evaluate": "the exact benchmark's Taylor-basis checker calls it",
+    "pde._BaseFraction.evaluate": "the exact benchmark's Taylor-basis checker calls it",
     "verify._claim_suites": "runs only in forked workers; `sys.settrace` does not follow `fork`",
 }
 
@@ -156,9 +157,8 @@ def _arms(stmt: ast.stmt, lines: list[bytes], path: str, function: str) -> list[
 
 def sites(path: Path, module: str) -> tuple[list[Site], list[Site]]:
     """The statements and the arms in function bodies of ``path`` that a run
-    is expected to reach: not a docstring, a ``raise`` or in an ``except`` body;
-    a statement holds bytecode (a ``global`` holds none), and an arm is not in
-    the test of an ``if`` whose body only raises."""
+    is expected to reach: not a docstring, a ``raise`` or in an ``except`` body,
+    and a statement holds bytecode (a ``global`` holds none)."""
     file, source = str(path), path.read_text()
     text, raw = source.splitlines(), source.encode().splitlines()
     executable = _code_lines(compile(source, file, "exec"))
@@ -181,8 +181,7 @@ def sites(path: Path, module: str) -> tuple[list[Site], list[Site]]:
             if lines:
                 stmts.append(Site(file, stmt.lineno, frozenset((file, line) for line in lines),
                                   function, text[stmt.lineno - 1].strip()))
-            if not (isinstance(stmt, ast.If) and all(isinstance(s, ast.Raise) for s in stmt.body)):
-                arms.extend(_arms(stmt, raw, file, function))
+            arms.extend(_arms(stmt, raw, file, function))
 
     walk(ast.parse(source, file).body, "", None)
     return sorted(stmts, key=lambda s: s.line), sorted(arms, key=lambda a: min(a.keys))
