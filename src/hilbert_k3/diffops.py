@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import FormalSeries, RationalFunction, UniPoly
+from .polynomials import FormalSeries, RationalFunction, UniPoly, _convolve, _divide_ints
 
 
 class IrregularSingular(Exception):
@@ -277,32 +277,37 @@ def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
 
 
 # ------------------------------------------------------------- Frobenius jets
-# A jet is a FormalSeries in a formal epsilon, known to the precision that
-# the series arithmetic tracks; the recurrence below runs on jets in
-# rho = root + n + epsilon.  Below higher roots of total multiplicity `above`
-# in its integer class, a root of multiplicity mult starts from c_0 = eps^above
-# known to eps^(2 above + mult).  Dividing by q_0(root + n + eps) loses m
-# leading terms exactly where root + n is a higher root of multiplicity m, so
-# the above + mult terms the log solutions read (eps-derivatives of order
-# k < above + mult) survive.
+# The recurrence runs on jets: c_n, the series coefficient at
+# rho = root + n + eps as its Taylor coefficients in eps, is an int list over
+# one positive int denominator, known to eps^(its length).  Below higher roots
+# of total multiplicity `above` in its integer class, a root of multiplicity
+# mult starts from c_0 = eps^above known to eps^(2 above + mult).  A term
+# q_j(root + n - j + eps) c_(n-j) is known as far as c_(n-j), so no less far
+# than c_(n-1), and dividing by q_0(root + n + eps) loses m leading terms
+# exactly where root + n is a higher root of multiplicity m: the precision
+# that FormalSeries tracks.  So the above + mult terms the log solutions read
+# (eps-derivatives of order k < above + mult) survive.
 # The root's solutions are the eps^k coefficients for above <= k < above + mult
 # (Ince, Ordinary Differential Equations, 1926, section 16): each has
 # t^root log^(k - above) / (k - above)! as its lowest term and the higher
 # roots' solutions have no t^root term, so the basis is independent by
 # construction; the k < above coefficients are dependent or zero.
 
-EPS = "eps"
+
+def _taylor_table(p: UniPoly, n: int, den: int) -> list[list[int]]:
+    """Int polynomials T_0 .. T_(n-1) in s, constant term first, with
+    den p(s + eps) = sum_i T_i(s) eps^i modulo eps^n: T_i is den p^(i) / i!,
+    for den a multiple of the denominator of p's scale."""
+    m = int(den * p.scale)
+    return [[m * math.comb(k, i) * a for k, a in enumerate(p.ints[i:], i)] for i in range(n)]
 
 
-def _jet(p: UniPoly, x: Fraction, prec: int) -> FormalSeries:
-    """p(x + eps), known to eps^prec."""
-    return FormalSeries(EPS, 0, p.affine(1, x), prec)
-
-
-def _eps_coefficient(jet: FormalSeries, k: int) -> Fraction:
-    """The coefficient of eps^k, for k below the jet's precision."""
-    i, ints = k - jet.expo, jet.poly.ints
-    return jet.poly.scale * ints[i] if 0 <= i < len(ints) else Fraction(0)
+def _horner(ints: list[int], x: int) -> int:
+    """The int polynomial `ints`, constant term first, at x."""
+    acc = 0
+    for a in reversed(ints):
+        acc = acc * x + a
+    return acc
 
 
 def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
@@ -327,23 +332,38 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
         above = 0
         for root, mult in reversed(cls):
             n_terms = order + int(top - root) + 1
-            # coefficient jets c_n(root + eps), with c_0 = eps^above
-            jets = [FormalSeries(EPS, 0, [0] * above + [1], 2 * above + mult)]
+            shifted = [p.affine(1, root) for p in q]
+            den = math.lcm(*(p.scale.denominator for p in shifted))
+            tables = [_taylor_table(p, 2 * above + mult, den) for p in shifted]
+            # (c_n, its denominator), with c_0 = eps^above
+            jets = [([0] * above + [1] + [0] * (above + mult - 1), 1)]
             for n in range(1, n_terms):
-                acc = FormalSeries(EPS, 0, UniPoly(), jets[-1].prec)
-                for j in range(1, min(n, len(q) - 1) + 1):
-                    prev = jets[n - j]
-                    acc = acc + _jet(q[j], root + n - j, prev.prec) * prev
-                c = -(acc * _jet(q[0], root + n, acc.prec).inverse())
-                if c.valuation() < 0:
+                prec = len(jets[-1][0])
+                terms = [(tables[j], n - j, *jets[n - j]) for j in range(1, min(n, len(q) - 1) + 1)]
+                lcm = math.lcm(*(d for *_, d in terms))
+                acc = [0] * prec
+                for table, x, c, d in terms:
+                    term = _convolve([_horner(row, x) for row in table[:prec]], c, prec)
+                    acc = [a + lcm // d * t for a, t in zip(acc, term)]
+                b = [_horner(row, n) for row in tables[0][:prec]]
+                v0 = next((i for i, v in enumerate(b) if v), prec)
+                if v0 == prec:
+                    raise ZeroDivisionError("inverting a series that vanishes to its precision")
+                # eps^v0 c_n = -acc / (lcm b[v0:]) = -r / (lcm b[v0]^prec), over a
+                # denominator made positive by the sign of the gcd
+                r = _divide_ints(acc, b[v0:], prec)
+                if any(r[:v0]):
                     raise ValueError("jet division would produce a pole")
-                jets.append(c)
-            usable = min(c.prec for c in jets)
+                d = lcm * b[v0] ** prec
+                g = math.gcd(d, *r) * ((d > 0) - (d < 0))
+                jets.append(([-v // g for v in r[v0:]], d // g))
+            usable = min(len(c) for c, _ in jets)
             # sum_l log^l / l! * sum_n c_n^{(k-l)}/(k-l)! t^(root+n)
+            lcm = math.lcm(*(d for _, d in jets))
             for k in range(above, min(above + mult, usable)):
-                solutions.append(LogSeries(var, {
-                    l: FormalSeries(var, root, [_eps_coefficient(c, k - l) for c in jets])
-                    * Fraction(1, math.factorial(l)) for l in range(k + 1)}))
+                solutions.append(LogSeries(var, {l: FormalSeries(var, root, UniPoly._from_ints(
+                    [c[k - l] * (lcm // d) for c, d in jets], Fraction(1, lcm * math.factorial(l))),
+                    root + n_terms) for l in range(k + 1)}))
             above += mult
 
     if len(solutions) != local.order:

@@ -63,6 +63,17 @@ def _raised(p: SparsePoly, powers) -> SparsePoly:
     return p
 
 
+def _divided(num: SparsePoly, i: int, limit) -> tuple[SparsePoly, int]:
+    """(num / f_i^e, e) for the largest e <= limit with f_i^e | num: for the
+    monomials X and Y read off num's keys, for S and K2 by trial division."""
+    if i < 2:
+        return num.divide_power(i, limit)
+    e = 0
+    while num and e < limit and not (qr := num.divmod_exact(SINGULAR_BASE[i]))[1]:
+        num, e = qr[0], e + 1
+    return num, e
+
+
 class _BaseFraction:
     """scale * num / prod f_i^den[i] over SINGULAR_BASE = (X, Y, S, K2): an
     element of Q(X, Y) whose denominator has no factor outside the base.
@@ -85,8 +96,8 @@ class _BaseFraction:
         if num:
             (content, num), den = num.split_content(), list(den)
             for i in tried:
-                while den[i] and not (qr := num.divmod_exact(SINGULAR_BASE[i]))[1]:
-                    num, den[i] = qr[0], den[i] - 1
+                num, e = _divided(num, i, den[i])
+                den[i] -= e
             out.scale, out.num, out.den = scale * content, num, tuple(den)
         return out
 
@@ -132,9 +143,8 @@ class _BaseFraction:
         """1 / self; raises EliminationFailed when num has a factor outside
         the singular base (or is 0), since the inverse would leave it."""
         num, powers = self.num, [0] * 4
-        for i, f in enumerate(SINGULAR_BASE):
-            while num and not (qr := num.divmod_exact(f))[1]:
-                num, powers[i] = qr[0], powers[i] + 1
+        for i in range(4):
+            num, powers[i] = _divided(num, i, math.inf)
         if list(num.packed) != [0]:
             raise EliminationFailed(f"the factor {dict(num.terms)} lies outside the singular base")
         return _BaseFraction.of(1 / (self.scale * num.packed[0]),

@@ -20,7 +20,7 @@
   equation that the elimination reads off on Y = 0.
 * `FormalSeries`: the one truncated Laurent series over Q, with tracked
   precision, stored as UniPoly is (a scale times primitive ints, truncated at
-  the precision): Frobenius solutions, their epsilon-jets and q-expansions.
+  the precision): Frobenius solutions and q-expansions.
   Products use UniPoly's integer convolution `_convolve`; `inverse` and
   `multiply_rational` divide by the fraction-free recurrence `_divide_ints`.
 * `gauss_jordan`: exact, fraction-free Gauss-Jordan elimination over Q.
@@ -210,6 +210,13 @@ class SparsePoly:
         return [UniPoly([row.get(k, 0) for k in range(max(row, default=-1) + 1)]) for row in rows]
 
     # ------------------------------------------------------ exact division
+
+    def divide_power(self, i: int, limit) -> tuple["SparsePoly", int]:
+        """(self / x^e, e) for the largest e <= limit with x^e | self, x the i-th
+        variable: the least i-th field of the keys, subtracted from each."""
+        shift = FIELD * i
+        e = min([limit, *(k >> shift & _MASK for k in self.packed)])
+        return SparsePoly._of(self.vars, {k - (e << shift): c for k, c in self.packed.items()}), e
 
     def divmod_exact(self, divisor: "SparsePoly") -> tuple["SparsePoly", "SparsePoly"]:
         """(q, r) with self == q * divisor + r, by division in the order of the

@@ -8,8 +8,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbert_k3.diffops import (DiffOperator, IrregularSingular, NonRationalRoot,
-                                _jet, _rational_roots, indicial_exponents, series_solve)
+from hilbert_k3.diffops import (DiffOperator, IncompleteBasis, IrregularSingular, LogSeries,
+                                NonRationalRoot, _horner, _local_theta_form, _rational_roots,
+                                _taylor_table, indicial_exponents, series_solve)
 from hilbert_k3.periods import (gauss_operator, hypergeom_coefficients,
                                 restricted_ode_X, restricted_operators)
 from hilbert_k3.polynomials import FormalSeries, RationalFunction, UniPoly
@@ -316,16 +317,24 @@ def _taylor_oracle(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
     return out
 
 
+def _taylor_values(p: UniPoly, x: Fraction, n: int) -> list[Fraction]:
+    """The first n Taylor coefficients at x from `_taylor_table`, checking
+    that it holds n tables of ints."""
+    den = p.scale.denominator
+    table = _taylor_table(p, n, den)
+    assert len(table) == n and all(type(a) is int for row in table for a in row)
+    return [Fraction(_horner(row, x)) / den for row in table]
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=9), max_size=7),
        st.fractions(min_value=-20, max_value=20, max_denominator=12),
        st.integers(min_value=0, max_value=10))
 def test_taylor_matches_derivatives_over_factorials(coeffs, x, n):
-    """The jet p(x + eps) known to eps^n holds the first n Taylor coefficients."""
+    """The Taylor table of p(s + eps) known to eps^n, at s = x, holds the
+    first n Taylor coefficients."""
     p = UniPoly(coeffs)
-    jet = _jet(p, x, n)
-    assert (jet.expo, jet.prec) == (0, n)
-    assert jet.coeffs == _taylor_oracle(p, x, n)
+    assert _taylor_values(p, x, n) == _taylor_oracle(p, x, n)
 
 
 @pytest.mark.parametrize("p, x, n", [
@@ -336,12 +345,93 @@ def test_taylor_matches_derivatives_over_factorials(coeffs, x, n):
 ])
 def test_taylor_edge_cases(p, x, n):
     """The zero polynomial, a constant, n past the degree, n = 0, and
-    non-integer points: the jet stores ints, none at or past eps^n."""
-    jet = _jet(p, x, n)
-    out = jet.coeffs
+    non-integer points: the table stores ints, none at or past eps^n."""
+    out = _taylor_values(p, x, n)
     assert out == _taylor_oracle(p, x, n)
-    assert len(out) == n and all(isinstance(c, Fraction) for c in out)
-    assert all(type(a) is int for a in jet.poly.ints) and len(jet.poly.ints) <= n
+    assert len(out) == n
+
+
+# -------------------------------- the recurrence in FormalSeries arithmetic
+
+
+def _jet(p: UniPoly, x: Fraction, prec: int) -> FormalSeries:
+    """p(x + eps), known to eps^prec."""
+    return FormalSeries("eps", 0, p.affine(1, x), prec)
+
+
+def _eps_coefficient(jet: FormalSeries, k: int) -> Fraction:
+    """The coefficient of eps^k, for k below the jet's precision."""
+    i, ints = k - jet.expo, jet.poly.ints
+    return jet.poly.scale * ints[i] if 0 <= i < len(ints) else Fraction(0)
+
+
+def _formal_series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
+    """The Frobenius basis of `series_solve`, with the jets c_n held as
+    FormalSeries in eps, so their precision is the one that FormalSeries
+    products and inverses track: a reference for the integer recurrence."""
+    local, q = _local_theta_form(op, point)
+    classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    for root, mult in sorted(_rational_roots(q[0])):
+        classes.setdefault(root % 1, []).append((root, mult))
+    solutions = []
+    for cls in classes.values():
+        top = cls[-1][0]
+        above = 0
+        for root, mult in reversed(cls):
+            n_terms = order + int(top - root) + 1
+            jets = [FormalSeries("eps", 0, [0] * above + [1], 2 * above + mult)]
+            for n in range(1, n_terms):
+                acc = FormalSeries("eps", 0, UniPoly(), jets[-1].prec)
+                for j in range(1, min(n, len(q) - 1) + 1):
+                    prev = jets[n - j]
+                    acc = acc + _jet(q[j], root + n - j, prev.prec) * prev
+                c = -(acc * _jet(q[0], root + n, acc.prec).inverse())
+                if c.valuation() < 0:
+                    raise ValueError("jet division would produce a pole")
+                jets.append(c)
+            usable = min(c.prec for c in jets)
+            for k in range(above, min(above + mult, usable)):
+                solutions.append(LogSeries(local.var, {
+                    l: FormalSeries(local.var, root, [_eps_coefficient(c, k - l) for c in jets])
+                    * Fraction(1, math.factorial(l)) for l in range(k + 1)}))
+            above += mult
+    if len(solutions) != local.order:
+        raise IncompleteBasis(f"got {len(solutions)} of {local.order}")
+    return solutions
+
+
+@st.composite
+def _composed_operators(draw):
+    """A composition of 1-4 first-order operators t (1 + c t) D - r + a t + b t^2,
+    whose exponents r differ by integers, repeats included."""
+    base = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-2, 3)]))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    op = None
+    for _ in range(draw(st.integers(1, 4))):
+        r = base + draw(st.integers(0, 3))
+        c, a, b = draw(small), draw(small), draw(small)
+        first = DiffOperator("t", [RationalFunction(UniPoly([-r, a, b])),
+                                   RationalFunction(UniPoly([0, 1, c]))])
+        op = first if op is None else op.compose(first)
+    return op
+
+
+def _solved(solve, op, order):
+    """Each part's exponent, precision and coefficients, or the exception type."""
+    try:
+        basis = solve(op, 0, order)
+    except Exception as exc:
+        return type(exc)
+    return [{l: (s.expo, s.prec, s.poly.ints, s.poly.scale) for l, s in b.parts.items()}
+            for b in basis]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_composed_operators(), st.integers(min_value=3, max_value=14))
+def test_integer_recurrence_matches_formal_series(op, order):
+    """The integer recurrence gives the FormalSeries recurrence's basis, part
+    for part, or raises the same exception."""
+    assert _solved(series_solve, op, order) == _solved(_formal_series_solve, op, order)
 
 
 def test_rational_roots_finds_a_denominator_above_1e9():

@@ -184,6 +184,22 @@ def test_packed_products_and_division_beyond_two_variables(pair):
     assert (p * d).divmod_exact(d) == (p, SparsePoly.zero(p.vars))
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(MANY_VARIABLES).flatmap(lambda v: st.tuples(
+    st.just(v), _polys_in(v).filter(bool), st.integers(0, len(v) - 1), st.integers(0, 3),
+    st.integers(0, 6))))
+def test_divide_power_is_repeated_division_by_a_variable(case):
+    """divide_power(i, limit) on p x^k, x the i-th variable, gives what
+    dividing by x as often as it divides, at most limit times, gives."""
+    variables, p, i, k, limit = case
+    x = SparsePoly.variable(variables, variables[i])
+    p = p * x ** k
+    q, e = p, 0
+    while e < limit and not (qr := q.divmod_exact(x))[1]:
+        q, e = qr[0], e + 1
+    assert p.divide_power(i, limit) == (q, e)
+
+
 @pytest.mark.parametrize("variables", [("X", "Y")] + list(MANY_VARIABLES))
 def test_an_exponent_past_its_field_raises_and_never_wraps(variables):
     """An exponent of 2^(FIELD - 1) in the constructor, and a product or a
