@@ -23,7 +23,7 @@ class NonRationalRoot(Exception):
 
 
 class IncompleteBasis(Exception):
-    """A Frobenius basis lacks solutions or has an unexpected log structure."""
+    """A Frobenius basis has an unexpected log structure."""
 
 
 INFINITY = "infinity"
@@ -45,9 +45,8 @@ class LogSeries:
     def from_series(cls, s: FormalSeries) -> "LogSeries":
         return cls(s.var, {0: s})
 
-    def log_degree(self) -> int:
-        live = [l for l, s in self.parts.items() if not s.is_zero_to_precision()]
-        return max(live) if live else 0
+    def log_degree(self) -> int:   # of a log series that does not vanish to its precision
+        return max(l for l, s in self.parts.items() if not s.is_zero_to_precision())
 
     def is_zero_to_precision(self) -> bool:
         return all(s.is_zero_to_precision() for s in self.parts.values())
@@ -285,8 +284,13 @@ def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
 # q_j(root + n - j + eps) c_(n-j) is known as far as c_(n-j), so no less far
 # than c_(n-1), and dividing by q_0(root + n + eps) loses m leading terms
 # exactly where root + n is a higher root of multiplicity m: the precision
-# that FormalSeries tracks.  So the above + mult terms the log solutions read
-# (eps-derivatives of order k < above + mult) survive.
+# that FormalSeries tracks.  q_0 has degree the order and only rational roots
+# (`_local_theta_form` and `_rational_roots` return only then), so crossing
+# the higher roots costs `above` terms and valuation in all.  Invariant: every
+# jet is known to at least above + mult terms, the eps-derivatives the log
+# solutions read, and q_0(root + n + eps), n >= 1, vanishes to m <= above, never
+# to a jet's precision; the sum it divides vanishes to at least above less the
+# multiplicity crossed before n, so to at least m, and no quotient has a pole.
 # The root's solutions are the eps^k coefficients for above <= k < above + mult
 # (Ince, Ordinary Differential Equations, 1926, section 16): each has
 # t^root log^(k - above) / (k - above)! as its lowest term and the higher
@@ -346,27 +350,18 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
                     term = _convolve([_horner(row, x) for row in table[:prec]], c, prec)
                     acc = [a + lcm // d * t for a, t in zip(acc, term)]
                 b = [_horner(row, n) for row in tables[0][:prec]]
-                v0 = next((i for i, v in enumerate(b) if v), prec)
-                if v0 == prec:
-                    raise ZeroDivisionError("inverting a series that vanishes to its precision")
+                v0 = next(i for i, v in enumerate(b) if v)
                 # eps^v0 c_n = -acc / (lcm b[v0:]) = -r / (lcm b[v0]^prec), over a
                 # denominator made positive by the sign of the gcd
                 r = _divide_ints(acc, b[v0:], prec)
-                if any(r[:v0]):
-                    raise ValueError("jet division would produce a pole")
                 d = lcm * b[v0] ** prec
                 g = math.gcd(d, *r) * ((d > 0) - (d < 0))
                 jets.append(([-v // g for v in r[v0:]], d // g))
-            usable = min(len(c) for c, _ in jets)
             # sum_l log^l / l! * sum_n c_n^{(k-l)}/(k-l)! t^(root+n)
             lcm = math.lcm(*(d for _, d in jets))
-            for k in range(above, min(above + mult, usable)):
+            for k in range(above, above + mult):
                 solutions.append(LogSeries(var, {l: FormalSeries(var, root, UniPoly._from_ints(
                     [c[k - l] * (lcm // d) for c, d in jets], Fraction(1, lcm * math.factorial(l))),
                     root + n_terms) for l in range(k + 1)}))
             above += mult
-
-    if len(solutions) != local.order:
-        raise IncompleteBasis(
-            f"Frobenius basis incomplete: got {len(solutions)} of {local.order}")
     return solutions

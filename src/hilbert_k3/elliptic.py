@@ -32,7 +32,7 @@ def as_uhp(z) -> mpmath.mpc:
 # ------------------------------------------------------------ theta constants
 
 
-def jacobi_theta(kind: str, z, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
+def jacobi_theta(kind: str, z, policy: PrecisionPolicy = PrecisionPolicy()) -> mpmath.mpc:
     """theta_ab(z) = sum_n exp(i pi (n + a/2)^2 z + i pi (n + a/2) b)
     for kind 'ab' in {'00', '01', '10'}, truncated by the Gaussian tail."""
     if kind not in ("00", "01", "10"):
@@ -101,7 +101,7 @@ def j_qexpansion(order: int) -> FormalSeries:
 # ------------------------------------------------------------------ numeric J
 
 
-def eisenstein_and_J(z, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
+def eisenstein_and_J(z, policy: PrecisionPolicy = PrecisionPolicy()) -> mpmath.mpc:
     """J(z) = 4 (1 - l + l^2)^3 / (27 l^2 (1 - l)^2), normalised by J(i) = 1,
     where l = (theta10 / theta00)^4 is the modular lambda function.
 

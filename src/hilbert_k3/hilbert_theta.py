@@ -43,7 +43,7 @@ class UHPPair:
             raise NotInUpperHalfPlane(f"both imaginary parts must be positive: {self}")
 
 
-def as_pair(p, policy: PrecisionPolicy | None = None) -> UHPPair:
+def as_pair(p, policy: PrecisionPolicy = PrecisionPolicy()) -> UHPPair:
     if isinstance(p, UHPPair):
         return p
     z1, z2 = p
@@ -67,7 +67,7 @@ class SiegelPoint:
             raise ValueError("imaginary part is not positive definite")
 
 
-def psi(p, policy: PrecisionPolicy | None = None) -> SiegelPoint:
+def psi(p, policy: PrecisionPolicy = PrecisionPolicy()) -> SiegelPoint:
     """The embedding (z1, z2) -> (1/(2 sqrt5)) [[(1+sqrt5)z1 - (1-sqrt5)z2,
     2(z1-z2)], [2(z1-z2), (-1+sqrt5)z1 + (1+sqrt5)z2]].  The determinant of
     its imaginary part is Im z1 Im z2 exactly."""
@@ -329,7 +329,7 @@ def _shift_pass(region: LatticeRegion, powers: list[dict], wp: int,
     return bits, acc
 
 
-def theta_batch(p, policy: PrecisionPolicy | None = None,
+def theta_batch(p, policy: PrecisionPolicy = PrecisionPolicy(),
                 derivatives: bool = False) -> list:
     """All ten theta_j(z1, z2), in the order of THETA_CHARACTERISTICS.
 
@@ -420,7 +420,7 @@ REDUCTION_CAP = 100
 
 
 def _reduce(pair: UHPPair,
-            policy: PrecisionPolicy | None = None) -> tuple[UHPPair, mpmath.mpc | int]:
+            policy: PrecisionPolicy = PrecisionPolicy()) -> tuple[UHPPair, mpmath.mpc | int]:
     """An equivalent point w of pair under g1, g2 and g3, and the product N
     of the z1 z2 taken before each inversion, so that f(pair) = f(w) / N^k
     for a form f of weight k (N is 1 when nothing was inverted).
@@ -480,7 +480,7 @@ def _each(f, x):   # f(x), or for a Jet x the Jet of f at each part
     return Jet(f(x.value), f(x.d1), f(x.d2)) if isinstance(x, Jet) else f(x)
 
 
-def mueller_forms(p, policy: PrecisionPolicy | None = None,
+def mueller_forms(p, policy: PrecisionPolicy = PrecisionPolicy(),
                   theta: list | None = None,
                   names: tuple[str, ...] = FORM_NAMES) -> MuellerForms:
     """Evaluate the forms in ``names`` (g2 always) at (z1, z2).
@@ -537,7 +537,7 @@ def mueller_forms(p, policy: PrecisionPolicy | None = None,
         return MuellerForms(**forms)
 
 
-def unreduced_forms(p, policy: PrecisionPolicy | None = None) -> MuellerForms:
+def unreduced_forms(p, policy: PrecisionPolicy = PrecisionPolicy()) -> MuellerForms:
     """The forms from theta_batch at p itself.  A check that compares p with
     its image under the group needs these: reduced first, both would be
     summed at the same point."""
@@ -545,7 +545,7 @@ def unreduced_forms(p, policy: PrecisionPolicy | None = None) -> MuellerForms:
 
 
 def verify_mueller_relation(forms: MuellerForms,
-                            policy: PrecisionPolicy | None = None) -> mpmath.mpf:
+                            policy: PrecisionPolicy = PrecisionPolicy()) -> mpmath.mpf:
     """Residual of the ring relation among (g2, s6, s10, s15), relative to the
     largest monomial magnitude."""
     with working_precision(policy):

@@ -102,7 +102,7 @@ def form_value(a, b):
     return sum(a[i] * c * b[j] for i, row in enumerate(FORM_A) for j, c in enumerate(row) if c)
 
 
-def j_map(p, policy: PrecisionPolicy | None = None) -> tuple[mpmath.mpc, ...]:
+def j_map(p, policy: PrecisionPolicy = PrecisionPolicy()) -> tuple[mpmath.mpc, ...]:
     """(z1, z2) -> xi = (z1 z2 : -1 : z1 : z2) (I_2 + W^-1) as a row vector,
     a point of the quadric form_value(xi, xi) = 0 with form_value(xi,
     conj(xi)) = 4 Im z1 Im z2."""
@@ -142,7 +142,7 @@ def j_map_symbolic_identities() -> dict:
 # ------------------------------------------------------- the generators' action
 
 
-def action_residuals(samples, policy: PrecisionPolicy | None = None) -> dict[str, mpmath.mpf]:
+def action_residuals(samples, policy: PrecisionPolicy = PrecisionPolicy()) -> dict[str, mpmath.mpf]:
     """For each generator g, the worst projective_distance(j(g p), G j(p))
     over the samples, with G = GTILDE[g] acting on j(p) as written, as a
     matrix on column vectors.  Raises ValueError when one reaches

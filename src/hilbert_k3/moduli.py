@@ -46,7 +46,7 @@ class RankDeficient(Exception):
     pass
 
 
-def moduli_XYZ(p, policy: PrecisionPolicy | None = None,
+def moduli_XYZ(p, policy: PrecisionPolicy = PrecisionPolicy(),
                forms: MuellerForms | None = None):
     """(X, Y, Z) = (800 s6/g2^3, 3200000 s10/g2^5, (2^26 5^10/9) s15^2/g2^15).
 
@@ -67,7 +67,7 @@ def moduli_XYZ(p, policy: PrecisionPolicy | None = None,
 GENERATORS = ("g1", "g2", "g3", "tau")
 
 
-def apply_generator(p, name: str, policy: PrecisionPolicy | None = None) -> UHPPair:
+def apply_generator(p, name: str, policy: PrecisionPolicy = PrecisionPolicy()) -> UHPPair:
     """Action of the group generators on (z1, z2); the conjugate entry acts on
     the second slot."""
     pair = as_pair(p, policy)
@@ -94,7 +94,7 @@ class Orbit:
     images: dict[str, MuellerForms]
 
 
-def orbit(p, policy: PrecisionPolicy | None = None) -> Orbit:
+def orbit(p, policy: PrecisionPolicy = PrecisionPolicy()) -> Orbit:
     pair = as_pair(p, policy)
     return Orbit(pair, unreduced_forms(pair, policy),
                  {g: unreduced_forms(apply_generator(pair, g, policy), policy)
@@ -102,7 +102,7 @@ def orbit(p, policy: PrecisionPolicy | None = None) -> Orbit:
 
 
 def modular_invariance(o: Orbit, generator: str,
-                       policy: PrecisionPolicy | None = None) -> mpmath.mpf:
+                       policy: PrecisionPolicy = PrecisionPolicy()) -> mpmath.mpf:
     """|X(g p) - X(p)| + |Y(g p) - Y(p)|, relative to 1 + |X| + |Y|."""
     with working_precision(policy):
         x0, y0, _ = moduli_XYZ(None, policy, forms=o.forms)
@@ -110,7 +110,8 @@ def modular_invariance(o: Orbit, generator: str,
         return (abs(x1 - x0) + abs(y1 - y0)) / (1 + abs(x0) + abs(y0))
 
 
-def verify_modularity(o: Orbit, policy: PrecisionPolicy | None = None) -> dict[str, mpmath.mpf]:
+def verify_modularity(o: Orbit,
+                      policy: PrecisionPolicy = PrecisionPolicy()) -> dict[str, mpmath.mpf]:
     """Relative residuals of the form laws over the orbit: g1, g2 (the
     translations by 1 and by the fundamental unit) and tau (the slot swap)
     leave g2, s6 and s15 unchanged and tau changes the sign of s5; g3
@@ -156,7 +157,7 @@ def moduli_XY(p, policy, derivatives: bool = False):
 
 
 def newton_invert(target_X, target_Y, guess,
-                  policy: PrecisionPolicy | None = None) -> InversionResult:
+                  policy: PrecisionPolicy = PrecisionPolicy()) -> InversionResult:
     """Damped Newton for (X, Y)(z1, z2) = (X0, Y0) with the exact Jacobian.
 
     Each trial point costs one theta pass, which yields X, Y and their
@@ -245,7 +246,7 @@ def newton_invert(target_X, target_Y, guess,
 
 
 def continuation_invert(target_X, target_Y, start,
-                        policy: PrecisionPolicy | None = None) -> InversionResult:
+                        policy: PrecisionPolicy = PrecisionPolicy()) -> InversionResult:
     """newton_invert from a start in the target's Newton basin.  The name is
     that of the benchmark's traced span (perfbench/spans.py), which times the
     developing-map anchor; it goes with the next benchmark change."""

@@ -63,14 +63,14 @@ _PRECISION_LOCK = threading.RLock()
 
 
 @contextmanager
-def working_precision(policy: PrecisionPolicy | None = None) -> Iterator[PrecisionPolicy]:
-    """Run a block at policy precision plus GUARD_BITS; no policy means
-    PrecisionPolicy(), 128 bits.
+def working_precision(policy: PrecisionPolicy) -> Iterator[PrecisionPolicy]:
+    """Run a block at policy precision plus GUARD_BITS.  A function that
+    takes a policy defaults to PrecisionPolicy(), 128 bits, and passes it
+    here.
 
     The block holds a process-wide re-entrant lock: blocks nest within one
     thread, and blocks in different threads run one at a time rather than
     change each other's precision mid-computation."""
-    policy = policy or PrecisionPolicy()
     with _PRECISION_LOCK:
         old = mp.prec
         mp.prec = policy.mantissa_bits + GUARD_BITS
@@ -178,11 +178,8 @@ class BinaryFloat:
     def __sub__(self, other: "BinaryFloat") -> "BinaryFloat":
         return self + -other
 
-    def __pow__(self, n: int) -> "BinaryFloat":   # n >= 1, by repeated squaring
-        if n == 1:
-            return self
-        half = self ** (n // 2)
-        return half * half * self if n & 1 else half * half
+    def __pow__(self, n: int) -> "BinaryFloat":   # n a power of two, by repeated squaring
+        return self if n == 1 else (self * self) ** (n // 2)
 
 
 def _rounded(re: int, im: int, exp: int, wp: int) -> BinaryFloat:
@@ -200,7 +197,7 @@ class QuadraticConstants:
 
 
 @functools.cache   # every psi and every reduction asks for them
-def quadratic_constants(policy: PrecisionPolicy | None = None) -> QuadraticConstants:
+def quadratic_constants(policy: PrecisionPolicy = PrecisionPolicy()) -> QuadraticConstants:
     with working_precision(policy):
         s = mpmath.sqrt(mpmath.mpf(5))
         return QuadraticConstants(sqrt5=s, eps=(1 + s) / 2, eps_conj=(1 - s) / 2)
@@ -214,7 +211,7 @@ class SeriesSum:
 
 def sum_series(term: Callable[[int], mpmath.mpc],
                tail_bound: Callable[[int], mpmath.mpf],
-               policy: PrecisionPolicy | None = None) -> SeriesSum:
+               policy: PrecisionPolicy = PrecisionPolicy()) -> SeriesSum:
     """Sum term(0) + term(1) + ... until tail_bound(N) < series_tol, taking
     at least two terms.
 

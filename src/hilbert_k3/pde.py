@@ -602,7 +602,7 @@ ORDER = 10
 ANCHOR_IMAG = ("1.22023287932", "1.84910857975")
 
 
-def developing_map_match(samples: int = 14, policy: PrecisionPolicy | None = None) -> dict:
+def developing_map_match(samples: int = 14, policy: PrecisionPolicy = PrecisionPolicy()) -> dict:
     """Match the PDE basis-solution ratios at BASE against the lattice
     embedding of the theta-side inverse (z1, z2)(X, Y) by one projective
     transformation, at `samples` points around BASE: the first five fix the

@@ -185,7 +185,7 @@ def verify_clausen_and_S(order: int) -> dict:
 # ----------------------------------------------------------------- Schwarz map
 
 
-def schwarz_map(t, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
+def schwarz_map(t, policy: PrecisionPolicy = PrecisionPolicy()) -> mpmath.mpc:
     """The branch of the inverse-J coordinate on (0, 1): the purely imaginary
     z0 with 1/J(z0) = t and Im z0 > 1, as the period ratio of signature 6
     (Berndt, Bhargava and Garvan, Trans. AMS 347 (1995)),
@@ -202,7 +202,8 @@ def schwarz_map(t, policy: PrecisionPolicy | None = None) -> mpmath.mpc:
                           / mpmath.hyp2f1(one / 12, 5 * one / 12, 1, tf))
 
 
-def verify_diagonal_inverse_identity(samples, policy: PrecisionPolicy | None = None) -> mpmath.mpf:
+def verify_diagonal_inverse_identity(samples,
+                                     policy: PrecisionPolicy = PrecisionPolicy()) -> mpmath.mpf:
     """The worst |X(z, z) * J(z) - 25/27| over the diagonal sample points."""
     with working_precision(policy):
         target = mpmath.mpf(25) / 27

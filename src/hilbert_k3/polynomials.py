@@ -327,7 +327,8 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.ints == other.ints and self.scale == other.scale
 
     def format(self, var: str) -> str:
-        """Terms by descending degree in `var`, such as '2*y^3 - y + 1/2'."""
+        """The terms of a nonzero polynomial by descending degree in `var`,
+        such as '2*y^3 - 3*y + 1/2'; a coefficient 1 is left out."""
         parts = []
         for k in reversed(range(len(self.ints))):
             if not self.ints[k]:
@@ -336,11 +337,11 @@ class UniPoly:
             power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
             if not power:
                 parts.append(str(c))
-            elif c == 1 or c == -1:
-                parts.append(power if c == 1 else "-" + power)
+            elif c == 1:
+                parts.append(power)
             else:
                 parts.append(f"{c}*{power}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __call__(self, x):
         acc = 0

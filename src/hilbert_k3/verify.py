@@ -392,7 +392,7 @@ def _claim_suites(queue: int, out: int, names: list[str], policy, seed: int):
         os._exit(status)
 
 
-def run_suites(names: list[str], policy: PrecisionPolicy | None = None,
+def run_suites(names: list[str], policy: PrecisionPolicy = PrecisionPolicy(),
                seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """The named suites' reports, in the order of ``names``.
 

@@ -434,6 +434,34 @@ def test_integer_recurrence_matches_formal_series(op, order):
     assert _solved(series_solve, op, order) == _solved(_formal_series_solve, op, order)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_composed_operators(), st.integers(min_value=3, max_value=14))
+def test_frobenius_invariant_leaves_series_solve_nothing_to_check(op, order):
+    """The invariant stated above the recurrence, in FormalSeries arithmetic:
+    q_0(root + n + eps) does not vanish to its precision, no quotient has a
+    pole, and every jet is known to at least above + mult terms.  So
+    series_solve returns a basis of the operator's order."""
+    local, q = _local_theta_form(op, 0)
+    classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    for root, mult in sorted(_rational_roots(q[0])):
+        classes.setdefault(root % 1, []).append((root, mult))
+    for cls in classes.values():
+        above = 0
+        for root, mult in reversed(cls):
+            jets = [FormalSeries("eps", 0, [0] * above + [1], 2 * above + mult)]
+            for n in range(1, order + int(cls[-1][0] - root) + 1):
+                acc = FormalSeries("eps", 0, UniPoly(), jets[-1].prec)
+                for j in range(1, min(n, len(q) - 1) + 1):
+                    acc = acc + _jet(q[j], root + n - j, jets[n - j].prec) * jets[n - j]
+                q0 = _jet(q[0], root + n, acc.prec)
+                assert not q0.is_zero_to_precision()
+                jets.append(-(acc * q0.inverse()))
+                assert jets[-1].valuation() >= 0
+            assert min(c.prec for c in jets) >= above + mult
+            above += mult
+    assert len(series_solve(op, 0, order)) == local.order
+
+
 def test_rational_roots_finds_a_denominator_above_1e9():
     big = Fraction(3, 1_000_000_007)
     p = UniPoly([-big, 1]) * UniPoly([Fraction(7, 2), 1]) ** 2 * UniPoly([0, 1])

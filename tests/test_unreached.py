@@ -83,3 +83,23 @@ def test_lists_the_untaken_arms_only(tmp_path, monkeypatch):
     hits = tool.traced_lines(lambda: module.g(2, [1, 2]), str(root), arms)
     assert [(a.line, a.text) for a in tool.unreached(arms, hits)] == [
         (3, "-1"), (4, "len(xs)"), (5, "y"), (12, "not xs")]
+
+
+def test_an_allowlist_entry_that_hides_nothing_is_stale(tmp_path, monkeypatch):
+    """Under g(2, [1, 2]), an allowlisted arm that the run takes and an
+    allowlisted function that is not defined are stale; an allowlisted arm
+    that stays unreached is neither stale nor listed."""
+    tool = _tool()
+    root = tmp_path.resolve()
+    path = root / "synthetic_stale.py"
+    path.write_text(ARMS)
+    monkeypatch.syspath_prepend(str(root))
+    module = importlib.import_module("synthetic_stale")
+    stmts, arms = tool.sites(path, "synthetic_stale")
+    hits = tool.traced_lines(lambda: module.g(2, [1, 2]), str(root), arms)
+    allowed = {"synthetic_stale.h": "not defined"}
+    allowed_arms = {("synthetic_stale.g", "1"): "taken", ("synthetic_stale.g", "-1"): "untaken"}
+    listed, listed_arms, stale = tool.findings(stmts, arms, hits, allowed, allowed_arms)
+    assert listed == []
+    assert [a.text for a in listed_arms] == ["len(xs)", "y", "not xs"]
+    assert stale == ["synthetic_stale.h", "synthetic_stale.g: 1"]
