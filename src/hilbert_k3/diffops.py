@@ -22,10 +22,6 @@ class NonRationalRoot(Exception):
     """The indicial polynomial has an irreducible factor of degree > 1 over Q."""
 
 
-class IncompleteBasis(Exception):
-    """A Frobenius basis has an unexpected log structure."""
-
-
 INFINITY = "infinity"
 
 
@@ -35,49 +31,43 @@ INFINITY = "infinity"
 class LogSeries:
     """Finite sum over l of series_l(t) * log(t)^l with exact series components."""
 
-    __slots__ = ("var", "parts")
+    __slots__ = ("parts",)
 
-    def __init__(self, var: str, parts: dict[int, FormalSeries]):
-        self.var = var
+    def __init__(self, parts: dict[int, FormalSeries]):
         self.parts = dict(parts)
 
-    @classmethod
-    def from_series(cls, s: FormalSeries) -> "LogSeries":
-        return cls(s.var, {0: s})
-
-    def log_degree(self) -> int:   # of a log series that does not vanish to its precision
-        return max(l for l, s in self.parts.items() if not s.is_zero_to_precision())
+    @property
+    def prec(self):
+        """The precision to which every component is known."""
+        return min(s.prec for s in self.parts.values())
 
     def is_zero_to_precision(self) -> bool:
         return all(s.is_zero_to_precision() for s in self.parts.values())
 
     @classmethod
-    def _sum(cls, var: str, terms) -> "LogSeries":
+    def _sum(cls, terms) -> "LogSeries":
         """The sum of s log(t)^l over the pairs (l, s) of ``terms``."""
         out: dict[int, FormalSeries] = {}
         for l, s in terms:
             out[l] = out[l] + s if l in out else s
-        return cls(var, out)
+        return cls(out)
 
     def __add__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries._sum(self.var, [*self.parts.items(), *other.parts.items()])
+        return LogSeries._sum([*self.parts.items(), *other.parts.items()])
 
     def __sub__(self, other: "LogSeries") -> "LogSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "LogSeries":
-        return LogSeries(self.var, {l: s * c for l, s in self.parts.items()})
+        return LogSeries._sum([*self.parts.items(), *((l, -s) for l, s in other.parts.items())])
 
     def __mul__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries._sum(self.var, ((l1 + l2, s1 * s2) for l1, s1 in self.parts.items()
-                                         for l2, s2 in other.parts.items()))
+        return LogSeries._sum((l1 + l2, s1 * s2) for l1, s1 in self.parts.items()
+                              for l2, s2 in other.parts.items())
 
     def multiply_rational(self, f: RationalFunction) -> "LogSeries":
-        return LogSeries(self.var, {l: s.multiply_rational(f) for l, s in self.parts.items()})
+        return LogSeries({l: s.multiply_rational(f) for l, s in self.parts.items()})
 
     def derivative(self) -> "LogSeries":
         # d/dt (f log^l) = f' log^l + l f t^-1 log^(l-1)
-        return LogSeries._sum(self.var, [(l, s.derivative()) for l, s in self.parts.items()]
+        return LogSeries._sum([(l, s.derivative()) for l, s in self.parts.items()]
                               + [(l - 1, s.shift_exponent(-1) * l)
                                  for l, s in self.parts.items() if l >= 1])
 
@@ -125,7 +115,7 @@ class DiffOperator:
     def apply(self, f):
         """Apply to a FormalSeries or LogSeries, exactly."""
         if isinstance(f, FormalSeries):
-            f = LogSeries.from_series(f)
+            f = LogSeries({0: f})
         total = f.multiply_rational(self.coeffs[0])
         for c in self.coeffs[1:]:
             f = f.derivative()
@@ -322,14 +312,13 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     order.  Solutions at exponent collisions carry explicit log components;
     the selection is the Frobenius method's (see the comment above).
     """
-    local, q = _local_theta_form(op, point)
+    _, q = _local_theta_form(op, point)
 
     # integer-difference classes, each in ascending order
     classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
     for root, mult in sorted(_rational_roots(q[0])):
         classes.setdefault(root % 1, []).append((root, mult))
 
-    var = local.var
     solutions: list[LogSeries] = []
     for cls in classes.values():
         top = cls[-1][0]
@@ -360,7 +349,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
             # sum_l log^l / l! * sum_n c_n^{(k-l)}/(k-l)! t^(root+n)
             lcm = math.lcm(*(d for _, d in jets))
             for k in range(above, above + mult):
-                solutions.append(LogSeries(var, {l: FormalSeries(var, root, UniPoly._from_ints(
+                solutions.append(LogSeries({l: FormalSeries(root, UniPoly._from_ints(
                     [c[k - l] * (lcm // d) for c, d in jets], Fraction(1, lcm * math.factorial(l))),
                     root + n_terms) for l in range(k + 1)}))
             above += mult

@@ -80,7 +80,7 @@ def eisenstein_qexp(weight: int, order: int) -> FormalSeries:
         term = mult * d ** k
         for m in range(d, order + 1, d):
             coeffs[m] += term
-    return FormalSeries("q", 0, coeffs)
+    return FormalSeries(0, coeffs)
 
 
 def j_qexpansion(order: int) -> FormalSeries:

@@ -628,22 +628,22 @@ def _divide_ints(a: list[int], b: list[int], n: int) -> list[int]:
 
 
 class FormalSeries:
-    """var^expo * p(var), known modulo var^prec, with p a UniPoly (a rational
+    """x^expo * p(x), known modulo x^prec, with p a UniPoly (a rational
     scale times primitive ints) of degree below prec - expo.
 
     The exponents are ints or Fractions; two series add only when their
     exponents differ by an integer.  Arithmetic never claims a coefficient at
     or past `prec`: a sum is known to the lower precision, and a product of
-    series known to var^p and var^q, of valuations v and w, to
-    var^min(p + w, q + v).  Products are integer convolutions and quotients
+    series known to x^p and x^q, of valuations v and w, to
+    x^min(p + w, q + v).  Products are integer convolutions and quotients
     the fraction-free recurrence `_divide_ints`; a constant multiple changes
     only the scale.
     """
 
-    __slots__ = ("var", "expo", "poly", "prec")
+    __slots__ = ("expo", "poly", "prec")
 
-    def __init__(self, var: str, expo, coeffs, prec=None):
-        """From a UniPoly or from rational coefficients of var^expo, var^(expo + 1),
+    def __init__(self, expo, coeffs, prec=None):
+        """From a UniPoly or from rational coefficients of x^expo, x^(expo + 1),
         ...; prec defaults to the end of a coefficient list.  Nothing is kept
         at or past prec."""
         if prec is None:
@@ -652,11 +652,11 @@ class FormalSeries:
         n = int(prec - expo)
         if len(poly.ints) > n:
             poly = UniPoly._from_ints(poly.ints[:max(n, 0)], poly.scale)
-        self.var, self.expo, self.poly, self.prec = var, expo, poly, prec
+        self.expo, self.poly, self.prec = expo, poly, prec
 
     @property
     def coeffs(self) -> list[Fraction]:
-        """The dense rational coefficients of var^expo up to var^(prec - 1)."""
+        """The dense rational coefficients of x^expo up to x^(prec - 1)."""
         out = self.poly.coefficients()
         return out + [Fraction(0)] * (int(self.prec - self.expo) - len(out))
 
@@ -676,53 +676,53 @@ class FormalSeries:
         p = hi.poly
         if shift and p:
             p = UniPoly._raw([0] * int(shift) + p.ints, p.scale)
-        return FormalSeries(self.var, lo.expo, lo.poly + p, min(self.prec, other.prec))
+        return FormalSeries(lo.expo, lo.poly + p, min(self.prec, other.prec))
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
         return self + (-other)
 
     def __neg__(self) -> "FormalSeries":
-        return FormalSeries(self.var, self.expo, -self.poly, self.prec)
+        return FormalSeries(self.expo, -self.poly, self.prec)
 
     def shift_exponent(self, k) -> "FormalSeries":
-        """var^k * self."""
-        return FormalSeries(self.var, self.expo + k, self.poly, self.prec + k)
+        """x^k * self."""
+        return FormalSeries(self.expo + k, self.poly, self.prec + k)
 
     def _ints_from(self, v) -> list[int]:
-        """The ints from var^v up."""
+        """The ints from x^v up."""
         return self.poly.ints[int(v - self.expo):]
 
     def __mul__(self, other) -> "FormalSeries":
         """The product with another series, or with a rational constant."""
         if not isinstance(other, FormalSeries):
-            return FormalSeries(self.var, self.expo, self.poly * other, self.prec)
+            return FormalSeries(self.expo, self.poly * other, self.prec)
         va, vb = self.valuation(), other.valuation()
         prec = min(self.prec + vb, other.prec + va)
         ints = _convolve(self._ints_from(va), other._ints_from(vb), int(prec - va - vb))
-        return FormalSeries(self.var, va + vb,
+        return FormalSeries(va + vb,
                             UniPoly._from_ints(ints, self.poly.scale * other.poly.scale), prec)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FormalSeries":
         """1 / self, to as many terms as self is known past its valuation v;
-        the inverse starts at var^-v."""
+        the inverse starts at x^-v."""
         v = self.valuation()
         if v == self.prec:
             raise ZeroDivisionError("inverting a series that vanishes to its precision")
         n, b = int(self.prec - v), self._ints_from(v)
-        return FormalSeries(self.var, -v, UniPoly._from_ints(
+        return FormalSeries(-v, UniPoly._from_ints(
             _divide_ints([1], b, n), 1 / (self.poly.scale * b[0] ** n)), n - v)
 
     def derivative(self) -> "FormalSeries":
         e = Fraction(self.expo)
         ints = [(e.numerator + k * e.denominator) * a for k, a in enumerate(self.poly.ints)]
-        return FormalSeries(self.var, self.expo - 1,
+        return FormalSeries(self.expo - 1,
                             UniPoly._from_ints(ints, self.poly.scale / e.denominator),
                             self.prec - 1)
 
     def multiply_rational(self, f: RationalFunction) -> "FormalSeries":
-        """self * f, with f expanded in powers of var; a pole of f at 0 lowers
+        """self * f, with f expanded in powers of x; a pole of f at 0 lowers
         the exponent by its order; a zero f gives zero, known as far as self is."""
         den = f.den
         v = den.valuation()
@@ -730,7 +730,7 @@ class FormalSeries:
         n, b = int(prec - expo), den.ints[v:]
         ints = _divide_ints(_convolve(self.poly.ints, f.num.ints, n), b, n)
         scale = self.poly.scale * f.num.scale / (den.scale * b[0] ** n)
-        return FormalSeries(self.var, expo, UniPoly._from_ints(ints, scale), prec)
+        return FormalSeries(expo, UniPoly._from_ints(ints, scale), prec)
 
 
 # ------------------------------------------------------------ linear algebra

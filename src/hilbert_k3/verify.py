@@ -323,15 +323,17 @@ def suite_fibers(policy: PrecisionPolicy, seed: int) -> VerificationReport:
     return c.report
 
 
-# longest first, by the suite spans of a traced verify all at 128 bits pinned
-# to one CPU (44 ms down to 2 ms on a 2-vCPU VM); run_suites's workers claim
-# them in this order, so that no long suite starts last
+# longest first, by the median suite spans of traced verify all runs at 128
+# bits pinned to one CPU, seeds 1-3 on a 2-vCPU VM: developing-map 73 ms,
+# main-theorem 64, transformations 46, j-theorem 40, pde-restriction 37,
+# clausen 34, down to fibers at 3; run_suites's workers claim them in this
+# order, so that no long suite starts last
 SUITES = {
-    "pde-restriction": suite_pde_restriction,
     "developing-map": suite_developing_map,
     "main-theorem": suite_main_theorem,
     "transformations": suite_transformations,
     "j-theorem": suite_j_theorem,
+    "pde-restriction": suite_pde_restriction,
     "clausen": suite_clausen,
     "mueller": suite_mueller,
     "quadric": suite_quadric,

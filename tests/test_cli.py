@@ -334,7 +334,7 @@ STUB_ROWS = [{"name": "stub", "status": "pass", "residual": "exact", "runtime_ms
 
 @pytest.mark.parametrize("error", ["NoConvergence", "JacobianSingular", "NearZeroDenominator",
                                    "RankDeficient", "NonConvergent", "ValueError",
-                                   "IrregularSingular", "NonRationalRoot", "IncompleteBasis",
+                                   "IrregularSingular", "NonRationalRoot",
                                    "EliminationFailed", "InconsistentReduction",
                                    "SingularBasePoint", "ZeroDivisionError"])
 def test_a_suite_that_raises_becomes_a_fail_row(capsys, monkeypatch, cpus, error):

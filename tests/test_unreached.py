@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -103,3 +104,24 @@ def test_an_allowlist_entry_that_hides_nothing_is_stale(tmp_path, monkeypatch):
     assert listed == []
     assert [a.text for a in listed_arms] == ["len(xs)", "y", "not xs"]
     assert stale == ["synthetic_stale.h", "synthetic_stale.g: 1"]
+
+
+def test_only_the_last_run_sees_two_cpus(monkeypatch):
+    """Whatever the machine has, ``verify all`` runs its suites in this
+    process, under the tracer, in every run but the last, and forks two
+    workers in the last: ``usable_cpus`` reads 1, 1 and 2 over three runs,
+    and ``os.sched_getaffinity`` is restored afterwards."""
+    tool = _tool()
+    from hilbert_k3 import cli, verify
+    seen = []
+
+    def main(argv):
+        seen.append(verify.usable_cpus())
+        return int(argv[0])
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(sys, "path", list(sys.path))   # run_commands prepends src
+    getaffinity = os.sched_getaffinity
+    assert tool.run_commands([(["0"], 0), (["1"], 1), (["2"], 2)]) == []
+    assert seen == [1, 1, 2]
+    assert os.sched_getaffinity is getaffinity

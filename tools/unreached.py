@@ -21,13 +21,13 @@ listed like any other, since that test runs on the normal path.
 Each run names the exit code it must end with: 0 for a passing command, 1
 for a command that prints a JSON error, 2 for a usage error.  ``sys.settrace``
 sees only this process, and ``verify all`` forks one worker process per CPU
-it may use, so the script pins itself to one allowed CPU for every run but
-the last, whose suites then run here, under the tracer.  The last run keeps
-the CPU affinity the script started with, so that on two or more CPUs it
-reaches the parent's side of ``run_suites``: the queue pipe, the forks, the
-reading of the reports and the reaping of the workers.  The workers' own
-loop is allowlisted; on one CPU the parent's side is listed too.  Pinning
-needs ``os.sched_setaffinity`` (Linux), and the spans need Python 3.11.
+that ``os.sched_getaffinity`` reports, so for every run but the last the
+script makes it report one CPU, and those runs' suites run here, under the
+tracer.  For the last run it reports two, whatever the machine has, so that
+run reaches the parent's side of ``run_suites``: the queue pipe, the forks,
+the reading of the reports and the reaping of the workers.  The workers' own
+loop is allowlisted.  ``os.sched_getaffinity`` is Linux's, and the spans
+need Python 3.11.
 
     python tools/unreached.py
 
@@ -71,7 +71,7 @@ RUNS = [
     (["invert", "--X", "0", "--Y", "0", "--guess", "0.2+1.1i,-0.3+1.5i"], 1),  # linear convergence
     (["series", "jfunction", "--order", "12"], 0),
     (["series", "hypergeom", "--order", "6", "--upper", "1/6,1/2,5/6", "--lower", "1,1"], 0),
-    # last: runs at the CPU affinity the script started with
+    # last: runs with two CPUs reported, so verify all forks two workers
     (["--format", "csv", "--stable-output", "verify", "all"], 0),
 ]
 
@@ -228,15 +228,18 @@ def traced_lines(run, prefix: str, arms=()) -> set:
 
 
 def run_commands(runs) -> list[str]:
-    """Run each command of ``runs``, pinned to one CPU but the last; return
-    those that did not end with their exit code."""
+    """Run each command of ``runs``; return those that did not end with their
+    exit code.  ``os.sched_getaffinity`` reports one CPU for every run but the
+    last and two for the last, whatever the machine has, and is restored
+    afterwards."""
     failed = []
-    start_cpus = os.sched_getaffinity(0)
     sys.path.insert(0, str(SRC))
     from hilbert_k3 import cli
+    getaffinity = os.sched_getaffinity
     try:
         for k, (argv, want) in enumerate(runs):
-            os.sched_setaffinity(0, start_cpus if k == len(runs) - 1 else {min(start_cpus)})
+            cpus = {0, 1} if k == len(runs) - 1 else {0}
+            os.sched_getaffinity = lambda pid, cpus=cpus: set(cpus)
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 try:
@@ -246,7 +249,7 @@ def run_commands(runs) -> list[str]:
             if code != want:
                 failed.append(f"{' '.join(argv)} (exit {code}, want {want})")
     finally:
-        os.sched_setaffinity(0, start_cpus)
+        os.sched_getaffinity = getaffinity
     return failed
 
 
