@@ -243,22 +243,22 @@ def _rational_roots(p: UniPoly) -> list[tuple[Fraction, int]]:
     return out
 
 
-def _local_theta_form(op: DiffOperator, point) -> tuple[DiffOperator, list[UniPoly]]:
-    """The operator in the local variable at a finite rational point (t - point)
-    or at 'infinity' (1/t), and its theta form q_0..q_J.  Raises
+def _local_theta_form(op: DiffOperator, point) -> list[UniPoly]:
+    """The theta form q_0..q_J of the operator in the local variable at a finite
+    rational point (t - point) or at 'infinity' (1/t).  Raises
     IrregularSingular unless the point is regular singular or ordinary."""
     local = op.invert_variable() if point == INFINITY else op.shift_variable(point)
     q = _theta_form(local)
     if q[0].degree() < local.order:
         raise IrregularSingular(
             f"indicial polynomial degenerates at {point} (irregular singularity)")
-    return local, q
+    return q
 
 
 def indicial_exponents(op: DiffOperator, point) -> list[Fraction]:
     """Sorted indicial exponents (with multiplicity) at a finite rational point
     or at the string 'infinity'.  Raises IrregularSingular / NonRationalRoot."""
-    _, q = _local_theta_form(op, point)
+    q = _local_theta_form(op, point)
     roots: list[Fraction] = []
     for root, mult in _rational_roots(q[0]):
         roots.extend([root] * mult)
@@ -312,7 +312,7 @@ def series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]:
     order.  Solutions at exponent collisions carry explicit log components;
     the selection is the Frobenius method's (see the comment above).
     """
-    _, q = _local_theta_form(op, point)
+    q = _local_theta_form(op, point)
 
     # integer-difference classes, each in ascending order
     classes: dict[Fraction, list[tuple[Fraction, int]]] = {}

@@ -376,7 +376,7 @@ def _formal_series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]
     """The Frobenius basis of `series_solve`, with the jets c_n held as
     FormalSeries in eps, so their precision is the one that FormalSeries
     products and inverses track: a reference for the integer recurrence."""
-    local, q = _local_theta_form(op, point)
+    q = _local_theta_form(op, point)
     classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
     for root, mult in sorted(_rational_roots(q[0])):
         classes.setdefault(root % 1, []).append((root, mult))
@@ -402,8 +402,8 @@ def _formal_series_solve(op: DiffOperator, point, order: int) -> list[LogSeries]
                     l: FormalSeries(root, [_eps_coefficient(c, k - l) for c in jets])
                     * Fraction(1, math.factorial(l)) for l in range(k + 1)}))
             above += mult
-    if len(solutions) != local.order:
-        raise AssertionError(f"got {len(solutions)} of {local.order}")
+    if len(solutions) != op.order:
+        raise AssertionError(f"got {len(solutions)} of {op.order}")
     return solutions
 
 
@@ -448,7 +448,7 @@ def test_frobenius_invariant_leaves_series_solve_nothing_to_check(op, order):
     q_0(root + n + eps) does not vanish to its precision, no quotient has a
     pole, and every jet is known to at least above + mult terms.  So
     series_solve returns a basis of the operator's order."""
-    local, q = _local_theta_form(op, 0)
+    q = _local_theta_form(op, 0)
     classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
     for root, mult in sorted(_rational_roots(q[0])):
         classes.setdefault(root % 1, []).append((root, mult))
@@ -466,7 +466,7 @@ def test_frobenius_invariant_leaves_series_solve_nothing_to_check(op, order):
                 assert jets[-1].valuation() >= 0
             assert min(c.prec for c in jets) >= above + mult
             above += mult
-    assert len(series_solve(op, 0, order)) == local.order
+    assert len(series_solve(op, 0, order)) == op.order
 
 
 def test_rational_roots_finds_a_denominator_above_1e9():
